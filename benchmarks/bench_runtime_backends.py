@@ -1,8 +1,10 @@
 """Real-runtime backends: wall-clock of serial vs multiprocessing.
 
 Measures the actual (not simulated) execution of the histogram and CC
-implementations in :mod:`repro.runtime`.  On a multi-core host the
-process backend should approach core-count speedups for large images;
+implementations: the serial kernels against the distributed array's
+``shmem`` transport (per-tile shared-memory shards on a process pool).
+On a multi-core host the process backend should approach core-count
+speedups for large images;
 on a single-core host (like some CI containers) it documents the
 pool's overhead instead -- the host's core count is recorded with the
 artifact so readers can interpret the numbers.
@@ -14,8 +16,9 @@ import time
 from benchmarks.conftest import emit
 from benchmarks.emit import emit_json
 from repro.baselines import run_label
+from repro.darray import darray_components, darray_histogram
 from repro.images import darpa_like
-from repro.runtime import components, histogram
+from repro.kernels import get as get_kernel
 
 N = 512
 K = 256
@@ -30,12 +33,13 @@ def _wall(fn, *args, **kwargs):
 def _measure():
     img = darpa_like(N, K)
     rows = {}
-    rows["histogram serial"] = _wall(histogram, img, K, backend="serial")
-    rows["histogram process x2"] = _wall(histogram, img, K, workers=2, backend="process")
-    rows["histogram process x4"] = _wall(histogram, img, K, workers=4, backend="process")
-    rows["components serial"] = _wall(components, img, grey=True, backend="serial")
-    rows["components process x2"] = _wall(components, img, grey=True, workers=2, backend="process")
-    rows["components process x4"] = _wall(components, img, grey=True, workers=4, backend="process")
+    shmem = dict(transport="shmem")
+    rows["histogram serial"] = _wall(get_kernel("histogram"), img, K)
+    rows["histogram process x2"] = _wall(darray_histogram, img, K, p=2, **shmem)
+    rows["histogram process x4"] = _wall(darray_histogram, img, K, p=4, **shmem)
+    rows["components serial"] = _wall(get_kernel("tile_label"), img, grey=True)
+    rows["components process x2"] = _wall(darray_components, img, grey=True, p=2, **shmem)
+    rows["components process x4"] = _wall(darray_components, img, grey=True, p=4, **shmem)
     return rows
 
 

@@ -17,8 +17,9 @@ The package provides
 * machine models for the five platforms of the experimental study
   (:mod:`repro.machines`),
 * sequential baselines and test-image generators,
-* a real multiprocessing runtime (:mod:`repro.runtime`) for wall-clock
-  parallel runs on multi-core hosts, and
+* a distributed array (:mod:`repro.darray`) whose ``shmem`` transport
+  runs the same schedule on a real process pool for wall-clock parallel
+  runs on multi-core hosts, and
 * a kernel registry (:mod:`repro.kernels`) dispatching the hot local
   steps to a per-pixel ``python`` reference or a bit-identical
   vectorized ``numpy`` backend (see docs/KERNELS.md).
@@ -46,7 +47,14 @@ from repro.baselines.sequential import (
 )
 from repro.machines.params import MACHINES, get_machine
 
-__version__ = "1.4.0"
+#: 2.0.0 is a breaking release: ``repro.runtime.components`` /
+#: ``histogram`` / ``resolve_workers`` are gone (use
+#: ``repro.darray.darray_components`` / ``darray_histogram`` with
+#: ``transport="shmem"``), ``repro trace --engine runtime`` became
+#: ``--engine darray``, ``repro chaos --engine process`` became
+#: ``--engine darray``, and the ``hist:band`` / ``cc:*`` fault sites
+#: became ``darray:*`` (docs/FAULTS.md maps them).
+__version__ = "2.0.0"
 
 __all__ = [
     "kernels",

@@ -17,8 +17,8 @@ Commands
 ``trace``       run a workload under the observability layer and export
                 a Chrome trace-event JSON (open in Perfetto /
                 ``chrome://tracing``) plus a metrics snapshot, on either
-                the simulated machine or the real multiprocessing
-                runtime; ``--follow TRACE_ID`` instead prints one
+                the simulated machine or the distributed array's
+                shared-memory process pool; ``--follow TRACE_ID`` instead prints one
                 request's cross-process span tree from a live server's
                 ``trace`` control op or an exported trace file.
 ``chaos``       run the seeded single-fault chaos matrix against a
@@ -53,7 +53,6 @@ from repro.core.histogram import parallel_histogram
 from repro.images import binary_test_image, darpa_like
 from repro.images.io import read_pnm, write_pbm, write_pgm
 from repro.machines import MACHINES, load_machine
-from repro.runtime import components as runtime_components
 from repro.utils.errors import ReproError
 from repro.utils.render import ascii_labels
 
@@ -124,8 +123,9 @@ def _add_darray_args(sub: argparse.ArgumentParser) -> None:
         choices=("sim", "runtime", "darray"),
         default="sim",
         help="execution engine: sim = BDM cost simulator (default), "
-        "runtime = hardened multiprocessing backend (same as --runtime), "
-        "darray = DistributedArray over a pluggable transport",
+        "darray = DistributedArray over a pluggable transport, "
+        "runtime = shorthand for --engine darray --transport shmem "
+        "(same as --runtime)",
     )
     sub.add_argument(
         "--transport",
@@ -152,9 +152,14 @@ def _add_darray_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_engine(args) -> str:
-    """The selected engine, honoring the legacy ``--runtime`` flag."""
-    if args.runtime:
-        return "runtime"
+    """The selected engine, ``sim`` or ``darray``.
+
+    ``--runtime`` and ``--engine runtime`` select the process-parallel
+    engine, which is the darray engine over the ``shmem`` transport.
+    """
+    if args.runtime or args.engine == "runtime":
+        args.transport = "shmem"
+        return "darray"
     return args.engine
 
 
@@ -306,36 +311,13 @@ def cmd_histogram(args) -> int:
     if engine == "darray":
         hist = _histogram_darray(args, plan)
         image = None
-    elif engine == "runtime":
-        image = _load_image(args)
-        from repro.obs import WallRecorder
-        from repro.runtime import histogram as rt_histogram, resolve_workers
-
-        rec = None
-        if args.trace_out or args.metrics_out or plan is not None:
-            rec = WallRecorder()
-        hist = rt_histogram(
-            image,
-            args.levels,
-            workers=resolve_workers(args.processors),
-            backend="process",
-            kernel=args.kernel,
-            recorder=rec,
-            fault_plan=plan,
-        )
-        print(
-            f"histogram of {image.shape[0]}x{image.shape[1]} image, "
-            f"k={args.levels} on the multiprocessing runtime"
-        )
-        if plan is not None:
-            _print_fault_events(rec)
-        _export_wall(args, rec)
     else:
         image = _load_image(args)
         if plan is not None and not plan.is_empty:
             raise ReproError(
                 "the simulator fault model covers components only; "
-                "use --runtime for histogram fault injection"
+                "use --engine darray --transport shmem for histogram "
+                "fault injection"
             )
         machine, rec = _sim_recorder(args, params)
         res = parallel_histogram(
@@ -367,6 +349,24 @@ def cmd_histogram(args) -> int:
     return 0
 
 
+def _emit_label_map(args, labels: np.ndarray) -> None:
+    """The ``--ascii`` rendering and the ``-o`` compacted PGM label map."""
+    if args.ascii:
+        print(ascii_labels(labels, width=args.ascii))
+    if args.output:
+        from repro.analysis.regions import compact_labels
+
+        compacted = compact_labels(labels)
+        n_regions = int(compacted.max(initial=0))
+        if n_regions > 255:
+            raise ReproError(
+                f"label map has {n_regions} components, which does not fit an "
+                f"8-bit PGM (max 255); use a smaller image or coarser levels"
+            )
+        write_pgm(args.output, compacted)
+        print(f"label map written to {args.output} (compacted labels)")
+
+
 def _components_darray(args, plan) -> int:
     from repro.darray import darray_components
 
@@ -396,20 +396,7 @@ def _components_darray(args, plan) -> int:
     if plan is not None:
         _print_fault_events(rec)
     _export_wall(args, rec)
-    if args.ascii:
-        print(ascii_labels(np.asarray(labels), width=args.ascii))
-    if args.output:
-        from repro.analysis.regions import compact_labels
-
-        compacted = compact_labels(np.asarray(labels))
-        n_regions = int(compacted.max(initial=0))
-        if n_regions > 255:
-            raise ReproError(
-                f"label map has {n_regions} components, which does not fit an "
-                f"8-bit PGM (max 255); use a smaller image or coarser levels"
-            )
-        write_pgm(args.output, compacted)
-        print(f"label map written to {args.output} (compacted labels)")
+    _emit_label_map(args, np.asarray(labels))
     return 0
 
 
@@ -421,52 +408,29 @@ def cmd_components(args) -> int:
     image = _load_image(args)
     params = load_machine(args.machine)
     plan = _load_fault_plan(args)
-    if engine == "runtime":
-        wall_rec = None
-        if args.trace_out or args.metrics_out or plan is not None:
-            from repro.obs import WallRecorder
-
-            wall_rec = WallRecorder()
-        from repro.runtime import resolve_workers
-
-        labels = runtime_components(
-            image,
-            connectivity=args.connectivity,
-            grey=args.grey,
-            workers=resolve_workers(args.processors, image.shape),
-            backend="process",
-            kernel=args.kernel,
-            recorder=wall_rec,
-            fault_plan=plan,
-        )
-        print(f"runtime backend: {image.shape[0]}x{image.shape[1]}")
-        if plan is not None:
-            _print_fault_events(wall_rec)
-        _export_wall(args, wall_rec)
-    else:
-        machine, rec = _sim_recorder(args, params, force=plan is not None)
-        res = parallel_components(
-            image,
-            args.processors,
-            params,
-            connectivity=args.connectivity,
-            grey=args.grey,
-            machine=machine,
-            kernel=args.kernel,
-            fault_plan=plan,
-        )
-        labels = res.labels
-        print(
-            f"simulated {params.name}, p={args.processors}: "
-            f"{res.elapsed_s * 1e3:.3f} ms"
-        )
-        if plan is not None:
-            nf = sum(s.n_failovers for s in res.step_stats)
-            print(f"merge-round failovers: {nf}")
-            _print_fault_events(rec)
-        if args.report:
-            print(res.report.summary(top=8))
-        _export_sim(args, rec)
+    machine, rec = _sim_recorder(args, params, force=plan is not None)
+    res = parallel_components(
+        image,
+        args.processors,
+        params,
+        connectivity=args.connectivity,
+        grey=args.grey,
+        machine=machine,
+        kernel=args.kernel,
+        fault_plan=plan,
+    )
+    labels = res.labels
+    print(
+        f"simulated {params.name}, p={args.processors}: "
+        f"{res.elapsed_s * 1e3:.3f} ms"
+    )
+    if plan is not None:
+        nf = sum(s.n_failovers for s in res.step_stats)
+        print(f"merge-round failovers: {nf}")
+        _print_fault_events(rec)
+    if args.report:
+        print(res.report.summary(top=8))
+    _export_sim(args, rec)
     table = region_table(labels, image)
     print(
         f"{len(table)} components ({args.connectivity}-connectivity, "
@@ -478,20 +442,7 @@ def cmd_components(args) -> int:
             f"  #{rank}: area {table.areas[idx]:>8}, level {table.colors[idx]:>4}, "
             f"bbox ({r0},{c0})-({r1},{c1})"
         )
-    if args.ascii:
-        print(ascii_labels(labels, width=args.ascii))
-    if args.output:
-        from repro.analysis.regions import compact_labels
-
-        compacted = compact_labels(labels)
-        n_regions = int(compacted.max(initial=0))
-        if n_regions > 255:
-            raise ReproError(
-                f"label map has {n_regions} components, which does not fit an "
-                f"8-bit PGM (max 255); use a smaller image or coarser levels"
-            )
-        write_pgm(args.output, compacted)
-        print(f"label map written to {args.output} (compacted labels)")
+    _emit_label_map(args, labels)
     return 0
 
 
@@ -764,30 +715,27 @@ def cmd_trace(args) -> int:
             print(comm_heatmap(rec.comm_matrix))
         _export_sim(args, rec)
     else:
+        from repro.darray import darray_components, darray_histogram
         from repro.obs import WallRecorder
-        from repro.runtime import histogram as rt_histogram
-        from repro.runtime import resolve_workers
 
         rec = WallRecorder()
         if args.workload == "histogram":
-            workers = resolve_workers(args.processors)
-            rt_histogram(
-                image, args.levels, workers=workers, backend="process",
+            darray_histogram(
+                image, args.levels, p=args.processors, transport="shmem",
                 kernel=args.kernel, recorder=rec,
             )
         else:
-            workers = resolve_workers(args.processors, image.shape)
-            runtime_components(
+            darray_components(
                 image,
+                p=args.processors,
+                transport="shmem",
                 connectivity=args.connectivity,
                 grey=args.grey,
-                workers=workers,
-                backend="process",
                 kernel=args.kernel,
                 recorder=rec,
             )
         print(
-            f"traced {args.workload} on the multiprocessing runtime "
+            f"traced {args.workload} on darray/shmem, p={args.processors} "
             f"({len(rec.worker_lanes)} workers): "
             f"{rec.log.end_s * 1e3:.2f} ms wall, {len(rec.log.spans)} spans"
         )
@@ -797,39 +745,36 @@ def cmd_trace(args) -> int:
 
 def _chaos_runner(args, image, n_tasks):
     """Baseline result + a ``run_one(plan) -> (result, event_names)`` closure."""
-    if args.engine == "process":
+    if args.engine == "darray":
+        from repro.darray import darray_components, darray_histogram
+        from repro.kernels import get as get_kernel
         from repro.obs import WallRecorder
-        from repro.runtime import components as rt_components
-        from repro.runtime import histogram as rt_histogram
 
+        dispatch = dict(
+            p=n_tasks, transport="shmem", kernel=args.kernel,
+            timeout=args.timeout, max_retries=args.retries,
+        )
         if args.workload == "histogram":
-            baseline = rt_histogram(
-                image, args.levels, backend="serial", kernel=args.kernel
-            )
+            baseline = get_kernel("histogram", args.kernel)(image, args.levels)
 
             def run_one(plan):
                 rec = WallRecorder()
-                res = rt_histogram(
-                    image, args.levels, workers=n_tasks, backend="process",
-                    kernel=args.kernel, recorder=rec, fault_plan=plan,
-                    timeout=args.timeout, max_retries=args.retries,
+                res = darray_histogram(
+                    image, args.levels, recorder=rec, fault_plan=plan, **dispatch
                 )
                 return res, [i.name for i in rec.fault_events()]
         else:
-            baseline = rt_components(
-                image, connectivity=args.connectivity, grey=args.grey,
-                backend="serial", kernel=args.kernel,
+            baseline = get_kernel("tile_label", args.kernel)(
+                image, connectivity=args.connectivity, grey=args.grey
             )
 
             def run_one(plan):
                 rec = WallRecorder()
-                res = rt_components(
+                res = darray_components(
                     image, connectivity=args.connectivity, grey=args.grey,
-                    workers=n_tasks, backend="process", kernel=args.kernel,
-                    recorder=rec, fault_plan=plan,
-                    timeout=args.timeout, max_retries=args.retries,
+                    recorder=rec, fault_plan=plan, **dispatch,
                 )
-                return res, [i.name for i in rec.fault_events()]
+                return res.labels, [i.name for i in rec.fault_events()]
     else:
         from repro.bdm.machine import Machine
         from repro.obs import MachineRecorder
@@ -884,16 +829,11 @@ def cmd_chaos(args) -> int:
     image = _load_image(args)
     if args.engine == "sim" and args.workload == "histogram":
         raise ReproError("the simulator fault model covers components only")
-    if args.engine == "process":
-        from repro.runtime import resolve_workers
-
-        shape = image.shape if args.workload == "components" else None
-        n_tasks = resolve_workers(args.processors, shape)
-    else:
-        n_tasks = args.processors
+    n_tasks = args.processors
     n_rounds = 0
     if args.workload == "components":
-        n_rounds = len(merge_schedule(ProcessorGrid(n_tasks, image.shape)))
+        grid = ProcessorGrid(n_tasks, image.shape, strict=args.engine == "sim")
+        n_rounds = len(merge_schedule(grid))
     plans = single_fault_plans(
         workload=args.workload, engine=args.engine,
         n_rounds=n_rounds, n_tasks=n_tasks, seed=args.seed,
@@ -1506,13 +1446,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(hist)
     hist.add_argument("-k", "--levels", type=int, default=256)
     hist.add_argument("--equalize", metavar="OUT.pgm", help="write equalized image")
-    hist.add_argument("--runtime", action="store_true", help="use the real-parallel backend")
+    hist.add_argument(
+        "--runtime", action="store_true",
+        help="run process-parallel (= --engine darray --transport shmem)",
+    )
     _add_darray_args(hist)
     hist.add_argument(
         "--fault-plan",
         metavar="PLAN.json",
-        help="inject faults from a repro-faults/v1 plan (requires --runtime "
-        "or --engine darray --transport shmem)",
+        help="inject faults from a repro-faults/v1 plan at the darray:hist "
+        "site (requires --engine darray --transport shmem, or --runtime)",
     )
     hist.set_defaults(func=cmd_histogram)
 
@@ -1520,14 +1463,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(comp)
     comp.add_argument("--grey", action="store_true", help="grey-scale CC (Section 6)")
     comp.add_argument("--connectivity", type=int, choices=(4, 8), default=8)
-    comp.add_argument("--runtime", action="store_true", help="use the real-parallel backend")
+    comp.add_argument(
+        "--runtime", action="store_true",
+        help="run process-parallel (= --engine darray --transport shmem)",
+    )
     _add_darray_args(comp)
     comp.add_argument(
         "--fault-plan",
         metavar="PLAN.json",
-        help="inject faults from a repro-faults/v1 plan (process sites with "
-        "--runtime, darray:* sites with --engine darray --transport shmem, "
-        "sim:merge shadow-manager failover without)",
+        help="inject faults from a repro-faults/v1 plan (darray:* sites with "
+        "--engine darray --transport shmem or --runtime, sim:merge "
+        "shadow-manager failover with the default sim engine)",
     )
     comp.add_argument("--ascii", type=int, metavar="WIDTH", help="print an ASCII label map")
     comp.add_argument("-o", "--output", metavar="OUT.pgm", help="write the label map")
@@ -1621,10 +1567,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trc.add_argument(
         "--engine",
-        choices=("sim", "runtime"),
+        choices=("sim", "darray"),
         default="sim",
         help="sim = BDM simulator (simulated clock), "
-        "runtime = real multiprocessing backend (wall clock)",
+        "darray = shared-memory shards on a process pool (wall clock)",
     )
     trc.add_argument("-k", "--levels", type=int, default=256)
     trc.add_argument("--grey", action="store_true", help="grey-scale CC workload")
@@ -1670,10 +1616,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cha.add_argument(
         "--engine",
-        choices=("process", "sim"),
-        default="process",
-        help="process = hardened multiprocessing runtime, "
-        "sim = BDM simulator (shadow-manager failover; components only)",
+        choices=("darray", "sim"),
+        default="darray",
+        help="darray = shared-memory shards on a supervised process pool "
+        "(darray:* sites), sim = BDM simulator (shadow-manager failover; "
+        "components only)",
     )
     cha.add_argument(
         "--machine",

@@ -1,13 +1,12 @@
-"""Border-exchange primitives shared across engines and transports.
+"""Border-exchange primitives shared across the transports.
 
 These helpers are the concrete data movements behind the transport
-contract's verbs 2 and 3 when tiles live in one address space: extract
-one side of a merge border from a global label/color array, and apply a
-change array to the perimeters of a region's tiles.  The in-process
-``local`` transport and the hardened multiprocessing runtime
-(:mod:`repro.runtime.parallel`) both consume them, so the two code
-paths cannot drift; the ``shmem`` transport runs the same functions
-inside pool workers against shard segments.
+contract's verbs 2 and 3: extract one side of a merge border from a
+global label/color array, and apply a change array to the perimeters
+of a region's tiles (the in-process ``local`` transport); the
+perimeter and edge-position tables the ``shmem`` transport's pool
+workers and the out-of-core ``mmap`` transport index their shards
+with; and the border-traffic byte count every transport reports.
 
 All functions take the kernel callables (``border_extract`` /
 ``relabel``) as arguments rather than resolving backends themselves --

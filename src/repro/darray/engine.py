@@ -14,7 +14,8 @@ Observability: the driver wraps the phases in ``darray:label`` /
 transport's traffic counters (border bytes, change bytes, spill
 reads/writes, resident-tile highwater) as ``darray:*`` counts.
 
-Fault handling matches the hardened runtime: an unrecoverable
+Fault handling: the ``shmem`` transport's pool tasks retry, respawn
+and time out under :mod:`repro.runtime.dispatch`; an unrecoverable
 :class:`~repro.utils.errors.FaultError` out of a transport degrades to
 the serial kernel engine (``DegradedRunWarning`` + ``fault:degrade``
 instant, bit-identical result) unless ``degrade=False``.
@@ -110,6 +111,7 @@ def _resolve_source(source, transport: str):
 def _emit_stats(recorder: WallRecorder | None, stats: TransportStats) -> None:
     if recorder is None:
         return
+    recorder.drain()  # fold in the pool workers' task spans and instants
     recorder.count(DARRAY_BORDER_BYTES, stats.border_bytes)
     recorder.count(DARRAY_CHANGE_BYTES, stats.change_bytes)
     recorder.count(DARRAY_SPILL_READS, stats.spill_reads)

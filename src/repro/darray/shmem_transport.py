@@ -4,9 +4,11 @@ Every tile gets two POSIX shared-memory segments (image shard + label
 shard, :class:`~repro.runtime.shmem.SharedNDArray`); the verbs run as
 tasks on a :class:`~repro.runtime.dispatch.PoolSupervisor` through the
 deadline/retry/respawn dispatcher, so a crashed, hung, or corrupted
-verb is recovered exactly like any other runtime task.  Two fault
-sites instrument the communication verbs:
+verb is recovered exactly like any other pool task.  Every task kind
+fires its own fault site:
 
+* ``darray:label`` / ``darray:final`` / ``darray:hist`` fire in the
+  tile-local compute tasks (``task`` = tile id);
 * ``darray:border`` fires in a border-exchange task; a ``corrupt`` spec
   damages the fetched labels, which validation converts into the
   retryable :class:`~repro.utils.errors.CorruptPayloadError`;
@@ -24,7 +26,6 @@ disjoint).  Teardown is ExitStack-guaranteed: every path out of
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.faults.inject import corrupt_labels, fire, install_plan, validate_bor
 from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.obs.runtime import init_worker_sink, task_span, worker_instant
-from repro.runtime.dispatch import PoolSupervisor, run_tasks
+from repro.runtime.dispatch import PoolSupervisor, _pool_context, run_tasks
 from repro.runtime.shmem import SharedNDArray
 from repro.utils.errors import CorruptPayloadError
 from repro.utils.validation import check_image
@@ -61,6 +62,7 @@ def _shard_init(metas, opts, obs=None, plan: FaultPlan | None = None) -> None:
 def _shard_label(arg):
     """Verb 1: label one shard in place; return its hooks."""
     pid, attempt = arg
+    fire("darray:label", task=pid, attempt=attempt)
     with task_span(f"darray:label:t{pid}"):
         opts = _SHARD["opts"]
         img, lab = _SHARD["tiles"][pid]
@@ -123,6 +125,7 @@ def _shard_fetch_changes(arg):
 def _shard_final(arg):
     """Verb 1: hook-based final interior relabel of one shard."""
     (pid, hooks), attempt = arg
+    fire("darray:final", task=pid, attempt=attempt)
     with task_span(f"darray:final:t{pid}"):
         _img, lab = _SHARD["tiles"][pid]
         lab.array[:] = apply_hooks(lab.array, hooks)
@@ -132,17 +135,11 @@ def _shard_final(arg):
 def _shard_hist(arg):
     """Verb 1: grey-level tally of one shard."""
     (pid, k), attempt = arg
+    fire("darray:hist", task=pid, attempt=attempt)
     with task_span(f"darray:hist:t{pid}"):
         opts = _SHARD["opts"]
         img, _lab = _SHARD["tiles"][pid]
         return get_kernel("histogram", backend=opts["kernel"])(img.array, k)
-
-
-def _pool_context():
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return mp.get_context("spawn")
 
 
 class ShmemTransport(Transport):

@@ -122,12 +122,12 @@ def corrupt_pixels(image: np.ndarray) -> np.ndarray:
     return np.array(image, copy=True) ^ 1
 
 
-def validate_border_labels(labels: np.ndarray, *, site: str = "cc:merge") -> None:
+def validate_border_labels(labels: np.ndarray, *, site: str) -> None:
     """Reject a border payload carrying out-of-range labels.
 
-    Raises :class:`~repro.utils.errors.CorruptPayloadError` -- a
-    retryable fault: the dispatcher re-runs the merge task, which
-    re-extracts the payload from shared memory.
+    Raises :class:`~repro.utils.errors.CorruptPayloadError` naming
+    ``site`` -- a retryable fault: the dispatcher re-runs the border
+    task, which re-extracts the payload from shared memory.
     """
     from repro.utils.errors import CorruptPayloadError
 

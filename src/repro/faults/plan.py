@@ -11,17 +11,24 @@ matrix assert bit-identity.
 
 Sites
 -----
-``hist:band``
-    One band-tally task of the process-parallel histogram
-    (``task`` selects the band index).
-``cc:label``
-    One tile-labeling task of the process-parallel components
-    (``task`` selects the processor/tile id).
-``cc:merge``
-    One border-merge task (``round`` selects the merge iteration,
-    0-based; ``group`` the border group within it).
-``cc:final``
-    One final interior-relabel task (``task`` = tile id).
+``darray:label``
+    One tile-labeling task of the distributed-array ``shmem``
+    transport (:mod:`repro.darray`; ``task`` selects the tile id).
+``darray:border``
+    One border-exchange task of the ``shmem`` transport (``round``
+    selects the merge iteration, 0-based; ``group`` the border group
+    within it).  ``corrupt`` damages the fetched border payload, which
+    the transport's validation detects and reports as the retryable
+    :class:`~repro.utils.errors.CorruptPayloadError`.
+``darray:fetch``
+    One change-array fetch/apply task of the ``shmem`` transport:
+    region tiles fetching the published change list and relabeling
+    their perimeters (``round``/``group`` as above).
+``darray:final``
+    One hook-based final interior-relabel task (``task`` = tile id).
+``darray:hist``
+    One per-tile grey-level tally task of the ``shmem`` histogram
+    (``task`` = tile id).
 ``sim:merge``
     A processor fault at a merge-round boundary of the **BDM
     simulator** (``round``/``group`` as above).  ``target`` chooses
@@ -42,17 +49,6 @@ Sites
     ``attempt`` the routing attempt).  ``hang`` delays the forward past
     the hedge budget (exercising hedged retries), ``exception`` fails
     it (exercising ring-successor rerouting).
-``darray:border``
-    One border-exchange task of the distributed-array ``shmem``
-    transport (:mod:`repro.darray`; ``round`` selects the merge
-    iteration, ``group`` the border group).  ``corrupt`` damages the
-    fetched border payload, which the transport's validation detects
-    and reports as the retryable
-    :class:`~repro.utils.errors.CorruptPayloadError`.
-``darray:fetch``
-    One change-array fetch/apply task of the ``shmem`` transport:
-    region tiles fetching the published change list and relabeling
-    their perimeters (``round``/``group`` as above).
 ``svc:health``
     One health probe of the router's per-shard monitor
     (:mod:`repro.service.health`; ``task`` selects the shard index,
@@ -71,7 +67,7 @@ Kinds
 ``exception``
     The task raises :class:`~repro.utils.errors.TransientTaskError`.
 ``corrupt``
-    Only at ``cc:merge`` and ``darray:border``: the fetched border
+    Only at ``darray:border`` (and ``svc:shmem``): the fetched border
     payload is corrupted (labels negated), which the consuming task's
     validation detects and reports as
     :class:`~repro.utils.errors.CorruptPayloadError`.
@@ -83,7 +79,7 @@ JSON schema (``repro-faults/v1``)::
 
     {"schema": "repro-faults/v1",
      "seed": 0,
-     "faults": [{"site": "cc:merge", "kind": "crash",
+     "faults": [{"site": "darray:border", "kind": "crash",
                  "round": 1, "group": 0, "times": 1}]}
 """
 
@@ -100,9 +96,9 @@ SCHEMA = "repro-faults/v1"
 
 #: Recognized fault sites.
 SITES = (
-    "hist:band", "cc:label", "cc:merge", "cc:final", "sim:merge",
-    "svc:exec", "svc:shmem", "svc:route", "svc:health",
-    "darray:border", "darray:fetch",
+    "darray:label", "darray:border", "darray:fetch", "darray:final",
+    "darray:hist", "sim:merge", "svc:exec", "svc:shmem", "svc:route",
+    "svc:health",
 )
 
 #: Recognized fault kinds.
@@ -143,12 +139,10 @@ class FaultSpec:
             raise ValidationError(f"unknown fault site {self.site!r}; known: {list(SITES)}")
         if self.kind not in KINDS:
             raise ValidationError(f"unknown fault kind {self.kind!r}; known: {list(KINDS)}")
-        if self.kind == "corrupt" and self.site not in (
-            "cc:merge", "svc:shmem", "darray:border",
-        ):
+        if self.kind == "corrupt" and self.site not in ("darray:border", "svc:shmem"):
             raise ValidationError(
-                "kind 'corrupt' is only defined for sites 'cc:merge', "
-                "'svc:shmem', and 'darray:border'"
+                "kind 'corrupt' is only defined for sites 'darray:border' "
+                "and 'svc:shmem'"
             )
         if self.site == "sim:merge" and self.kind != "crash":
             raise ValidationError("site 'sim:merge' models processor loss; use kind 'crash'")
@@ -319,49 +313,43 @@ def single_fault_plans(
 ) -> list[FaultPlan]:
     """The chaos matrix: every single-fault plan for a workload/engine.
 
+    ``engine`` is ``"darray"`` (the ``shmem`` transport's pool tasks)
+    or ``"sim"`` (the BDM simulator's shadow-manager failover).
     ``n_rounds`` is the number of merge iterations of the processor
-    grid actually used, ``n_tasks`` the worker/band count.  Each
-    returned plan injects exactly one fault; the matrix covers every
-    kind at a representative task plus every merge round.
+    grid actually used, ``n_tasks`` the tile count.  Each returned plan
+    injects exactly one fault; the matrix covers every kind at every
+    task site (first and last tile) plus every merge round.
     """
     if workload not in ("histogram", "components"):
         raise ValidationError(f"unknown workload {workload!r}")
-    if engine not in ("process", "sim", "darray"):
+    if engine not in ("darray", "sim"):
         raise ValidationError(f"unknown engine {engine!r}")
     plans: list[FaultPlan] = []
 
     def add(**kw):
         plans.append(FaultPlan(seed=seed, faults=(FaultSpec(**kw),)))
 
-    if engine == "darray":
-        if workload != "components":
-            raise ValidationError("the darray fault sites cover components only")
-        for kind in ("crash", "hang", "exception"):
-            for rnd in range(n_rounds):
-                add(site="darray:border", kind=kind, round=rnd, group=0)
-            add(site="darray:fetch", kind=kind, round=n_rounds - 1, group=0)
-        for rnd in range(n_rounds):
-            add(site="darray:border", kind="corrupt", round=rnd, group=0)
-        return plans
-
-    if engine == "process":
-        if workload == "histogram":
-            for kind in ("crash", "hang", "exception"):
-                add(site="hist:band", kind=kind, task=0)
-                if n_tasks > 1:
-                    add(site="hist:band", kind=kind, task=n_tasks - 1)
-        else:
-            for kind in ("crash", "hang", "exception"):
-                add(site="cc:label", kind=kind, task=0)
-                add(site="cc:final", kind=kind, task=n_tasks - 1)
-                for rnd in range(n_rounds):
-                    add(site="cc:merge", kind=kind, round=rnd, group=0)
-            for rnd in range(n_rounds):
-                add(site="cc:merge", kind="corrupt", round=rnd, group=0)
-    else:
+    if engine == "sim":
         if workload != "components":
             raise ValidationError("the simulator fault model covers components only")
         for rnd in range(n_rounds):
             add(site="sim:merge", kind="crash", round=rnd, group=0, target="manager")
             add(site="sim:merge", kind="crash", round=rnd, group=0, target="shadow")
+        return plans
+
+    kinds = ("crash", "hang", "exception")
+    if workload == "histogram":
+        for kind in kinds:
+            for task in sorted({0, n_tasks - 1}):
+                add(site="darray:hist", kind=kind, task=task)
+        return plans
+    for kind in kinds:
+        add(site="darray:label", kind=kind, task=0)
+        add(site="darray:final", kind=kind, task=n_tasks - 1)
+        for rnd in range(n_rounds):
+            add(site="darray:border", kind=kind, round=rnd, group=0)
+        if n_rounds:
+            add(site="darray:fetch", kind=kind, round=n_rounds - 1, group=0)
+    for rnd in range(n_rounds):
+        add(site="darray:border", kind="corrupt", round=rnd, group=0)
     return plans

@@ -1,19 +1,18 @@
-"""Real-parallel runtime: multiprocessing + shared memory backends.
+"""Process-parallel plumbing: shared memory and fault-tolerant dispatch.
 
 The BDM simulator (:mod:`repro.bdm`) reproduces the paper's *cost
-model*; this package executes the same tile-decomposed algorithms with
-genuine OS processes for wall-clock speedups on multi-core hosts
-(CPython's GIL rules out thread parallelism for this workload, hence
+model*; wall-clock parallel runs go through the distributed array's
+``shmem`` transport (:func:`repro.darray.darray_components` /
+:func:`repro.darray.darray_histogram` with ``transport="shmem"``).
+CPython's GIL rules out thread parallelism for this workload, hence
 processes + :mod:`multiprocessing.shared_memory`, as is standard for
-Python HPC).
+Python HPC.  This package holds the two layers that transport and the
+serving layer (:mod:`repro.service`) share:
 
-* :func:`~repro.runtime.parallel.histogram` -- band-parallel tally.
-* :func:`~repro.runtime.parallel.components` -- tile-parallel labeling
-  with driver-side border merges and worker-side final relabeling;
-  bit-identical output to the sequential engines.
-
-On a single-core host (or ``backend="serial"``) both fall back to the
-vectorized sequential implementations.
+* :mod:`repro.runtime.shmem` -- :class:`SharedNDArray` segments plus
+  the zero-copy wire plane (:class:`ShmDescriptor`, :class:`ShmArena`);
+* :mod:`repro.runtime.dispatch` -- the supervised pool and the
+  deadline/retry/respawn task dispatcher.
 """
 
 from repro.runtime.shmem import (
@@ -23,15 +22,11 @@ from repro.runtime.shmem import (
     array_digest,
     verify_descriptor_digest,
 )
-from repro.runtime.parallel import histogram, components, resolve_workers
 
 __all__ = [
     "SharedNDArray",
     "ShmArena",
     "ShmDescriptor",
     "array_digest",
-    "components",
-    "histogram",
-    "resolve_workers",
     "verify_descriptor_digest",
 ]

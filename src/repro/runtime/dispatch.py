@@ -32,6 +32,7 @@ first attempt of a task and let its retry through.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 
@@ -103,6 +104,18 @@ def resolve_retries(retries: int | None = None) -> int:
     if retries < 0:
         raise ValidationError("retry budget must be non-negative")
     return retries
+
+
+def _pool_context():
+    """The pool start method: fork, else spawn.
+
+    fork shares the parent's pages copy-on-write, which is cheap; spawn
+    is the fallback where fork is unavailable.
+    """
+    try:
+        return mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX
+        return mp.get_context("spawn")
 
 
 class PoolSupervisor:

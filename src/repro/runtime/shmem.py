@@ -17,10 +17,11 @@ Two layers live here:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -61,6 +62,22 @@ def array_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+#: Serializes the Python < 3.13 attach path, which swaps the tracker's
+#: ``register`` for the duration of one ``SharedMemory(name=...)`` call.
+_ATTACH_LOCK = threading.Lock()
+
+
+def _reset_attach_lock() -> None:
+    # A pool worker forked while another thread held the lock would
+    # inherit it held and deadlock on its first attach.
+    global _ATTACH_LOCK
+    _ATTACH_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_attach_lock)
+
+
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Open an existing segment *without* adopting cleanup duty.
 
@@ -70,31 +87,34 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     tracker would "clean up" segments it never owned: spurious unlinks
     of live segments and leak warnings at exit.  Ownership here is
     explicit (creator unlinks, attachers only close), so the attach
-    path must leave the tracker out of it.
+    path never registers at all.
+
+    Registering and then unregistering is not enough: forked workers
+    share one tracker daemon, so two workers attaching the same shard
+    interleave as REG, REG, UNREG, UNREG and the second UNREG raises
+    ``KeyError`` inside the daemon.  Before 3.13 the registration is
+    therefore skipped for this thread's attach only; a segment another
+    thread creates meanwhile still registers normally.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: undo the implicit registration
-        shm = shared_memory.SharedMemory(name=name)
-        if _resource_tracker is not None:
-            with contextlib.suppress(Exception):  # bookkeeping only
-                _resource_tracker.unregister(shm._name, "shared_memory")
-        return shm
+    except TypeError:  # Python < 3.13
+        pass
+    if _resource_tracker is None:  # pragma: no cover - non-POSIX
+        return shared_memory.SharedMemory(name=name)
+    attaching = threading.get_ident()
+    with _ATTACH_LOCK:
+        register = _resource_tracker.register
 
+        def register_unless_attaching(seg_name, rtype):
+            if threading.get_ident() != attaching:
+                register(seg_name, rtype)
 
-def _track_before_unlink(shm: shared_memory.SharedMemory) -> None:
-    """Re-register a segment right before its owner unlinks it.
-
-    Registration is a *set* in the tracker daemon, so this is a no-op
-    when the creation-time entry is still there, and it restores the
-    entry when an attacher's :func:`_attach_segment` removed it (the
-    two share one tracker after a fork) -- either way the unlink's own
-    unregister finds exactly one entry to remove and the tracker ends
-    the process empty, warning-free.
-    """
-    if _resource_tracker is not None:
-        with contextlib.suppress(Exception):  # bookkeeping only
-            _resource_tracker.register(shm._name, "shared_memory")
+        _resource_tracker.register = register_unless_attaching
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            _resource_tracker.register = register
 
 
 @dataclass(frozen=True)
@@ -276,7 +296,6 @@ class SharedNDArray:
         self._shm.close()
 
     def unlink(self) -> None:
-        _track_before_unlink(self._shm)
         self._shm.unlink()
 
     def __enter__(self) -> "SharedNDArray":

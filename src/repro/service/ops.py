@@ -105,7 +105,7 @@ def materialize_request_image(image, *, task=None, attempt: int = 0) -> np.ndarr
     CorruptPayloadError` -- retryable, because a torn write heals on
     re-read.  The ``svc:shmem`` fault site fires between attach and
     verify; its ``corrupt`` kind tampers the copied pixels so the
-    digest check must catch it, exactly like ``cc:merge`` corruption.
+    digest check must catch it, exactly like ``darray:border`` corruption.
     """
     if not isinstance(image, ShmDescriptor):
         return image

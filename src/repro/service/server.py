@@ -59,11 +59,11 @@ from repro.obs.runtime import WallRecorder, instant_or_null
 from repro.obs.trace import TraceContext
 from repro.runtime.dispatch import (
     PoolSupervisor,
+    _pool_context,
     resolve_retries,
     resolve_timeout,
     run_tasks,
 )
-from repro.runtime.parallel import _pool_context
 from repro.runtime.shmem import ShmArena, ShmDescriptor
 from repro.service.admission import (
     DEFAULT_QUEUE_DEPTH,

@@ -329,8 +329,9 @@ class TestRes201ShmLeak:
         assert diags == []
 
     def test_current_runtime_module_is_clean(self):
-        src = (REPO_ROOT / "src/repro/runtime/parallel.py").read_text()
-        diags = analyze_source(src, "parallel.py")
+        # The process-parallel engine's shard/pool owner.
+        src = (REPO_ROOT / "src/repro/darray/shmem_transport.py").read_text()
+        diags = analyze_source(src, "shmem_transport.py")
         assert [d.format() for d in diags if d.rule.startswith("RES")] == []
 
 

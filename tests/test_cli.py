@@ -251,7 +251,7 @@ class TestFaultPlanFlags:
     def test_components_runtime_retry(self, capsys, tmp_path):
         plan = self._write_plan(
             tmp_path,
-            [{"site": "cc:merge", "kind": "exception", "round": 0, "group": 0}],
+            [{"site": "darray:border", "kind": "exception", "round": 0, "group": 0}],
         )
         out = run_cli(
             capsys, "components", "--pattern", "4", "--size", "64", "-p", "4",
@@ -261,7 +261,7 @@ class TestFaultPlanFlags:
 
     def test_histogram_sim_rejects_plan(self, capsys, tmp_path):
         plan = self._write_plan(
-            tmp_path, [{"site": "hist:band", "kind": "exception", "task": 0}]
+            tmp_path, [{"site": "darray:hist", "kind": "exception", "task": 0}]
         )
         code = main(
             ["histogram", "--pattern", "6", "--size", "64",
@@ -269,11 +269,11 @@ class TestFaultPlanFlags:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "use --runtime" in captured.err
+        assert "use --engine darray --transport shmem" in captured.err
 
     def test_histogram_runtime_with_plan(self, capsys, tmp_path):
         plan = self._write_plan(
-            tmp_path, [{"site": "hist:band", "kind": "exception", "task": 0}]
+            tmp_path, [{"site": "darray:hist", "kind": "exception", "task": 0}]
         )
         out = run_cli(
             capsys, "histogram", "--pattern", "0", "--size", "64", "-p", "4",
@@ -320,8 +320,8 @@ class TestChaosCommand:
 
     def test_process_histogram_exception_plans(self, capsys, monkeypatch):
         # Keep the CLI-level process test cheap: histogram's matrix is
-        # small and its exception plans need no deadline waits.  The
-        # full matrix runs in tests/test_faults_runtime.py.
+        # the small one.  The full matrix runs in
+        # tests/test_faults_runtime.py.
         out = run_cli(
             capsys, "chaos", "--pattern", "0", "--size", "64", "-p", "4",
             "--workload", "histogram", "--timeout", "1.5",

@@ -26,7 +26,7 @@ def test_examples_directory_complete():
 def test_quickstart():
     out = run_example("quickstart.py", "9", "64")
     assert "components" in out
-    assert "runtime backend agrees" in out
+    assert "process-parallel run agrees" in out
 
 
 def test_quickstart_other_image():

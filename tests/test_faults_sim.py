@@ -163,11 +163,11 @@ class TestUnrecoverable:
 
 class TestFaultModelScope:
     def test_process_sites_ignored_by_simulator(self, image, baseline):
-        # A plan aimed at the multiprocessing runtime must not disturb
+        # A plan aimed at the process-parallel engine must not disturb
         # a simulated run (the CLI passes one plan to either engine).
         plan = FaultPlan(faults=(
-            FaultSpec(site="cc:merge", kind="crash", round=0, group=0),
-            FaultSpec(site="cc:label", kind="exception", task=0),
+            FaultSpec(site="darray:border", kind="crash", round=0, group=0),
+            FaultSpec(site="darray:label", kind="exception", task=0),
         ))
         res, rec = _run(image, plan)
         assert np.array_equal(res.labels, baseline.labels)

@@ -5,9 +5,11 @@ generator and the DARPA-like scene at n=64, the expected histogram, the
 component count, and a SHA-256 over the canonical little-endian int64
 label image.  Each fixture is then checked against **every** runtime
 backend (``serial``, ``process``) x kernel (``python``, ``numpy``)
-combination, so a regression in any engine, any kernel backend, or the
-merge machinery shows up as a digest mismatch against a value reviewed
-into git -- not merely as two engines agreeing on a new wrong answer.
+combination, where ``serial`` is the whole-image kernel and ``process``
+the distributed array over the ``shmem`` transport (p=4).  A regression
+in any engine, any kernel backend, or the merge machinery shows up as a
+digest mismatch against a value reviewed into git -- not merely as two
+engines agreeing on a new wrong answer.
 
 Regenerate (only when the convention intentionally changes) with::
 
@@ -23,8 +25,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.darray import darray_components, darray_histogram
 from repro.images import binary_test_image, darpa_like
-from repro.runtime import components, histogram
+from repro.kernels import get as get_kernel
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "kernels_golden.json"
 
@@ -67,18 +70,17 @@ def _label_digest(labels: np.ndarray) -> str:
     ).hexdigest()
 
 
-def _measure(case: dict, *, backend: str, kernel: str, workers: int = 4) -> dict:
+def _measure(case: dict, *, backend: str, kernel: str, p: int = 4) -> dict:
     image = _case_image(case["name"])
-    labels = components(
-        image,
-        connectivity=case["connectivity"],
-        grey=case["grey"],
-        workers=workers if backend == "process" else None,
-        backend=backend,
-        kernel=kernel,
-    )
-    hist = histogram(image, case["k"], backend=backend, kernel=kernel,
-                     workers=workers if backend == "process" else None)
+    cc = dict(connectivity=case["connectivity"], grey=case["grey"], kernel=kernel)
+    if backend == "process":
+        labels = darray_components(image, p=p, transport="shmem", **cc).labels
+        hist = darray_histogram(image, case["k"], p=p, transport="shmem", kernel=kernel)
+    else:
+        labels = get_kernel("tile_label", kernel)(
+            image, connectivity=cc["connectivity"], grey=cc["grey"]
+        )
+        hist = get_kernel("histogram", kernel)(image, case["k"])
     return {
         "histogram": [int(x) for x in hist],
         "n_components": int(np.unique(labels[labels != 0]).size),

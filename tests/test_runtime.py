@@ -1,13 +1,25 @@
-"""Tests for the real-parallel runtime (shared memory + process pool)."""
+"""Tests for the process-parallel runtime: shared memory + the shmem engine.
+
+The process-parallel histogram and components are
+:func:`repro.darray.darray_histogram` / :func:`repro.darray.darray_components`
+over the ``shmem`` transport; the "serial" engine they are checked
+against is the kernel registry's whole-image kernel.
+"""
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.baselines import sequential_components, sequential_histogram
+from repro.darray import darray_components, darray_histogram
 from repro.images import binary_test_image, darpa_like, random_greyscale
-from repro.runtime import SharedNDArray, components, histogram, resolve_workers
+from repro.kernels import get as get_kernel
+from repro.runtime import SharedNDArray
 from repro.runtime.shmem import ShmMeta
 from repro.utils.errors import ValidationError
+
+SHMEM = dict(transport="shmem")
 
 
 class TestSharedNDArray:
@@ -49,101 +61,118 @@ class TestSharedNDArray:
             SharedNDArray.create((0,), np.int64)
 
 
-class TestResolveWorkers:
-    def test_explicit_power_of_two(self):
-        assert resolve_workers(4) == 4
+class TestAttachLeavesTrackerAlone:
+    """Attaching never touches the resource tracker.
 
-    def test_rejects_non_power(self):
-        with pytest.raises(ValidationError):
-            resolve_workers(6)
+    Forked workers share one tracker daemon; an attach that registered
+    and then unregistered let two workers attaching one shard interleave
+    as REG, REG, UNREG, UNREG, and the second UNREG raised ``KeyError``
+    inside the daemon.
+    """
 
-    def test_default_is_power_of_two(self):
-        w = resolve_workers(None)
-        assert w >= 1 and (w & (w - 1)) == 0
+    def test_attach_neither_registers_nor_unregisters(self, monkeypatch):
+        from multiprocessing import resource_tracker
 
-    def test_reduced_until_grid_divides(self):
-        # n = 24: p=16 needs w=4 | 24 ok, v=4 | 24 ok -> stays 16
-        assert resolve_workers(16, 24) == 16
-        # n = 6: p=16 -> grid 4x4 divides 6? no -> 4 -> 2x2 ok? 6%2==0 yes
-        assert resolve_workers(16, 6) == 4
+        owner = SharedNDArray.create((8,), np.int64)
+        try:
+            calls = []
+            monkeypatch.setattr(
+                resource_tracker, "register",
+                lambda name, rtype: calls.append(("register", name)),
+            )
+            monkeypatch.setattr(
+                resource_tracker, "unregister",
+                lambda name, rtype: calls.append(("unregister", name)),
+            )
+            other = SharedNDArray.attach(owner.meta)
+            other.close()
+            monkeypatch.undo()
+            assert calls == []
+        finally:
+            owner.close()
+            owner.unlink()
 
-    def test_non_divisible_shape_degrades_not_raises(self):
-        # A prime side: no grid larger than 1x1 divides it, so the count
-        # must degrade all the way to 1 rather than raise.
-        assert resolve_workers(16, 7) == 1
-        assert resolve_workers(16, (7, 7)) == 1
+    def test_other_threads_still_register(self, monkeypatch):
+        from multiprocessing import resource_tracker
 
-    def test_real_bugs_propagate(self, monkeypatch):
-        """Only the divisibility probe may fail softly.
+        from repro.runtime import shmem
 
-        Historically this loop caught bare ``Exception``, so a genuine
-        defect inside ProcessorGrid (simulated here) was silently
-        translated into a smaller worker count.  It must propagate.
-        """
-        from repro.runtime import parallel as rt_parallel
+        calls = []
+        monkeypatch.setattr(
+            resource_tracker, "register", lambda name, rtype: calls.append(name)
+        )
 
-        def boom(workers, shape):
-            raise RuntimeError("genuine bug, not a divisibility failure")
+        class SegmentWithoutTrackKeyword:
+            """The Python < 3.13 ``SharedMemory`` signature and behaviour."""
 
-        monkeypatch.setattr(rt_parallel, "ProcessorGrid", boom)
-        with pytest.raises(RuntimeError, match="genuine bug"):
-            resolve_workers(4, 24)
+            def __init__(self, name):
+                creator = threading.Thread(
+                    target=resource_tracker.register, args=("created", "shared_memory")
+                )
+                creator.start()
+                creator.join()
+                resource_tracker.register(name, "shared_memory")
+
+        monkeypatch.setattr(shmem.shared_memory, "SharedMemory", SegmentWithoutTrackKeyword)
+        shmem._attach_segment("attached")
+        assert calls == ["created"]
 
 
 class TestHistogramBackends:
     def test_serial_matches_sequential(self, small_grey):
-        out = histogram(small_grey, 8, backend="serial")
+        out = get_kernel("histogram")(small_grey, 8)
         assert np.array_equal(out, sequential_histogram(small_grey, 8))
 
     def test_process_matches_sequential(self, small_grey):
-        out = histogram(small_grey, 8, workers=4, backend="process")
+        out = darray_histogram(small_grey, 8, p=4, **SHMEM)
         assert np.array_equal(out, sequential_histogram(small_grey, 8))
 
     def test_rectangular_image(self):
         img = random_greyscale(32, 16, seed=0)[:16, :]
-        out = histogram(img, 16, workers=2, backend="process")
+        out = darray_histogram(img, 16, p=2, **SHMEM)
         assert np.array_equal(out, sequential_histogram(img, 16))
 
     def test_level_validation(self):
         img = np.full((4, 4), 8, dtype=np.int32)
         with pytest.raises(ValidationError):
-            histogram(img, 8)
+            darray_histogram(img, 8, p=4, **SHMEM)
 
     def test_bad_backend(self, small_grey):
-        with pytest.raises(ValidationError):
-            histogram(small_grey, 8, backend="gpu")
+        with pytest.raises(ValidationError, match="unknown transport"):
+            darray_histogram(small_grey, 8, transport="gpu")
 
 
 class TestComponentsBackends:
     def test_serial_matches_sequential(self, small_binary):
-        out = components(small_binary, backend="serial")
+        out = get_kernel("tile_label")(small_binary)
         assert np.array_equal(out, sequential_components(small_binary))
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_process_binary(self, workers, small_binary):
-        out = components(small_binary, workers=workers, backend="process")
+        out = darray_components(small_binary, p=workers, **SHMEM).labels
         assert np.array_equal(out, sequential_components(small_binary))
 
     def test_process_grey(self):
         img = darpa_like(64, 16, seed=12)
-        out = components(img, grey=True, workers=4, backend="process")
+        out = darray_components(img, grey=True, p=4, **SHMEM).labels
         assert np.array_equal(out, sequential_components(img, grey=True))
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_connectivity(self, connectivity):
         img = binary_test_image(9, 64)
-        out = components(img, connectivity=connectivity, workers=4, backend="process")
+        out = darray_components(img, connectivity=connectivity, p=4, **SHMEM).labels
         assert np.array_equal(
             out, sequential_components(img, connectivity=connectivity)
         )
 
-    def test_single_worker_falls_back_to_serial(self, small_binary):
-        out = components(small_binary, workers=1, backend="process")
+    def test_single_tile_needs_no_merge(self, small_binary):
+        out = darray_components(small_binary, p=1, **SHMEM).labels
         assert np.array_equal(out, sequential_components(small_binary))
 
-    def test_indivisible_size_reduces_workers(self):
-        """n=36 with 8 workers: grid 2x4 doesn't divide 36 -> fall back."""
+    def test_indivisible_size_uses_balanced_tiles(self):
+        """n=36 with 8 tiles: a 2x4 grid of 18x9 tiles, no fallback."""
         rng = np.random.default_rng(0)
         img = (rng.random((36, 36)) < 0.5).astype(np.int32)
-        out = components(img, workers=8, backend="process")
-        assert np.array_equal(out, sequential_components(img))
+        res = darray_components(img, p=8, **SHMEM)
+        assert res.grid.p == 8
+        assert np.array_equal(res.labels, sequential_components(img))
