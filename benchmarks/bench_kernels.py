@@ -31,7 +31,7 @@ import numpy as np  # noqa: E402
 
 from benchmarks.emit import emit_json, validate_bench_json  # noqa: E402
 from repro.images import binary_test_image, darpa_like  # noqa: E402
-from repro.kernels import BACKENDS, get as get_kernel  # noqa: E402
+from repro.kernels import available_backends, get as get_kernel  # noqa: E402
 
 PATTERN = 4  # the paper's checkerboard-of-crosses: many small components
 K = 256
@@ -50,8 +50,9 @@ def _wall(fn, *args, repeats: int = 3, **kwargs) -> float:
 
 
 def _sweep(sizes: tuple[int, ...], repeats: int) -> tuple[list[dict], list[dict]]:
+    backends = available_backends()
     times: dict[str, list[float]] = {
-        f"{kern} {backend}": [] for kern in ("tile_label", "histogram") for backend in BACKENDS
+        f"{kern} {backend}": [] for kern in ("tile_label", "histogram") for backend in backends
     }
     rows: list[dict] = []
     for n in sizes:
@@ -62,13 +63,13 @@ def _sweep(sizes: tuple[int, ...], repeats: int) -> tuple[list[dict], list[dict]
             ("tile_label", (binary,), {"connectivity": 8}),
             ("histogram", (grey, K), {}),
         ):
-            outputs = {b: get_kernel(kern, backend=b)(*args, **kwargs) for b in BACKENDS}
+            outputs = {b: get_kernel(kern, backend=b)(*args, **kwargs) for b in backends}
             reference = outputs["python"]
             for backend, out in outputs.items():
                 assert np.array_equal(out, reference), (kern, backend, n)
             per_kernel[kern] = {
                 b: _wall(get_kernel(kern, backend=b), *args, repeats=repeats, **kwargs)
-                for b in BACKENDS
+                for b in backends
             }
             for backend, t in per_kernel[kern].items():
                 times[f"{kern} {backend}"].append(t)
@@ -76,7 +77,7 @@ def _sweep(sizes: tuple[int, ...], repeats: int) -> tuple[list[dict], list[dict]
                 {
                     "kernel": kern,
                     "n": n,
-                    **{f"{b}_s": per_kernel[kern][b] for b in BACKENDS},
+                    **{f"{b}_s": per_kernel[kern][b] for b in backends},
                     "speedup": per_kernel[kern]["python"] / per_kernel[kern]["numpy"],
                 }
             )

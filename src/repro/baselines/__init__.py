@@ -2,19 +2,24 @@
 
 The parallel algorithm needs a "standard sequential algorithm" for the
 per-tile initialization (the paper uses breadth-first search) and for
-the border graphs.  We provide three interchangeable engines plus the
-Shiloach-Vishkin algorithm (the classic PRAM baseline several entries
-of the paper's Table 2 implement):
+the border graphs.  :data:`~repro.baselines.sequential.ENGINES` holds
+five interchangeable engines, among them the Shiloach-Vishkin
+algorithm (the classic PRAM baseline several entries of the paper's
+Table 2 implement):
 
-* :func:`~repro.baselines.bfs_label.bfs_label` -- row-major BFS,
-  exactly the paper's Section 5.1 procedure;
-* :func:`~repro.baselines.run_label.run_label` -- run-length two-pass
-  union-find, a vectorized engine producing identical labels;
-* :func:`~repro.baselines.shiloach_vishkin.shiloach_vishkin_image` --
+* ``"bfs"`` -- :func:`~repro.baselines.bfs_label.bfs_label`, row-major
+  BFS, exactly the paper's Section 5.1 procedure (the ``python``
+  kernel backend);
+* ``"runs"`` -- :func:`~repro.baselines.run_label.run_label`,
+  run-length two-pass union-find, vectorized (the ``numpy`` kernel
+  backend);
+* ``"sv"`` -- :func:`~repro.baselines.shiloach_vishkin.shiloach_vishkin_image`,
   hook-and-shortcut CC, vectorized;
-* :func:`~repro.baselines.kernel_label.kernel_label` -- dispatches
-  through the :mod:`repro.kernels` registry (``python`` reference or
-  vectorized ``numpy`` backend, selectable per call or via
+* ``"twopass"`` -- :func:`~repro.baselines.two_pass.two_pass_label`,
+  the classic raster-scan two-pass labeler;
+* ``"kernel"`` -- :func:`~repro.baselines.kernel_label.kernel_label`,
+  dispatches through the :mod:`repro.kernels` registry (``python``,
+  ``numpy`` or ``numba`` backend, selectable per call or via
   ``REPRO_KERNEL_BACKEND``).
 
 All engines share one labeling convention: a component's label is

@@ -32,8 +32,8 @@ def kernel_label(
 
     Same signature and output as
     :func:`~repro.baselines.bfs_label.bfs_label`, plus ``backend`` to
-    pin the kernel backend (``"python"`` or ``"numpy"``; ``None``
-    resolves the environment/default).
+    pin the kernel backend (``"python"``, ``"numpy"`` or ``"numba"``;
+    ``None`` resolves the environment/default).
     """
     # Imported lazily: repro.kernels pulls in repro.baselines for the
     # python reference backend, so a module-level import would cycle.

@@ -1,18 +1,28 @@
-"""Run-length connected component labeling (vectorized engine).
+"""Run-length connected component labeling: the numpy ``tile_label``.
 
-Each image row is compressed into maximal horizontal *runs* of
-foreground (binary) or of one constant non-zero level (grey-scale).
-Runs in adjacent rows are unioned when they touch (with one pixel of
-horizontal dilation under 8-connectivity), using
-:class:`~repro.baselines.union_find.UnionFind` whose representatives
-are set minima.  A final vectorized paint assigns every pixel its
-component's label: ``label_base + (row_offset + i) * stride +
-(col_offset + j)`` of the component's first pixel in row-major order --
-exactly the label :func:`~repro.baselines.bfs_label.bfs_label` produces.
+The row-major two-pass run labeling of Gupta et al. (arXiv:1606.05973),
+vectorized.  It is registered as the ``numpy`` backend of the
+``tile_label`` kernel (:mod:`repro.kernels.numpy_backend`), so every
+engine's per-tile labeling step runs through it:
 
-Run extraction, pair discovery (two ``searchsorted`` calls per row) and
-painting are all NumPy-vectorized; only the union sequence itself is a
-Python loop over O(#runs) pairs.
+1. **Runs** -- :func:`extract_runs` compresses each image row into
+   maximal horizontal *runs* of foreground (binary) or of one constant
+   non-zero level (grey-scale).
+2. **Run pairs** -- runs in consecutive rows touch when their column
+   ranges overlap (with one column of dilation under 8-connectivity).
+   Two ``searchsorted`` calls over the whole image find, for every
+   run, the contiguous range of touching runs in the row above.
+3. **Union** -- the pairs go through
+   :meth:`~repro.baselines.union_find.UnionFind.union_edges`, whose
+   representatives are set minima.  Runs are numbered in row-major
+   order, so each component's root is its first run, and that run's
+   start pixel is the component's seed.
+4. **Paint** -- every pixel gets its seed's label ``label_base +
+   (row_offset + i) * stride + (col_offset + j)``, exactly the label
+   :func:`~repro.baselines.bfs_label.bfs_label` produces.
+
+All steps but the union sequence (a Python loop over O(#runs) pairs)
+are NumPy-vectorized.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import numpy as np
 
 from repro.baselines.union_find import UnionFind
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_image
+from repro.utils.validation import check_image, check_seed_labels
 
 
 @dataclass
@@ -70,60 +80,31 @@ def extract_runs(image: np.ndarray, *, grey: bool = False) -> Runs:
     )
 
 
-def _adjacent_run_pairs(runs: Runs, connectivity: int, grey: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Indices ``(a, b)`` of touching runs in consecutive rows.
+def _adjacent_run_pairs(runs: Runs, dilate: int, grey: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ``(a, b)`` of touching runs, run ``a`` in the row above ``b``.
 
-    For every run ``b`` in row ``r`` the touching runs ``a`` in row
-    ``r - 1`` form a contiguous range of the (column-sorted) runs of
-    that row, located with two binary searches.
+    ``a`` touches ``b`` iff ``start_a < stop_b + dilate`` and
+    ``stop_a > start_b - dilate``.  Runs in a row are disjoint and
+    sorted, so the ``a`` of each ``b`` form a contiguous index range,
+    found for all runs at once by binary search over the keys
+    ``row * (cols + 2) + col``.  The two spare columns per row keep a
+    dilated bound from reaching a neighbouring row, so each range lies
+    within the row above (it is empty for the first row).
     """
-    if connectivity == 8:
-        dilate = 1
-    elif connectivity == 4:
-        dilate = 0
-    else:
-        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
-
-    n_rows = runs.shape[0]
-    row_ptr = np.searchsorted(runs.row, np.arange(n_rows + 1))
-    a_out: list[np.ndarray] = []
-    b_out: list[np.ndarray] = []
-    for r in range(1, n_rows):
-        a0, a1 = int(row_ptr[r - 1]), int(row_ptr[r])
-        b0, b1 = int(row_ptr[r]), int(row_ptr[r + 1])
-        if a0 == a1 or b0 == b1:
-            continue
-        sa = runs.start[a0:a1]
-        ea = runs.stop[a0:a1]  # exclusive
-        sb = runs.start[b0:b1]
-        eb = runs.stop[b0:b1]
-        # run a touches run b iff  sa <= eb - 1 + dilate  and  ea - 1 >= sb - dilate
-        lo = np.searchsorted(ea, sb - dilate, side="right")
-        # ea is exclusive: a qualifies iff ea > sb - dilate, i.e. index of
-        # first a with ea > sb - dilate == searchsorted(ea, sb - dilate, "right")
-        hi = np.searchsorted(sa, eb + dilate, side="left")
-        # a qualifies iff sa < eb + dilate
-        counts = np.maximum(hi - lo, 0)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        excl = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=excl[1:])
-        a_local = np.arange(total, dtype=np.int64) - np.repeat(excl[:-1], counts) + np.repeat(lo, counts)
-        b_local = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        a_idx = a_local + a0
-        b_idx = b_local + b0
-        if grey:
-            same = runs.color[a_idx] == runs.color[b_idx]
-            a_idx = a_idx[same]
-            b_idx = b_idx[same]
-        if a_idx.size:
-            a_out.append(a_idx)
-            b_out.append(b_idx)
-    if not a_out:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(a_out), np.concatenate(b_out)
+    width = runs.shape[1] + 2
+    key = runs.row * width
+    above = key - width
+    lo = np.searchsorted(key + runs.stop, above + runs.start - dilate, side="right")
+    hi = np.searchsorted(key + runs.start, above + runs.stop + dilate, side="left")
+    # Expand the ranges [lo, hi) into explicit pairs, ordered by b.
+    counts = hi - lo
+    first = np.cumsum(counts) - counts  # position of b's first pair
+    a = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+    b = np.repeat(np.arange(len(runs)), counts)
+    if grey:
+        same = runs.color[a] == runs.color[b]
+        a, b = a[same], b[same]
+    return a, b
 
 
 def run_label(
@@ -138,6 +119,8 @@ def run_label(
 ) -> np.ndarray:
     """Label connected components; same signature/output as ``bfs_label``."""
     image = check_image(image, square=False)
+    if connectivity not in (4, 8):
+        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
     rows, cols = image.shape
     stride = cols if label_stride is None else int(label_stride)
     labels = np.zeros((rows, cols), dtype=np.int64)
@@ -146,29 +129,17 @@ def run_label(
     if len(runs) == 0:
         return labels
 
-    a_idx, b_idx = _adjacent_run_pairs(runs, connectivity, grey)
     uf = UnionFind(len(runs))
-    uf.union_edges(a_idx, b_idx)
+    uf.union_edges(*_adjacent_run_pairs(runs, int(connectivity == 8), grey))
     roots = uf.roots()
 
-    # The component label comes from the component's first run in
-    # row-major order.  Runs are emitted in row-major order and the
-    # union-find keeps minimum-index representatives, so the root run
-    # *is* the first run, and its start pixel is the seed pixel.
+    # The root run of each component is its first run in row-major
+    # order, and that run's start pixel is the seed.
     seed_row = runs.row[roots]
     seed_col = runs.start[roots]
     run_labels = label_base + (row_offset + seed_row) * stride + (col_offset + seed_col)
+    check_seed_labels(run_labels, seed_row, seed_col)
 
-    # Vectorized paint of all runs.
-    lengths = runs.stop - runs.start
-    total = int(lengths.sum())
-    flat_starts = runs.row * cols + runs.start
-    excl = np.zeros(len(runs) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=excl[1:])
-    pix = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(excl[:-1], lengths)
-        + np.repeat(flat_starts, lengths)
-    )
-    labels.ravel()[pix] = np.repeat(run_labels, lengths)
+    # Paint: the runs cover the foreground pixels in row-major order.
+    labels[image != 0] = np.repeat(run_labels, runs.stop - runs.start)
     return labels

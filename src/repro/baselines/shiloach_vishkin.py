@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_image
+from repro.utils.validation import check_image, check_seed_labels
 
 
 def shiloach_vishkin(n_vertices: int, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
@@ -111,9 +111,9 @@ def shiloach_vishkin_image(
     parent = shiloach_vishkin(rows * cols, u, v)
 
     flat_fg = fg.ravel()
-    roots = parent[np.arange(rows * cols)]
-    seed_i = roots // cols
-    seed_j = roots % cols
+    seed_i = parent // cols
+    seed_j = parent % cols
     flat_labels = label_base + (row_offset + seed_i) * stride + (col_offset + seed_j)
+    check_seed_labels(flat_labels[flat_fg], seed_i[flat_fg], seed_j[flat_fg])
     labels = np.where(flat_fg, flat_labels, 0).reshape(rows, cols)
     return labels.astype(np.int64)

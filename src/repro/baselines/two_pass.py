@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.baselines.union_find import UnionFind
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_image
+from repro.utils.validation import check_image, check_seed_labels
 
 
 def two_pass_label(
@@ -92,13 +92,10 @@ def two_pass_label(
     # the root to the final pixel-index label.
     uf = UnionFind(len(parents))
     uf.parent = np.asarray(parents, dtype=np.int64)
-    roots = uf.roots()
-    seed_arr = np.asarray(seeds, dtype=np.int64)
-    final_of_prov = (
-        label_base
-        + (row_offset + seed_arr[roots] // cols) * stride
-        + (col_offset + seed_arr[roots] % cols)
-    )
+    seed = np.asarray(seeds, dtype=np.int64)[uf.roots()]
+    seed_i, seed_j = seed // cols, seed % cols
+    final_of_prov = label_base + (row_offset + seed_i) * stride + (col_offset + seed_j)
+    check_seed_labels(final_of_prov, seed_i, seed_j)
     out = np.zeros((rows, cols), dtype=np.int64)
     fg = provisional >= 0
     out[fg] = final_of_prov[provisional[fg]]

@@ -1,34 +1,24 @@
 """NumPy-vectorized kernels (``backend="numpy"``).
 
 Bit-identical, array-at-a-time versions of the python reference
-kernels.  The tile labeler is a vectorized two-pass scheme in the
-spirit of the run-based CCL literature:
-
-1. **Run compression** (pass 1) -- every foreground pixel learns the
-   flat index of the start of its maximal horizontal run with one
-   ``np.maximum.accumulate`` per row; horizontal adjacency is thereby
-   resolved without a single union.
-2. **Edge construction** -- vertical (and, under 8-connectivity,
-   diagonal) adjacencies are found with whole-array slice comparisons;
-   each surviving pixel pair is projected to its pair of run starts and
-   the pairs are deduplicated, leaving ``O(#runs)`` union-find edges
-   instead of ``O(#pixels)``.
-3. **Union + relabel** (pass 2) -- the deduplicated edges go through
-   :meth:`~repro.baselines.union_find.UnionFind.union_edges`; because
-   the union-find keeps *minimum* representatives and a component's
-   first pixel in row-major order is necessarily a run start, the root
-   of every component is exactly the seed pixel of
-   :func:`~repro.baselines.bfs_label.bfs_label`.  A final ``np.take``
-   through the root array paints every pixel with the seed's
-   ``label_base + (row_offset + i) * stride + (col_offset + j)`` label
-   -- the paper's ``(Iq + i) n + (Jr + j) + 1`` convention, bit for bit.
+kernels.  The tile labeler is
+:func:`~repro.baselines.run_label.run_label`, registered as-is: run
+extraction, ``searchsorted`` discovery of touching runs in adjacent
+rows, :meth:`~repro.baselines.union_find.UnionFind.union_edges` over
+those run pairs, and a vectorized paint.  The union-find keeps minimum
+representatives and runs are numbered in row-major order, so each
+component's root is its first run, whose start pixel is the seed of
+:func:`~repro.baselines.bfs_label.bfs_label`; every pixel is painted
+with that seed's ``label_base + (row_offset + i) * stride +
+(col_offset + j)`` label -- the paper's ``(Iq + i) n + (Jr + j) + 1``
+convention, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.union_find import UnionFind
+from repro.baselines.run_label import run_label
 from repro.kernels.registry import register
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_image, check_power_of_two
@@ -44,108 +34,7 @@ def histogram(image: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(image.ravel(), minlength=k).astype(np.int64)
 
 
-def _run_starts(image: np.ndarray, fg: np.ndarray, grey: bool) -> np.ndarray:
-    """Flat index of each pixel's horizontal run start (pass 1).
-
-    Valid only at foreground pixels; background entries are garbage and
-    must be masked by the caller.
-    """
-    rows, cols = image.shape
-    idx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    start = fg.copy()
-    if grey:
-        start[:, 1:] = fg[:, 1:] & (~fg[:, :-1] | (image[:, 1:] != image[:, :-1]))
-    else:
-        start[:, 1:] = fg[:, 1:] & ~fg[:, :-1]
-    # Row-wise running maximum of start indices: every pixel sees the
-    # most recent run start at or before its own column.
-    return np.maximum.accumulate(np.where(start, idx, 0), axis=1)
-
-
-def _run_edges(
-    image: np.ndarray,
-    fg: np.ndarray,
-    runstart: np.ndarray,
-    connectivity: int,
-    grey: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated (run start, run start) union edges between rows."""
-    pairs_a: list[np.ndarray] = []
-    pairs_b: list[np.ndarray] = []
-
-    def _slide(a_rows, a_cols, b_rows, b_cols):
-        mask = fg[a_rows, a_cols] & fg[b_rows, b_cols]
-        if grey:
-            mask &= image[a_rows, a_cols] == image[b_rows, b_cols]
-        if mask.any():
-            pairs_a.append(runstart[a_rows, a_cols][mask])
-            pairs_b.append(runstart[b_rows, b_cols][mask])
-
-    up, down = slice(None, -1), slice(1, None)
-    left, right, full = slice(None, -1), slice(1, None), slice(None)
-    _slide(up, full, down, full)  # vertical |
-    if connectivity == 8:
-        _slide(up, left, down, right)  # diagonal \
-        _slide(up, right, down, left)  # anti-diagonal /
-    elif connectivity != 4:
-        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
-    if not pairs_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    a = np.concatenate(pairs_a)
-    b = np.concatenate(pairs_b)
-    n = image.size
-    uniq = np.unique(a * n + b)  # n^2 < 2^63 for any image that fits in memory
-    return uniq // n, uniq % n
-
-
-@register("tile_label", "numpy")
-def tile_label(
-    image: np.ndarray,
-    *,
-    connectivity: int = 8,
-    grey: bool = False,
-    label_base: int = 1,
-    label_stride: int | None = None,
-    row_offset: int = 0,
-    col_offset: int = 0,
-) -> np.ndarray:
-    """Vectorized two-pass tile labeling; bit-identical to ``bfs_label``."""
-    image = check_image(image, square=False)
-    if connectivity not in (4, 8):
-        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
-    rows, cols = image.shape
-    stride = cols if label_stride is None else int(label_stride)
-    fg = image != 0
-    out = np.zeros(rows * cols, dtype=np.int64)
-    if not fg.any():
-        return out.reshape(rows, cols)
-
-    runstart = _run_starts(image, fg, grey)
-    edges_a, edges_b = _run_edges(image, fg, runstart, connectivity, grey)
-    uf = UnionFind(rows * cols)
-    uf.union_edges(edges_a, edges_b)
-    roots = uf.roots()
-
-    # np.take relabel: pixel -> its run start -> the component root,
-    # which is the minimum flat pixel index of the component (the BFS
-    # seed), then the seed's global label.
-    seed = np.take(roots, runstart.ravel()[fg.ravel()])
-    labels = (
-        label_base
-        + (row_offset + seed // cols) * stride
-        + (col_offset + seed % cols)
-    )
-    if (labels == 0).any():
-        # Same contract as bfs_label: 0 is reserved for background.
-        bad = int(seed[np.argmax(labels == 0)])
-        raise ValidationError(
-            f"seed ({bad // cols},{bad % cols}) gets label 0 (the "
-            "background sentinel); use label_base/offsets that keep "
-            "foreground labels non-zero"
-        )
-    out[fg.ravel()] = labels
-    return out.reshape(rows, cols)
+register("tile_label", "numpy")(run_label)
 
 
 @register("border_extract", "numpy")

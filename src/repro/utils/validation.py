@@ -39,6 +39,22 @@ def check_power_of_two(name: str, value: int) -> int:
     return int(value)
 
 
+def check_seed_labels(labels: np.ndarray, seed_rows: np.ndarray, seed_cols: np.ndarray) -> None:
+    """Reject a foreground label of 0, the background sentinel.
+
+    ``labels[i]`` is the label of the component seeded at
+    ``(seed_rows[i], seed_cols[i])``.
+    """
+    zero = np.flatnonzero(labels == 0)
+    if zero.size:
+        i = zero[0]
+        raise ValidationError(
+            f"seed ({seed_rows[i]},{seed_cols[i]}) gets label 0 (the "
+            "background sentinel); use label_base/offsets that keep "
+            "foreground labels non-zero"
+        )
+
+
 def check_image(image: np.ndarray, *, square: bool = True) -> np.ndarray:
     """Validate an image array: 2-D, integer dtype, non-negative values.
 

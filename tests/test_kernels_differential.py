@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro import kernels
 from repro.baselines import (
+    ENGINES,
     bfs_label,
     kernel_label,
     run_label,
@@ -99,6 +100,10 @@ class TestRegistry:
         monkeypatch.setenv(kernels.ENV_VAR, "python")
         assert kernels.resolve_backend("numpy") == "numpy"
 
+    def test_numpy_tile_label_is_run_label(self):
+        """There is one run-length labeler: the numpy kernel is ``run_label``."""
+        assert kernels.get("tile_label", backend="numpy").__wrapped__ is run_label
+
     def test_kernel_label_backend_argument(self, small_binary):
         a = kernel_label(small_binary, backend="python")
         b = kernel_label(small_binary, backend="numpy")
@@ -117,6 +122,11 @@ class TestTileLabelDifferential:
     @example(image=np.ones((1, 9), dtype=np.int32), connectivity=8, grey=False)
     @example(image=np.ones((9, 1), dtype=np.int32), connectivity=4, grey=False)
     @example(image=np.ones((1, 1), dtype=np.int32), connectivity=8, grey=True)
+    @example(  # (0,4) and (1,0) are adjacent only if a row wraps
+        image=np.array([[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=np.int32),
+        connectivity=8,
+        grey=False,
+    )
     def test_bit_identical_to_references(self, image, connectivity, grey):
         kw = dict(connectivity=connectivity, grey=grey)
         expected = bfs_label(image, **kw)
@@ -170,12 +180,17 @@ class TestTileLabelDifferential:
         """Label 0 collides with the background sentinel -> rejected.
 
         The per-pixel reference used to spin forever on this input (the
-        seed never counts as visited); now both backends raise.
+        seed never counts as visited); now every kernel backend and
+        every sequential engine raises.  A bad connectivity is rejected
+        even when the image has no foreground to label.
         """
-        img = np.ones((3, 3), dtype=np.int32)
-        for backend in kernels.available_backends():
+        labelers = [kernels.get("tile_label", backend=b) for b in kernels.available_backends()]
+        labelers += list(ENGINES.values())
+        for fn in labelers:
             with pytest.raises(ValidationError):
-                kernels.get("tile_label", backend=backend)(img, label_base=0)
+                fn(np.ones((3, 3), dtype=np.int32), label_base=0)
+            with pytest.raises(ValidationError):
+                fn(np.zeros((3, 3), dtype=np.int32), connectivity=5)
 
     @given(image=_image_strategy(), connectivity=connectivities, grey=grey_flags)
     def test_label_convention_canonical(self, image, connectivity, grey):
