@@ -13,16 +13,17 @@ engine's per-tile labeling step runs through it:
    Two ``searchsorted`` calls over the whole image find, for every
    run, the contiguous range of touching runs in the row above.
 3. **Union** -- the pairs go through
-   :meth:`~repro.baselines.union_find.UnionFind.union_edges`, whose
-   representatives are set minima.  Runs are numbered in row-major
-   order, so each component's root is its first run, and that run's
-   start pixel is the component's seed.
+   :meth:`~repro.baselines.union_find.UnionFind.union_edges`
+   (vectorized hook-and-shortcut), whose representatives are set
+   minima.  Runs are numbered in row-major order, so each component's
+   root is its first run, and that run's start pixel is the component's
+   seed.
 4. **Paint** -- every pixel gets its seed's label ``label_base +
    (row_offset + i) * stride + (col_offset + j)``, exactly the label
    :func:`~repro.baselines.bfs_label.bfs_label` produces.
 
-All steps but the union sequence (a Python loop over O(#runs) pairs)
-are NumPy-vectorized.
+Every step is NumPy-vectorized: no Python loop runs per pixel, run or
+run pair.
 """
 
 from __future__ import annotations

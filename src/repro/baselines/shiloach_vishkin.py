@@ -3,19 +3,23 @@
 The classic PRAM CC algorithm -- the baseline behind several Table 2
 entries of the paper (e.g. Hummel's NYU Ultracomputer implementation is
 annotated "Shiloach/Vishkin alg.").  Each iteration hooks tree roots
-onto smaller-indexed neighbors and halves tree heights by pointer
-jumping; it converges in ``O(log V)`` iterations, each a constant
-number of vectorized passes over the edge list.
+onto smaller-indexed neighbors and flattens the trees by pointer
+jumping, each a constant number of vectorized passes over the edge
+list.  That loop is :meth:`~repro.baselines.union_find.UnionFind.union_edges`,
+which every union-find consumer in the package shares; this module
+adds the pixel-level edge list of :func:`shiloach_vishkin_image`, the
+Table 2 baseline.
 
-We keep the "hook to the *smaller* endpoint" orientation so that the
-final representative of every component is its minimum vertex index --
-the same convention the other engines use.
+Hooks go to the *smaller* root, so the final representative of every
+component is its minimum vertex index -- the same convention the other
+engines use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.union_find import UnionFind
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_image, check_seed_labels
 
@@ -28,40 +32,12 @@ def shiloach_vishkin(n_vertices: int, edges_u: np.ndarray, edges_v: np.ndarray) 
     n_vertices:
         Number of vertices ``0 .. n_vertices - 1``.
     edges_u, edges_v:
-        Endpoint arrays of the (undirected) edge list.
+        Endpoint arrays of the (undirected) edge list: integers in
+        ``[0, n_vertices)``.
     """
-    if n_vertices < 0:
-        raise ValidationError("n_vertices must be non-negative")
-    u = np.asarray(edges_u, dtype=np.int64)
-    v = np.asarray(edges_v, dtype=np.int64)
-    if u.shape != v.shape:
-        raise ValidationError("edge endpoint arrays must have equal shape")
-    if u.size and (u.min() < 0 or v.min() < 0 or u.max() >= n_vertices or v.max() >= n_vertices):
-        raise ValidationError("edge endpoints out of range")
-
-    parent = np.arange(n_vertices, dtype=np.int64)
-    if u.size == 0:
-        return parent
-
-    while True:
-        pu = parent[u]
-        pv = parent[v]
-        # Hook: for an edge whose endpoints have different parents, point
-        # the larger parent at the smaller one.  np.minimum.at resolves
-        # conflicting hooks of one round to the smallest candidate.
-        hi = np.maximum(pu, pv)
-        lo = np.minimum(pu, pv)
-        mask = hi != lo
-        if not mask.any():
-            break
-        np.minimum.at(parent, hi[mask], lo[mask])
-        # Shortcut: pointer jumping until the forest is flat.
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-    return parent
+    uf = UnionFind(n_vertices)
+    uf.union_edges(edges_u, edges_v)
+    return uf.roots()
 
 
 def shiloach_vishkin_image(

@@ -4,8 +4,9 @@ Bit-identical, array-at-a-time versions of the python reference
 kernels.  The tile labeler is
 :func:`~repro.baselines.run_label.run_label`, registered as-is: run
 extraction, ``searchsorted`` discovery of touching runs in adjacent
-rows, :meth:`~repro.baselines.union_find.UnionFind.union_edges` over
-those run pairs, and a vectorized paint.  The union-find keeps minimum
+rows, vectorized hook-and-shortcut
+(:meth:`~repro.baselines.union_find.UnionFind.union_edges`) over those
+run pairs, and a vectorized paint.  The union-find keeps minimum
 representatives and runs are numbered in row-major order, so each
 component's root is its first run, whose start pixel is the seed of
 :func:`~repro.baselines.bfs_label.bfs_label`; every pixel is painted

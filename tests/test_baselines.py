@@ -2,6 +2,8 @@
 union-find, and sequential histogram -- cross-checked against scipy and
 networkx oracles."""
 
+import time
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -23,6 +25,38 @@ from repro.baselines import (
 )
 from repro.utils.errors import ValidationError
 from tests.conftest import oracle_binary_labels, oracle_grey_labels
+
+# Edge lists over 4 vertices that both union_edges and shiloach_vishkin
+# must reject instead of wrapping a negative index, truncating a float
+# or failing with a bare IndexError.
+BAD_ENDPOINTS = [
+    pytest.param([-1], [0], id="negative"),
+    pytest.param([0.7], [0], id="float"),
+    pytest.param([1], [4], id="past-end"),
+    pytest.param([True], [0], id="bool"),
+]
+
+
+@st.composite
+def forest_and_edges(draw):
+    """``n``, a scalar-union prefix and an edge list over ``0 .. n-1``.
+
+    The prefix strings random chains of vertices together, uniting each
+    chain's pairs from its far end, so it leaves trees up to ``n - 1``
+    deep: the forest ``union_edges`` starts from is not flat.
+    """
+    n = draw(st.integers(min_value=1, max_value=24))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n), max_size=n)))
+    prefix = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        chain = sorted(order[lo:hi])
+        prefix += [(chain[i], chain[i + 1]) for i in reversed(range(len(chain) - 1))]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair, max_size=n))
+    # Every list but the empty one also gets duplicates and self-loops.
+    edges += edges[::2] + [(x, x) for x, _ in edges[:2]]
+    return n, prefix, edges
 
 
 class TestUnionFind:
@@ -70,6 +104,56 @@ class TestUnionFind:
             uf.union(i, i + 1)
         assert uf.find(99) == 0
         assert uf.n_sets() == 1
+
+    @given(forest_and_edges())
+    def test_union_edges_matches_scalar_loop(self, case):
+        n, prefix, edges = case
+        fast, slow = UnionFind(n), UnionFind(n)
+        for x, y in prefix:  # leaves a forest that is not flat
+            fast.union(x, y)
+            slow.union(x, y)
+        a = np.array([x for x, _ in edges], dtype=np.int64)
+        b = np.array([y for _, y in edges], dtype=np.int64)
+        fast.union_edges(a, b)
+        for x, y in edges:
+            slow.union(x, y)
+        assert (fast.parent <= np.arange(n)).all()
+        assert np.array_equal(fast.roots(), slow.roots())
+        assert fast.n_sets() == slow.n_sets()
+
+    def test_union_edges_flattens_scalar_forest_first(self):
+        # union(2, 3); union(1, 2) leaves the chain 3 -> 2 -> 1.  Hooking
+        # the non-root 2 (the parent of 3) onto 0 would cut 1 out: [0, 1, 0, 0].
+        uf = UnionFind(4)
+        uf.union(2, 3)
+        uf.union(1, 2)
+        uf.union_edges(np.array([3]), np.array([0]))
+        assert np.array_equal(uf.roots(), [0, 0, 0, 0])
+
+    def test_union_edges_random_path_converges(self):
+        # A randomly numbered path has diameter n - 1: the hardest
+        # convergence case for hook-and-shortcut.  It takes ~11 rounds
+        # and ~10 ms at n = 1e5; the bound only catches a loop that
+        # needs far more rounds than O(log n).
+        n = 100_000
+        path = np.random.default_rng(0).permutation(n)
+        uf = UnionFind(n)
+        t0 = time.perf_counter()
+        uf.union_edges(path[:-1], path[1:])
+        assert time.perf_counter() - t0 < 2.0
+        assert (uf.roots() == 0).all()
+
+    @pytest.mark.parametrize("a, b", BAD_ENDPOINTS)
+    def test_union_edges_rejects_bad_endpoints(self, a, b):
+        uf = UnionFind(4)
+        with pytest.raises(ValidationError):
+            uf.union_edges(np.array(a), np.array(b))
+        assert uf.n_sets() == 4
+
+    def test_union_edges_accepts_any_integer_dtype(self):
+        uf = UnionFind(4)
+        uf.union_edges(np.array([3], dtype=np.uint8), np.array([1], dtype=np.int32))
+        assert np.array_equal(uf.roots(), [0, 1, 2, 1])
 
 
 class TestExtractRuns:
@@ -191,6 +275,11 @@ class TestShiloachVishkinGraph:
             shiloach_vishkin(3, [0], [3])
         with pytest.raises(ValidationError):
             shiloach_vishkin(3, [0, 1], [1])
+
+    @pytest.mark.parametrize("u, v", BAD_ENDPOINTS)
+    def test_rejects_bad_endpoints(self, u, v):
+        with pytest.raises(ValidationError):
+            shiloach_vishkin(4, u, v)
 
 
 class TestSequentialHistogram:
