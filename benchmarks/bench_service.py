@@ -23,7 +23,7 @@ generator's exact client-side percentiles, so the artifact doubles as
 a standing cross-check of the metrics plane.
 
 An observability on/off pass then re-runs the batched+cached stream
-with full tracing (a ``WallRecorder`` span sink) plus metrics against
+with full tracing (a ``WallRecorder`` sink) plus metrics against
 a registry-off, recorder-off twin, and records the throughput overhead
 as ``params.obs_overhead_pct`` with one comparison row per side.
 Measured passes alternate between the two sides with best-of-N per
@@ -183,7 +183,7 @@ def _obs_overhead(args) -> tuple[list[dict], float]:
     """Tracing+metrics on vs off on the identical batched+cached stream.
 
     ``on`` is the fully instrumented service (metrics registry plus a
-    WallRecorder span sink, so every request builds its span tree);
+    WallRecorder sink, so every request builds its span tree);
     ``off`` disables both.  Conditions mirror the headline
     batched+cached row: a fresh client and a cold cache per measured
     pass, so the stream pays its real mix of computes, coalesces, and

@@ -54,7 +54,18 @@ from repro.machines.params import MACHINES, get_machine
 #: ``--engine darray``, ``repro chaos --engine process`` became
 #: ``--engine darray``, and the ``hist:band`` / ``cc:*`` fault sites
 #: became ``darray:*`` (docs/FAULTS.md maps them).
-__version__ = "2.0.0"
+#:
+#: 3.0.0 is a breaking release: :mod:`repro.obs.trace` is the one emit
+#: API and a ``WallRecorder`` is only a sink, so the recorder's own
+#: emit methods, the span-handle and span-bridge forms, and the
+#: ``service:batch-size`` / ``queue-wait`` / ``cache-*`` counts and
+#: ``router:*`` events are gone (README.md lists the names); the pool,
+#: dispatch, queue, batcher, transport and router classes take no
+#: ``recorder=`` (install one with ``repro.obs.install``), ``run_tasks``
+#: takes no ``trace=`` (activate the context), and ``repro serve
+#: --shards N`` rejects ``--trace-out`` / ``--metrics-out`` /
+#: ``--metrics-interval`` / ``--fault-plan`` instead of ignoring them.
+__version__ = "3.0.0"
 
 __all__ = [
     "kernels",

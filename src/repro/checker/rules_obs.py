@@ -1,13 +1,16 @@
 """OBS5xx: observability-hygiene rules.
 
-The tracing layer opens spans imperatively -- ``h = recorder.begin(...)``
-hands back a :class:`~repro.obs.runtime.SpanHandle` that records nothing
-until ``h.finish()`` runs.  OBS501 encodes the obvious failure shape: a
-handle whose ``finish()`` sits in straight-line code vanishes from the
-trace whenever an exception takes the early exit, which is exactly the
-path a trace exists to explain.  The guard test mirrors RES202: a
-``finish()`` inside a ``finally`` or an exception handler survives every
-edge; anything else does not.
+A span opened imperatively -- a ``begin`` call hands back a handle
+that records nothing until ``h.finish()`` runs.  OBS501 encodes the
+obvious failure shape: a handle whose ``finish()`` sits in
+straight-line code vanishes from the trace whenever an exception takes
+the early exit, which is exactly the path a trace exists to explain.
+The guard test mirrors RES202: a ``finish()`` inside a ``finally`` or
+an exception handler survives every edge; anything else does not.  The
+repo's own emit API (:mod:`repro.obs.trace`) has no handles: a block is
+timed with the :func:`~repro.obs.trace.traced_span` context manager,
+and an interval that cannot be one block is recorded with
+:func:`~repro.obs.trace.record_span` from a ``finally``.
 
 OBS502 covers the other chronic bug of optional instrumentation: half
 the emitting call sites take ``recorder=None`` (tracing off is the
@@ -29,10 +32,12 @@ register_rules(
         "OBS501",
         "span handle not finished on exception edges",
         "error",
-        "A SpanHandle opened with .begin() is finished only in "
+        "A span handle opened by a begin() call is finished only in "
         "straight-line code (or never): any exception between begin and "
         "finish drops the span from the trace. Move finish() into a "
-        "finally, or use the recorder.span() context manager.",
+        "finally, or time the block with repro.obs.trace.traced_span() "
+        "(record_span() from a finally for an interval that is not one "
+        "block).",
     ),
     LintRule(
         "OBS502",

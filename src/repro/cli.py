@@ -1221,6 +1221,21 @@ def cmd_serve(args) -> int:
     from repro.obs import WallRecorder, wall_metrics, write_metrics
     from repro.service import ServiceConfig, ServiceServer
 
+    if args.shards > 1:
+        dropped = [
+            flag for flag, value in (
+                ("--trace-out", args.trace_out),
+                ("--metrics-out", args.metrics_out),
+                ("--metrics-interval", args.metrics_interval),
+                ("--fault-plan", args.fault_plan),
+            ) if value
+        ]
+        if dropped:
+            raise ReproError(
+                f"--shards {args.shards} does not support {', '.join(dropped)}: "
+                f"the router forwards none of them to its shards; serve one "
+                f"shard (--shards 1) to use them"
+            )
     plan = _load_fault_plan(args)
     recorder = (
         WallRecorder(source="repro-serve")
@@ -1687,7 +1702,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--shards", type=int, default=1,
         help="front N shard processes with a consistent-hash router on "
-        "--socket (default 1 = a single plain server, no router)",
+        "--socket (default 1 = a single plain server, no router); N > 1 "
+        "rejects --trace-out, --metrics-out, --metrics-interval and --fault-plan",
     )
     srv.add_argument(
         "--shard-id", type=int, default=None,

@@ -9,10 +9,13 @@ three verbs, so the same driver labels an in-process array, a grid of
 shared-memory shards served by a supervised pool, or an out-of-core
 spill set over a memory-mapped image -- bit-identically.
 
-Observability: the driver wraps the phases in ``darray:label`` /
-``darray:merge:r<t>`` / ``darray:final`` spans and republishes the
-transport's traffic counters (border bytes, change bytes, spill
-reads/writes, resident-tile highwater) as ``darray:*`` counts.
+Observability: a ``recorder`` is installed as the sink
+(:mod:`repro.obs.trace`) for the length of the call.  The driver wraps
+the phases in ``darray:label`` / ``darray:merge:r<t>`` /
+``darray:final`` spans, under which the pool dispatches and kernels
+record their own, and republishes the transport's traffic counters
+(border bytes, change bytes, spill reads/writes, resident-tile
+highwater) as ``darray:*`` counts.
 
 Fault handling: the ``shmem`` transport's pool tasks retry, respawn
 and time out under :mod:`repro.runtime.dispatch`; an unrecoverable
@@ -35,7 +38,9 @@ from repro.core.tiles import ProcessorGrid
 from repro.darray.array import DistributedArray
 from repro.darray.transport import TransportStats
 from repro.kernels import get as get_kernel, resolve_backend
+from repro.obs import trace as _trace
 from repro.obs.events import (
+    CAT_ROUND,
     DARRAY_BORDER_BYTES,
     DARRAY_CHANGE_BYTES,
     DARRAY_FINAL,
@@ -45,7 +50,7 @@ from repro.obs.events import (
     DARRAY_SPILL_WRITES,
     FAULT_DEGRADE,
 )
-from repro.obs.runtime import WallRecorder, instant_or_null, span_or_null
+from repro.obs.runtime import WallRecorder
 from repro.utils.errors import DegradedRunWarning, FaultError, ValidationError
 from repro.utils.validation import check_image, check_power_of_two
 
@@ -109,14 +114,13 @@ def _resolve_source(source, transport: str):
 
 
 def _emit_stats(recorder: WallRecorder | None, stats: TransportStats) -> None:
-    if recorder is None:
-        return
-    recorder.drain()  # fold in the pool workers' task spans and instants
-    recorder.count(DARRAY_BORDER_BYTES, stats.border_bytes)
-    recorder.count(DARRAY_CHANGE_BYTES, stats.change_bytes)
-    recorder.count(DARRAY_SPILL_READS, stats.spill_reads)
-    recorder.count(DARRAY_SPILL_WRITES, stats.spill_writes)
-    recorder.count(DARRAY_RESIDENT_HIGHWATER, stats.resident_highwater)
+    if recorder is not None:
+        recorder.drain()  # fold in the pool workers' task spans and instants
+    _trace.count(DARRAY_BORDER_BYTES, stats.border_bytes)
+    _trace.count(DARRAY_CHANGE_BYTES, stats.change_bytes)
+    _trace.count(DARRAY_SPILL_READS, stats.spill_reads)
+    _trace.count(DARRAY_SPILL_WRITES, stats.spill_writes)
+    _trace.count(DARRAY_RESIDENT_HIGHWATER, stats.resident_highwater)
 
 
 def _degrade_or_raise(
@@ -133,9 +137,7 @@ def _degrade_or_raise(
         ),
         stacklevel=3,
     )
-    instant_or_null(
-        recorder, FAULT_DEGRADE, what=what, error=type(exc).__name__, detail=str(exc)
-    )
+    _trace.instant(FAULT_DEGRADE, what=what, error=type(exc).__name__, detail=str(exc))
 
 
 def darray_components(
@@ -174,57 +176,57 @@ def darray_components(
     image_shape, image = _resolve_source(source, transport)
     grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
     kernel = resolve_backend(kernel)
-    try:
-        with DistributedArray.open(
-            transport,
-            grid,
-            image,
-            connectivity=connectivity,
-            grey=grey,
-            kernel=kernel,
-            recorder=recorder,
-            fault_plan=fault_plan,
-            timeout=timeout,
-            max_retries=max_retries,
-            workers=workers,
-            spill_dir=spill_dir,
-            resident_tiles=resident_tiles,
-        ) as da:
-            with span_or_null(recorder, DARRAY_LABEL):
-                hooks = da.label()
-            for si, step in enumerate(merge_schedule(grid)):
-                edge_a, edge_b = step.edge_names
-                with span_or_null(recorder, f"darray:merge:r{step.t}"):
-                    for gi, group in enumerate(step.groups):
-                        side_a = da.border(si, gi, group.side_a_pids, edge_a)
-                        side_b = da.border(si, gi, group.side_b_pids, edge_b)
-                        solve = solve_border_merge(
-                            side_a, side_b, connectivity=connectivity, grey=grey
-                        )
-                        if len(solve.changes):
-                            da.publish(
-                                si,
-                                gi,
-                                group.region,
-                                solve.changes.alphas,
-                                solve.changes.betas,
+    with _trace.install(recorder):
+        try:
+            with DistributedArray.open(
+                transport,
+                grid,
+                image,
+                connectivity=connectivity,
+                grey=grey,
+                kernel=kernel,
+                fault_plan=fault_plan,
+                timeout=timeout,
+                max_retries=max_retries,
+                workers=workers,
+                spill_dir=spill_dir,
+                resident_tiles=resident_tiles,
+            ) as da:
+                with _trace.traced_span(DARRAY_LABEL, cat=CAT_ROUND):
+                    hooks = da.label()
+                for si, step in enumerate(merge_schedule(grid)):
+                    edge_a, edge_b = step.edge_names
+                    with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
+                        for gi, group in enumerate(step.groups):
+                            side_a = da.border(si, gi, group.side_a_pids, edge_a)
+                            side_b = da.border(si, gi, group.side_b_pids, edge_b)
+                            solve = solve_border_merge(
+                                side_a, side_b, connectivity=connectivity, grey=grey
                             )
-            with span_or_null(recorder, DARRAY_FINAL):
-                da.finalize(hooks)
-            labels = da.gather()
-            stats = da.stats
-    except FaultError as exc:
-        _degrade_or_raise(exc, degrade, recorder, "components")
-        if isinstance(image, (str, pathlib.Path)):
-            from repro.images.io import read_pnm
+                            if len(solve.changes):
+                                da.publish(
+                                    si,
+                                    gi,
+                                    group.region,
+                                    solve.changes.alphas,
+                                    solve.changes.betas,
+                                )
+                with _trace.traced_span(DARRAY_FINAL, cat=CAT_ROUND):
+                    da.finalize(hooks)
+                labels = da.gather()
+                stats = da.stats
+        except FaultError as exc:
+            _degrade_or_raise(exc, degrade, recorder, "components")
+            if isinstance(image, (str, pathlib.Path)):
+                from repro.images.io import read_pnm
 
-            image = read_pnm(image)
-        labels = get_kernel("tile_label", backend=kernel)(
-            image, connectivity=connectivity, grey=grey
-        )
-        stats = TransportStats()
-        return DarrayResult(labels, count_components(labels), stats, grid)
-    _emit_stats(recorder, stats)
+                image = read_pnm(image)
+            labels = get_kernel("tile_label", backend=kernel)(
+                image, connectivity=connectivity, grey=grey
+            )
+            stats = TransportStats()
+            return DarrayResult(labels, count_components(labels), stats, grid)
+        _emit_stats(recorder, stats)
     return DarrayResult(labels, count_components(labels), stats, grid)
 
 
@@ -250,35 +252,35 @@ def darray_histogram(
     image_shape, image = _resolve_source(source, transport)
     grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
     kernel = resolve_backend(kernel)
-    try:
-        with DistributedArray.open(
-            transport,
-            grid,
-            image,
-            kernel=kernel,
-            recorder=recorder,
-            fault_plan=fault_plan,
-            timeout=timeout,
-            max_retries=max_retries,
-            workers=workers,
-            spill_dir=spill_dir,
-            resident_tiles=resident_tiles,
-        ) as da:
-            with span_or_null(recorder, "darray:hist"):
-                hist = da.histogram(k)
-            stats = da.stats
-    except FaultError as exc:
-        _degrade_or_raise(exc, degrade, recorder, "histogram")
-        if isinstance(image, (str, pathlib.Path)):
-            from repro.images.io import read_pnm
+    with _trace.install(recorder):
+        try:
+            with DistributedArray.open(
+                transport,
+                grid,
+                image,
+                kernel=kernel,
+                fault_plan=fault_plan,
+                timeout=timeout,
+                max_retries=max_retries,
+                workers=workers,
+                spill_dir=spill_dir,
+                resident_tiles=resident_tiles,
+            ) as da:
+                with _trace.traced_span("darray:hist", cat=CAT_ROUND):
+                    hist = da.histogram(k)
+                stats = da.stats
+        except FaultError as exc:
+            _degrade_or_raise(exc, degrade, recorder, "histogram")
+            if isinstance(image, (str, pathlib.Path)):
+                from repro.images.io import read_pnm
 
-            image = read_pnm(image)
-        return get_kernel("histogram", backend=kernel)(np.asarray(image), k)
-    hist = np.asarray(hist, dtype=np.int64)
-    if int(hist.sum()) != grid.rows * grid.cols:
-        raise ValidationError(
-            f"histogram mass {int(hist.sum())} != pixel count "
-            f"{grid.rows * grid.cols}"
-        )
-    _emit_stats(recorder, stats)
+                image = read_pnm(image)
+            return get_kernel("histogram", backend=kernel)(np.asarray(image), k)
+        hist = np.asarray(hist, dtype=np.int64)
+        if int(hist.sum()) != grid.rows * grid.cols:
+            raise ValidationError(
+                f"histogram mass {int(hist.sum())} != pixel count "
+                f"{grid.rows * grid.cols}"
+            )
+        _emit_stats(recorder, stats)
     return hist

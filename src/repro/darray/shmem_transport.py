@@ -38,7 +38,7 @@ from repro.darray.transport import Transport
 from repro.faults.inject import corrupt_labels, fire, install_plan, validate_border_labels
 from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel, resolve_backend
-from repro.obs.runtime import init_worker_sink, task_span, worker_instant
+from repro.obs import trace as _trace
 from repro.runtime.dispatch import PoolSupervisor, _pool_context, run_tasks
 from repro.runtime.shmem import SharedNDArray
 from repro.utils.errors import CorruptPayloadError
@@ -48,9 +48,8 @@ from repro.utils.validation import check_image
 _SHARD: dict = {}
 
 
-def _shard_init(metas, opts, obs=None, plan: FaultPlan | None = None) -> None:
+def _shard_init(metas, opts, plan: FaultPlan | None = None) -> None:
     """Pool initializer: attach every shard segment, install the plan."""
-    init_worker_sink(obs)
     install_plan(plan)
     _SHARD["tiles"] = {
         pid: (SharedNDArray.attach(img_meta), SharedNDArray.attach(lab_meta))
@@ -63,7 +62,7 @@ def _shard_label(arg):
     """Verb 1: label one shard in place; return its hooks."""
     pid, attempt = arg
     fire("darray:label", task=pid, attempt=attempt)
-    with task_span(f"darray:label:t{pid}"):
+    with _trace.traced_span(f"darray:label:t{pid}"):
         opts = _SHARD["opts"]
         img, lab = _SHARD["tiles"][pid]
         r0, c0 = opts["origins"][pid]
@@ -84,7 +83,7 @@ def _shard_border(arg):
     """Verb 2: extract one border side from the owning shards."""
     (step_index, group_index, pids, edge), attempt = arg
     spec = fire("darray:border", round=step_index, group=group_index, attempt=attempt)
-    with task_span(f"darray:border:s{step_index}g{group_index}:{edge}"):
+    with _trace.traced_span(f"darray:border:s{step_index}g{group_index}:{edge}"):
         opts = _SHARD["opts"]
         extract = get_kernel("border_extract", backend=opts["kernel"])
         lab_parts = []
@@ -100,7 +99,7 @@ def _shard_border(arg):
         try:
             validate_border_labels(labels, site="darray:border")
         except CorruptPayloadError:
-            worker_instant(
+            _trace.instant(
                 "fault:corrupt-detected", round=step_index, group=group_index
             )
             raise
@@ -111,7 +110,7 @@ def _shard_fetch_changes(arg):
     """Verb 3: fetch the change array and relabel the region perimeters."""
     (step_index, group_index, pids, alphas, betas), attempt = arg
     fire("darray:fetch", round=step_index, group=group_index, attempt=attempt)
-    with task_span(f"darray:fetch:s{step_index}g{group_index}"):
+    with _trace.traced_span(f"darray:fetch:s{step_index}g{group_index}"):
         opts = _SHARD["opts"]
         relabel = get_kernel("relabel", backend=opts["kernel"])
         for pid in pids:
@@ -126,7 +125,7 @@ def _shard_final(arg):
     """Verb 1: hook-based final interior relabel of one shard."""
     (pid, hooks), attempt = arg
     fire("darray:final", task=pid, attempt=attempt)
-    with task_span(f"darray:final:t{pid}"):
+    with _trace.traced_span(f"darray:final:t{pid}"):
         _img, lab = _SHARD["tiles"][pid]
         lab.array[:] = apply_hooks(lab.array, hooks)
         return pid
@@ -136,7 +135,7 @@ def _shard_hist(arg):
     """Verb 1: grey-level tally of one shard."""
     (pid, k), attempt = arg
     fire("darray:hist", task=pid, attempt=attempt)
-    with task_span(f"darray:hist:t{pid}"):
+    with _trace.traced_span(f"darray:hist:t{pid}"):
         opts = _SHARD["opts"]
         img, _lab = _SHARD["tiles"][pid]
         return get_kernel("histogram", backend=opts["kernel"])(img.array, k)
@@ -155,7 +154,6 @@ class ShmemTransport(Transport):
         connectivity: int = 8,
         grey: bool = False,
         kernel: str | None = None,
-        recorder=None,
         fault_plan: FaultPlan | None = None,
         timeout: float | None = None,
         max_retries: int | None = None,
@@ -165,8 +163,7 @@ class ShmemTransport(Transport):
         super().__init__(grid)
         image = check_image(np.asarray(image), square=False)
         self.kernel = resolve_backend(kernel)
-        self._recorder = recorder
-        self._dispatch = dict(timeout=timeout, max_retries=max_retries, recorder=recorder)
+        self._dispatch = dict(timeout=timeout, max_retries=max_retries)
         self._stack = contextlib.ExitStack()
         self._shards: dict[int, tuple[SharedNDArray, SharedNDArray]] = {}
         try:
@@ -188,20 +185,14 @@ class ShmemTransport(Transport):
                 "grey": grey,
                 "kernel": self.kernel,
             }
-            ctx = _pool_context()
-            obs = None
-            if recorder is not None:
-                recorder.make_queue(ctx)
-                obs = recorder.worker_init_args()
             if workers is None:
                 workers = min(grid.p, max(1, os.cpu_count() or 1), 16)
             self._pool = self._stack.enter_context(
                 PoolSupervisor(
-                    ctx,
+                    _pool_context(),
                     workers,
                     initializer=_shard_init,
-                    initargs=(metas, opts, obs, fault_plan),
-                    recorder=recorder,
+                    initargs=(metas, opts, fault_plan),
                 )
             )
         except BaseException:

@@ -90,9 +90,10 @@ def resolve_backend(backend: str | None = None) -> str:
 def _traced(name: str, backend: str) -> Callable:
     """A trace-aware wrapper over the registered kernel function.
 
-    When a request trace context is active (service requests propagate
-    one into the worker, see :mod:`repro.obs.trace`), every kernel call
-    records a ``kernel:<name>`` span parented under the task span.
+    While a sink is installed (:mod:`repro.obs.trace`) every kernel call
+    records a ``kernel:<name>`` span: in a pool worker on its pid lane
+    under the task span, on the driver under the enclosing phase span,
+    and parented into the request tree when a trace context is active.
     Untraced callers pay a single ``is None`` check.
     """
     fn = _REGISTRY[(name, backend)]
@@ -100,7 +101,7 @@ def _traced(name: str, backend: str) -> Callable:
 
     @functools.wraps(fn)
     def _dispatch(*args, **kwargs):
-        if _trace.current() is None:
+        if _trace.sink() is None:
             return fn(*args, **kwargs)
         with _trace.traced_span(span_name, backend=backend):
             return fn(*args, **kwargs)

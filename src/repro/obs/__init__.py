@@ -9,10 +9,11 @@ equivalent instrument -- one event model
   :class:`~repro.bdm.machine.Machine` (per-processor phase spans,
   barrier waits, the (server, mover) communication matrix, hazard
   provenance) on the simulated clock;
-* :class:`~repro.obs.runtime.WallRecorder` observes the real
-  :mod:`repro.runtime` multiprocessing backend (worker tasks, merge
-  rounds, shared-memory setup) on the wall clock, collected across
-  processes via a queue;
+* :class:`~repro.obs.runtime.WallRecorder` is the wall-clock sink:
+  installed for a darray run or a service, it receives every span,
+  instant and count emitted through :mod:`repro.obs.trace` (merge
+  rounds, pool dispatches, worker tasks, kernels, request trees),
+  collected across processes via a queue;
 
 and exporters that consume either:
 
@@ -48,14 +49,9 @@ from repro.obs.events import (
     FAULT_TIMEOUT,
     FAULT_WORKER_DEATH,
     SVC_BATCH,
-    SVC_BATCH_SIZE,
-    SVC_CACHE_EVICT,
-    SVC_CACHE_HIT,
-    SVC_CACHE_MISS,
     SVC_DEGRADED,
     SVC_EXPIRED,
     SVC_QUEUE_SPAN,
-    SVC_QUEUE_WAIT,
     SVC_REQUEST,
     SVC_SHED,
     Count,
@@ -74,9 +70,9 @@ from repro.obs.registry import (
     parse_prometheus_text,
     write_timeseries,
 )
-from repro.obs.runtime import SpanHandle, WallRecorder
+from repro.obs.runtime import WallRecorder
 from repro.obs.sim import MachineRecorder, comm_heatmap
-from repro.obs.trace import TraceContext, set_span_sink, trace_args, traced_span
+from repro.obs.trace import TraceContext, install, trace_args, traced_span
 
 __all__ = [
     "Span",
@@ -103,20 +99,14 @@ __all__ = [
     "FAULT_SHADOW_CRASH",
     "FAULT_FAILOVER",
     "SVC_BATCH",
-    "SVC_BATCH_SIZE",
-    "SVC_QUEUE_WAIT",
     "SVC_SHED",
     "SVC_EXPIRED",
-    "SVC_CACHE_HIT",
-    "SVC_CACHE_MISS",
-    "SVC_CACHE_EVICT",
     "SVC_DEGRADED",
     "MachineRecorder",
     "comm_heatmap",
     "WallRecorder",
-    "SpanHandle",
     "TraceContext",
-    "set_span_sink",
+    "install",
     "trace_args",
     "traced_span",
     "MetricsRegistry",

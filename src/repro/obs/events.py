@@ -47,35 +47,18 @@ FAULT_MANAGER_CRASH = "fault:manager-crash"  # sim: a manager was lost
 FAULT_SHADOW_CRASH = "fault:shadow-crash"    # sim: a shadow was lost
 FAULT_FAILOVER = "fault:failover"        # sim: the shadow took over
 
-#: Instant/counter/span names emitted by the batch-serving layer
-#: (:mod:`repro.service`).  Spans: one ``service:batch`` per coalesced
-#: dispatch.  Counts: per-batch sizes, queue-wait seconds, and the
-#: cache hit/miss/eviction tallies.  Instants: load-shedding and
-#: queued-deadline expiry decisions, with provenance in ``args``.
+#: Span/instant names emitted by the batch-serving layer
+#: (:mod:`repro.service`).  Spans: the request at the socket edge and
+#: inside the service, its queue wait, and one ``service:batch`` per
+#: coalesced dispatch.  Instants: load-shedding, queued-deadline expiry
+#: and serial-degrade decisions, with provenance in ``args``.
 SVC_BATCH = "service:batch"              # span: one coalesced pool dispatch
 CLIENT_REQUEST = "client:request"        # span: one wire request, socket edge
 SVC_REQUEST = "service:request"          # span: one submit() inside the service
 SVC_QUEUE_SPAN = "service:queue"         # span: admission-to-batch queue wait
-SVC_BATCH_SIZE = "service:batch-size"    # count: requests in that dispatch
-SVC_QUEUE_WAIT = "service:queue-wait"    # count: seconds a request queued
 SVC_SHED = "service:shed"                # instant: request shed at admission
 SVC_EXPIRED = "service:expired"          # instant: deadline expired in queue
-SVC_CACHE_HIT = "service:cache-hit"      # count: content-addressed cache hits
-SVC_CACHE_MISS = "service:cache-miss"    # count: cache misses
-SVC_CACHE_EVICT = "service:cache-evict"  # count: LRU evictions
 SVC_DEGRADED = "service:degraded-batch"  # instant: batch fell back to serial
-
-#: Names emitted by the shard router (:mod:`repro.service.router`) and
-#: its health monitor (:mod:`repro.service.health`).  The router span
-#: sits between the client edge and the shard's own request tree: with
-#: tracing on, ``router:request`` parents the shard-side
-#: ``client:request`` span through the forwarded child context.
-ROUTER_REQUEST = "router:request"        # span: one routed request, router edge
-ROUTER_REROUTE = "router:reroute"        # instant: forwarded to a ring successor
-ROUTER_HEDGE = "router:hedge"            # instant: hedged duplicate sent
-ROUTER_SHARD_DOWN = "router:shard-down"  # instant: breaker opened for a shard
-ROUTER_SHARD_UP = "router:shard-up"      # instant: breaker closed again
-ROUTER_RESPAWN = "router:shard-respawn"  # instant: dead shard process respawned
 
 #: Names emitted by the distributed-array subsystem (:mod:`repro.darray`).
 #: Spans cover the three algorithm phases on the driver lane; counts

@@ -1,4 +1,17 @@
-"""Distributed request tracing: contexts, propagation, and span sinks.
+"""The one emit API: spans, instants and counts, plus request tracing.
+
+Everything the wall-clock runtime records goes through this module to
+the process's one installed *sink*: the driver's
+:class:`~repro.obs.runtime.WallRecorder`, or, in a pool worker, a sink
+that forwards to that recorder's queue.  With no sink installed every
+emit is a no-op, so untraced hot paths pay one ``is None`` check.
+
+* :func:`install` installs a sink for a scope (:func:`set_sink` for
+  callers whose lifetime is not one block, such as a service between
+  ``start`` and ``stop``);
+* :func:`traced_span` times a block, :func:`record_span` records an
+  interval that already ended, :func:`instant` and :func:`count` record
+  point events and counter samples.
 
 A *trace* is one request's journey through the service tier: the client
 mints a :class:`TraceContext` (``trace_id``/``span_id``/``parent_id``),
@@ -10,20 +23,17 @@ another process, and the kernel underneath it.
 
 Propagation has two legs:
 
-* **In-process** (driver side) the current context lives in a
-  :mod:`contextvars` variable: :func:`activate` installs a context for
-  a scope, :func:`current` reads it, and :func:`traced_span` records a
-  child span through the installed *span sink* (see
-  :func:`set_span_sink`).  asyncio tasks inherit contextvars, so the
-  context follows a request through ``await`` boundaries for free.
+* **In-process** the current context lives in a :mod:`contextvars`
+  variable: :func:`activate` installs a context for a scope,
+  :func:`current` reads it, and :func:`traced_span` records a child of
+  it (trace ids, parentage and the request's lane) and makes that
+  child current inside the block.  asyncio tasks inherit contextvars,
+  so the context follows a request through ``await`` boundaries.
 * **Cross-process** the context rides the task payload (the wire form
   of :meth:`TraceContext.to_wire`); the worker re-activates it, and
-  worker spans flow back through the :class:`~repro.obs.runtime.
-  WallRecorder` queue with the trace ids in their ``args`` -- the ids,
-  not the contextvar, are what cross the process boundary.
-
-Everything here is a no-op when no context is active *and* when no sink
-is installed, so untraced hot paths pay one ``is None`` check.
+  worker spans flow back through the recorder's queue with the trace
+  ids in their ``args`` -- the ids, not the contextvar, are what cross
+  the process boundary.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.obs.events import CAT_TASK
 from repro.utils.errors import ValidationError
@@ -163,39 +173,86 @@ def trace_args() -> dict:
     return ctx.span_args() if ctx is not None else {}
 
 
-# -- span sink ----------------------------------------------------------------
+# -- the sink and the emit API -------------------------------------------------
 
-#: ``sink(name, t0_s, t1_s, cat, args)`` -- perf_counter endpoints.
-SpanSink = Callable[[str, float, float, str, dict], None]
-
-_SPAN_SINK: SpanSink | None = None
+#: The process's installed sink; see :func:`set_sink`.
+_SINK = None
 
 
-def set_span_sink(sink: SpanSink | None) -> SpanSink | None:
-    """Install the process-wide span sink; returns the previous one.
+def sink():
+    """The installed sink, or ``None`` when nothing records."""
+    return _SINK
 
-    The driver installs a recorder-backed sink (spans land in the
-    :class:`~repro.obs.runtime.WallRecorder` log); pool workers install
-    a queue-backed sink in their initializer.  ``None`` uninstalls.
+
+def set_sink(new):
+    """Install ``new`` as the process-wide sink; returns the previous one.
+
+    A sink receives ``record_span(name, lane, t0, t1, cat, args)``,
+    ``record_instant(name, t, args)`` and ``record_count(name, value,
+    t)`` with ``perf_counter`` times; ``lane`` is ``None`` for the
+    sink's own lane.  It also hands pool workers their queue
+    (``worker_queue(ctx)``) and folds queued worker events into its log
+    (``drain()``).  ``None`` uninstalls.
     """
-    global _SPAN_SINK
-    previous, _SPAN_SINK = _SPAN_SINK, sink
+    global _SINK
+    previous, _SINK = _SINK, new
     return previous
 
 
 @contextlib.contextmanager
-def traced_span(name: str, *, cat: str = CAT_TASK, **args) -> Iterator[TraceContext | None]:
-    """Record one child span of the current context through the sink.
+def install(new) -> Iterator[None]:
+    """Install ``new`` as the sink for the scope, then restore the previous one.
 
-    No active context or no installed sink means no recording at all --
-    the wrapped code runs bare.  Inside the scope the child context is
-    current, so nested :func:`traced_span` calls chain parentage.
+    ``None`` leaves the installed sink in place, so a call that was
+    handed no recorder still records into an enclosing one.
     """
-    ctx = _CURRENT.get()
-    if ctx is None or _SPAN_SINK is None:
-        yield None
+    if new is None:
+        yield
         return
-    child = ctx.child()
+    previous = set_sink(new)
+    try:
+        yield
+    finally:
+        set_sink(previous)
+
+
+def record_span(name: str, t0: float, t1: float, *, cat: str = CAT_TASK,
+                ctx: TraceContext | None = None, **args) -> None:
+    """Record the finished interval ``[t0, t1]`` (``perf_counter`` seconds).
+
+    With ``ctx`` the span *is* that context: it carries its ids and
+    renders on its request lane; without, it lands on the sink's lane.
+    """
+    target = _SINK
+    if target is None:
+        return
+    if ctx is None:
+        target.record_span(name, None, t0, t1, cat, args)
+    else:
+        target.record_span(name, ctx.lane, t0, t1, cat, {**ctx.span_args(), **args})
+
+
+#: What :func:`traced_span` returns when nothing records.
+_UNTRACED = contextlib.nullcontext()
+
+
+def traced_span(name: str, *, cat: str = CAT_TASK, **args):
+    """A context manager recording the block as one span.
+
+    Records whenever a sink is installed.  When a context is active the
+    span is a fresh child of it, current inside the block (so nested
+    calls chain parentage) and yielded; otherwise it has no ids and the
+    block sees ``None``.  With no sink the block runs bare.
+    """
+    if _SINK is None:
+        return _UNTRACED
+    return _recorded(name, cat, args)
+
+
+@contextlib.contextmanager
+def _recorded(name: str, cat: str, args: dict) -> Iterator[TraceContext | None]:
+    parent = _CURRENT.get()
+    child = parent.child() if parent is not None else None
     token = _CURRENT.set(child)
     t0 = time.perf_counter()
     try:
@@ -203,6 +260,18 @@ def traced_span(name: str, *, cat: str = CAT_TASK, **args) -> Iterator[TraceCont
     finally:
         t1 = time.perf_counter()
         _CURRENT.reset(token)
-        sink = _SPAN_SINK
-        if sink is not None:
-            sink(name, t0, t1, cat, {**child.span_args(), **args})
+        record_span(name, t0, t1, cat=cat, ctx=child, **args)
+
+
+def instant(name: str, **args) -> None:
+    """Record a point event (fault, retry, shed, ...) on the sink's lane."""
+    target = _SINK
+    if target is not None:
+        target.record_instant(name, time.perf_counter(), args)
+
+
+def count(name: str, value: float) -> None:
+    """Record one counter sample at the current time."""
+    target = _SINK
+    if target is not None:
+        target.record_count(name, value, time.perf_counter())

@@ -21,8 +21,9 @@ the driver forever.  This module replaces it:
   the retry;
 * exhausted budgets raise typed
   :class:`~repro.utils.errors.FaultError` subclasses -- never a hang;
-* every recovery step is visible as a ``fault:*`` instant/counter on
-  the attached :class:`~repro.obs.runtime.WallRecorder`.
+* every recovery step is visible as a ``fault:*`` instant/counter in
+  the installed sink (:mod:`repro.obs.trace`), and each dispatch as a
+  ``dispatch:<site>`` span.
 
 Task functions receive ``(payload, attempt)`` tuples; the attempt
 number feeds the deterministic fault injector
@@ -44,8 +45,8 @@ from repro.obs.events import (
     FAULT_TIMEOUT,
     FAULT_WORKER_DEATH,
 )
-from repro.obs.runtime import WallRecorder, instant_or_null
-from repro.obs.trace import TraceContext
+from repro.obs import trace as _trace
+from repro.obs.runtime import init_worker
 from repro.utils.errors import (
     CorruptPayloadError,
     RecoveryExhaustedError,
@@ -127,22 +128,19 @@ class PoolSupervisor:
     pool (SIGTERM reaches even a sleeping worker) and build a fresh one
     with the same initializer, which re-attaches shared memory and
     re-installs the fault plan in the new workers.
+
+    Workers record into the sink installed when the supervisor is
+    built: :func:`~repro.obs.runtime.init_worker` runs before
+    ``initializer`` and forwards their events to its queue.
     """
 
-    def __init__(
-        self,
-        ctx,
-        processes: int,
-        initializer=None,
-        initargs: tuple = (),
-        *,
-        recorder: WallRecorder | None = None,
-    ):
+    def __init__(self, ctx, processes: int, initializer=None, initargs: tuple = ()):
         self._ctx = ctx
         self._processes = processes
-        self._initializer = initializer
-        self._initargs = initargs
-        self._recorder = recorder
+        #: The sink the workers forward to (drained while dispatching).
+        self.sink = _trace.sink()
+        queue = self.sink.worker_queue(ctx) if self.sink is not None else None
+        self._initargs = (queue, initializer, initargs)
         self._pool = None
         self.respawns = 0
 
@@ -150,7 +148,7 @@ class PoolSupervisor:
     def pool(self):
         if self._pool is None:
             self._pool = self._ctx.Pool(
-                self._processes, initializer=self._initializer, initargs=self._initargs
+                self._processes, initializer=init_worker, initargs=self._initargs
             )
         return self._pool
 
@@ -168,14 +166,12 @@ class PoolSupervisor:
         if self._pool is not None:
             dead = self.dead_workers()
             if dead:
-                instant_or_null(
-                    self._recorder, FAULT_WORKER_DEATH, exitcodes=dead, reason=reason
-                )
+                _trace.instant(FAULT_WORKER_DEATH, exitcodes=dead, reason=reason)
             self._pool.terminate()
             self._pool.join()
             self._pool = None
         self.respawns += 1
-        instant_or_null(self._recorder, FAULT_RESPAWN, reason=reason)
+        _trace.instant(FAULT_RESPAWN, reason=reason)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -202,8 +198,6 @@ def run_tasks(
     timeout: float | None = None,
     max_retries: int | None = None,
     backoff_s: float = 0.05,
-    recorder: WallRecorder | None = None,
-    trace: TraceContext | None = None,
 ):
     """Run ``fn((payload, attempt))`` for each payload; return results in order.
 
@@ -213,9 +207,10 @@ def run_tasks(
     respawned, and the attempt retried with exponential backoff
     (``backoff_s * 2**attempt``) up to ``max_retries`` extra attempts.
 
-    With both a ``recorder`` and a ``trace`` context, the whole dispatch
-    (including retries and respawns) is recorded as one
-    ``dispatch:<site>`` child span on the request's lane.
+    The whole dispatch (including retries and respawns) is one
+    ``dispatch:<site>`` span -- a child of the caller's trace context
+    when one is active -- and while it waits the driver drains the
+    sink's worker queue, so chatty workers never block on a full pipe.
 
     Raises :class:`~repro.utils.errors.TaskTimeoutError` when a task
     misses its deadline with no budget left, and
@@ -223,20 +218,18 @@ def run_tasks(
     retryable exception persists; any non-retryable task exception
     propagates unwrapped at once.
     """
-    if trace is not None and recorder is not None:
-        with recorder.span(f"dispatch:{site}", lane=trace.lane, cat=CAT_ROUND,
-                           **trace.child().span_args()):
-            return run_tasks(
-                supervisor, fn, payloads, site=site, timeout=timeout,
-                max_retries=max_retries, backoff_s=backoff_s, recorder=recorder,
-            )
     timeout = resolve_timeout(timeout)
     retries = resolve_retries(max_retries)
-    payloads = list(payloads)
+    with _trace.traced_span(f"dispatch:{site}", cat=CAT_ROUND):
+        return _run(supervisor, fn, list(payloads), site, timeout, retries, backoff_s)
+
+
+def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):
     n = len(payloads)
     results = [None] * n
     pending: dict[int, tuple] = {}  # idx -> (AsyncResult, deadline, attempt)
     n_retries = n_timeouts = 0
+    sink = supervisor.sink
 
     def dispatch(idx: int, attempt: int) -> None:
         res = supervisor.pool.apply_async(fn, ((payloads[idx], attempt),))
@@ -248,7 +241,6 @@ def run_tasks(
     for idx in range(n):
         dispatch(idx, 0)
 
-    remaining = set(range(n))
     while pending:
         for idx in list(pending):
             res, _deadline, attempt = pending[idx]
@@ -257,21 +249,18 @@ def run_tasks(
             del pending[idx]
             try:
                 results[idx] = res.get()
-                remaining.discard(idx)
             except RETRYABLE as exc:
                 if attempt >= retries:
-                    instant_or_null(
-                        recorder, FAULT_GIVEUP, site=site, task=idx, attempt=attempt
-                    )
-                    _note_counts(recorder, site, n_retries, n_timeouts)
+                    _trace.instant(FAULT_GIVEUP, site=site, task=idx, attempt=attempt)
+                    _note_counts(site, n_retries, n_timeouts)
                     raise RecoveryExhaustedError(
                         f"{site} task {idx} still failing after "
                         f"{attempt + 1} attempts: {exc}",
                         site=site,
                     ) from exc
                 n_retries += 1
-                instant_or_null(
-                    recorder, FAULT_RETRY, site=site, task=idx,
+                _trace.instant(
+                    FAULT_RETRY, site=site, task=idx,
                     attempt=attempt, error=type(exc).__name__,
                 )
                 backoff(attempt)
@@ -286,19 +275,19 @@ def run_tasks(
         if expired:
             n_timeouts += len(expired)
             for idx in sorted(expired):
-                instant_or_null(
-                    recorder, FAULT_TIMEOUT, site=site, task=idx,
+                _trace.instant(
+                    FAULT_TIMEOUT, site=site, task=idx,
                     attempt=pending[idx][2], timeout_s=timeout,
                 )
             exhausted = sorted(
                 idx for idx in expired if pending[idx][2] >= retries
             )
             if exhausted:
-                instant_or_null(
-                    recorder, FAULT_GIVEUP, site=site, tasks=exhausted,
+                _trace.instant(
+                    FAULT_GIVEUP, site=site, tasks=exhausted,
                     attempt=pending[exhausted[0]][2],
                 )
-                _note_counts(recorder, site, n_retries, n_timeouts)
+                _note_counts(site, n_retries, n_timeouts)
                 raise TaskTimeoutError(
                     f"{site} task(s) {exhausted} missed the {timeout:g}s deadline "
                     f"on every allowed attempt "
@@ -318,28 +307,28 @@ def run_tasks(
             for idx, attempt in sorted(survivors.items()):
                 if idx in expired:
                     n_retries += 1
-                    instant_or_null(
-                        recorder, FAULT_RETRY, site=site, task=idx,
+                    _trace.instant(
+                        FAULT_RETRY, site=site, task=idx,
                         attempt=attempt, error="TaskTimeout",
                     )
                     dispatch(idx, attempt + 1)
                 else:
                     dispatch(idx, attempt)
         else:
+            if sink is not None:
+                sink.drain()
             next_dl = min(dl for _r, dl, _a in pending.values())
-            step = min(max(next_dl - now, 0.0), _POLL_S)
+            step = min(max(next_dl - time.monotonic(), 0.0), _POLL_S)
             # Wait on an arbitrary pending result; the bounded step
             # keeps deadline checks prompt even if that one is hung.
             next(iter(pending.values()))[0].wait(step)
 
-    _note_counts(recorder, site, n_retries, n_timeouts)
+    _note_counts(site, n_retries, n_timeouts)
     return results
 
 
-def _note_counts(recorder, site: str, n_retries: int, n_timeouts: int) -> None:
-    if recorder is None:
-        return
+def _note_counts(site: str, n_retries: int, n_timeouts: int) -> None:
     if n_retries:
-        recorder.count(f"{FAULT_RETRY}:{site}", n_retries)
+        _trace.count(f"{FAULT_RETRY}:{site}", n_retries)
     if n_timeouts:
-        recorder.count(f"{FAULT_TIMEOUT}:{site}", n_timeouts)
+        _trace.count(f"{FAULT_TIMEOUT}:{site}", n_timeouts)

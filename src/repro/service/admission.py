@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs import trace as _trace
 from repro.obs.events import SVC_SHED
-from repro.obs.runtime import WallRecorder, instant_or_null
 from repro.obs.trace import TraceContext
 from repro.runtime.dispatch import resolve_timeout
 from repro.service.instruments import ServiceInstruments
@@ -98,7 +98,6 @@ class AdmissionQueue:
         *,
         depth: int = DEFAULT_QUEUE_DEPTH,
         timeout_s: float | None = None,
-        recorder: WallRecorder | None = None,
         instruments: ServiceInstruments | None = None,
     ):
         self.depth = int(depth)
@@ -106,7 +105,6 @@ class AdmissionQueue:
             raise ServiceOverloadError("queue depth must be positive", depth=depth)
         self.timeout_s = resolve_timeout(timeout_s)
         self.stats = AdmissionStats()
-        self._recorder = recorder
         self._instruments = instruments
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.depth)
 
@@ -120,9 +118,7 @@ class AdmissionQueue:
             self._queue.put_nowait(req)
         except asyncio.QueueFull:
             self.stats.shed += 1
-            instant_or_null(
-                self._recorder, SVC_SHED, op=req.op, depth=self._queue.qsize()
-            )
+            _trace.instant(SVC_SHED, op=req.op, depth=self._queue.qsize())
             if self._instruments is not None:
                 self._instruments.shed()
             raise ServiceOverloadError(

@@ -27,14 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
-from repro.obs.events import (
-    CAT_REQUEST,
-    SVC_BATCH_SIZE,
-    SVC_EXPIRED,
-    SVC_QUEUE_SPAN,
-    SVC_QUEUE_WAIT,
-)
-from repro.obs.runtime import WallRecorder, instant_or_null
+from repro.obs import trace as _trace
+from repro.obs.events import CAT_REQUEST, SVC_EXPIRED, SVC_QUEUE_SPAN
 from repro.service.admission import AdmissionQueue, PendingRequest
 from repro.service.instruments import ServiceInstruments
 from repro.utils.errors import TaskTimeoutError, ValidationError
@@ -104,7 +98,6 @@ class MicroBatcher:
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_delay_s: float = DEFAULT_MAX_DELAY_S,
-        recorder: WallRecorder | None = None,
         instruments: ServiceInstruments | None = None,
     ):
         if max_batch <= 0:
@@ -116,7 +109,6 @@ class MicroBatcher:
         self.stats = BatcherStats()
         self._queue = queue
         self._execute = execute
-        self._recorder = recorder
         self._instruments = instruments
         self._buckets: dict[BatchKey, _Bucket] = {}
         self._inflight: set[asyncio.Task] = set()
@@ -145,9 +137,7 @@ class MicroBatcher:
         now = time.monotonic()
         if req.expired(now):
             self.stats.expired += 1
-            instant_or_null(
-                self._recorder, SVC_EXPIRED, op=req.op, waited_s=req.waited_s(now)
-            )
+            _trace.instant(SVC_EXPIRED, op=req.op, waited_s=req.waited_s(now))
             if self._instruments is not None:
                 self._instruments.expired()
             if not req.future.done():
@@ -159,19 +149,14 @@ class MicroBatcher:
                     )
                 )
             return
-        waited = req.waited_s(now)
-        if self._recorder is not None:
-            self._recorder.count(SVC_QUEUE_WAIT, waited)
-            if req.trace is not None:
-                # The wait is over *now*; anchor the span by its end so
-                # the monotonic-clock wait composes with the recorder's
-                # perf_counter epoch.
-                end = time.perf_counter() - self._recorder.epoch
-                ctx = req.trace.child()
-                self._recorder.log.add_span(
-                    SVC_QUEUE_SPAN, req.trace.lane, end - waited, waited,
-                    cat=CAT_REQUEST, op=req.op, **ctx.span_args(),
-                )
+        if req.trace is not None:
+            # The wait is over *now*; anchor the span by its end so the
+            # monotonic-clock wait composes with perf_counter time.
+            end = time.perf_counter()
+            _trace.record_span(
+                SVC_QUEUE_SPAN, end - req.waited_s(now), end,
+                cat=CAT_REQUEST, ctx=req.trace.child(), op=req.op,
+            )
         key = BatchKey(req.op, req.params)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -198,8 +183,6 @@ class MicroBatcher:
         self.stats.batches += 1
         self.stats.requests += len(bucket.requests)
         self.stats.max_batch = max(self.stats.max_batch, len(bucket.requests))
-        if self._recorder is not None:
-            self._recorder.count(SVC_BATCH_SIZE, len(bucket.requests))
         if self._instruments is not None:
             self._instruments.batch_flushed(
                 len(bucket.requests), time.monotonic() - bucket.opened_at

@@ -32,7 +32,6 @@ from repro.faults.inject import corrupt_pixels, fire, install_plan
 from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel
 from repro.obs import trace as _trace
-from repro.obs.runtime import init_worker_sink, task_span
 from repro.obs.trace import TraceContext
 from repro.runtime.shmem import (
     SharedNDArray,
@@ -142,9 +141,8 @@ def compute(op: str, image: np.ndarray, params: tuple, kernel: str) -> np.ndarra
 _SVC: dict = {}
 
 
-def svc_init(kernel: str, obs=None, plan: FaultPlan | None = None) -> None:
-    """Pool initializer: wire the obs sink, fault plan, and kernel."""
-    init_worker_sink(obs)
+def svc_init(kernel: str, plan: FaultPlan | None = None) -> None:
+    """Pool initializer: install the fault plan and the kernel."""
     install_plan(plan)
     _SVC["kernel"] = kernel
 
@@ -163,15 +161,11 @@ def svc_task(arg):
     dispatcher's recovery machinery sees them exactly as it does at
     every other site.
     """
-    payload, attempt = arg
-    if len(payload) == 5:
-        index, op, image, params, trace_wire = payload
-    else:  # pre-tracing 4-tuple payloads remain dispatchable
-        (index, op, image, params), trace_wire = payload, None
+    (index, op, image, params, trace_wire), attempt = arg
     fire("svc:exec", task=index, attempt=attempt)
     ctx = TraceContext.from_wire(trace_wire) if trace_wire is not None else None
     with _trace.activate(ctx):
-        with task_span(f"svc:{op}[{index}]", op=op, index=index):
+        with _trace.traced_span(f"svc:{op}[{index}]", op=op, index=index):
             # Descriptor materialization sits *outside* the marker
             # wrapper for its fault-typed errors: CorruptPayloadError
             # must reach the dispatcher (it is retryable -- the re-run

@@ -58,24 +58,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.faults.inject import fire_async
-from repro.obs.events import (
-    CAT_REQUEST,
-    ROUTER_HEDGE,
-    ROUTER_REQUEST,
-    ROUTER_REROUTE,
-    ROUTER_RESPAWN,
-    ROUTER_SHARD_DOWN,
-    ROUTER_SHARD_UP,
-)
-from repro.obs.export import chrome_trace
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runtime import WallRecorder, instant_or_null
-from repro.obs.trace import TraceContext
 from repro.runtime.shmem import _attach_segment
 from repro.service.health import (
     CLOSED,
     DEFAULT_FAIL_THRESHOLD,
-    OPEN,
     CircuitBreaker,
     HealthMonitor,
 )
@@ -444,11 +431,9 @@ class ShardRouter:
         await router.stop()        # drain, retire shards, reclaim segments
     """
 
-    def __init__(self, socket_path: str, config: RouterConfig | None = None, *,
-                 recorder: WallRecorder | None = None):
+    def __init__(self, socket_path: str, config: RouterConfig | None = None):
         self.config = config or RouterConfig()
         self.socket_path = check_socket_path(socket_path)
-        self.recorder = recorder
         cfg = self.config
         self.shard_ids = list(range(cfg.shards))
         if cfg.shard_sockets is not None:
@@ -651,8 +636,6 @@ class ShardRouter:
                 self.stats.respawns += 1
                 if self.instruments is not None:
                     self.instruments.respawned(sid)
-                instant_or_null(self.recorder, ROUTER_RESPAWN,
-                                shard=sid, spawn=proc.spawns)
                 try:
                     await self._wait_ready(sid, self.config.ready_timeout_s)
                 except ReproError:
@@ -694,10 +677,6 @@ class ShardRouter:
     def _on_transition(self, sid: int, frm: str, to: str) -> None:
         if self.instruments is not None:
             self.instruments.transition(sid, frm, to, self.healthy_shards)
-        if to == OPEN:
-            instant_or_null(self.recorder, ROUTER_SHARD_DOWN, shard=sid)
-        elif to == CLOSED and frm != CLOSED:
-            instant_or_null(self.recorder, ROUTER_SHARD_UP, shard=sid)
 
     # -- client handling ---------------------------------------------------
 
@@ -772,13 +751,6 @@ class ShardRouter:
                     "router metrics are disabled (RouterConfig.metrics=False)"
                 ))
             return _ok_line(self._req_id(line), self.metrics.prometheus_text())
-        if op == "trace":
-            if self.recorder is None:
-                return _error_line(self._req_id(line), ValidationError(
-                    "tracing is off (the router was started without a recorder)"
-                ))
-            self.recorder.drain()
-            return _ok_line(self._req_id(line), chrome_trace(self.recorder.log))
         if op == "shutdown":
             self._draining = True
             self._shutdown.set()
@@ -836,7 +808,6 @@ class ShardRouter:
             self.instruments.request(op)
         self._open_requests += 1
         t0 = time.perf_counter()
-        line, ctx, handle = self._trace_forward(line, op)
         winner = None
         try:
             order = self.ring.walk(routing_key(line))
@@ -854,8 +825,6 @@ class ShardRouter:
                     self.stats.reroutes += 1
                     if self.instruments is not None:
                         self.instruments.rerouted()
-                    instant_or_null(self.recorder, ROUTER_REROUTE,
-                                    shard=sid, rank=rank)
                 tried.add(sid)
                 try:
                     reply, winner = await self._forward_hedged(
@@ -891,33 +860,6 @@ class ShardRouter:
             self._open_requests -= 1
             if self.instruments is not None:
                 self.instruments.request_done(time.perf_counter() - t0)
-            if handle is not None:
-                handle.finish(shard=winner)
-
-    def _trace_forward(self, line: bytes, op):
-        """With a recorder on, open the router span and re-stamp the
-        forwarded line with a child context, so the shard's own request
-        span parents under the router's.  Without a recorder the line
-        is forwarded untouched (the hot path)."""
-        if self.recorder is None or op not in OPS:
-            return line, None, None
-        try:
-            obj = json.loads(line)
-            ctx = (
-                TraceContext.from_wire(obj["trace"])
-                if obj.get("trace") is not None
-                else TraceContext.mint()
-            )
-            handle = self.recorder.begin(
-                ROUTER_REQUEST, lane=ctx.lane, cat=CAT_REQUEST,
-                op=str(op), **ctx.span_args(),
-            )
-            obj["trace"] = ctx.child().to_wire()
-            return (json.dumps(obj) + "\n").encode(), ctx, handle
-        except (ValueError, TypeError, KeyError, ReproError):
-            # Unparsable line or malformed trace context: forward the
-            # raw bytes and let the shard own the error reply.
-            return line, None, None
 
     async def _forward_once(self, sid: int, line: bytes, conns: dict, *,
                             rank: int = 0) -> bytes:
@@ -971,8 +913,6 @@ class ShardRouter:
         self.stats.hedges += 1
         if self.instruments is not None:
             self.instruments.hedged()
-        instant_or_null(self.recorder, ROUTER_HEDGE,
-                        primary=sid, hedge=hedge_sid)
         hedge = asyncio.ensure_future(
             self._forward_once(hedge_sid, line, conns, rank=rank + 1)
         )

@@ -47,15 +47,12 @@ from repro.obs.events import (
     CAT_ROUND,
     CLIENT_REQUEST,
     SVC_BATCH,
-    SVC_CACHE_EVICT,
-    SVC_CACHE_HIT,
-    SVC_CACHE_MISS,
     SVC_DEGRADED,
     SVC_REQUEST,
 )
 from repro.obs.export import chrome_trace
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runtime import WallRecorder, instant_or_null
+from repro.obs.runtime import WallRecorder
 from repro.obs.trace import TraceContext
 from repro.runtime.dispatch import (
     PoolSupervisor,
@@ -172,10 +169,9 @@ class BatchExecutor:
     bit-identical answer -- degraded *serving*, not an outage.
     """
 
-    def __init__(self, config: ServiceConfig, recorder: WallRecorder | None = None,
+    def __init__(self, config: ServiceConfig,
                  instruments: ServiceInstruments | None = None):
         self._config = config
-        self._recorder = recorder
         self._instruments = instruments
         self._lock = threading.Lock()
         self._supervisor: PoolSupervisor | None = None
@@ -185,17 +181,11 @@ class BatchExecutor:
         """Create the worker pool eagerly (pre-fork before threads spawn)."""
         if self._supervisor is not None:
             return
-        ctx = _pool_context()
-        obs = None
-        if self._recorder is not None:
-            self._recorder.make_queue(ctx)
-            obs = self._recorder.worker_init_args()
         self._supervisor = PoolSupervisor(
-            ctx,
+            _pool_context(),
             self._config.workers,
             initializer=svc_init,
-            initargs=(self._config.kernel, obs, self._config.fault_plan),
-            recorder=self._recorder,
+            initargs=(self._config.kernel, self._config.fault_plan),
         )
         self._supervisor.pool  # noqa: B018 - touch to build the pool now
 
@@ -210,10 +200,16 @@ class BatchExecutor:
 
     def execute_batch(self, key: BatchKey, payloads: list,
                       trace: TraceContext | None = None) -> list:
-        """Dispatch one batch (blocking; called from a worker thread)."""
+        """Dispatch one batch (blocking; called from a worker thread).
+
+        ``trace`` is the batch span's context; activating it here (the
+        thread does not inherit the event loop's context) parents the
+        dispatch span, and the serial fallback's kernel spans, into the
+        request tree.
+        """
         if self._supervisor is None:
             raise ServiceClosedError("executor is not started")
-        with self._lock:
+        with self._lock, _trace.activate(trace):
             self.stats.batches += 1
             self.stats.tasks += len(payloads)
             t0 = time.perf_counter()
@@ -225,27 +221,18 @@ class BatchExecutor:
                     site="svc:exec",
                     timeout=self._config.timeout_s,
                     max_retries=self._config.retries,
-                    recorder=self._recorder,
-                    trace=trace,
                 )
             except FaultError as exc:
                 if not self._config.degrade:
                     raise
                 self.stats.degraded += 1
-                instant_or_null(
-                    self._recorder,
-                    SVC_DEGRADED,
-                    op=key.op,
-                    batch=len(payloads),
+                _trace.instant(
+                    SVC_DEGRADED, op=key.op, batch=len(payloads),
                     error=type(exc).__name__,
                 )
                 if self._instruments is not None:
                     self._instruments.degraded()
-                # The serial fallback runs on this thread; activating
-                # the batch context here lets kernel spans still parent
-                # into the request tree (via the driver span sink).
-                with _trace.activate(trace):
-                    return [self._serial(payload) for payload in payloads]
+                return [self._serial(payload) for payload in payloads]
             finally:
                 if self._instruments is not None:
                     self._instruments.exec_done(key.op, time.perf_counter() - t0)
@@ -318,7 +305,7 @@ class BatchService:
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
         ) if self.config.cache else None
-        self.executor = BatchExecutor(self.config, recorder, self.instruments)
+        self.executor = BatchExecutor(self.config, self.instruments)
         self._admission: AdmissionQueue | None = None
         self._batcher: MicroBatcher | None = None
         self._batcher_task: asyncio.Task | None = None
@@ -347,15 +334,19 @@ class BatchService:
         self._closed = False
         self._draining = False
         self._loop = asyncio.get_running_loop()
-        self.executor.start()
         if self.recorder is not None:
-            # Driver-side traced_span calls (serial-degrade kernels)
-            # need somewhere to land; restored on stop().
-            self._prev_sink = _trace.set_span_sink(self.recorder.span_sink())
+            # The recorder is the process's one sink until stop(), so
+            # traced services nest (stop them in reverse start order);
+            # installed first so the pool's workers forward to it.
+            self._prev_sink = _trace.set_sink(self.recorder)
+        try:
+            self.executor.start()
+        except BaseException:
+            self._restore_sink()
+            raise
         self._admission = AdmissionQueue(
             depth=self.config.queue_depth,
             timeout_s=self.config.timeout_s,
-            recorder=self.recorder,
             instruments=self.instruments,
         )
         self._batcher = MicroBatcher(
@@ -363,7 +354,6 @@ class BatchService:
             self._execute,
             max_batch=self.config.max_batch,
             max_delay_s=self.config.max_delay_s,
-            recorder=self.recorder,
             instruments=self.instruments,
         )
         self._batcher_task = asyncio.ensure_future(self._batcher.run())
@@ -404,22 +394,29 @@ class BatchService:
         """
         if self._batcher_task is None:
             return
-        await self.drain()
-        self._closed = True
-        # Hand still-queued requests to the batcher before cancelling so
-        # its cancellation path flushes them as final batches.
-        task, self._batcher_task = self._batcher_task, None
-        await asyncio.sleep(0)
-        for req in self._admission.drain_nowait():
-            self._batcher._absorb(req)
-        # Not a plain ``await task``: the batcher parks in wait_for
-        # (batch-window timeouts), which on 3.11 can swallow the first
-        # cancel if it lands as the window expires; cancel_and_reap
-        # re-cancels until the task actually finishes.
-        await cancel_and_reap(task)
-        self.executor.close()
+        try:
+            await self.drain()
+            self._closed = True
+            # Hand still-queued requests to the batcher before cancelling
+            # so its cancellation path flushes them as final batches.
+            task, self._batcher_task = self._batcher_task, None
+            await asyncio.sleep(0)
+            for req in self._admission.drain_nowait():
+                self._batcher._absorb(req)
+            # Not a plain ``await task``: the batcher parks in wait_for
+            # (batch-window timeouts), which on 3.11 can swallow the
+            # first cancel if it lands as the window expires;
+            # cancel_and_reap re-cancels until the task actually ends.
+            await cancel_and_reap(task)
+            self.executor.close()
+        finally:
+            self._restore_sink()
+
+    def _restore_sink(self) -> None:
+        """Uninstall the recorder (see :meth:`start`) and fold in its
+        workers' last events."""
         if self.recorder is not None:
-            _trace.set_span_sink(self._prev_sink)
+            _trace.set_sink(self._prev_sink)
             self._prev_sink = None
             self.recorder.drain()
 
@@ -434,10 +431,10 @@ class BatchService:
         serving a cache miss.
 
         ``trace`` is the request's trace context (e.g. parsed off the
-        wire by the socket front-end).  With a recorder attached a
-        context is minted when none is given, so every served request
-        becomes one connected span tree; without a recorder tracing is
-        off and ``trace`` is carried but unrecorded.
+        wire by the socket front-end).  While a sink is installed (a
+        recorder attached, see :meth:`start`) a context is minted when
+        none is given, so every served request becomes one connected
+        span tree; otherwise ``trace`` is carried but unrecorded.
 
         Raises :class:`~repro.utils.errors.ValidationError` for a bad
         request, :class:`~repro.utils.errors.ServiceOverloadError` when
@@ -455,24 +452,19 @@ class BatchService:
         self._open_requests += 1
         self.stats.requests += 1
         t0 = time.perf_counter()
-        if trace is None:
-            trace = _trace.current()
         req_ctx = None
-        if self.recorder is not None:
+        if _trace.sink() is not None:
             # A caller-supplied context gets a child span; a locally
             # minted one IS the request span (no parentless root id).
+            if trace is None:
+                trace = _trace.current()
             req_ctx = TraceContext.mint() if trace is None else trace.child()
-        handle = None
-        if req_ctx is not None:
-            handle = self.recorder.begin(
-                SVC_REQUEST, lane=req_ctx.lane, cat=CAT_REQUEST,
-                op=str(op), **req_ctx.span_args(),
-            )
+        span_args = {"op": str(op)}
         if self.instruments is not None:
             self.instruments.request_started(op)
         via = "error"
         try:
-            result, via = await self._serve_request(op, image, params, req_ctx, handle)
+            result, via = await self._serve_request(op, image, params, req_ctx, span_args)
             return result
         except Exception as exc:
             if self.instruments is not None:
@@ -480,13 +472,15 @@ class BatchService:
             raise
         finally:
             self._open_requests -= 1
-            if handle is not None:
-                handle.finish(via=via)
+            t1 = time.perf_counter()
+            if req_ctx is not None:
+                _trace.record_span(SVC_REQUEST, t0, t1, cat=CAT_REQUEST,
+                                   ctx=req_ctx, via=via, **span_args)
             if self.instruments is not None:
-                self.instruments.request_finished(op, time.perf_counter() - t0)
+                self.instruments.request_finished(op, t1 - t0)
 
     async def _serve_request(self, op, image, params,
-                             req_ctx: TraceContext | None, handle=None) -> tuple:
+                             req_ctx: TraceContext | None, span_args: dict) -> tuple:
         """The cache / coalesce / admit path; returns ``(result, via)``.
 
         A :class:`~repro.runtime.shmem.ShmDescriptor` image is the
@@ -514,26 +508,20 @@ class BatchService:
                     time.perf_counter() - t_lookup, hit=hit is not None
                 )
             # The cache outcome rides the request span (``via=...``) and
-            # the registry counters; the timeline count events are only
-            # worth their cost when a recorder runs without metrics.
-            count_events = self.recorder is not None and self.instruments is None
+            # the registry counters.
             if hit is not None:
-                if count_events:
-                    self.recorder.count(SVC_CACHE_HIT, 1)
                 self.stats.completed += 1
                 return np.array(hit, copy=True), "cache"
-            if count_events:
-                self.recorder.count(SVC_CACHE_MISS, 1)
             inflight = self._inflight.get(key)
             if inflight is not None:
                 in_future, lead_span = inflight
                 self.stats.coalesced += 1
                 if self.instruments is not None:
                     self.instruments.coalesced()
-                if handle is not None and lead_span is not None:
+                if req_ctx is not None and lead_span is not None:
                     # Tie this request's span tree to the lead request
                     # (whose tree contains the actual batch span).
-                    handle.args["coalesced_onto"] = lead_span
+                    span_args["coalesced_onto"] = lead_span
                 try:
                     result = await asyncio.shield(in_future)
                 except Exception:
@@ -587,8 +575,6 @@ class BatchService:
             before = self.cache.stats.evictions
             self.cache.put(key, fut.result())
             evicted = self.cache.stats.evictions - before
-            if evicted and self.recorder is not None:
-                self.recorder.count(SVC_CACHE_EVICT, evicted)
             if self.instruments is not None:
                 self.instruments.cache_evicted(evicted)
                 self.instruments.cache_size(
@@ -608,40 +594,26 @@ class BatchService:
         spans parent into the batch across the process boundary.
         """
         lead = next((r for r in requests if r.trace is not None), None)
-        batch_ctx = (
-            lead.trace.child()
-            if lead is not None and self.recorder is not None
-            else None
-        )
-        payloads = [
-            (i, req.op, req.image, req.params, self._task_wire(req, batch_ctx))
-            for i, req in enumerate(requests)
-        ]
-        t0 = time.perf_counter()
-        try:
-            markers = await asyncio.get_running_loop().run_in_executor(
-                None, self.executor.execute_batch, batch_key, payloads, batch_ctx
-            )
-        except Exception as exc:  # FaultError with degrade off, or a real bug
-            for req in requests:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-            return
-        finally:
-            if self.recorder is not None:
-                t1 = time.perf_counter()
-                span_args = dict(op=batch_key.op, batch=len(requests))
-                lane = "driver"
-                if batch_ctx is not None:
-                    lane = lead.trace.lane
-                    span_args.update(batch_ctx.span_args())
-                    span_args["links"] = [
-                        r.trace.span_id for r in requests if r.trace is not None
-                    ]
-                self.recorder.log.add_span(
-                    SVC_BATCH, lane, t0 - self.recorder.epoch, t1 - t0,
-                    cat=CAT_ROUND, **span_args,
+        span_args = {"op": batch_key.op, "batch": len(requests)}
+        if lead is not None:
+            span_args["links"] = [r.trace.span_id for r in requests if r.trace is not None]
+        with (
+            _trace.activate(lead.trace if lead is not None else None),
+            _trace.traced_span(SVC_BATCH, cat=CAT_ROUND, **span_args) as batch_ctx,
+        ):
+            payloads = [
+                (i, req.op, req.image, req.params, self._task_wire(req, batch_ctx))
+                for i, req in enumerate(requests)
+            ]
+            try:
+                markers = await asyncio.get_running_loop().run_in_executor(
+                    None, self.executor.execute_batch, batch_key, payloads, batch_ctx
                 )
+            except Exception as exc:  # FaultError with degrade off, or a real bug
+                for req in requests:
+                    if not req.future.done():
+                        req.future.set_exception(exc)
+                return
         for req, marker in zip(requests, markers):
             if req.future.done():
                 continue
@@ -1043,18 +1015,12 @@ class ServiceServer:
             else TraceContext.mint()
         )
         instruments = self.service.instruments
-        handle = None
-        if self.service.recorder is not None:
-            handle = self.service.recorder.begin(
-                CLIENT_REQUEST, lane=ctx.lane, cat=CAT_REQUEST,
-                op=str(op), **ctx.span_args(),
-            )
+        t0 = time.perf_counter()
         try:
-            t_dec = time.perf_counter()
             image = _materialize_image(obj.get("image"))
             image_wire = "shmem" if isinstance(image, ShmDescriptor) else "ndjson"
             if instruments is not None:
-                instruments.decode(time.perf_counter() - t_dec, wire=image_wire)
+                instruments.decode(time.perf_counter() - t0, wire=image_wire)
             wire = obj.get("wire")
             if wire is None:
                 wire = image_wire
@@ -1082,8 +1048,8 @@ class ServiceServer:
                 instruments.encode(time.perf_counter() - t_enc, wire=wire)
             return _ok_line(req_id, payload, trace_id=ctx.trace_id)
         finally:
-            if handle is not None:
-                handle.finish()
+            _trace.record_span(CLIENT_REQUEST, t0, time.perf_counter(),
+                               cat=CAT_REQUEST, ctx=ctx, op=str(op))
 
 
 def _ok_line(req_id, result, *, trace_id: str | None = None) -> bytes:

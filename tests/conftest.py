@@ -82,6 +82,20 @@ def canonicalize(labels: np.ndarray) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+@pytest.fixture(autouse=True)
+def _no_leaked_sink():
+    """Fail any test that leaves a ``repro.obs.trace`` sink installed.
+
+    The sink is process-wide, so a leaked one would record every later
+    test's spans; it is uninstalled either way.
+    """
+    from repro.obs import trace
+
+    yield
+    leaked = trace.set_sink(None)
+    assert leaked is None, f"test left a trace sink installed: {leaked!r}"
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260706)

@@ -372,3 +372,13 @@ class TestServe:
         )
         assert "fault plan:" in out
         assert "selftest OK" in out
+
+    def test_shards_reject_flags_the_router_would_drop(self, capsys, tmp_path):
+        code = main([
+            "serve", "--selftest", "--shards", "2",
+            "--trace-out", str(tmp_path / "t.json"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--trace-out" in captured.err
+        assert not (tmp_path / "t.json").exists()

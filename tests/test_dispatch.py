@@ -2,11 +2,13 @@
 
 import multiprocessing as mp
 import os
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.obs import FAULT_RESPAWN, FAULT_RETRY, FAULT_TIMEOUT, WallRecorder
+from repro.obs import FAULT_RESPAWN, FAULT_RETRY, FAULT_TIMEOUT, WallRecorder, install, trace
 from repro.runtime.dispatch import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_S,
@@ -64,6 +66,17 @@ def _hang_first_attempt(arg):
     if x == 0 and attempt == 0:
         time.sleep(3600)
     return 2 * x
+
+
+#: Worker events per chatty task: well past one pipe buffer (64 KiB).
+_CHATTY_EVENTS = 3000
+
+
+def _chatty(arg):
+    (x, attempt) = arg
+    for i in range(_CHATTY_EVENTS):
+        trace.instant("test:chatty", i=i)
+    return x
 
 
 class TestResolveKnobs:
@@ -165,10 +178,10 @@ class TestRunTasks:
 
     def test_transient_error_is_retried(self):
         rec = WallRecorder()
-        with PoolSupervisor(_ctx(), 2, recorder=rec) as sup:
+        with install(rec), PoolSupervisor(_ctx(), 2) as sup:
             out = run_tasks(
                 sup, _flaky_first_attempt, [0, 1], site="test",
-                timeout=30, backoff_s=0.01, recorder=rec,
+                timeout=30, backoff_s=0.01,
             )
         assert out == [0, 2]
         retries = [i for i in rec.fault_events() if i.name == FAULT_RETRY]
@@ -177,11 +190,11 @@ class TestRunTasks:
 
     def test_transient_budget_exhausted(self):
         rec = WallRecorder()
-        with PoolSupervisor(_ctx(), 2, recorder=rec) as sup:
+        with install(rec), PoolSupervisor(_ctx(), 2) as sup:
             with pytest.raises(RecoveryExhaustedError) as err:
                 run_tasks(
                     sup, _always_transient, [0], site="test",
-                    timeout=30, max_retries=1, backoff_s=0.01, recorder=rec,
+                    timeout=30, max_retries=1, backoff_s=0.01,
                 )
         assert err.value.site == "test"
         names = [i.name for i in rec.fault_events()]
@@ -195,10 +208,10 @@ class TestRunTasks:
 
     def test_crashed_worker_detected_and_retried(self):
         rec = WallRecorder()
-        with PoolSupervisor(_ctx(), 2, recorder=rec) as sup:
+        with install(rec), PoolSupervisor(_ctx(), 2) as sup:
             out = run_tasks(
                 sup, _crash_first_attempt, [0, 1], site="test",
-                timeout=1.0, backoff_s=0.01, recorder=rec,
+                timeout=1.0, backoff_s=0.01,
             )
         assert out == [0, 2]
         assert sup.respawns == 1
@@ -207,13 +220,63 @@ class TestRunTasks:
         assert FAULT_RESPAWN in names
         assert FAULT_RETRY in names
 
+    def test_chatty_workers_never_fill_the_event_pipe(self):
+        # The driver drains worker events while it waits, so a worker
+        # never blocks on a full pipe (which would look like a hang).
+        rec = WallRecorder()
+        with install(rec), PoolSupervisor(_ctx(), 1) as sup:
+            out = run_tasks(sup, _chatty, [7], site="test", timeout=30, max_retries=0)
+            rec.drain()
+        assert out == [7]
+        assert rec.fault_events() == []
+        chatty = [i for i in rec.log.instants if i.name == "test:chatty"]
+        assert len(chatty) == _CHATTY_EVENTS
+
+    def test_concurrent_drains_lose_and_block_nothing(self):
+        # A service drains from its event loop (the trace op) while its
+        # dispatcher thread drains inside run_tasks: every event must
+        # arrive exactly once and neither drainer may block on a queue
+        # the other just emptied.
+        rec = WallRecorder()
+        out = []
+        stop = threading.Event()
+
+        def pump():
+            while not stop.is_set():
+                rec.drain()
+
+        def dispatch():
+            with PoolSupervisor(_ctx(), 3) as sup:
+                out.extend(run_tasks(
+                    sup, _chatty, [1, 2, 3], site="test", timeout=30, max_retries=0,
+                ))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with install(rec):
+                pumper = threading.Thread(target=pump, daemon=True)
+                runner = threading.Thread(target=dispatch, daemon=True)
+                pumper.start()
+                runner.start()
+                runner.join(timeout=60)
+                stop.set()
+                pumper.join(timeout=10)
+                assert not runner.is_alive() and not pumper.is_alive()
+                rec.drain()
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [1, 2, 3]
+        chatty = [i for i in rec.log.instants if i.name == "test:chatty"]
+        assert len(chatty) == 3 * _CHATTY_EVENTS
+
     def test_hung_task_cut_off_at_deadline(self):
         rec = WallRecorder()
         t0 = time.monotonic()
-        with PoolSupervisor(_ctx(), 2, recorder=rec) as sup:
+        with install(rec), PoolSupervisor(_ctx(), 2) as sup:
             out = run_tasks(
                 sup, _hang_first_attempt, [0, 1], site="test",
-                timeout=0.8, backoff_s=0.01, recorder=rec,
+                timeout=0.8, backoff_s=0.01,
             )
         assert out == [0, 2]
         assert time.monotonic() - t0 < 30  # nowhere near the 3600s sleep

@@ -12,6 +12,8 @@ from repro.images import darpa_like
 from repro.obs import (
     WallRecorder,
     chrome_trace,
+    install,
+    traced_span,
     validate_chrome_trace,
     wall_metrics,
 )
@@ -101,10 +103,27 @@ class TestComponentsTrace:
         json.dumps(snap)  # must be serializable
 
 
+class TestKernelSpans:
+    @pytest.mark.parametrize("transport", ["local", "shmem"])
+    def test_traced_run_records_kernel_spans(self, image, transport):
+        rec = WallRecorder()
+        darray_components(image, grey=True, p=4, transport=transport, recorder=rec)
+        kernels = [s for s in rec.log.spans if s.name == "kernel:tile_label"]
+        assert len(kernels) == 4  # one per tile
+        if transport == "local":
+            (label,) = [s for s in rec.log.spans if s.name == "darray:label"]
+            for span in kernels:
+                assert span.lane == "driver"
+                assert label.start_s <= span.start_s and span.end_s <= label.end_s
+        else:
+            assert {s.lane for s in kernels} <= set(rec.worker_lanes)
+        validate_chrome_trace(json.loads(json.dumps(chrome_trace(rec.log))))
+
+
 class TestWallRecorder:
     def test_driver_span_timing(self):
         rec = WallRecorder()
-        with rec.span("work"):
+        with install(rec), traced_span("work"):
             pass
         (span,) = rec.log.spans
         assert span.lane == "driver"

@@ -1,7 +1,8 @@
-"""Tests for repro.obs.trace: contexts, propagation, and span sinks."""
+"""Tests for repro.obs.trace: contexts, propagation, and the sink."""
 
 import pytest
 
+from repro.obs import WallRecorder
 from repro.obs import trace as trace_mod
 from repro.obs.events import CAT_TASK
 from repro.obs.trace import (
@@ -10,19 +11,12 @@ from repro.obs.trace import (
     TraceContext,
     activate,
     current,
-    set_span_sink,
+    install,
+    set_sink,
     trace_args,
     traced_span,
 )
 from repro.utils.errors import ValidationError
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_sink():
-    """Each test starts and ends with no process-wide sink installed."""
-    previous = set_span_sink(None)
-    yield
-    set_span_sink(previous)
 
 
 class TestTraceContext:
@@ -87,38 +81,39 @@ class TestPropagation:
                 assert current() is None
             assert current() is outer
 
-    def test_set_span_sink_returns_previous(self):
-        def sink(*a):
-            pass
-
-        assert set_span_sink(sink) is None
-        assert set_span_sink(None) is sink
+    def test_set_sink_returns_previous(self):
+        sink = WallRecorder()
+        assert set_sink(sink) is None
+        assert set_sink(None) is sink
 
 
 class TestTracedSpan:
     def test_records_through_sink_with_chained_parentage(self):
-        spans = []
-        set_span_sink(lambda *a: spans.append(a))
+        rec = WallRecorder()
         root = TraceContext.mint()
-        with activate(root):
+        with install(rec), activate(root):
             with traced_span("outer", weight=2) as outer_ctx:
                 with traced_span("inner"):
                     pass
-        assert [s[0] for s in spans] == ["inner", "outer"]
-        inner_args = spans[0][4]
-        outer_args = spans[1][4]
+        spans = rec.log.spans
+        assert [s.name for s in spans] == ["inner", "outer"]
+        inner_args = spans[0].args
+        outer_args = spans[1].args
         assert outer_args["parent"] == root.span_id
         assert inner_args["parent"] == outer_ctx.span_id
         assert outer_args["trace"] == inner_args["trace"] == root.trace_id
         assert outer_args["weight"] == 2
-        assert spans[1][3] == CAT_TASK
+        assert spans[1].cat == CAT_TASK
 
-    def test_noop_without_context(self):
-        spans = []
-        set_span_sink(lambda *a: spans.append(a))
-        with traced_span("orphan") as ctx:
-            assert ctx is None
-        assert spans == []
+    def test_records_without_ids_without_context(self):
+        rec = WallRecorder()
+        with install(rec):
+            with traced_span("orphan") as ctx:
+                assert ctx is None
+        (span,) = rec.log.spans
+        assert span.name == "orphan"
+        assert span.lane == "driver"
+        assert "trace" not in span.args and "span" not in span.args
 
     def test_noop_without_sink(self):
         with activate(TraceContext.mint()):
@@ -126,12 +121,11 @@ class TestTracedSpan:
                 assert ctx is None
 
     def test_records_even_when_body_raises(self):
-        spans = []
-        set_span_sink(lambda *a: spans.append(a))
-        with activate(TraceContext.mint()):
+        rec = WallRecorder()
+        with install(rec), activate(TraceContext.mint()):
             with pytest.raises(RuntimeError):
                 with traced_span("doomed"):
                     raise RuntimeError("boom")
             # the failed scope's context was popped again
             assert trace_mod.current().parent_id is None
-        assert [s[0] for s in spans] == ["doomed"]
+        assert [s.name for s in rec.log.spans] == ["doomed"]

@@ -430,13 +430,13 @@ class TestBatchService:
 
 class TestWorkerTask:
     def test_error_marker_instead_of_exception(self):
-        marker = svc_task(((0, "edges", None, ()), 0))
+        marker = svc_task(((0, "edges", None, (), None), 0))
         assert marker[0] == "err"
         assert marker[1] == "ValidationError"
 
     def test_ok_marker(self):
         img = binary_test_image(2, 16)
-        tag, hist = svc_task(((0, "histogram", img, (("k", 2),)), 0))
+        tag, hist = svc_task(((0, "histogram", img, (("k", 2),), None), 0))
         assert tag == "ok"
         assert np.array_equal(hist, _serial_reference("histogram", img, k=2))
 
