@@ -262,8 +262,8 @@ def parallel_components(
     if limited_updating:
         with machine.phase("cc:final"):
             for proc in machine.procs:
-                lab2d = labels.local(proc.pid).reshape(q, r)
-                final = apply_hooks(lab2d, hooks[proc.pid])
+                final = labels.local(proc.pid).reshape(q, r).copy()
+                apply_hooks(final, hooks[proc.pid])
                 labels.write(proc, proc.pid, final.ravel())
                 proc.charge_comp(costs.relabel_per_pixel * tile_pixels)
 

@@ -201,8 +201,8 @@ def spmd_components(
             yield ctx.barrier()
 
         # ---- final consistency update via the tile hooks.
-        current = ctx.read_local(labels).reshape(q, r)
-        final = apply_hooks(current, hooks)
+        final = ctx.read_local(labels).reshape(q, r).copy()
+        apply_hooks(final, hooks)
         ctx.write(labels, final.ravel())
         ctx.charge(costs.relabel_per_pixel * tile_pixels)
         yield ctx.barrier()

@@ -23,6 +23,8 @@ Two extensions beyond the paper's setting:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.utils.errors import ConfigurationError
@@ -264,12 +266,18 @@ def edge_indices(q: int, r: int, edge: str) -> np.ndarray:
     raise ConfigurationError(f"unknown edge {edge!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def perimeter_indices(q: int, r: int) -> np.ndarray:
-    """Flat indices of all border pixels of a ``q x r`` tile (sorted, unique)."""
+    """Flat indices of all border pixels of a ``q x r`` tile (sorted, unique).
+
+    Cached and read-only: every caller only indexes with it.
+    """
     parts = [
         edge_indices(q, r, "top"),
         edge_indices(q, r, "bottom"),
         edge_indices(q, r, "left"),
         edge_indices(q, r, "right"),
     ]
-    return np.unique(np.concatenate(parts))
+    perim = np.unique(np.concatenate(parts))
+    perim.setflags(write=False)
+    return perim

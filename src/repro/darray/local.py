@@ -70,8 +70,7 @@ class LocalTransport(Transport):
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
         for pid in range(self.grid.p):
-            sl = self.grid.tile_slices(pid)
-            self._labels[sl] = apply_hooks(self._labels[sl], hooks[pid])
+            apply_hooks(self._labels[self.grid.tile_slices(pid)], hooks[pid])
 
     def histogram(self, k: int) -> np.ndarray:
         tally = get_kernel("histogram", backend=self.kernel)
@@ -102,7 +101,8 @@ class LocalTransport(Transport):
     # -- collection / tile store -------------------------------------------
 
     def gather(self) -> np.ndarray:
-        return self._labels.copy()
+        """The global label array itself: the result needs no copy."""
+        return self._labels
 
     def tile(self, pid: int) -> np.ndarray:
         """Shard-local *image* tile (the simulator's free placement)."""

@@ -9,14 +9,15 @@ merge rounds need only each tile's *perimeter labels* -- O(n) bytes
 total -- so the transport keeps exactly those resident and never
 touches a spilled tile again until the final hook-based relabel, which
 streams tiles through the working set one at a time
-(:func:`~repro.core.hooks.apply_hooks_isolated`).
+(:func:`~repro.core.hooks.apply_hooks_isolated`) and writes each final
+tile straight into ``labels.bin`` in the spill directory, through a
+writable file-backed ``numpy.memmap``.  A final tile is never spilled.
 
 Peak residency is therefore ``resident_tiles`` label tiles plus the
 borders, independent of image size; ``stats.resident_highwater``
 records the enforced maximum and the CI smoke asserts it under an RSS
-cap.  :meth:`MmapTransport.gather` assembles the result as a read-only
-``numpy.memmap`` over a spill-directory file, so even the output never
-materializes in RAM.
+cap.  :meth:`MmapTransport.gather` only maps ``labels.bin`` read-only,
+so even the output never materializes in RAM.
 
 A transport-owned spill directory is deleted on :meth:`close` (every
 path out -- the leak scans assert no stray spill files); a caller-
@@ -101,6 +102,9 @@ class MmapTransport(Transport):
     def _tile_path(self, pid: int) -> pathlib.Path:
         return self._spill / f"tile-{pid:05d}.bin"
 
+    def _labels_path(self) -> pathlib.Path:
+        return self._spill / "labels.bin"
+
     def _evict_one(self) -> None:
         pid, arr = self._resident.popitem(last=False)
         if pid in self._dirty:
@@ -153,17 +157,28 @@ class MmapTransport(Transport):
                 col_offset=c0,
             )
             hooks[pid] = create_tile_hooks(lab)
-            h, w = lab.shape
-            self._borders[pid] = lab.ravel()[perimeter_indices(h, w)].copy()
+            self._borders[pid] = lab.ravel()[perimeter_indices(*lab.shape)]
             self._admit(pid, lab, dirty=True)
         return hooks
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
+        """Relabel each tile in place and write it into ``labels.bin``.
+
+        The writable map is file-backed, so it counts against neither
+        the resident budget nor the heap; a finalized tile leaves the
+        working set without a spill write.  No flush: the pages reach
+        :meth:`gather`'s read-only map through the page cache.
+        """
+        out = np.memmap(
+            self._labels_path(), dtype=np.int64, mode="w+",
+            shape=(self.grid.rows, self.grid.cols),
+        )
         for pid in range(self.grid.p):
-            initial = self._checkout(pid)
-            final = apply_hooks_isolated(initial, hooks[pid], self._borders[pid])
-            self._resident[pid] = final
-            self._dirty.add(pid)
+            tile = self._checkout(pid)
+            apply_hooks_isolated(tile, hooks[pid], self._borders[pid])
+            out[self.grid.tile_slices(pid)] = tile
+            del self._resident[pid]
+            self._dirty.discard(pid)
 
     def histogram(self, k: int) -> np.ndarray:
         tally = get_kernel("histogram", backend=self.kernel)
@@ -199,26 +214,11 @@ class MmapTransport(Transport):
     # -- collection / lifecycle --------------------------------------------
 
     def gather(self) -> np.ndarray:
-        """Assemble the labels into a read-only memmap, tile by tile."""
-        for pid in list(self._resident):
-            # Flush residency so the spill files are authoritative.
-            self._resident.move_to_end(pid, last=False)
-            self._evict_one()
-        rows, cols = self.grid.rows, self.grid.cols
-        out_path = self._spill / "labels.bin"
-        itemsize = np.dtype(np.int64).itemsize
-        with open(out_path, "wb") as fh:
-            fh.truncate(rows * cols * itemsize)
-            for pid in range(self.grid.p):
-                h, w = self.grid.tile_shape(pid)
-                tile = np.fromfile(self._tile_path(pid), dtype=np.int64)
-                self.stats.spill_reads += 1
-                tile = tile.reshape(h, w)
-                r0, c0 = self.grid.tile_origin(pid)
-                for i in range(h):
-                    fh.seek(((r0 + i) * cols + c0) * itemsize)
-                    fh.write(tile[i].tobytes())
-        return np.memmap(out_path, dtype=np.int64, mode="r", shape=(rows, cols))
+        """The labels :meth:`finalize` wrote, as a read-only memmap."""
+        return np.memmap(
+            self._labels_path(), dtype=np.int64, mode="r",
+            shape=(self.grid.rows, self.grid.cols),
+        )
 
     def close(self) -> None:
         if self._closed:

@@ -127,7 +127,7 @@ def _shard_final(arg):
     fire("darray:final", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:final:t{pid}"):
         _img, lab = _SHARD["tiles"][pid]
-        lab.array[:] = apply_hooks(lab.array, hooks)
+        apply_hooks(lab.array, hooks)
         return pid
 
 

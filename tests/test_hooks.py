@@ -8,7 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from repro.baselines import run_label
 from repro.core.change_array import ChangeArray, apply_changes
-from repro.core.hooks import TileHooks, apply_hooks, apply_hooks_bfs, create_tile_hooks, hook_ops
+from repro.core.hooks import (
+    MAX_MASKED_RENAMES,
+    TileHooks,
+    apply_hooks,
+    apply_hooks_bfs,
+    create_tile_hooks,
+    hook_ops,
+)
 from repro.core.tiles import perimeter_indices
 from repro.utils.errors import ValidationError
 
@@ -68,12 +75,33 @@ class TestCreate:
         assert hook_ops(0, 3) == 0
 
 
+def rename_on_border(lab: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Copy of ``lab`` whose border pixels labeled ``pick`` were renamed,
+    as a merge iteration would leave them."""
+    changes = ChangeArray(np.sort(pick), np.sort(pick) + 10_000_000)
+    merged = lab.copy()
+    border = perimeter_indices(*lab.shape)
+    flat = merged.ravel()
+    flat[border] = apply_changes(flat[border], changes)
+    return merged
+
+
 class TestApply:
+    def test_returns_none_and_updates_in_place(self):
+        img = np.array([[1, 1], [0, 1]], dtype=np.int32)
+        lab = labeled_tile(img)
+        hooks = create_tile_hooks(lab)
+        merged = rename_on_border(lab, hooks.labels)
+        assert apply_hooks(merged, hooks) is None
+        assert (merged[img != 0] == lab[0, 0] + 10_000_000).all()
+
     def test_no_changes_no_op(self):
         img = np.array([[1, 1], [0, 1]], dtype=np.int32)
         lab = labeled_tile(img)
         hooks = create_tile_hooks(lab)
-        assert np.array_equal(apply_hooks(lab, hooks), lab)
+        before = lab.copy()
+        apply_hooks(lab, hooks)
+        assert np.array_equal(lab, before)
 
     def test_changed_hook_renames_whole_component(self):
         img = np.array(
@@ -92,7 +120,8 @@ class TestApply:
         flat = merged.ravel()
         changes = ChangeArray(np.array([1]), np.array([99999]))
         flat[border] = apply_changes(flat[border], changes)
-        out = apply_hooks(merged, hooks)
+        out = merged.copy()
+        apply_hooks(out, hooks)
         assert (out[img != 0] == 99999).all()
         assert (out[img == 0] == 0).all()
 
@@ -109,37 +138,96 @@ class TestApply:
         merged = lab.copy()
         left_label = lab[0, 0]
         merged[lab == left_label] = 777  # pretend the border update ran
-        out = apply_hooks(merged, hooks)
+        out = merged.copy()
+        apply_hooks(out, hooks)
         assert (out[:, 0] == 777).all()
         assert (out[:, 2] == lab[0, 2]).all()
 
     def test_empty_hooks(self):
         lab = np.zeros((3, 3), dtype=np.int64)
-        out = apply_hooks(lab, TileHooks(np.empty(0, np.int64), np.empty(0, np.int64)))
+        out = lab.copy()
+        apply_hooks(out, TileHooks(np.empty(0, np.int64), np.empty(0, np.int64)))
         assert np.array_equal(out, lab)
+
+    def test_rejects_read_only_tile(self):
+        lab = labeled_tile(np.ones((4, 4), dtype=np.int32))
+        hooks = create_tile_hooks(lab)
+        lab.setflags(write=False)
+        with pytest.raises(ValidationError):
+            apply_hooks(lab, hooks)
+
+    def test_rejects_non_2d(self):
+        lab = labeled_tile(np.ones((4, 4), dtype=np.int32))
+        hooks = create_tile_hooks(lab)
+        with pytest.raises(ValidationError):
+            apply_hooks(lab.ravel(), hooks)
+
+
+def _bfs_cases(rng, connectivity):
+    """``(merged, hooks, n_changed)`` triples covering both update branches.
+
+    8x8 tiles with every other hooked component renamed change at most
+    ``MAX_MASKED_RENAMES`` hooks (per-label masks); sparse 32x32 tiles
+    with every hooked component renamed change more (``searchsorted``).
+    """
+    for shape, density, rename_all in (((8, 8), 0.5, False), ((32, 32), 0.3, True)):
+        for _trial in range(10):
+            img = (rng.random(shape) < density).astype(np.int32)
+            lab = run_label(img, connectivity=connectivity, label_stride=1000)
+            hooks = create_tile_hooks(lab)
+            if len(hooks) == 0:
+                continue
+            pick = hooks.labels if rename_all else hooks.labels[:: max(1, len(hooks) // 2)]
+            yield rename_on_border(lab, pick), hooks, len(pick)
+    # Ten full-height bars, all renamed: every changed component has
+    # interior pixels, the highest-labeled one included (in the random
+    # tiles it usually lies wholly on the bottom edge), and the interior
+    # blob's label exceeds every changed label.
+    img = np.zeros((12, 24), dtype=np.int32)
+    img[:, 0:20:2] = 1
+    img[4:7, 21:23] = 1
+    lab = run_label(img, connectivity=connectivity, label_stride=1000)
+    hooks = create_tile_hooks(lab)
+    yield rename_on_border(lab, hooks.labels), hooks, len(hooks)
+
+
+def _embedded(tile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tile`` copied into a larger array; returns (frame, strided view)."""
+    q, r = tile.shape
+    frame = np.full((q + 5, r + 7), -1, dtype=tile.dtype)
+    view = frame[2 : 2 + q, 3 : 3 + r]
+    view[...] = tile
+    return frame, view
 
 
 class TestBfsReferenceEquivalence:
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_mapping_equals_bfs(self, connectivity, rng):
-        """The vectorized mapping update equals the paper's BFS relabel."""
-        for _trial in range(10):
-            img = (rng.random((8, 8)) < 0.5).astype(np.int32)
-            lab = run_label(img, connectivity=connectivity, label_stride=1000)
-            hooks = create_tile_hooks(lab)
-            if len(hooks) == 0:
-                continue
-            # Rename a random subset of hooked components on the border,
-            # as a merge iteration would.
-            pick = hooks.labels[:: max(1, len(hooks) // 2)]
-            changes = ChangeArray(np.sort(pick), np.sort(pick) + 10_000_000)
-            merged = lab.copy()
-            border = perimeter_indices(*lab.shape)
-            flat = merged.ravel()
-            flat[border] = apply_changes(flat[border], changes)
-            fast = apply_hooks(merged, hooks)
+        """The in-place update equals the paper's BFS relabel, on a tile
+        of its own and on a tile slice of a larger array."""
+        n_changed = []
+        for merged, hooks, n_pick in _bfs_cases(rng, connectivity):
             slow = apply_hooks_bfs(merged, hooks, connectivity=connectivity)
+            fast = merged.copy()
+            apply_hooks(fast, hooks)
             assert np.array_equal(fast, slow)
+            frame, view = _embedded(merged)
+            assert not view.flags.c_contiguous
+            apply_hooks(view, hooks)
+            assert np.array_equal(view, slow)
+            assert (frame == -1).sum() == frame.size - merged.size
+            n_changed.append(n_pick)
+        assert min(n_changed) <= MAX_MASKED_RENAMES < max(n_changed)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_applying_twice_equals_once(self, connectivity, rng):
+        """A retried final update may re-run on a partly updated tile."""
+        for merged, hooks, _n in _bfs_cases(rng, connectivity):
+            once = merged.copy()
+            apply_hooks(once, hooks)
+            twice = once.copy()
+            apply_hooks(twice, hooks)
+            assert np.array_equal(twice, once)
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,16 +266,33 @@ class TestIsolatedFinalUpdate:
         changes = ChangeArray(alphas, alphas + 10_000)
         new_border = apply_changes(border, changes)
 
-        resident = lab.ravel().copy()
-        resident[perim] = new_border
-        expected = apply_hooks(resident.reshape(h, w), hooks)
-        got = apply_hooks_isolated(lab, hooks, new_border)
+        expected = lab.ravel().copy()
+        expected[perim] = new_border
+        expected = expected.reshape(h, w)
+        apply_hooks(expected, hooks)
+        got = lab.copy()
+        apply_hooks_isolated(got, hooks, new_border)
         return expected, got
 
     @pytest.mark.parametrize("seed,h,w", [(0, 6, 6), (1, 8, 10), (2, 5, 12), (3, 16, 16)])
     def test_matches_all_resident_path(self, seed, h, w):
         expected, got = self._case(seed, h, w)
         assert np.array_equal(expected, got)
+
+    def test_strided_view(self):
+        from repro.core.hooks import apply_hooks_isolated
+
+        rng = np.random.default_rng(4)
+        img = (rng.random((16, 16)) < 0.3).astype(np.int32)
+        lab = labeled_tile(img)
+        hooks = create_tile_hooks(lab)
+        border = lab.ravel()[perimeter_indices(16, 16)]
+        new_border = np.where(border != 0, border + 10_000_000, 0)
+        expected = lab.copy()
+        apply_hooks_isolated(expected, hooks, new_border)
+        _frame, view = _embedded(lab)
+        apply_hooks_isolated(view, hooks, new_border)
+        assert np.array_equal(view, expected)
 
     def test_identity_changes_reproduce_apply_hooks(self):
         from repro.core.hooks import apply_hooks_isolated
@@ -197,9 +302,11 @@ class TestIsolatedFinalUpdate:
         lab = labeled_tile(img)
         hooks = create_tile_hooks(lab)
         border = lab.ravel()[perimeter_indices(7, 7)]
-        assert np.array_equal(
-            apply_hooks_isolated(lab, hooks, border), apply_hooks(lab, hooks)
-        )
+        isolated = lab.copy()
+        apply_hooks_isolated(isolated, hooks, border)
+        resident = lab.copy()
+        apply_hooks(resident, hooks)
+        assert np.array_equal(isolated, resident)
 
     def test_rejects_wrong_border_length(self):
         from repro.core.hooks import apply_hooks_isolated

@@ -134,6 +134,13 @@ class TestEdges:
         expected[:, 0] = expected[:, -1] = True
         assert np.array_equal(mask, expected)
 
+    def test_perimeter_cached_read_only(self):
+        per = perimeter_indices(6, 9)
+        assert perimeter_indices(6, 9) is per
+        assert not per.flags.writeable
+        with pytest.raises(ValueError):
+            per[0] = 1
+
 
 class TestRectangularGrids:
     def test_rect_construction(self):
