@@ -2,10 +2,11 @@
 
 Measures connected-components wall time through the ``local`` and
 ``mmap`` transports at large image sizes, recording the out-of-core
-working set (resident-tile highwater, spill transfers) and the border
-traffic against its O(n) bound -- the measured evidence that the
-paper's border-only communication structure is what makes the
-out-of-core placement practical.
+working set (resident-table highwater, spill transfers) and the border
+traffic, which must equal its exact figure ``16 * 2 * (rows * (w - 1) +
+cols * (v - 1))`` bytes -- the measured evidence that the paper's
+border-only communication structure is what makes the out-of-core
+placement practical.
 
 Run as a script (CI runs the smoke variant)::
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -39,6 +41,25 @@ P = 16  # 4x4 grid; resident budget 1 -> 16x image/working-set ratio
 BUDGET = 1
 
 
+def border_exact_bytes(grid) -> int:
+    """Border bytes when every internal tile edge is fetched once.
+
+    Each merge fetches both sides of the edges it joins, at 16 bytes per
+    pixel (int64 label + int64 color), and each internal edge of the
+    ``v x w`` grid is joined in exactly one round.
+    """
+    return 16 * 2 * (grid.rows * (grid.w - 1) + grid.cols * (grid.v - 1))
+
+
+def border_paper_bytes(n: int, p: int) -> int:
+    """The paper's ``16 * 4n * log p`` bound on the same traffic.
+
+    On a square grid the exact figure is ``(sqrt(p) - 1) / log2(p)`` of
+    it: under the bound up to ``p = 32``, over it above (7/6 at p=64).
+    """
+    return 16 * 4 * n * int(math.log2(p))
+
+
 def _run(source, transport: str, **opts):
     t0 = time.perf_counter()
     res = darray_components(source, p=P, transport=transport, **opts)
@@ -56,13 +77,14 @@ def _sweep(sizes, repeats: int):
             write_pgm(path, img)
             walls = {"local": [], "mmap": []}
             stats = {}
+            grids = {}
             for _ in range(repeats):
                 w, res = _run(img, "local")
                 walls["local"].append(w)
-                stats["local"] = res.stats
+                stats["local"], grids["local"] = res.stats, res.grid
                 w, res = _run(path, "mmap", resident_tiles=BUDGET)
                 walls["mmap"].append(w)
-                stats["mmap"] = res.stats
+                stats["mmap"], grids["mmap"] = res.stats, res.grid
             pixels = n * n
             for transport in ("local", "mmap"):
                 wall = min(walls[transport])
@@ -74,11 +96,8 @@ def _sweep(sizes, repeats: int):
                         "wall_s": wall,
                         "mpixels_per_s": pixels / wall / 1e6,
                         "border_bytes": st.border_bytes,
-                        # 16 bytes per border pixel (labels + colors,
-                        # int64), each perimeter counted once per merge
-                        # round it participates in: O(n log p), never
-                        # O(n^2).
-                        "border_bound_bytes": 16 * 4 * n * 4,
+                        "border_exact_bytes": border_exact_bytes(grids[transport]),
+                        "border_bound_bytes": border_paper_bytes(n, P),
                         "change_bytes": st.change_bytes,
                         "spill_reads": st.spill_reads,
                         "spill_writes": st.spill_writes,
@@ -121,9 +140,11 @@ def main(argv: list[str] | None = None) -> int:
         },
         series=series,
         rows=rows,
-        notes="mmap labels tiles through a 1-tile working set (16x "
-        "smaller than the image); border_bytes must stay under "
-        "border_bound_bytes, the O(n log p) bound",
+        notes="mmap labels tiles through a 1-table working set (16x "
+        "smaller than the image); border_bytes must equal "
+        "border_exact_bytes, 16*2*(rows*(w-1) + cols*(v-1)), and stay "
+        "under border_bound_bytes, the paper's 16*4n*log p, which holds "
+        "up to p=32",
     )
     validate_bench_json(json.loads(path.read_text()))
 
@@ -134,11 +155,14 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['wall_s'] * 1e3:9.1f} ms  "
             f"{row['mpixels_per_s']:7.2f} Mpx/s  "
             f"border {row['border_bytes'] / 1024:9.1f} KiB "
-            f"(bound {row['border_bound_bytes'] / 1024:9.1f} KiB)  "
+            f"(exact {row['border_exact_bytes'] / 1024:9.1f}, "
+            f"paper bound {row['border_bound_bytes'] / 1024:9.1f} KiB)  "
             f"highwater {row['resident_highwater']}"
             + (f"/{budget}" if budget else "")
         )
-        assert row["border_bytes"] <= row["border_bound_bytes"], row
+        assert row["border_bytes"] == row["border_exact_bytes"], row
+        if P <= 32:  # where the paper's bound holds (border_paper_bytes)
+            assert row["border_bytes"] <= row["border_bound_bytes"], row
     return 0
 
 

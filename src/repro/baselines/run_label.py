@@ -1,9 +1,11 @@
-"""Run-length connected component labeling: the numpy ``tile_label``.
+"""Run-length connected component labeling: the numpy ``tile_runs``.
 
 The row-major two-pass run labeling of Gupta et al. (arXiv:1606.05973),
-vectorized.  It is registered as the ``numpy`` backend of the
-``tile_label`` kernel (:mod:`repro.kernels.numpy_backend`), so every
-engine's per-tile labeling step runs through it:
+vectorized.  :func:`tile_runs` is registered as the ``numpy`` backend of
+the ``tile_runs`` kernel, and :func:`run_label` -- ``tile_runs`` plus
+:meth:`TileRuns.paint` -- as the ``numpy`` ``tile_label``
+(:mod:`repro.kernels.numpy_backend`), so every engine's per-tile
+labeling runs through it:
 
 1. **Runs** -- :func:`extract_runs` compresses each image row into
    maximal horizontal *runs* of foreground (binary) or of one constant
@@ -17,10 +19,19 @@ engine's per-tile labeling step runs through it:
    (vectorized hook-and-shortcut), whose representatives are set
    minima.  Runs are numbered in row-major order, so each component's
    root is its first run, and that run's start pixel is the component's
-   seed.
-4. **Paint** -- every pixel gets its seed's label ``label_base +
-   (row_offset + i) * stride + (col_offset + j)``, exactly the label
-   :func:`~repro.baselines.bfs_label.bfs_label` produces.
+   seed.  Every run gets its seed's label ``label_base + (row_offset +
+   i) * stride + (col_offset + j)``, exactly the label
+   :func:`~repro.baselines.bfs_label.bfs_label` produces.  The result
+   is a :class:`TileRuns`: the run table (labels and lengths), the
+   tile's perimeter labels and its component count.
+4. **Paint** -- :meth:`TileRuns.paint` fills the foreground pixels in
+   row-major order with one ``np.repeat`` of the run labels.
+
+The distributed engines keep the run table from the initial labeling
+to the final update: the hooks rename run labels, not pixels, and each
+final label is painted once (:mod:`repro.core.hooks`).  The python and
+numba backends reach the same table through :func:`runs_adapter`, which
+compresses their painted ``tile_label`` output into runs.
 
 Every step is NumPy-vectorized: no Python loop runs per pixel, run or
 run pair.
@@ -29,6 +40,7 @@ run pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +65,49 @@ class Runs:
 
     def __len__(self) -> int:
         return len(self.row)
+
+
+@dataclass
+class TileRuns:
+    """A labeled tile kept as its run table.
+
+    ``labels[k]`` and ``lengths[k]`` are the label and pixel count of the
+    tile's k-th run, in row-major order.  The runs cover the foreground
+    pixels in row-major order, so ``np.repeat(labels, lengths)`` is the
+    foreground of the painted label tile.  ``perimeter`` holds the labels
+    of the tile's border pixels in
+    :func:`~repro.core.tiles.perimeter_indices` order (0 = background),
+    and ``n_components`` the number of tile components.  (The
+    :func:`runs_adapter` count is exact whenever distinct pixels get
+    distinct seed labels -- ``label_stride`` at least the tile width --
+    as in every engine.)
+
+    The final update (:mod:`repro.core.hooks`) renames ``labels`` in
+    place from ``perimeter``; :meth:`paint` then writes each final label
+    once.  At 16 bytes per run, a table never takes more than twice the
+    bytes of its int64 label tile.
+    """
+
+    labels: np.ndarray
+    lengths: np.ndarray
+    perimeter: np.ndarray
+    n_components: int
+    shape: tuple[int, int]
+
+    def paint(self, out: np.ndarray, foreground: np.ndarray) -> None:
+        """Write the run labels into ``out`` through ``foreground``.
+
+        ``foreground`` is the tile's ``image != 0`` mask; ``out`` may be
+        a strided view, such as one tile of a global label array.
+        Pixels outside the mask are left as they are, so ``out`` should
+        start zeroed.
+        """
+        if out.shape != self.shape or foreground.shape != self.shape:
+            raise ValidationError(
+                f"cannot paint a {self.shape} run table into {out.shape} "
+                f"through a {foreground.shape} mask"
+            )
+        out[foreground] = np.repeat(self.labels, self.lengths)
 
 
 def extract_runs(image: np.ndarray, *, grey: bool = False) -> Runs:
@@ -108,6 +163,89 @@ def _adjacent_run_pairs(runs: Runs, dilate: int, grey: bool) -> tuple[np.ndarray
     return a, b
 
 
+def _run_table(image: np.ndarray, runs: Runs, labels: np.ndarray, n_components: int) -> TileRuns:
+    """Assemble the :class:`TileRuns` of labeled runs.
+
+    The perimeter is read off the runs in O(runs + perimeter): the first
+    and last rows through their foreground masks, the side columns from
+    the runs that start at column 0 or stop at the last column.
+    """
+    rows, cols = image.shape
+    row = runs.row
+
+    def edge_row(i: int) -> np.ndarray:
+        lo, hi = np.searchsorted(row, [i, i + 1])
+        out = np.zeros(cols, dtype=np.int64)
+        out[image[i] != 0] = np.repeat(labels[lo:hi], runs.stop[lo:hi] - runs.start[lo:hi])
+        return out
+
+    def edge_col(at_edge: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows, dtype=np.int64)
+        out[row[at_edge]] = labels[at_edge]
+        return out
+
+    if rows == 1:
+        perimeter = edge_row(0)
+    elif cols == 1:
+        perimeter = edge_col(runs.start == 0)
+    else:
+        left = edge_col(runs.start == 0)[1:-1]
+        right = edge_col(runs.stop == cols)[1:-1]
+        perimeter = np.concatenate(
+            [edge_row(0), np.column_stack([left, right]).ravel(), edge_row(rows - 1)]
+        )
+    return TileRuns(
+        labels=labels,
+        lengths=runs.stop - runs.start,
+        perimeter=perimeter,
+        n_components=n_components,
+        shape=(rows, cols),
+    )
+
+
+def _seed_labels(
+    runs: Runs, seed_row, seed_col, label_base, label_stride, row_offset, col_offset
+) -> np.ndarray:
+    """The seed labels of pixels ``(seed_row, seed_col)`` of the runs' image."""
+    stride = runs.shape[1] if label_stride is None else int(label_stride)
+    return label_base + (row_offset + seed_row) * stride + (col_offset + seed_col)
+
+
+def tile_runs(
+    image: np.ndarray,
+    *,
+    connectivity: int = 8,
+    grey: bool = False,
+    label_base: int = 1,
+    label_stride: int | None = None,
+    row_offset: int = 0,
+    col_offset: int = 0,
+) -> TileRuns:
+    """Label connected components as a run table; ``bfs_label``'s signature.
+
+    Painting the result (:meth:`TileRuns.paint`) gives exactly
+    ``bfs_label``'s labels.  No step passes over a painted tile.
+    """
+    image = check_image(image, square=False)
+    if connectivity not in (4, 8):
+        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
+    runs = extract_runs(image, grey=grey)
+    uf = UnionFind(len(runs))
+    if len(runs):
+        uf.union_edges(*_adjacent_run_pairs(runs, int(connectivity == 8), grey))
+    roots = uf.roots()
+    # The root run of each component is its first run in row-major
+    # order, and that run's start pixel is the seed.
+    seed_row = runs.row[roots]
+    seed_col = runs.start[roots]
+    labels = _seed_labels(
+        runs, seed_row, seed_col, label_base, label_stride, row_offset, col_offset
+    )
+    check_seed_labels(labels, seed_row, seed_col)
+    n_components = int(np.count_nonzero(roots == np.arange(len(runs))))
+    return _run_table(image, runs, labels, n_components)
+
+
 def run_label(
     image: np.ndarray,
     *,
@@ -119,28 +257,54 @@ def run_label(
     col_offset: int = 0,
 ) -> np.ndarray:
     """Label connected components; same signature/output as ``bfs_label``."""
-    image = check_image(image, square=False)
-    if connectivity not in (4, 8):
-        raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
-    rows, cols = image.shape
-    stride = cols if label_stride is None else int(label_stride)
-    labels = np.zeros((rows, cols), dtype=np.int64)
-
-    runs = extract_runs(image, grey=grey)
-    if len(runs) == 0:
-        return labels
-
-    uf = UnionFind(len(runs))
-    uf.union_edges(*_adjacent_run_pairs(runs, int(connectivity == 8), grey))
-    roots = uf.roots()
-
-    # The root run of each component is its first run in row-major
-    # order, and that run's start pixel is the seed.
-    seed_row = runs.row[roots]
-    seed_col = runs.start[roots]
-    run_labels = label_base + (row_offset + seed_row) * stride + (col_offset + seed_col)
-    check_seed_labels(run_labels, seed_row, seed_col)
-
-    # Paint: the runs cover the foreground pixels in row-major order.
-    labels[image != 0] = np.repeat(run_labels, runs.stop - runs.start)
+    runs = tile_runs(
+        image,
+        connectivity=connectivity,
+        grey=grey,
+        label_base=label_base,
+        label_stride=label_stride,
+        row_offset=row_offset,
+        col_offset=col_offset,
+    )
+    labels = np.zeros(runs.shape, dtype=np.int64)
+    runs.paint(labels, image != 0)
     return labels
+
+
+def runs_adapter(tile_label: Callable[..., np.ndarray]) -> Callable[..., TileRuns]:
+    """A ``tile_runs`` kernel from a ``tile_label`` kernel.
+
+    The python and numba backends label per pixel; the adapter
+    compresses their painted tile into its run table, reading one label
+    per run.
+    """
+
+    def tile_runs_from_labels(
+        image: np.ndarray,
+        *,
+        connectivity: int = 8,
+        grey: bool = False,
+        label_base: int = 1,
+        label_stride: int | None = None,
+        row_offset: int = 0,
+        col_offset: int = 0,
+    ) -> TileRuns:
+        painted = tile_label(
+            image,
+            connectivity=connectivity,
+            grey=grey,
+            label_base=label_base,
+            label_stride=label_stride,
+            row_offset=row_offset,
+            col_offset=col_offset,
+        )
+        runs = extract_runs(image, grey=grey)
+        labels = painted[runs.row, runs.start]
+        # A component is counted at its seed run, the one run whose
+        # label is its own start pixel's seed label.
+        own = _seed_labels(
+            runs, runs.row, runs.start, label_base, label_stride, row_offset, col_offset
+        )
+        return _run_table(image, runs, labels, int(np.count_nonzero(labels == own)))
+
+    return tile_runs_from_labels

@@ -140,8 +140,8 @@ def _add_darray_args(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="out-of-core working-set budget: max label tiles resident "
-        "at once (mmap transport, default 1)",
+        help="out-of-core working-set budget: max tile run tables "
+        "resident at once (mmap transport, default 1)",
     )
     sub.add_argument(
         "--spill-dir",

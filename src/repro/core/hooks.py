@@ -17,21 +17,31 @@ component still carries the component's unique initial label, renaming
 exactly the same pixels (a BFS-faithful reference mode is available for
 testing).
 
-:func:`apply_hooks` performs that renaming in place, on the caller's
-tile -- which may be a strided view, such as one tile of a global label
-array -- and never copies it.  Its cost follows the number of *changed*
-hooks, not the number of hooks:
+:func:`apply_hooks` performs that renaming in place.  A tile is one of
+two things:
 
-* with at most :data:`MAX_MASKED_RENAMES` changed hooks, each changed
-  label is renamed through one ``tile == old`` mask;
-* with more, one ``searchsorted`` of the tile against the sorted
-  changed labels renames them all in a single pass.
+* a :class:`~repro.baselines.run_label.TileRuns` -- the run table the
+  ``tile_runs`` kernel returns, which the in-process and out-of-core
+  transports keep from the initial labeling to the final update.  The
+  current labels at the hooks are read from the table's perimeter
+  vector (the merge rounds relabel it), and one ``searchsorted`` over
+  the runs renames the changed run labels.  The caller then paints the
+  table once (:meth:`~repro.baselines.run_label.TileRuns.paint`), so
+  each final label is written exactly once and no pixel pass is spent
+  on the hooks.
+* a 2-D label array -- the caller's tile, which may be a strided view
+  such as one tile of a global label array, and is never copied.  Its
+  cost follows the number of *changed* hooks, not the number of hooks:
+  with at most :data:`MAX_MASKED_RENAMES` changed hooks, each changed
+  label is renamed through one ``tile == old`` mask; with more, one
+  ``searchsorted`` of the tile against the sorted changed labels
+  renames them all in a single pass.
 
 A changed hook's new label is never the initial label of another
 changed hook of the same tile: a component's final label is the seed of
 one of its own pixels, and if that pixel lies in this tile, the tile
-component holding it keeps its label.  So the renames commute, both
-branches give the same tile, and applying the update twice equals
+component holding it keeps its label.  So the renames commute, every
+branch gives the same tile, and applying the update twice equals
 applying it once -- which a retried final-update task relies on.
 """
 
@@ -41,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.run_label import TileRuns
 from repro.core.tiles import perimeter_indices
 from repro.sorting.hybrid import hybrid_argsort
 from repro.utils.errors import ValidationError
@@ -69,21 +80,24 @@ class TileHooks:
         return len(self.labels)
 
 
-def create_tile_hooks(tile_labels: np.ndarray) -> TileHooks:
+def create_tile_hooks(tile: TileRuns | np.ndarray) -> TileHooks:
     """Procedure 2: one ``(label, offset)`` hook per border component.
 
     Parameters
     ----------
-    tile_labels:
-        The tile's 2-D initial label array (0 = background).
+    tile:
+        The tile's initial labels (0 = background): its run table, whose
+        perimeter vector is read, or its 2-D label array.
     """
-    tile_labels = np.asarray(tile_labels)
-    if tile_labels.ndim != 2:
-        raise ValidationError(f"tile_labels must be 2-D, got {tile_labels.shape}")
-    q, r = tile_labels.shape
-    border = perimeter_indices(q, r)
-    flat = tile_labels.ravel()
-    border_labels = flat[border]
+    if isinstance(tile, TileRuns):
+        border = perimeter_indices(*tile.shape)
+        border_labels = tile.perimeter
+    else:
+        tile_labels = np.asarray(tile)
+        if tile_labels.ndim != 2:
+            raise ValidationError(f"tile_labels must be 2-D, got {tile_labels.shape}")
+        border = perimeter_indices(*tile_labels.shape)
+        border_labels = tile_labels.ravel()[border]
     colored = border_labels != 0
     border = border[colored]
     border_labels = border_labels[colored]
@@ -112,38 +126,52 @@ def hook_ops(q: int, r: int) -> int:
     return 2 * (q + r) - 4
 
 
-def apply_hooks(tile_labels: np.ndarray, hooks: TileHooks) -> None:
+def apply_hooks(tile: TileRuns | np.ndarray, hooks: TileHooks) -> None:
     """Final interior update, in place: rename components whose hooks changed.
 
-    ``tile_labels`` holds the tile's labels after the last merge step
-    (border pixels current, interior pixels still initial).  For each
-    hook whose pixel now carries a different label, every pixel still
-    holding the hook's initial label is renamed to the current one.
-    The tile must be a writable 2-D array; it may be a strided view.
+    ``tile`` holds the tile's labels after the last merge step: border
+    labels current, interior labels still initial.  For each hook whose
+    pixel now carries a different label, everything still holding the
+    hook's initial label is renamed to the current one.
+
+    On a :class:`~repro.baselines.run_label.TileRuns` the border labels
+    are its perimeter vector and the run labels are renamed.  A label
+    array must be writable and 2-D; it may be a strided view.
     """
-    _check_tile(tile_labels)
-    if len(hooks) == 0:
-        return
-    current = tile_labels[np.divmod(hooks.offsets, tile_labels.shape[1])]
+    if isinstance(tile, TileRuns):
+        at = np.searchsorted(perimeter_indices(*tile.shape), hooks.offsets)
+        current = tile.perimeter[at]
+    else:
+        _check_tile(tile)
+        current = tile[np.divmod(hooks.offsets, tile.shape[1])]
     changed = current != hooks.labels
     n_changed = int(np.count_nonzero(changed))
     if n_changed == 0:
         return
     old = hooks.labels[changed]
     new = current[changed]
-    if n_changed <= MAX_MASKED_RENAMES:
+    if isinstance(tile, TileRuns):
+        _rename(tile.labels, old, new)
+    elif n_changed <= MAX_MASKED_RENAMES:
         for initial, final in zip(old.tolist(), new.tolist()):
-            tile_labels[tile_labels == initial] = final
-        return
-    # ``old`` is sorted.  A pixel above every changed label lands at
-    # ``len(old)``; padding with ``old[-1]`` makes that slot a sure miss.
-    pos = np.searchsorted(old, tile_labels)
-    hit = np.take(np.append(old, old[-1]), pos) == tile_labels
-    tile_labels[hit] = new[pos[hit]]
+            tile[tile == initial] = final
+    else:
+        _rename(tile, old, new)
+
+
+def _rename(labels: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+    """Rename ``old[i]`` to ``new[i]`` in place with one ``searchsorted``.
+
+    ``old`` is sorted.  A label above every changed label lands at
+    ``len(old)``; padding with ``old[-1]`` makes that slot a sure miss.
+    """
+    pos = np.searchsorted(old, labels)
+    hit = np.take(np.append(old, old[-1]), pos) == labels
+    labels[hit] = new[pos[hit]]
 
 
 def apply_hooks_isolated(
-    tile_labels: np.ndarray, hooks: TileHooks, border_labels: np.ndarray
+    tile: TileRuns | np.ndarray, hooks: TileHooks, border_labels: np.ndarray
 ) -> None:
     """Final interior update of a tile processed in isolation, in place.
 
@@ -152,24 +180,30 @@ def apply_hooks_isolated(
     its perimeter labels resident through the merge rounds.  The
     spilled tile therefore holds *initial* labels everywhere -- border
     included -- unlike the all-resident path, where the merge rounds
-    have already written the current labels onto the border.
+    have already brought the border up to date.
 
     ``border_labels`` holds the tile's post-merge perimeter labels in
-    :func:`~repro.core.tiles.perimeter_indices` order.  Writing them
-    back restores exactly the state :func:`apply_hooks` expects, so the
-    two paths produce identical tiles (tested).
+    :func:`~repro.core.tiles.perimeter_indices` order.  They replace a
+    run table's perimeter vector, or are written back onto a label
+    array's border pixels; either restores exactly the state
+    :func:`apply_hooks` expects, so the two paths produce identical
+    tiles (tested).
     """
-    _check_tile(tile_labels)
-    q, r = tile_labels.shape
+    if not isinstance(tile, TileRuns):
+        _check_tile(tile)
+    q, r = tile.shape
     border = perimeter_indices(q, r)
-    border_labels = np.asarray(border_labels, dtype=tile_labels.dtype)
+    border_labels = np.asarray(border_labels, dtype=np.int64)
     if border_labels.shape != border.shape:
         raise ValidationError(
             f"border_labels has {border_labels.size} entries, expected "
             f"{border.size} for a {q}x{r} tile"
         )
-    tile_labels[np.divmod(border, r)] = border_labels
-    apply_hooks(tile_labels, hooks)
+    if isinstance(tile, TileRuns):
+        tile.perimeter = border_labels
+    else:
+        tile[np.divmod(border, r)] = border_labels
+    apply_hooks(tile, hooks)
 
 
 def _check_tile(tile_labels) -> None:

@@ -11,14 +11,15 @@ exchange, and change-array publish/fetch.
 
 Three transports implement the contract (see ``docs/DARRAY.md``):
 
-* ``local`` -- shards are in-process ndarrays (today's behavior);
+* ``local`` -- shards are in-process run tables, painted once into one
+  ndarray at finalize;
 * ``shmem`` -- shards live in per-tile POSIX shared-memory segments and
   every verb is a dispatched worker task with deadline/retry/respawn
   recovery and ``darray:border`` / ``darray:fetch`` fault sites;
 * ``mmap`` -- out-of-core: pixels stream from a memory-mapped binary
-  PGM, label tiles spill to disk, and only the perimeter labels stay
-  resident through the merge rounds, so peak memory is one tile plus
-  O(n) borders regardless of image size.
+  PGM, run tables spill to disk, and only the perimeter labels stay
+  resident through the merge rounds, so peak memory is one run table
+  plus O(n) borders regardless of image size.
 
 The engines (:func:`darray_components`, :func:`darray_histogram`)
 produce labels bit-identical to the serial reference across every

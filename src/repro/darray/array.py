@@ -57,7 +57,7 @@ class DistributedArray:
 
     # -- the three verbs, delegated -----------------------------------------
 
-    def label(self) -> dict[int, TileHooks]:
+    def label(self) -> tuple[dict[int, TileHooks], int]:
         return self.transport.label()
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:

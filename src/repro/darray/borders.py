@@ -1,16 +1,15 @@
 """Border-exchange primitives shared across the transports.
 
 These helpers are the concrete data movements behind the transport
-contract's verbs 2 and 3: extract one side of a merge border from a
-global label/color array, and apply a change array to the perimeters
-of a region's tiles (the in-process ``local`` transport); the
-perimeter and edge-position tables the ``shmem`` transport's pool
-workers and the out-of-core ``mmap`` transport index their shards
-with; and the border-traffic byte count every transport reports.
+contract's verb 2: assemble one side of a merge border from the
+resident perimeter vectors of the ``local`` and ``mmap`` transports;
+the perimeter and edge-position tables the ``shmem`` transport's pool
+workers and those vectors are indexed with; and the border-traffic
+byte count every transport reports.
 
-All functions take the kernel callables (``border_extract`` /
-``relabel``) as arguments rather than resolving backends themselves --
-backend policy belongs to the callers.
+:func:`perimeter_side` takes the ``border_extract`` kernel as an
+argument rather than resolving a backend itself -- backend policy
+belongs to the callers.
 """
 
 from __future__ import annotations
@@ -23,49 +22,30 @@ from repro.core.border_graph import BorderSide
 from repro.core.tiles import ProcessorGrid, edge_indices, perimeter_indices
 
 
-def collect_side(
-    labels: np.ndarray,
+def perimeter_side(
+    perimeters,
     image: np.ndarray,
     grid: ProcessorGrid,
     pids,
     edge: str,
     extract,
 ) -> BorderSide:
-    """One border side's labels and colors from global arrays.
+    """One border side from resident perimeter label vectors.
 
-    ``pids`` lists the side's tiles in scan order; ``extract`` is the
-    ``border_extract`` kernel.  Works on uniform and balanced tilings
-    alike (tile shapes come from the grid, not from ``q``/``r``).
+    ``perimeters`` holds each tile's labels in
+    :func:`~repro.core.tiles.perimeter_indices` order, aligned with
+    ``pids``, which list the side's tiles in scan order; the colors are
+    the image pixels of the same edge, read by the ``border_extract``
+    kernel ``extract``.  Tile shapes come from the grid, so uniform and
+    balanced tilings both work.
     """
     lab_parts = []
     col_parts = []
-    for pid in pids:
-        sl = grid.tile_slices(pid)
-        lab_parts.append(extract(labels[sl], edge))
-        col_parts.append(extract(image[sl], edge))
-    return BorderSide(np.concatenate(lab_parts), np.concatenate(col_parts))
-
-
-def relabel_perimeters(
-    labels: np.ndarray,
-    grid: ProcessorGrid,
-    pids,
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    relabel,
-) -> None:
-    """Apply a change array to the tile perimeters of ``pids``, in place.
-
-    The drastically-limited update: only border pixels are touched
-    during the merge rounds.  ``relabel`` is the ``relabel`` kernel.
-    """
-    for pid in pids:
-        r0, c0 = grid.tile_origin(pid)
+    for perimeter, pid in zip(perimeters, pids):
         h, w = grid.tile_shape(pid)
-        rows, cols = perimeter_coords(h, w)
-        rows = rows + r0
-        cols = cols + c0
-        labels[rows, cols] = relabel(labels[rows, cols], alphas, betas)
+        lab_parts.append(perimeter[edge_positions(h, w, edge)])
+        col_parts.append(np.asarray(extract(image[grid.tile_slices(pid)], edge)))
+    return BorderSide(np.concatenate(lab_parts), np.concatenate(col_parts))
 
 
 @functools.lru_cache(maxsize=64)

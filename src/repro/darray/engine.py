@@ -4,10 +4,12 @@
 JaJa algorithms against any registered transport: initial tile-local
 labeling, ``log p`` border merges (fetch two sides, solve the border
 graph, publish the change array to the merged region), hook-based
-final interior update.  The *only* transport-facing operations are the
-three verbs, so the same driver labels an in-process array, a grid of
-shared-memory shards served by a supervised pool, or an out-of-core
-spill set over a memory-mapped image -- bit-identically.
+final interior update.  The component count falls out of the same
+schedule: the tiles' counts minus one per published alpha.  The *only*
+transport-facing operations are the three verbs, so the same driver
+labels an in-process array, a grid of shared-memory shards served by a
+supervised pool, or an out-of-core spill set over a memory-mapped
+image -- bit-identically.
 
 Observability: a ``recorder`` is installed as the sink
 (:mod:`repro.obs.trace`) for the length of the call.  The driver wraps
@@ -64,8 +66,11 @@ class DarrayResult:
 
     ``labels`` is an ordinary ndarray for the in-memory transports and
     a read-only ``numpy.memmap`` for ``mmap`` (the result never
-    materializes in RAM); ``n_components`` is computed by the streaming
-    counter either way.
+    materializes in RAM).  ``n_components`` comes from the merges, not
+    from the labels: the sum of the per-tile component counts minus the
+    total length of the published change arrays, since each alpha is
+    one component merged away exactly once.  A degraded run counts its
+    serial labels with :func:`count_components` instead.
     """
 
     labels: np.ndarray
@@ -76,6 +81,9 @@ class DarrayResult:
 
 def count_components(labels: np.ndarray) -> int:
     """Number of components, streamed in O(1) memory over any label array.
+
+    The degraded path's count and the test oracle of the merge identity
+    :func:`darray_components` counts by.
 
     Exploits the seed-label convention: every component's final label
     is the globally-offset seed ``row * cols + col + 1`` of one of its
@@ -193,7 +201,7 @@ def darray_components(
                 resident_tiles=resident_tiles,
             ) as da:
                 with _trace.traced_span(DARRAY_LABEL, cat=CAT_ROUND):
-                    hooks = da.label()
+                    hooks, n_components = da.label()
                 for si, step in enumerate(merge_schedule(grid)):
                     edge_a, edge_b = step.edge_names
                     with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
@@ -204,6 +212,9 @@ def darray_components(
                                 side_a, side_b, connectivity=connectivity, grey=grey
                             )
                             if len(solve.changes):
+                                # Each alpha is one component merged
+                                # away, exactly once.
+                                n_components -= len(solve.changes)
                                 da.publish(
                                     si,
                                     gi,
@@ -227,7 +238,7 @@ def darray_components(
             stats = TransportStats()
             return DarrayResult(labels, count_components(labels), stats, grid)
         _emit_stats(recorder, stats)
-    return DarrayResult(labels, count_components(labels), stats, grid)
+    return DarrayResult(labels, n_components, stats, grid)
 
 
 def darray_histogram(

@@ -1,28 +1,31 @@
-"""In-process transport: shards are slices of ordinary ndarrays.
+"""In-process transport: tiles keep their run tables until finalize.
 
 Today's single-address-space behavior, expressed through the transport
-contract: the label array is one global ndarray and each shard is its
-tile slice, so verb implementations are direct array operations through
-the shared border helpers (:mod:`repro.darray.borders`).  This is the
-reference the other transports must match bit-for-bit, and the tile
-store the BDM simulator uses for its free initial placement.
+contract.  The label verb keeps each tile's run table
+(:class:`~repro.baselines.run_label.TileRuns`); the merge rounds read
+and relabel only the perimeter vector each table carries, and finalize
+renames the run labels from it and paints every tile once into the
+global label array.  This is the reference the other transports must
+match bit-for-bit, and the tile store the BDM simulator uses for its
+free initial placement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.run_label import TileRuns
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks, create_tile_hooks
 from repro.core.tiles import ProcessorGrid
-from repro.darray.borders import collect_side, relabel_perimeters, side_nbytes
+from repro.darray.borders import perimeter_side, side_nbytes
 from repro.darray.transport import Transport
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.utils.validation import check_image
 
 
 class LocalTransport(Transport):
-    """Tile shards as views into one in-process label array."""
+    """Tile run tables in process, painted into one label array."""
 
     name = "local"
 
@@ -43,20 +46,21 @@ class LocalTransport(Transport):
         self.connectivity = connectivity
         self.grey = grey
         self.kernel = resolve_backend(kernel)
-        self._label_kernel = get_kernel("tile_label", backend=self.kernel)
+        self._label_kernel = get_kernel("tile_runs", backend=self.kernel)
         self._extract = get_kernel("border_extract", backend=self.kernel)
         self._relabel = get_kernel("relabel", backend=self.kernel)
-        self._labels = np.zeros((grid.rows, grid.cols), dtype=np.int64)
+        self._runs: dict[int, TileRuns] = {}
+        self._labels: np.ndarray | None = None
 
     # -- verb 1: tile-local compute ---------------------------------------
 
-    def label(self) -> dict[int, TileHooks]:
+    def label(self) -> tuple[dict[int, TileHooks], int]:
         hooks: dict[int, TileHooks] = {}
+        n_components = 0
         for pid in range(self.grid.p):
-            sl = self.grid.tile_slices(pid)
             r0, c0 = self.grid.tile_origin(pid)
-            lab = self._label_kernel(
-                self.image[sl],
+            runs = self._label_kernel(
+                self.image[self.grid.tile_slices(pid)],
                 connectivity=self.connectivity,
                 grey=self.grey,
                 label_base=1,
@@ -64,13 +68,19 @@ class LocalTransport(Transport):
                 row_offset=r0,
                 col_offset=c0,
             )
-            self._labels[sl] = lab
-            hooks[pid] = create_tile_hooks(lab)
-        return hooks
+            self._runs[pid] = runs
+            hooks[pid] = create_tile_hooks(runs)
+            n_components += runs.n_components
+        return hooks, n_components
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
+        """Rename each table's runs, then paint it once into the result."""
+        self._labels = np.zeros((self.grid.rows, self.grid.cols), dtype=np.int64)
         for pid in range(self.grid.p):
-            apply_hooks(self._labels[self.grid.tile_slices(pid)], hooks[pid])
+            sl = self.grid.tile_slices(pid)
+            runs = self._runs.pop(pid)
+            apply_hooks(runs, hooks[pid])
+            runs.paint(self._labels[sl], self.image[sl] != 0)
 
     def histogram(self, k: int) -> np.ndarray:
         tally = get_kernel("histogram", backend=self.kernel)
@@ -82,8 +92,9 @@ class LocalTransport(Transport):
     # -- verb 2: border exchange -------------------------------------------
 
     def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        side = collect_side(
-            self._labels, self.image, self.grid, pids, edge, self._extract
+        side = perimeter_side(
+            [self._runs[pid].perimeter for pid in pids],
+            self.image, self.grid, pids, edge, self._extract,
         )
         self.stats.border_bytes += side_nbytes(side)
         return side
@@ -91,9 +102,9 @@ class LocalTransport(Transport):
     # -- verb 3: change publish/fetch --------------------------------------
 
     def publish(self, step_index, group_index, pids, alphas, betas) -> None:
-        relabel_perimeters(
-            self._labels, self.grid, pids, alphas, betas, self._relabel
-        )
+        for pid in pids:
+            runs = self._runs[pid]
+            runs.perimeter = self._relabel(runs.perimeter, alphas, betas)
         self.stats.change_bytes += int(
             (alphas.nbytes + betas.nbytes) * len(pids)
         )
@@ -101,7 +112,7 @@ class LocalTransport(Transport):
     # -- collection / tile store -------------------------------------------
 
     def gather(self) -> np.ndarray:
-        """The global label array itself: the result needs no copy."""
+        """The global label array :meth:`finalize` painted: no copy."""
         return self._labels
 
     def tile(self, pid: int) -> np.ndarray:

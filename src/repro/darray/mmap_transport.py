@@ -1,28 +1,32 @@
-"""Out-of-core transport: memory-mapped pixels, spill-file label shards.
+"""Out-of-core transport: memory-mapped pixels, spilled run tables.
 
 Pixels stream from a memory-mapped binary PGM (``read_pnm(path,
-mmap=True)``); label tiles live as raw int64 spill files in a spill
-directory and pass through a bounded resident set (an LRU of at most
-``resident_tiles`` tiles).  The paper's communication structure is
-what makes this work: after the initial labeling pass, the ``log p``
-merge rounds need only each tile's *perimeter labels* -- O(n) bytes
-total -- so the transport keeps exactly those resident and never
-touches a spilled tile again until the final hook-based relabel, which
-streams tiles through the working set one at a time
-(:func:`~repro.core.hooks.apply_hooks_isolated`) and writes each final
-tile straight into ``labels.bin`` in the spill directory, through a
-writable file-backed ``numpy.memmap``.  A final tile is never spilled.
+mmap=True)``).  Each tile's labels live as its run table
+(:class:`~repro.baselines.run_label.TileRuns`): the run labels and
+lengths -- 16 bytes per run, never more than twice an int64 label tile
+-- pass through a bounded resident set (an LRU of at most
+``resident_tiles`` tables) and spill to raw files in a spill directory.
+The paper's communication structure is what makes this work: after the
+initial labeling pass, the ``log p`` merge rounds need only each tile's
+*perimeter labels* -- O(n) bytes total -- so the transport keeps
+exactly those resident and never touches a spilled table again until
+the final hook-based update, which streams tables through the working
+set one at a time (:func:`~repro.core.hooks.apply_hooks_isolated`) and
+paints each tile once, straight into ``labels.bin`` in the spill
+directory, through a writable file-backed ``numpy.memmap``.  A final
+table is never spilled.
 
-Peak residency is therefore ``resident_tiles`` label tiles plus the
+Peak residency is therefore ``resident_tiles`` run tables plus the
 borders, independent of image size; ``stats.resident_highwater``
 records the enforced maximum and the CI smoke asserts it under an RSS
 cap.  :meth:`MmapTransport.gather` only maps ``labels.bin`` read-only,
 so even the output never materializes in RAM.
 
 A transport-owned spill directory is deleted on :meth:`close` (every
-path out -- the leak scans assert no stray spill files); a caller-
-provided ``spill_dir`` keeps its assembled ``labels.bin`` for
-inspection.
+path out -- the leak scans assert no stray spill files), and so is one
+whose transport failed to open; a caller-provided ``spill_dir`` keeps
+its assembled ``labels.bin`` for inspection and loses only what the
+transport put there.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.baselines.run_label import TileRuns
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks_isolated, create_tile_hooks
-from repro.core.tiles import ProcessorGrid, perimeter_indices
-from repro.darray.borders import edge_positions, side_nbytes
+from repro.core.tiles import ProcessorGrid
+from repro.darray.borders import perimeter_side, side_nbytes
 from repro.darray.transport import Transport
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.utils.errors import ValidationError
@@ -70,14 +75,23 @@ class MmapTransport(Transport):
         self._spill = pathlib.Path(
             tempfile.mkdtemp(prefix="repro-darray-") if self._own_spill else spill_dir
         )
-        self._spill.mkdir(parents=True, exist_ok=True)
-        self.image = self._open_image(image)
-        if self.image.shape != (grid.rows, grid.cols):
-            raise ValidationError(
-                f"image shape {self.image.shape} does not match grid "
-                f"{grid.rows}x{grid.cols}"
-            )
-        self._resident: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._staged: pathlib.Path | None = None
+        try:
+            self._spill.mkdir(parents=True, exist_ok=True)
+            self.image = self._open_image(image)
+            if self.image.shape != (grid.rows, grid.cols):
+                raise ValidationError(
+                    f"image shape {self.image.shape} does not match grid "
+                    f"{grid.rows}x{grid.cols}"
+                )
+        except BaseException:
+            self.image = None
+            self._remove_spill()
+            raise
+        # Every tile's run table; the body (labels, lengths) of one that
+        # is not resident lives in its spill file.
+        self._tables: dict[int, TileRuns] = {}
+        self._resident: OrderedDict[int, None] = OrderedDict()
         self._dirty: set[int] = set()
         self._borders: dict[int, np.ndarray] = {}
         self._closed = False
@@ -93,9 +107,21 @@ class MmapTransport(Transport):
                 # Not a binary PGM: decode once, stage as P5, then map.
                 image = read_pnm(image)
         image = np.asarray(image)
-        staged = self._spill / "image.pgm"
-        write_pgm(staged, image)
-        return read_pnm(staged, mmap=True)
+        self._staged = self._spill / "image.pgm"
+        write_pgm(self._staged, image)
+        return read_pnm(self._staged, mmap=True)
+
+    def _remove_spill(self) -> None:
+        """Remove what this transport put in the spill directory."""
+        if self._own_spill:
+            shutil.rmtree(self._spill, ignore_errors=True)
+            return
+        # Caller-owned directory: remove our run tables and staged
+        # image, keep the assembled labels for inspection.
+        for path in self._spill.glob("tile-*.bin"):
+            path.unlink(missing_ok=True)
+        if self._staged is not None:
+            self._staged.unlink(missing_ok=True)
 
     # -- residency ---------------------------------------------------------
 
@@ -106,33 +132,38 @@ class MmapTransport(Transport):
         return self._spill / "labels.bin"
 
     def _evict_one(self) -> None:
-        pid, arr = self._resident.popitem(last=False)
+        pid, _ = self._resident.popitem(last=False)
+        runs = self._tables[pid]
         if pid in self._dirty:
-            arr.tofile(self._tile_path(pid))
+            with open(self._tile_path(pid), "wb") as f:
+                runs.labels.tofile(f)
+                runs.lengths.tofile(f)
             self._dirty.discard(pid)
             self.stats.spill_writes += 1
+        runs.labels = runs.lengths = None  # the body lives in its spill file
 
-    def _admit(self, pid: int, arr: np.ndarray, *, dirty: bool) -> None:
-        """Make a tile resident, evicting to stay within the budget."""
+    def _admit(self, pid: int, *, dirty: bool) -> None:
+        """Make a table's body resident, evicting to stay within the budget."""
         while len(self._resident) >= self._budget:
             self._evict_one()
-        self._resident[pid] = arr
+        self._resident[pid] = None
         if dirty:
             self._dirty.add(pid)
         self.stats.resident_highwater = max(
             self.stats.resident_highwater, len(self._resident)
         )
 
-    def _checkout(self, pid: int) -> np.ndarray:
-        """Resident label tile of ``pid``, loading from spill if needed."""
+    def _checkout(self, pid: int) -> TileRuns:
+        """Run table of ``pid`` with its body loaded from spill if needed."""
+        runs = self._tables[pid]
         if pid in self._resident:
             self._resident.move_to_end(pid)
-            return self._resident[pid]
-        h, w = self.grid.tile_shape(pid)
-        arr = np.fromfile(self._tile_path(pid), dtype=np.int64).reshape(h, w)
+            return runs
+        body = np.fromfile(self._tile_path(pid), dtype=np.int64)
+        runs.labels, runs.lengths = body.reshape(2, -1)
         self.stats.spill_reads += 1
-        self._admit(pid, arr, dirty=False)
-        return arr
+        self._admit(pid, dirty=False)
+        return runs
 
     def _image_tile(self, pid: int) -> np.ndarray:
         """One image tile, materialized from the mapped pixels."""
@@ -142,12 +173,13 @@ class MmapTransport(Transport):
 
     # -- verb 1: tile-local compute ---------------------------------------
 
-    def label(self) -> dict[int, TileHooks]:
-        label_kernel = get_kernel("tile_label", backend=self.kernel)
+    def label(self) -> tuple[dict[int, TileHooks], int]:
+        label_kernel = get_kernel("tile_runs", backend=self.kernel)
         hooks: dict[int, TileHooks] = {}
+        n_components = 0
         for pid in range(self.grid.p):
             r0, c0 = self.grid.tile_origin(pid)
-            lab = label_kernel(
+            runs = label_kernel(
                 self._image_tile(pid),
                 connectivity=self.connectivity,
                 grey=self.grey,
@@ -156,16 +188,18 @@ class MmapTransport(Transport):
                 row_offset=r0,
                 col_offset=c0,
             )
-            hooks[pid] = create_tile_hooks(lab)
-            self._borders[pid] = lab.ravel()[perimeter_indices(*lab.shape)]
-            self._admit(pid, lab, dirty=True)
-        return hooks
+            hooks[pid] = create_tile_hooks(runs)
+            n_components += runs.n_components
+            self._borders[pid] = runs.perimeter
+            self._tables[pid] = runs
+            self._admit(pid, dirty=True)
+        return hooks, n_components
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
-        """Relabel each tile in place and write it into ``labels.bin``.
+        """Rename each table's runs and paint it into ``labels.bin``.
 
         The writable map is file-backed, so it counts against neither
-        the resident budget nor the heap; a finalized tile leaves the
+        the resident budget nor the heap; a finalized table leaves the
         working set without a spill write.  No flush: the pages reach
         :meth:`gather`'s read-only map through the page cache.
         """
@@ -174,10 +208,11 @@ class MmapTransport(Transport):
             shape=(self.grid.rows, self.grid.cols),
         )
         for pid in range(self.grid.p):
-            tile = self._checkout(pid)
-            apply_hooks_isolated(tile, hooks[pid], self._borders[pid])
-            out[self.grid.tile_slices(pid)] = tile
-            del self._resident[pid]
+            sl = self.grid.tile_slices(pid)
+            runs = self._checkout(pid)
+            apply_hooks_isolated(runs, hooks[pid], self._borders[pid])
+            runs.paint(out[sl], self.image[sl] != 0)
+            del self._resident[pid], self._tables[pid]
             self._dirty.discard(pid)
 
     def histogram(self, k: int) -> np.ndarray:
@@ -190,16 +225,11 @@ class MmapTransport(Transport):
     # -- verb 2: border exchange -------------------------------------------
 
     def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        extract = get_kernel("border_extract", backend=self.kernel)
-        lab_parts = []
-        col_parts = []
-        for pid in pids:
-            h, w = self.grid.tile_shape(pid)
-            lab_parts.append(self._borders[pid][edge_positions(h, w, edge)])
-            col_parts.append(
-                np.asarray(extract(self.image[self.grid.tile_slices(pid)], edge))
-            )
-        side = BorderSide(np.concatenate(lab_parts), np.concatenate(col_parts))
+        side = perimeter_side(
+            [self._borders[pid] for pid in pids],
+            self.image, self.grid, pids, edge,
+            get_kernel("border_extract", backend=self.kernel),
+        )
         self.stats.border_bytes += side_nbytes(side)
         return side
 
@@ -224,16 +254,10 @@ class MmapTransport(Transport):
         if self._closed:
             return
         self._closed = True
+        self._tables.clear()
         self._resident.clear()
         self._dirty.clear()
         self._borders.clear()
         # The image memmap holds the staged file open; drop it first.
         self.image = None
-        if self._own_spill:
-            shutil.rmtree(self._spill, ignore_errors=True)
-        else:
-            # Caller-owned directory: remove our shards, keep the
-            # assembled labels for inspection.
-            for path in self._spill.glob("tile-*.bin"):
-                path.unlink(missing_ok=True)
-            (self._spill / "image.pgm").unlink(missing_ok=True)
+        self._remove_spill()

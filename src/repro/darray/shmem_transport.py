@@ -59,14 +59,19 @@ def _shard_init(metas, opts, plan: FaultPlan | None = None) -> None:
 
 
 def _shard_label(arg):
-    """Verb 1: label one shard in place; return its hooks."""
+    """Verb 1: label one shard in place; return its hooks and component count.
+
+    The kernel's run table is painted straight into the shard.  A fresh
+    segment is zero-filled and a retried attempt paints the same values,
+    so painting the foreground is enough.
+    """
     pid, attempt = arg
     fire("darray:label", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:label:t{pid}"):
         opts = _SHARD["opts"]
         img, lab = _SHARD["tiles"][pid]
         r0, c0 = opts["origins"][pid]
-        result = get_kernel("tile_label", backend=opts["kernel"])(
+        runs = get_kernel("tile_runs", backend=opts["kernel"])(
             img.array,
             connectivity=opts["connectivity"],
             grey=opts["grey"],
@@ -75,8 +80,8 @@ def _shard_label(arg):
             row_offset=r0,
             col_offset=c0,
         )
-        lab.array[:] = result
-        return pid, create_tile_hooks(result)
+        runs.paint(lab.array, img.array != 0)
+        return pid, create_tile_hooks(runs), runs.n_components
 
 
 def _shard_border(arg):
@@ -201,12 +206,13 @@ class ShmemTransport(Transport):
 
     # -- verb 1: tile-local compute ---------------------------------------
 
-    def label(self) -> dict[int, TileHooks]:
+    def label(self) -> tuple[dict[int, TileHooks], int]:
         results = run_tasks(
             self._pool, _shard_label, range(self.grid.p),
             site="darray:label", **self._dispatch,
         )
-        return dict(results)
+        hooks = {pid: tile_hooks for pid, tile_hooks, _n in results}
+        return hooks, sum(n for _pid, _hooks, n in results)
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
         run_tasks(

@@ -53,9 +53,9 @@ class TransportStats:
     ``border_bytes`` counts every byte of border labels+colors fetched
     (verb 2); ``change_bytes`` every byte of change array fanned out
     (verb 3, bytes x receiving tiles).  ``spill_reads`` /
-    ``spill_writes`` count whole-tile transfers between residency and
-    the spill directory (out-of-core transport only);
-    ``resident_highwater`` is the maximum number of label tiles ever
+    ``spill_writes`` count whole run-table transfers between residency
+    and the spill directory (out-of-core transport only);
+    ``resident_highwater`` is the maximum number of run tables ever
     resident at once.
     """
 
@@ -85,17 +85,23 @@ class Transport(abc.ABC):
     # -- verb 1: tile-local compute ---------------------------------------
 
     @abc.abstractmethod
-    def label(self) -> dict[int, TileHooks]:
-        """Initial per-tile labeling on every shard; returns the hooks.
+    def label(self) -> tuple[dict[int, TileHooks], int]:
+        """Initial per-tile labeling on every shard.
 
         Each shard's labels use the paper's globally-offset convention
         ``(Iq + i) * cols + (Jr + j) + 1``; the transport stores them
-        shard-locally and returns one :class:`TileHooks` per tile.
+        shard-locally -- as a run table or a label tile -- and returns
+        one :class:`TileHooks` per tile plus the sum of the tiles'
+        component counts.
         """
 
     @abc.abstractmethod
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
-        """Hook-based final interior relabel, tile-local on every shard."""
+        """Hook-based final interior relabel, tile-local on every shard.
+
+        Every tile's final labels are written once, where
+        :meth:`gather` reads them.
+        """
 
     @abc.abstractmethod
     def histogram(self, k: int) -> np.ndarray:

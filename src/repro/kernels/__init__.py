@@ -16,6 +16,10 @@ Registered kernels (identical signatures across backends):
 row_offset, col_offset)``
     Per-tile component labeling with the paper's
     ``(Iq + i) n + (Jr + j) + 1`` seed-label convention (Section 5.1).
+``tile_runs(image, **same keywords)``
+    The same labeling as a :class:`~repro.baselines.run_label.TileRuns`
+    run table (run labels and lengths, perimeter labels, component
+    count), which the distributed engines keep until the final update.
 ``border_extract(tile, edge)``
     One tile edge in global scan order (merge-step input).
 ``relabel(labels, alphas, betas)``

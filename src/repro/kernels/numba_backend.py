@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.run_label import runs_adapter
 from repro.kernels.registry import register
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_image, check_power_of_two
@@ -173,6 +174,8 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only with numba
             )
         out[fg] = labels
         return out.reshape(rows, cols)
+
+    register("tile_runs", "numba")(runs_adapter(tile_label))
 
     @register("border_extract", "numba")
     def border_extract(tile: np.ndarray, edge: str) -> np.ndarray:

@@ -2,24 +2,25 @@
 
 Bit-identical, array-at-a-time versions of the python reference
 kernels.  The tile labeler is
-:func:`~repro.baselines.run_label.run_label`, registered as-is: run
-extraction, ``searchsorted`` discovery of touching runs in adjacent
-rows, vectorized hook-and-shortcut
+:func:`~repro.baselines.run_label.tile_runs`, registered as-is as
+``tile_runs``: run extraction, ``searchsorted`` discovery of touching
+runs in adjacent rows, and vectorized hook-and-shortcut
 (:meth:`~repro.baselines.union_find.UnionFind.union_edges`) over those
-run pairs, and a vectorized paint.  The union-find keeps minimum
-representatives and runs are numbered in row-major order, so each
-component's root is its first run, whose start pixel is the seed of
-:func:`~repro.baselines.bfs_label.bfs_label`; every pixel is painted
-with that seed's ``label_base + (row_offset + i) * stride +
-(col_offset + j)`` label -- the paper's ``(Iq + i) n + (Jr + j) + 1``
-convention, bit for bit.
+run pairs.  The union-find keeps minimum representatives and runs are
+numbered in row-major order, so each component's root is its first run,
+whose start pixel is the seed of
+:func:`~repro.baselines.bfs_label.bfs_label`; every run carries that
+seed's ``label_base + (row_offset + i) * stride + (col_offset + j)``
+label -- the paper's ``(Iq + i) n + (Jr + j) + 1`` convention, bit for
+bit.  ``tile_label`` is :func:`~repro.baselines.run_label.run_label`,
+the same table painted.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.run_label import run_label
+from repro.baselines.run_label import run_label, tile_runs
 from repro.kernels.registry import register
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_image, check_power_of_two
@@ -36,6 +37,7 @@ def histogram(image: np.ndarray, k: int) -> np.ndarray:
 
 
 register("tile_label", "numpy")(run_label)
+register("tile_runs", "numpy")(tile_runs)
 
 
 @register("border_extract", "numpy")

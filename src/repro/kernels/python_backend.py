@@ -2,7 +2,8 @@
 
 These are the paper's procedures exactly as written, executed per
 pixel by the interpreter: the Section 5.1 row-major BFS for tile
-labeling, a scalar tally loop for histogramming, per-pixel border
+labeling (``tile_runs`` compresses its output into runs through
+:func:`~repro.baselines.run_label.runs_adapter`), a scalar tally loop for histogramming, per-pixel border
 walks, and a per-label binary search for the change-array relabel.
 They define the semantics; the numpy backend must match them bit for
 bit (enforced by the differential property suite).
@@ -15,6 +16,7 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.baselines.bfs_label import bfs_label
+from repro.baselines.run_label import runs_adapter
 from repro.baselines.sequential import sequential_histogram_loop
 from repro.kernels.registry import register
 from repro.utils.errors import ValidationError
@@ -47,6 +49,9 @@ def tile_label(
         row_offset=row_offset,
         col_offset=col_offset,
     )
+
+
+register("tile_runs", "python")(runs_adapter(tile_label))
 
 
 def _edge_coords(rows: int, cols: int, edge: str) -> list[tuple[int, int]]:

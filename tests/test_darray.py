@@ -150,6 +150,42 @@ class TestEngine:
             assert np.array_equal(np.asarray(res.labels), serial_labels), transport
 
 
+def _count_identity_inputs(n: int):
+    """``(name, image, grey)``: the nine patterns, then seeded DARPA grey,
+    random binary and random 4-level images in both modes."""
+    from repro.images import darpa_like
+
+    for pattern in range(1, 10):
+        yield f"pattern{pattern}", binary_test_image(pattern, n), False
+    rng = np.random.default_rng(17)
+    others = {
+        "darpa": darpa_like(n, 256, seed=3),
+        "binary": (rng.random((n, n)) < 0.55).astype(np.int32),
+        "levels4": rng.integers(0, 4, size=(n, n)).astype(np.int32),
+    }
+    for name, img in others.items():
+        for grey in (False, True):
+            yield f"{name}-{'grey' if grey else 'binary'}", img, grey
+
+
+class TestCountIdentity:
+    """``n_components`` comes from the merges: the per-tile component
+    counts minus the published change-array lengths.  It must equal the
+    count read off the labels."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("p", [4, 16, 64])
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_merges_give_the_component_count(self, transport, p, connectivity):
+        n = 128 if transport == "shmem" else 256
+        for name, img, grey in _count_identity_inputs(n):
+            res = darray_components(
+                img, p=p, transport=transport, connectivity=connectivity, grey=grey
+            )
+            expected = count_components(np.asarray(res.labels))
+            assert res.n_components == expected, (name, res.n_components, expected)
+
+
 class TestTransportRegistry:
     def test_known_names(self):
         assert set(TRANSPORTS) == {"local", "shmem", "mmap"}

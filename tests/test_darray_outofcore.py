@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.sequential import sequential_components
-from repro.darray import darray_components, darray_histogram
+from repro.core.tiles import ProcessorGrid
+from repro.darray import darray_components, darray_histogram, open_transport
 from repro.images import binary_test_image
 from repro.images.io import write_pgm
 
@@ -141,6 +142,72 @@ class TestSpillHygiene:
         write_pgm(path, image, binary=False)
         res = darray_components(str(path), p=P, transport="mmap")
         assert np.array_equal(np.asarray(res.labels), serial_labels)
+
+
+class TestFailedOpen:
+    """A transport that fails to open leaves nothing behind."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        import repro.darray.mmap_transport as mt
+
+        created = []
+        original = mt.tempfile.mkdtemp
+
+        def spy(**kw):
+            path = original(**kw)
+            created.append(path)
+            return path
+
+        monkeypatch.setattr(mt.tempfile, "mkdtemp", spy)
+        return created
+
+    def test_truncated_payload_removes_owned_dir(self, tmp_path, image_path, created):
+        from repro.utils.errors import ValidationError
+
+        data = open(image_path, "rb").read()
+        truncated = tmp_path / "truncated.pgm"
+        truncated.write_bytes(data[:-10])
+        grid = ProcessorGrid(P, (N, N), strict=False)
+        with pytest.raises(ValidationError, match="truncated"):
+            open_transport("mmap", grid, str(truncated))
+        assert len(created) == 1
+        assert not os.path.exists(created[0])
+
+    def test_shape_mismatch_removes_owned_dir(self, image, created):
+        from repro.utils.errors import ValidationError
+
+        grid = ProcessorGrid(P, (2 * N, N), strict=False)
+        with pytest.raises(ValidationError, match="does not match"):
+            open_transport("mmap", grid, image)
+        assert len(created) == 1
+        assert not os.path.exists(created[0])  # staged image.pgm included
+
+    def test_shape_mismatch_keeps_callers_files(self, tmp_path, image, created):
+        from repro.utils.errors import ValidationError
+
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        (spill / "notes.txt").write_text("the caller's")
+        grid = ProcessorGrid(P, (2 * N, N), strict=False)
+        with pytest.raises(ValidationError, match="does not match"):
+            open_transport("mmap", grid, image, spill_dir=str(spill))
+        assert created == []
+        # Only the staged image.pgm goes; the directory and its other
+        # files stay.
+        assert sorted(p.name for p in spill.iterdir()) == ["notes.txt"]
+
+    def test_mapped_source_in_spill_dir_survives_close(self, tmp_path, image):
+        # A binary PGM is mapped, never staged, so close() leaves it be
+        # even when it sits in the spill directory under the staging name.
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        write_pgm(spill / "image.pgm", image)
+        res = darray_components(
+            str(spill / "image.pgm"), p=P, transport="mmap", spill_dir=str(spill)
+        )
+        assert res.n_components > 0
+        assert sorted(p.name for p in spill.iterdir()) == ["image.pgm", "labels.bin"]
 
 
 class TestHistogramOutOfCore:

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.baselines import run_label
+from repro.baselines.run_label import tile_runs
 from repro.core.change_array import ChangeArray, apply_changes
 from repro.core.hooks import (
     MAX_MASKED_RENAMES,
     TileHooks,
     apply_hooks,
     apply_hooks_bfs,
+    apply_hooks_isolated,
     create_tile_hooks,
     hook_ops,
 )
@@ -228,6 +230,83 @@ class TestBfsReferenceEquivalence:
             twice = once.copy()
             apply_hooks(twice, hooks)
             assert np.array_equal(twice, once)
+
+
+def _painted(runs, img: np.ndarray) -> np.ndarray:
+    out = np.zeros(img.shape, dtype=np.int64)
+    runs.paint(out, img != 0)
+    return out
+
+
+def _run_cases(rng, connectivity):
+    """``(img, runs, merged, hooks, n_changed)``: each of :func:`_bfs_cases`
+    as the run table of its binary image, with the initial perimeter."""
+    for merged, hooks, n_changed in _bfs_cases(rng, connectivity):
+        img = (merged != 0).astype(np.int32)
+        runs = tile_runs(img, connectivity=connectivity, label_stride=1000)
+        yield img, runs, merged, hooks, n_changed
+
+
+class TestRunTables:
+    """The final update on a run table equals the update on its painted
+    tile: renaming the runs from the perimeter vector, then painting."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_hooks_equal_the_painted_tiles(self, connectivity, rng):
+        for img, runs, _merged, hooks, _n in _run_cases(rng, connectivity):
+            from_tile = create_tile_hooks(_painted(runs, img))
+            from_runs = create_tile_hooks(runs)
+            assert np.array_equal(from_runs.labels, from_tile.labels)
+            assert np.array_equal(from_runs.offsets, from_tile.offsets)
+            assert np.array_equal(from_runs.labels, hooks.labels)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_apply_hooks_equals_pixel_update(self, connectivity, rng):
+        n_changed = []
+        for img, runs, merged, hooks, n_pick in _run_cases(rng, connectivity):
+            runs.perimeter = merged.ravel()[perimeter_indices(*merged.shape)]
+            assert apply_hooks(runs, hooks) is None
+            expected = merged.copy()
+            apply_hooks(expected, hooks)
+            assert np.array_equal(_painted(runs, img), expected)
+            n_changed.append(n_pick)
+        assert min(n_changed) <= MAX_MASKED_RENAMES < max(n_changed)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_apply_hooks_isolated_equals_pixel_update(self, connectivity, rng):
+        n_changed = []
+        for img, runs, merged, hooks, n_pick in _run_cases(rng, connectivity):
+            border = merged.ravel()[perimeter_indices(*merged.shape)]
+            expected = _painted(runs, img)  # initial labels everywhere
+            apply_hooks_isolated(expected, hooks, border)
+            apply_hooks_isolated(runs, hooks, border)
+            assert np.array_equal(runs.perimeter, border)
+            assert np.array_equal(_painted(runs, img), expected)
+            n_changed.append(n_pick)
+        assert min(n_changed) <= MAX_MASKED_RENAMES < max(n_changed)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_applying_twice_equals_once(self, connectivity, rng):
+        for img, runs, merged, hooks, _n in _run_cases(rng, connectivity):
+            border = merged.ravel()[perimeter_indices(*merged.shape)]
+            apply_hooks_isolated(runs, hooks, border)
+            once = runs.labels.copy()
+            apply_hooks(runs, hooks)
+            assert np.array_equal(runs.labels, once)
+            apply_hooks_isolated(runs, hooks, border)
+            assert np.array_equal(runs.labels, once)
+
+    def test_no_changes_no_op(self):
+        img = np.array([[1, 1, 0], [0, 1, 0], [1, 0, 1]], dtype=np.int32)
+        runs = tile_runs(img, label_stride=1000)
+        before = runs.labels.copy()
+        apply_hooks(runs, create_tile_hooks(runs))
+        assert np.array_equal(runs.labels, before)
+
+    def test_rejects_wrong_border_length(self):
+        runs = tile_runs(np.ones((4, 4), dtype=np.int32))
+        with pytest.raises(ValidationError):
+            apply_hooks_isolated(runs, create_tile_hooks(runs), np.zeros(5, dtype=np.int64))
 
 
 @settings(max_examples=40, deadline=None)

@@ -29,8 +29,9 @@ from repro.baselines import (
     sequential_histogram,
     two_pass_label,
 )
+from repro.baselines.run_label import tile_runs
 from repro.core.change_array import ChangeArray, apply_changes
-from repro.core.tiles import edge_indices
+from repro.core.tiles import edge_indices, perimeter_indices
 from repro.utils.errors import ValidationError
 
 from tests.conftest import canonicalize
@@ -62,6 +63,7 @@ class TestRegistry:
             "histogram",
             "relabel",
             "tile_label",
+            "tile_runs",
         ]
         expected = ["python", "numpy"] + (
             ["numba"] if kernels.NUMBA_AVAILABLE else []
@@ -103,6 +105,7 @@ class TestRegistry:
     def test_numpy_tile_label_is_run_label(self):
         """There is one run-length labeler: the numpy kernel is ``run_label``."""
         assert kernels.get("tile_label", backend="numpy").__wrapped__ is run_label
+        assert kernels.get("tile_runs", backend="numpy").__wrapped__ is tile_runs
 
     def test_kernel_label_backend_argument(self, small_binary):
         a = kernel_label(small_binary, backend="python")
@@ -233,6 +236,93 @@ class TestTileLabelDifferential:
             kernels.get("tile_label", backend="python")(small_binary),
             bfs_label(small_binary),
         )
+
+
+# ---------------------------------------------------------------------------
+# tile_runs: the run table every backend returns
+# ---------------------------------------------------------------------------
+
+
+class TestTileRunsDifferential:
+    @given(
+        image=_image_strategy(),
+        connectivity=connectivities,
+        grey=grey_flags,
+        label_base=st.integers(1, 3),
+        stride_pad=st.integers(0, 40) | st.none(),
+        row_offset=st.integers(0, 32),
+        col_offset=st.integers(0, 32),
+    )
+    @example(  # no foreground at all
+        image=np.zeros((4, 6), dtype=np.int32), connectivity=8, grey=False,
+        label_base=1, stride_pad=None, row_offset=0, col_offset=0,
+    )
+    @example(  # one row: the perimeter is the row
+        image=np.array([[1, 0, 2, 2, 0, 1]], dtype=np.int32), connectivity=4,
+        grey=True, label_base=1, stride_pad=3, row_offset=5, col_offset=7,
+    )
+    @example(  # one column: the perimeter is the column
+        image=np.array([[1], [1], [0], [3]], dtype=np.int32), connectivity=8,
+        grey=False, label_base=2, stride_pad=0, row_offset=1, col_offset=0,
+    )
+    @example(  # runs that touch the left or right edge in middle rows only
+        image=np.array(
+            [[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=np.int32
+        ),
+        connectivity=4, grey=False, label_base=1, stride_pad=None,
+        row_offset=0, col_offset=0,
+    )
+    def test_every_backend_matches_tile_label(
+        self, image, connectivity, grey, label_base, stride_pad, row_offset, col_offset
+    ):
+        """Painted, the table is ``tile_label``'s tile; its perimeter is
+        that tile's perimeter and its count its distinct labels.  The
+        stride is at least the tile width, so labels are distinct."""
+        rows, cols = image.shape
+        kw = dict(
+            connectivity=connectivity,
+            grey=grey,
+            label_base=label_base,
+            label_stride=None if stride_pad is None else cols + stride_pad,
+            row_offset=row_offset,
+            col_offset=col_offset,
+        )
+        for backend in kernels.available_backends():
+            expected = kernels.get("tile_label", backend=backend)(image, **kw)
+            runs = kernels.get("tile_runs", backend=backend)(image, **kw)
+            painted = np.zeros((rows, cols), dtype=np.int64)
+            runs.paint(painted, image != 0)
+            assert np.array_equal(painted, expected), backend
+            assert runs.shape == (rows, cols)
+            assert int(runs.lengths.sum()) == int(np.count_nonzero(image))
+            assert np.array_equal(
+                runs.perimeter, expected.ravel()[perimeter_indices(rows, cols)]
+            ), backend
+            distinct = np.unique(expected[expected != 0])
+            assert runs.n_components == distinct.size, backend
+
+    def test_paint_through_a_strided_view(self, small_grey):
+        runs = tile_runs(small_grey, grey=True)
+        frame = np.full((small_grey.shape[0] + 3, small_grey.shape[1] + 5), -1)
+        view = frame[1:-2, 2:-3]
+        view[...] = 0
+        runs.paint(view, small_grey != 0)
+        assert np.array_equal(view, run_label(small_grey, grey=True))
+        assert (frame == -1).sum() == frame.size - view.size
+
+    def test_paint_rejects_a_mismatched_shape(self):
+        image = np.ones((3, 4), dtype=np.int32)
+        runs = tile_runs(image)
+        with pytest.raises(ValidationError):
+            runs.paint(np.zeros((4, 3), dtype=np.int64), image.T != 0)
+
+    def test_rejections_match_tile_label(self):
+        for backend in kernels.available_backends():
+            fn = kernels.get("tile_runs", backend=backend)
+            with pytest.raises(ValidationError):
+                fn(np.ones((3, 3), dtype=np.int32), label_base=0)
+            with pytest.raises(ValidationError):
+                fn(np.zeros((3, 3), dtype=np.int32), connectivity=5)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ class TestKernelSpans:
     def test_traced_run_records_kernel_spans(self, image, transport):
         rec = WallRecorder()
         darray_components(image, grey=True, p=4, transport=transport, recorder=rec)
-        kernels = [s for s in rec.log.spans if s.name == "kernel:tile_label"]
+        kernels = [s for s in rec.log.spans if s.name == "kernel:tile_runs"]
         assert len(kernels) == 4  # one per tile
         if transport == "local":
             (label,) = [s for s in rec.log.spans if s.name == "darray:label"]
