@@ -23,12 +23,13 @@ generator's exact client-side percentiles, so the artifact doubles as
 a standing cross-check of the metrics plane.
 
 An observability on/off pass then re-runs the batched+cached stream
-with full tracing (a ``WallRecorder`` sink) plus metrics against
-a registry-off, recorder-off twin, and records the throughput overhead
-as ``params.obs_overhead_pct`` with one comparison row per side.
-Measured passes alternate between the two sides with best-of-N per
-side as the score, so machine-load drift cancels instead of
-masquerading as observability overhead.
+with full tracing (a ``WallRecorder`` sink) against a recorder-off
+twin -- the metrics registry is always on, so it is in both arms --
+and records the throughput overhead as ``params.obs_overhead_pct``
+with one comparison row per side.  Measured passes alternate between
+the two sides, and the score is the median of the per-pair overheads,
+so machine-load drift cancels instead of masquerading as observability
+overhead.
 
 A saturation pass then offers more concurrency than a deliberately
 shallow admission queue can hold and checks the overload contract:
@@ -180,19 +181,20 @@ def _compare(args) -> tuple[list[dict], float]:
 
 
 def _obs_overhead(args) -> tuple[list[dict], float]:
-    """Tracing+metrics on vs off on the identical batched+cached stream.
+    """Tracing on vs off on the identical batched+cached stream.
 
-    ``on`` is the fully instrumented service (metrics registry plus a
-    WallRecorder sink, so every request builds its span tree);
-    ``off`` disables both.  Conditions mirror the headline
-    batched+cached row: a fresh client and a cold cache per measured
-    pass, so the stream pays its real mix of computes, coalesces, and
-    cache hits.  A single closed-loop pass lasts tens of milliseconds
-    and wobbles far more than the effect being measured, so passes
-    *alternate* between the two sides -- machine-load drift hits both
-    equally -- and each side scores its best-of-N.  The overhead the
-    observability plane may charge is a few percent; the artifact
-    records what it actually was.
+    ``on`` is the fully instrumented service (a WallRecorder sink, so
+    every request builds its span tree); ``off`` has no recorder.  The
+    metrics registry is the service's counter store and runs in both.
+    Conditions mirror the headline batched+cached row: a fresh client
+    and a cold cache per measured pass, so the stream pays its real mix
+    of computes, coalesces, and cache hits.  A single closed-loop pass
+    lasts tens of milliseconds and wobbles far more than the effect
+    being measured, so passes come in on/off *pairs* whose order
+    alternates -- machine-load drift hits both sides equally -- and the
+    score is the median of the per-pair overheads; each side's row is
+    its median-throughput pass.  The artifact records what the overhead
+    actually was.
     """
     # The headline stream finishes in tens of milliseconds -- a window
     # where a single scheduler stall is a double-digit-percent swing,
@@ -202,15 +204,18 @@ def _obs_overhead(args) -> tuple[list[dict], float]:
     # cache hits) is unchanged.
     repeat = 1 if args.smoke else 4
     workload = _make_workload(args.requests, args.distinct, args.size) * repeat
-    passes = 2 if args.smoke else 5
+    # An odd pair count, so the median is one pair's reading and a
+    # single outlier pair cannot move it.
+    passes = 3 if args.smoke else 9
     on_label, off_label = "batched+cached+obs", "batched+cached-noobs"
-    best: dict[str, dict] = {}
-    for _ in range(passes):
-        for label, obs_on in ((on_label, True), (off_label, False)):
+    sides = ((on_label, True), (off_label, False))
+    runs: dict[str, list[dict]] = {on_label: [], off_label: []}
+    pair_pcts: list[float] = []
+    for i in range(passes):
+        for label, obs_on in sides if i % 2 == 0 else sides[::-1]:
             config = ServiceConfig(
                 workers=args.workers,
                 queue_depth=max(4 * args.threads, 64),
-                metrics=obs_on,
                 **CONFIGS["batched+cached"],
             )
             recorder = WallRecorder(source="bench-service") if obs_on else None
@@ -232,22 +237,30 @@ def _obs_overhead(args) -> tuple[list[dict], float]:
                 assert row["spans_recorded"] >= len(workload), (
                     "tracing was on but barely any spans were recorded"
                 )
-            if label not in best or (
-                row["throughput_rps"] > best[label]["throughput_rps"]
-            ):
-                best[label] = row
-    rows = [best[on_label], best[off_label]]
+            runs[label].append(row)
+        off = max(runs[off_label][-1]["throughput_rps"], 1e-12)
+        pair_pcts.append(
+            (off - runs[on_label][-1]["throughput_rps"]) / off * 100.0
+        )
+    rows = [
+        sorted(runs[label], key=lambda r: r["throughput_rps"])[passes // 2]
+        for label in (on_label, off_label)
+    ]
     for row in rows:
         print(
             f"  {row['config']:<20} {row['throughput_rps']:>8.1f} req/s "
-            f"(best of {passes})   p50 {row['p50_ms']:.2f}ms  "
+            f"(median of {passes})   p50 {row['p50_ms']:.2f}ms  "
             f"p99 {row['p99_ms']:.2f}ms"
             + (f"  ({row['spans_recorded']} spans)"
                if row["observability"] else "")
         )
-    off = max(best[off_label]["throughput_rps"], 1e-12)
-    overhead_pct = (off - best[on_label]["throughput_rps"]) / off * 100.0
-    print(f"  observability overhead: {overhead_pct:+.1f}% throughput")
+    overhead_pct = float(np.median(pair_pcts))
+    rows[0]["pair_overheads_pct"] = pair_pcts
+    print(
+        f"  observability overhead: {overhead_pct:+.1f}% throughput "
+        f"(median of {passes} pairs: "
+        + ", ".join(f"{p:+.1f}%" for p in pair_pcts) + ")"
+    )
     return rows, overhead_pct
 
 
@@ -458,7 +471,6 @@ def _shard_compare(args) -> tuple[list[dict], float]:
                     runtime_dir=tmp,
                     workers_per_shard=1,
                     shard_args=["--cache-entries", str(entries)],
-                    metrics=False,
                 ),
             )
             await router.start()
@@ -591,13 +603,13 @@ def main(argv=None) -> int:
     # The observability plane must stay cheap.  The formal budget is 5%;
     # the gate leaves headroom for loaded CI runners, where a single
     # closed-loop run easily wobbles by more than the budget itself.
-    # Measured on a 1-CPU runner the best-of-5 reading itself spreads
-    # ~10-15% run to run (the 4x window repeat above already tightened
-    # it from ~9-24%), so the ceiling sits above that spread: a
-    # regression that doubles the instrumentation cost still trips it.
+    # On a 2-CPU host a best-of-N-per-side score ranged 5-32% run to
+    # run, so the score is the median of per-pair overheads, and the
+    # ceiling sits above its spread: a regression that doubles the
+    # instrumentation cost still trips it.
     ceiling = 30.0 if args.smoke else 20.0
     assert obs_overhead_pct <= ceiling, (
-        f"tracing+metrics overhead {obs_overhead_pct:.1f}% exceeds the "
+        f"tracing overhead {obs_overhead_pct:.1f}% exceeds the "
         f"{ceiling:.0f}% bench gate"
     )
     emit_json(
@@ -621,8 +633,10 @@ def main(argv=None) -> int:
         notes="closed-loop load generator over the in-process service client; "
         "'saturation' row offers more concurrency than the admission queue "
         "holds and records typed load shedding; the 'batched+cached+obs' / "
-        "'batched+cached-noobs' pair measures the tracing+metrics overhead "
-        "on the identical stream (params.obs_overhead_pct); the 'wire:*' "
+        "'batched+cached-noobs' pair measures the tracing overhead on the "
+        "identical stream, the metrics registry on in both (params."
+        "obs_overhead_pct: the median of alternating per-pair overheads); "
+        "the 'wire:*' "
         "rows drive a real socket server over one persistent connection "
         "per wire mode and record the zero-copy shmem win over ndjson "
         "base64 (params.wire_gain); the 'shards:*' rows front spawned "

@@ -65,7 +65,13 @@ from repro.machines.params import MACHINES, get_machine
 #: takes no ``trace=`` (activate the context), and ``repro serve
 #: --shards N`` rejects ``--trace-out`` / ``--metrics-out`` /
 #: ``--metrics-interval`` / ``--fault-plan`` instead of ignoring them.
-__version__ = "3.0.0"
+#:
+#: 4.0.0 is a breaking release: the metrics registry is the service
+#: tier's only counter store, so ``AdmissionStats`` / ``BatcherStats``
+#: (and the layers' ``.stats`` attributes) are gone -- read counts from
+#: ``snapshot()`` or the registry -- and so are ``ServiceConfig.metrics``,
+#: ``RouterConfig.metrics`` and ``repro serve --no-metrics``.
+__version__ = "4.0.0"
 
 __all__ = [
     "kernels",

@@ -938,8 +938,6 @@ def _shard_passthrough(args) -> list[str]:
     ]
     if args.no_cache:
         argv.append("--no-cache")
-    if args.no_metrics:
-        argv.append("--no-metrics")
     if args.kernel:
         argv.extend(["--kernel", args.kernel])
     if args.timeout is not None:
@@ -1254,7 +1252,6 @@ def cmd_serve(args) -> int:
         timeout_s=args.timeout,
         retries=args.retries,
         fault_plan=plan,
-        metrics=not args.no_metrics,
         drain_deadline_s=args.drain_deadline,
     )
     if args.shards > 1:
@@ -1279,13 +1276,12 @@ def cmd_serve(args) -> int:
             f"({config.workers} worker(s), kernel={config.kernel}, "
             f"batch<={config.max_batch}, window={config.max_delay_s * 1e3:.1f}ms, "
             f"queue depth {config.queue_depth}, "
-            f"cache={'on' if config.cache else 'off'}, "
-            f"metrics={'on' if config.metrics else 'off'})",
+            f"cache={'on' if config.cache else 'off'})",
             flush=True,
         )
         samples: list[dict] = []
         writer_task = None
-        if args.metrics_interval and service.metrics is not None:
+        if args.metrics_interval:
             from repro.obs import write_timeseries
 
             async def _write_series() -> None:
@@ -1309,7 +1305,7 @@ def cmd_serve(args) -> int:
                 f"shed {snap.get('admission', {}).get('shed', 0)}",
                 flush=True,
             )
-            if args.metrics_interval and service.metrics is not None:
+            if args.metrics_interval:
                 from repro.obs import write_timeseries
 
                 samples.append(service.metrics.snapshot())
@@ -1771,12 +1767,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TRACE.json",
         help="export the request span tree as Chrome trace-event JSON on "
         "shutdown (also enables tracing for --selftest)",
-    )
-    srv.add_argument(
-        "--no-metrics",
-        action="store_true",
-        help="disable the metrics registry (the 'metrics' control op will "
-        "return an error)",
     )
     srv.add_argument(
         "--metrics-interval",

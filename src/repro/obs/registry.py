@@ -256,6 +256,17 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
+    def count(self, name: str) -> int:
+        """A counter family's total over all its label sets (0 while
+        the family is unregistered, i.e. before its first event)."""
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                return 0
+            if family.kind != "counter":
+                raise ValidationError(f"metric {name!r} is a {family.kind}, not a counter")
+            return int(sum(c.value for c in family.children.values()))
+
     # -- exposition --------------------------------------------------------
 
     def prometheus_text(self) -> str:

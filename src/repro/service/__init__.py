@@ -10,13 +10,11 @@ at the door instead of queued into oblivion.  See ``docs/SERVICE.md``.
 from repro.service.admission import (
     DEFAULT_QUEUE_DEPTH,
     AdmissionQueue,
-    AdmissionStats,
     PendingRequest,
 )
 from repro.service.batcher import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_DELAY_S,
-    BatcherStats,
     BatchKey,
     MicroBatcher,
 )
@@ -64,11 +62,9 @@ from repro.service.wire import (
 
 __all__ = [
     "AdmissionQueue",
-    "AdmissionStats",
     "BatchExecutor",
     "BatchKey",
     "BatchService",
-    "BatcherStats",
     "CacheStats",
     "CircuitBreaker",
     "Client",

@@ -29,7 +29,13 @@ from repro.obs import trace as _trace
 from repro.obs.events import SVC_SHED
 from repro.obs.trace import TraceContext
 from repro.runtime.dispatch import resolve_timeout
-from repro.service.instruments import ServiceInstruments
+from repro.service.instruments import (
+    M_ADMITTED,
+    M_EXPIRED,
+    M_QUEUE_WAIT,
+    M_SHED,
+    ServiceInstruments,
+)
 from repro.utils.errors import ServiceOverloadError
 
 #: Default bound on queued (admitted but not yet dispatched) requests.
@@ -64,33 +70,17 @@ class PendingRequest:
         return (now if now is not None else time.monotonic()) - self.enqueued_s
 
 
-@dataclass
-class AdmissionStats:
-    admitted: int = 0
-    shed: int = 0
-    expired: int = 0
-    depth_highwater: int = 0
-    total_wait_s: float = 0.0
-    max_wait_s: float = 0.0
-
-    def snapshot(self) -> dict:
-        mean = self.total_wait_s / self.admitted if self.admitted else 0.0
-        return {
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "expired": self.expired,
-            "depth_highwater": self.depth_highwater,
-            "mean_wait_ms": mean * 1e3,
-            "max_wait_ms": self.max_wait_s * 1e3,
-        }
-
-
 class AdmissionQueue:
     """Bounded FIFO of :class:`PendingRequest` with immediate shedding.
 
     ``put`` is synchronous and never blocks: backpressure is delivered
     as an exception the caller can surface to its client right away.
     ``get`` is a coroutine for the single batcher consumer.
+
+    Its event counts (admitted, shed, expired -- the batcher settles
+    expiry on the same ``instruments``) live in the registry;
+    :meth:`snapshot` reads them back beside the queue's own high-water
+    marks.
     """
 
     def __init__(
@@ -98,14 +88,15 @@ class AdmissionQueue:
         *,
         depth: int = DEFAULT_QUEUE_DEPTH,
         timeout_s: float | None = None,
-        instruments: ServiceInstruments | None = None,
+        instruments: ServiceInstruments,
     ):
         self.depth = int(depth)
         if self.depth <= 0:
             raise ServiceOverloadError("queue depth must be positive", depth=depth)
         self.timeout_s = resolve_timeout(timeout_s)
-        self.stats = AdmissionStats()
-        self._instruments = instruments
+        self.instruments = instruments
+        self.depth_highwater = 0
+        self.max_wait_s = 0.0
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.depth)
 
     def __len__(self) -> int:
@@ -117,29 +108,24 @@ class AdmissionQueue:
         try:
             self._queue.put_nowait(req)
         except asyncio.QueueFull:
-            self.stats.shed += 1
             _trace.instant(SVC_SHED, op=req.op, depth=self._queue.qsize())
-            if self._instruments is not None:
-                self._instruments.shed()
+            self.instruments.shed()
             raise ServiceOverloadError(
                 f"service queue full ({self.depth} request(s) already queued); "
                 f"request shed -- back off and retry",
                 depth=self.depth,
             ) from None
-        self.stats.admitted += 1
-        self.stats.depth_highwater = max(self.stats.depth_highwater, self._queue.qsize())
-        if self._instruments is not None:
-            self._instruments.queue_depth(self._queue.qsize())
+        depth = self._queue.qsize()
+        self.depth_highwater = max(self.depth_highwater, depth)
+        self.instruments.admitted(depth)
 
     async def get(self) -> PendingRequest:
         """Next admitted request (FIFO); records its queue wait."""
         req = await self._queue.get()
         waited = req.waited_s()
-        self.stats.total_wait_s += waited
-        self.stats.max_wait_s = max(self.stats.max_wait_s, waited)
-        if self._instruments is not None:
-            self._instruments.queue_depth(self._queue.qsize())
-            self._instruments.queue_wait(waited)
+        self.max_wait_s = max(self.max_wait_s, waited)
+        self.instruments.queue_depth(self._queue.qsize())
+        self.instruments.queue_wait(waited)
         return req
 
     def drain_nowait(self) -> list[PendingRequest]:
@@ -150,3 +136,16 @@ class AdmissionQueue:
                 drained.append(self._queue.get_nowait())
             except asyncio.QueueEmpty:
                 return drained
+
+    def snapshot(self) -> dict:
+        """The ``admission`` section of the service's ``stats``."""
+        reg = self.instruments.registry
+        wait = reg.histogram(M_QUEUE_WAIT)
+        return {
+            "admitted": reg.count(M_ADMITTED),
+            "shed": reg.count(M_SHED),
+            "expired": reg.count(M_EXPIRED),
+            "depth_highwater": self.depth_highwater,
+            "mean_wait_ms": wait.sum / wait.count * 1e3 if wait.count else 0.0,
+            "max_wait_ms": self.max_wait_s * 1e3,
+        }

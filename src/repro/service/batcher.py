@@ -30,7 +30,7 @@ from typing import Awaitable, Callable
 from repro.obs import trace as _trace
 from repro.obs.events import CAT_REQUEST, SVC_EXPIRED, SVC_QUEUE_SPAN
 from repro.service.admission import AdmissionQueue, PendingRequest
-from repro.service.instruments import ServiceInstruments
+from repro.service.instruments import M_BATCH_SIZE, M_EXPIRED
 from repro.utils.errors import TaskTimeoutError, ValidationError
 
 #: Default cap on requests coalesced into one dispatch.
@@ -47,27 +47,6 @@ class BatchKey:
 
     op: str
     params: tuple
-
-
-@dataclass
-class BatcherStats:
-    batches: int = 0
-    requests: int = 0
-    max_batch: int = 0
-    expired: int = 0
-
-    @property
-    def mean_batch(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "batches": self.batches,
-            "requests": self.requests,
-            "mean_batch": self.mean_batch,
-            "max_batch": self.max_batch,
-            "expired": self.expired,
-        }
 
 
 class _Bucket:
@@ -88,7 +67,8 @@ class MicroBatcher:
     flushed batch; it owns resolving each request's future.  Run
     :meth:`run` as an asyncio task; cancel it to stop (remaining
     buckets are flushed on the way out so no admitted request is ever
-    silently dropped).
+    silently dropped).  It counts expiries and flushed batches on the
+    queue's instruments.
     """
 
     def __init__(
@@ -98,7 +78,6 @@ class MicroBatcher:
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_delay_s: float = DEFAULT_MAX_DELAY_S,
-        instruments: ServiceInstruments | None = None,
     ):
         if max_batch <= 0:
             raise ValidationError("max_batch must be positive")
@@ -106,10 +85,11 @@ class MicroBatcher:
             raise ValidationError("max_delay_s must be non-negative")
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
-        self.stats = BatcherStats()
+        #: Largest batch flushed so far (the cap is :attr:`max_batch`).
+        self.largest_batch = 0
         self._queue = queue
         self._execute = execute
-        self._instruments = instruments
+        self._instruments = queue.instruments
         self._buckets: dict[BatchKey, _Bucket] = {}
         self._inflight: set[asyncio.Task] = set()
 
@@ -136,10 +116,8 @@ class MicroBatcher:
     def _absorb(self, req: PendingRequest) -> None:
         now = time.monotonic()
         if req.expired(now):
-            self.stats.expired += 1
             _trace.instant(SVC_EXPIRED, op=req.op, waited_s=req.waited_s(now))
-            if self._instruments is not None:
-                self._instruments.expired()
+            self._instruments.expired()
             if not req.future.done():
                 req.future.set_exception(
                     TaskTimeoutError(
@@ -180,13 +158,23 @@ class MicroBatcher:
         bucket = self._buckets.pop(key)
         if not bucket.requests:
             return
-        self.stats.batches += 1
-        self.stats.requests += len(bucket.requests)
-        self.stats.max_batch = max(self.stats.max_batch, len(bucket.requests))
-        if self._instruments is not None:
-            self._instruments.batch_flushed(
-                len(bucket.requests), time.monotonic() - bucket.opened_at
-            )
+        self.largest_batch = max(self.largest_batch, len(bucket.requests))
+        self._instruments.batch_flushed(
+            len(bucket.requests), time.monotonic() - bucket.opened_at
+        )
         task = asyncio.ensure_future(self._execute(key, bucket.requests))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
+
+    def snapshot(self) -> dict:
+        """The ``batcher`` section of the service's ``stats``."""
+        reg = self._instruments.registry
+        sizes = reg.histogram(M_BATCH_SIZE)
+        requests = int(sizes.sum)
+        return {
+            "batches": sizes.count,
+            "requests": requests,
+            "mean_batch": requests / sizes.count if sizes.count else 0.0,
+            "max_batch": self.largest_batch,
+            "expired": reg.count(M_EXPIRED),
+        }

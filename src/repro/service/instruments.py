@@ -7,7 +7,9 @@ tests cannot drift apart.  The layers (:class:`~repro.service.server.
 BatchService`, :class:`~repro.service.admission.AdmissionQueue`,
 :class:`~repro.service.batcher.MicroBatcher`, the socket front-end)
 hold a :class:`ServiceInstruments` and call its typed methods; none of
-them spells a metric name inline.
+them spells a metric name inline.  The registry is also the only store
+of the service's event counts: the ``stats`` snapshot reads its counts
+back from these families (``docs/SERVICE.md`` maps each key to one).
 
 Label cardinality is bounded by construction: the only labels are the
 op name (clamped to the known :data:`~repro.service.ops.OPS` plus
@@ -35,7 +37,9 @@ M_BATCH_SIZE = "repro_batch_size"
 
 #: Counters.
 M_REQUESTS = "repro_requests_total"
+M_COMPLETED = "repro_requests_completed_total"
 M_ERRORS = "repro_request_errors_total"
+M_ADMITTED = "repro_requests_admitted_total"
 M_CACHE_HITS = "repro_cache_hits_total"
 M_CACHE_MISSES = "repro_cache_misses_total"
 M_CACHE_EVICTIONS = "repro_cache_evictions_total"
@@ -99,6 +103,13 @@ class ServiceInstruments:
                                  labels={"op": op})
             for op in ops
         }
+        self._completed = {
+            op: registry.counter(M_COMPLETED, "Requests answered with a result",
+                                 labels={"op": op})
+            for op in ops
+        }
+        self._admitted = registry.counter(
+            M_ADMITTED, "Requests admitted to the queue")
         self._latency = {
             op: registry.histogram(M_REQUEST_LATENCY,
                                    "End-to-end submit latency",
@@ -142,6 +153,9 @@ class ServiceInstruments:
         self._inflight.dec()
         self._latency[op_label(op)].observe(seconds)
 
+    def request_completed(self, op) -> None:
+        self._completed[op_label(op)].inc()
+
     def request_error(self, op, exc: BaseException) -> None:
         self.registry.counter(
             M_ERRORS, "Requests failed, by error type",
@@ -169,6 +183,10 @@ class ServiceInstruments:
         self._coalesced.inc()
 
     # -- admission / batching ----------------------------------------------
+
+    def admitted(self, depth: int) -> None:
+        self._admitted.inc()
+        self._queue_depth.set(depth)
 
     def shed(self) -> None:
         self.registry.counter(M_SHED, "Requests shed at admission").inc()

@@ -277,7 +277,6 @@ class RouterConfig:
     poll_interval_s: float = 0.05
     drain_deadline_s: float = 5.0
     ready_timeout_s: float = 30.0
-    metrics: bool = True
 
     def __post_init__(self):
         if self.shard_sockets is not None:
@@ -318,7 +317,10 @@ BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 class RouterInstruments:
     """The router's metric catalog; per-shard labels, bounded by the
     shard count (pre-resolved handles, same idiom as
-    :class:`~repro.service.instruments.ServiceInstruments`)."""
+    :class:`~repro.service.instruments.ServiceInstruments`).  Like the
+    service's, it is the router's only store of event counts: every
+    answered request is one forward, so ``completed`` reads the
+    forwards family."""
 
     def __init__(self, registry: MetricsRegistry, shard_ids):
         self.registry = registry
@@ -361,6 +363,9 @@ class RouterInstruments:
         if sid in self._forwards:
             self._forwards[sid].inc()
 
+    def forwards(self, sid: int) -> int:
+        return int(self._forwards[sid].value)
+
     def rerouted(self) -> None:
         self._reroutes.inc()
 
@@ -393,28 +398,6 @@ class RouterInstruments:
         if sid in self._state:
             self._state[sid].set(BREAKER_STATE_VALUES.get(to, 2.0))
         self._healthy.set(healthy)
-
-
-@dataclass
-class RouterStats:
-    requests: int = 0
-    completed: int = 0
-    errors: int = 0
-    reroutes: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    respawns: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "errors": self.errors,
-            "reroutes": self.reroutes,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "respawns": self.respawns,
-        }
 
 
 # -- the router --------------------------------------------------------------
@@ -472,17 +455,12 @@ class ShardRouter:
             )
             for sid in self.shard_ids
         }
-        self.metrics = MetricsRegistry() if cfg.metrics else None
-        self.instruments = (
-            RouterInstruments(self.metrics, self.shard_ids)
-            if self.metrics is not None else None
-        )
-        self.stats = RouterStats()
+        #: The one store of the router's event counts (see :meth:`snapshot`).
+        self.metrics = MetricsRegistry()
+        self.instruments = RouterInstruments(self.metrics, self.shard_ids)
         #: Reply segments each shard minted and no client released yet;
         #: what :meth:`_reclaim_minted` sweeps when the shard dies hard.
         self._minted: dict[int, set[str]] = {sid: set() for sid in self.shard_ids}
-        #: Requests answered per shard (metrics-independent, for stats).
-        self._forward_counts: dict[int, int] = {sid: 0 for sid in self.shard_ids}
         self._server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
         self._shutdown = asyncio.Event()
@@ -633,9 +611,7 @@ class ShardRouter:
                 if not self.config.respawn:
                     continue
                 proc.spawn()
-                self.stats.respawns += 1
-                if self.instruments is not None:
-                    self.instruments.respawned(sid)
+                self.instruments.respawned(sid)
                 try:
                     await self._wait_ready(sid, self.config.ready_timeout_s)
                 except ReproError:
@@ -675,8 +651,7 @@ class ShardRouter:
         proc.kill()
 
     def _on_transition(self, sid: int, frm: str, to: str) -> None:
-        if self.instruments is not None:
-            self.instruments.transition(sid, frm, to, self.healthy_shards)
+        self.instruments.transition(sid, frm, to, self.healthy_shards)
 
     # -- client handling ---------------------------------------------------
 
@@ -746,10 +721,6 @@ class ShardRouter:
         if op == "stats":
             return _ok_line(self._req_id(line), self.snapshot())
         if op == "metrics":
-            if self.metrics is None:
-                return _error_line(self._req_id(line), ValidationError(
-                    "router metrics are disabled (RouterConfig.metrics=False)"
-                ))
             return _ok_line(self._req_id(line), self.metrics.prometheus_text())
         if op == "shutdown":
             self._draining = True
@@ -803,9 +774,7 @@ class ShardRouter:
             return _error_line(req_id_of(line), ServiceDrainingError(
                 "router is draining for shutdown; retry later"
             ))
-        self.stats.requests += 1
-        if self.instruments is not None:
-            self.instruments.request(op)
+        self.instruments.request(op)
         self._open_requests += 1
         t0 = time.perf_counter()
         winner = None
@@ -822,9 +791,7 @@ class ShardRouter:
                     failures.append(f"shard {sid}: breaker {breaker.state}")
                     continue
                 if tried or rank > 0:
-                    self.stats.reroutes += 1
-                    if self.instruments is not None:
-                        self.instruments.rerouted()
+                    self.instruments.rerouted()
                 tried.add(sid)
                 try:
                     reply, winner = await self._forward_hedged(
@@ -841,25 +808,18 @@ class ShardRouter:
                     attempts=failures,
                 )
             m = _SEG_RE.search(reply)
-            if m is not None and winner is not None:
+            if m is not None:
                 name = m.group(1).decode("ascii")
                 owned[name] = winner
                 self._minted[winner].add(name)
-            self.stats.completed += 1
-            if winner is not None:
-                self._forward_counts[winner] = self._forward_counts.get(winner, 0) + 1
-                if self.instruments is not None:
-                    self.instruments.forwarded(winner)
+            self.instruments.forwarded(winner)
             return reply
         except ReproError as exc:
-            self.stats.errors += 1
-            if self.instruments is not None:
-                self.instruments.request_error(exc)
+            self.instruments.request_error(exc)
             return _error_line(req_id_of(line), exc)
         finally:
             self._open_requests -= 1
-            if self.instruments is not None:
-                self.instruments.request_done(time.perf_counter() - t0)
+            self.instruments.request_done(time.perf_counter() - t0)
 
     async def _forward_once(self, sid: int, line: bytes, conns: dict, *,
                             rank: int = 0) -> bytes:
@@ -910,9 +870,7 @@ class ShardRouter:
             await self._guard(primary, sid, conns)
             return self._settle(primary, sid, conns), sid
         tried.add(hedge_sid)
-        self.stats.hedges += 1
-        if self.instruments is not None:
-            self.instruments.hedged()
+        self.instruments.hedged()
         hedge = asyncio.ensure_future(
             self._forward_once(hedge_sid, line, conns, rank=rank + 1)
         )
@@ -928,9 +886,7 @@ class ShardRouter:
                     exc = task.exception()
                     if exc is None:
                         if task is hedge:
-                            self.stats.hedge_wins += 1
-                            if self.instruments is not None:
-                                self.instruments.hedge_won()
+                            self.instruments.hedge_won()
                         await self._cancel_losers(pending, conns)
                         return self._settle(task, task_sid, conns), task_sid
                     last_exc = exc
@@ -981,10 +937,18 @@ class ShardRouter:
     # -- reading back ------------------------------------------------------
 
     def snapshot(self) -> dict:
+        """The ``stats`` reply; every count is read back from :attr:`metrics`."""
+        count = self.metrics.count
         out = {
             "schema": "repro-router-stats/v1",
             "router": {
-                **self.stats.snapshot(),
+                "requests": count(M_ROUTER_REQUESTS),
+                "completed": count(M_ROUTER_FORWARDS),
+                "errors": count(M_ROUTER_ERRORS),
+                "reroutes": count(M_ROUTER_REROUTES),
+                "hedges": count(M_ROUTER_HEDGES),
+                "hedge_wins": count(M_ROUTER_HEDGE_WINS),
+                "respawns": count(M_ROUTER_RESPAWNS),
                 "draining": self._draining,
                 "open_requests": self._open_requests,
                 "healthy": self.healthy_shards,
@@ -997,7 +961,7 @@ class ShardRouter:
             out["shards"][str(sid)] = {
                 "socket": self.shard_sockets[sid],
                 "breaker": self.breakers[sid].snapshot(),
-                "forwards": self._forward_counts.get(sid, 0),
+                "forwards": self.instruments.forwards(sid),
                 "probes": self.monitors[sid].probes,
                 "minted_live": len(self._minted.get(sid, ())),
                 "spawns": proc.spawns if proc is not None else None,

@@ -80,7 +80,15 @@ from repro.service.cache import (
     image_digest,
     result_key,
 )
-from repro.service.instruments import ServiceInstruments
+from repro.service.instruments import (
+    M_BATCH_SIZE,
+    M_COALESCED,
+    M_COMPLETED,
+    M_DEGRADED,
+    M_ERRORS,
+    M_REQUESTS,
+    ServiceInstruments,
+)
 from repro.service.ops import (
     OPS,
     canonical_params,
@@ -124,9 +132,6 @@ class ServiceConfig:
     retries: int | None = None
     fault_plan: FaultPlan | None = None
     degrade: bool = True
-    #: Maintain the live metrics plane (counters / gauges / latency
-    #: histograms; the ``metrics`` control op).  Off = zero overhead.
-    metrics: bool = True
     #: How long :meth:`BatchService.stop` waits for in-flight requests
     #: to finish before tearing the batcher down.  New requests shed
     #: with :class:`~repro.utils.errors.ServiceDrainingError` the whole
@@ -141,16 +146,6 @@ class ServiceConfig:
         self.kernel = resolve_backend(self.kernel)
         self.timeout_s = resolve_timeout(self.timeout_s)
         self.retries = resolve_retries(self.retries)
-
-
-@dataclass
-class ExecutorStats:
-    batches: int = 0
-    tasks: int = 0
-    degraded: int = 0
-
-    def snapshot(self) -> dict:
-        return {"batches": self.batches, "tasks": self.tasks, "degraded": self.degraded}
 
 
 class BatchExecutor:
@@ -169,13 +164,11 @@ class BatchExecutor:
     bit-identical answer -- degraded *serving*, not an outage.
     """
 
-    def __init__(self, config: ServiceConfig,
-                 instruments: ServiceInstruments | None = None):
+    def __init__(self, config: ServiceConfig, instruments: ServiceInstruments):
         self._config = config
         self._instruments = instruments
         self._lock = threading.Lock()
         self._supervisor: PoolSupervisor | None = None
-        self.stats = ExecutorStats()
 
     def start(self) -> None:
         """Create the worker pool eagerly (pre-fork before threads spawn)."""
@@ -210,8 +203,6 @@ class BatchExecutor:
         if self._supervisor is None:
             raise ServiceClosedError("executor is not started")
         with self._lock, _trace.activate(trace):
-            self.stats.batches += 1
-            self.stats.tasks += len(payloads)
             t0 = time.perf_counter()
             try:
                 return run_tasks(
@@ -225,17 +216,14 @@ class BatchExecutor:
             except FaultError as exc:
                 if not self._config.degrade:
                     raise
-                self.stats.degraded += 1
                 _trace.instant(
                     SVC_DEGRADED, op=key.op, batch=len(payloads),
                     error=type(exc).__name__,
                 )
-                if self._instruments is not None:
-                    self._instruments.degraded()
+                self._instruments.degraded()
                 return [self._serial(payload) for payload in payloads]
             finally:
-                if self._instruments is not None:
-                    self._instruments.exec_done(key.op, time.perf_counter() - t0)
+                self._instruments.exec_done(key.op, time.perf_counter() - t0)
 
     def _serial(self, payload) -> tuple:
         index, op, image, params, _ctx = payload
@@ -248,6 +236,19 @@ class BatchExecutor:
             return ("ok", compute(op, image, params, self._config.kernel))
         except ReproError as exc:
             return ("err", type(exc).__name__, str(exc))
+
+    def snapshot(self) -> dict:
+        """The ``executor`` section of the service's ``stats``: every
+        flushed batch is one dispatch, so batches and tasks read the
+        batch-size histogram the batcher feeds."""
+        reg = self._instruments.registry
+        sizes = reg.histogram(M_BATCH_SIZE)
+        return {
+            "batches": sizes.count,
+            "tasks": int(sizes.sum),
+            "degraded": reg.count(M_DEGRADED),
+            "respawns": self.respawns,
+        }
 
 
 def _worker_error(name: str, message: str) -> ReproError:
@@ -264,16 +265,6 @@ def _worker_error(name: str, message: str) -> ReproError:
     if isinstance(cls, type) and issubclass(cls, ReproError):
         return cls(f"request failed in worker: {message}")
     return ReproError(f"request failed in worker ({name}): {message}")
-
-
-class ServiceStats:
-    """Top-level request counters of a :class:`BatchService`."""
-
-    def __init__(self):
-        self.requests = 0
-        self.completed = 0
-        self.errors = 0
-        self.coalesced = 0
 
 
 class BatchService:
@@ -296,11 +287,9 @@ class BatchService:
                  recorder: WallRecorder | None = None):
         self.config = config or ServiceConfig()
         self.recorder = recorder
-        self.stats = ServiceStats()
-        self.metrics = MetricsRegistry() if self.config.metrics else None
-        self.instruments = (
-            ServiceInstruments(self.metrics) if self.metrics is not None else None
-        )
+        #: The one store of the service's event counts (see :meth:`snapshot`).
+        self.metrics = MetricsRegistry()
+        self.instruments = ServiceInstruments(self.metrics)
         self.cache = ResultCache(
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
@@ -354,7 +343,6 @@ class BatchService:
             self._execute,
             max_batch=self.config.max_batch,
             max_delay_s=self.config.max_delay_s,
-            instruments=self.instruments,
         )
         self._batcher_task = asyncio.ensure_future(self._batcher.run())
 
@@ -450,7 +438,6 @@ class BatchService:
                 "service is draining for shutdown; retry against another shard"
             )
         self._open_requests += 1
-        self.stats.requests += 1
         t0 = time.perf_counter()
         req_ctx = None
         if _trace.sink() is not None:
@@ -460,15 +447,14 @@ class BatchService:
                 trace = _trace.current()
             req_ctx = TraceContext.mint() if trace is None else trace.child()
         span_args = {"op": str(op)}
-        if self.instruments is not None:
-            self.instruments.request_started(op)
+        self.instruments.request_started(op)
         via = "error"
         try:
             result, via = await self._serve_request(op, image, params, req_ctx, span_args)
+            self.instruments.request_completed(op)
             return result
         except Exception as exc:
-            if self.instruments is not None:
-                self.instruments.request_error(op, exc)
+            self.instruments.request_error(op, exc)
             raise
         finally:
             self._open_requests -= 1
@@ -476,8 +462,7 @@ class BatchService:
             if req_ctx is not None:
                 _trace.record_span(SVC_REQUEST, t0, t1, cat=CAT_REQUEST,
                                    ctx=req_ctx, via=via, **span_args)
-            if self.instruments is not None:
-                self.instruments.request_finished(op, t1 - t0)
+            self.instruments.request_finished(op, t1 - t0)
 
     async def _serve_request(self, op, image, params,
                              req_ctx: TraceContext | None, span_args: dict) -> tuple:
@@ -503,51 +488,33 @@ class BatchService:
             digest = image.digest if descriptor else image_digest(image)
             key = result_key(digest, op, canonical)
             hit = self.cache.get(key)
-            if self.instruments is not None:
-                self.instruments.cache_lookup(
-                    time.perf_counter() - t_lookup, hit=hit is not None
-                )
+            self.instruments.cache_lookup(
+                time.perf_counter() - t_lookup, hit=hit is not None
+            )
             # The cache outcome rides the request span (``via=...``) and
             # the registry counters.
             if hit is not None:
-                self.stats.completed += 1
                 return np.array(hit, copy=True), "cache"
             inflight = self._inflight.get(key)
             if inflight is not None:
                 in_future, lead_span = inflight
-                self.stats.coalesced += 1
-                if self.instruments is not None:
-                    self.instruments.coalesced()
+                self.instruments.coalesced()
                 if req_ctx is not None and lead_span is not None:
                     # Tie this request's span tree to the lead request
                     # (whose tree contains the actual batch span).
                     span_args["coalesced_onto"] = lead_span
-                try:
-                    result = await asyncio.shield(in_future)
-                except Exception:
-                    self.stats.errors += 1
-                    raise
-                self.stats.completed += 1
+                result = await asyncio.shield(in_future)
                 return np.array(result, copy=True), "coalesced"
         future = self._loop.create_future()
         req = PendingRequest(op=op, image=image, params=canonical,
                              future=future, key=key, trace=req_ctx)
-        try:
-            self._admission.admit(req)  # raises ServiceOverloadError when full
-        except Exception:
-            self.stats.errors += 1
-            raise
+        self._admission.admit(req)  # raises ServiceOverloadError when full
         if key is not None:
             self._inflight[key] = (
                 future, req_ctx.span_id if req_ctx is not None else None
             )
             future.add_done_callback(self._make_finalizer(key))
-        try:
-            result = await asyncio.shield(future)
-        except Exception:
-            self.stats.errors += 1
-            raise
-        self.stats.completed += 1
+        result = await asyncio.shield(future)
         return np.array(result, copy=True), "batched"
 
     @staticmethod
@@ -575,11 +542,8 @@ class BatchService:
             before = self.cache.stats.evictions
             self.cache.put(key, fut.result())
             evicted = self.cache.stats.evictions - before
-            if self.instruments is not None:
-                self.instruments.cache_evicted(evicted)
-                self.instruments.cache_size(
-                    len(self.cache), self.cache.stats.bytes
-                )
+            self.instruments.cache_evicted(evicted)
+            self.instruments.cache_size(len(self.cache), self.cache.stats.bytes)
         return _done
 
     async def _execute(self, batch_key: BatchKey, requests: list[PendingRequest]) -> None:
@@ -628,22 +592,24 @@ class BatchService:
 
         ``schema`` versions the shape: v2 added the schema field
         itself, the cache ``hit_rate``, the admission
-        ``depth_highwater``, and the per-op ``latency`` quantiles
-        (present only when the metrics plane is on).
+        ``depth_highwater``, and the per-op ``latency`` quantiles.
+        Every count is read back from :attr:`metrics`, so ``stats``
+        and the ``metrics`` exposition cannot disagree; at rest,
+        ``requests == completed + errors + open_requests``.
         """
+        count = self.metrics.count
         out = {
             "schema": "repro-service-stats/v2",
             "service": {
-                "requests": self.stats.requests,
-                "completed": self.stats.completed,
-                "errors": self.stats.errors,
-                "coalesced": self.stats.coalesced,
+                "requests": count(M_REQUESTS),
+                "completed": count(M_COMPLETED),
+                "errors": count(M_ERRORS),
+                "coalesced": count(M_COALESCED),
                 "running": self.running,
                 "draining": self._draining,
                 "open_requests": self._open_requests,
             },
-            "executor": {**self.executor.stats.snapshot(),
-                         "respawns": self.executor.respawns},
+            "executor": self.executor.snapshot(),
             "config": {
                 "workers": self.config.workers,
                 "kernel": self.config.kernel,
@@ -656,13 +622,12 @@ class BatchService:
             },
         }
         if self._admission is not None:
-            out["admission"] = self._admission.stats.snapshot()
+            out["admission"] = self._admission.snapshot()
         if self._batcher is not None:
-            out["batcher"] = self._batcher.stats.snapshot()
+            out["batcher"] = self._batcher.snapshot()
         if self.cache is not None:
             out["cache"] = self.cache.stats.snapshot()
-        if self.instruments is not None:
-            out["latency"] = self.instruments.latency_summary()
+        out["latency"] = self.instruments.latency_summary()
         return out
 
 
@@ -963,10 +928,6 @@ class ServiceServer:
                     snap["shard"] = {"id": self.shard_id}
                 return _ok_line(req_id, snap)
             if op == "metrics":
-                if self.service.metrics is None:
-                    raise ValidationError(
-                        "metrics are disabled (ServiceConfig.metrics=False)"
-                    )
                 return _ok_line(req_id, self.service.metrics.prometheus_text())
             if op == "trace":
                 if self.service.recorder is None:
@@ -1019,8 +980,7 @@ class ServiceServer:
         try:
             image = _materialize_image(obj.get("image"))
             image_wire = "shmem" if isinstance(image, ShmDescriptor) else "ndjson"
-            if instruments is not None:
-                instruments.decode(time.perf_counter() - t0, wire=image_wire)
+            instruments.decode(time.perf_counter() - t0, wire=image_wire)
             wire = obj.get("wire")
             if wire is None:
                 wire = image_wire
@@ -1044,8 +1004,7 @@ class ServiceServer:
                 payload = {"shm": desc.to_wire()}
             else:
                 payload = encode_array(result)
-            if instruments is not None:
-                instruments.encode(time.perf_counter() - t_enc, wire=wire)
+            instruments.encode(time.perf_counter() - t_enc, wire=wire)
             return _ok_line(req_id, payload, trace_id=ctx.trace_id)
         finally:
             _trace.record_span(CLIENT_REQUEST, t0, time.perf_counter(),

@@ -13,7 +13,7 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec, assert_no_shm_leak
 from repro.images import binary_test_image, darpa_like
 from repro.kernels import get as get_kernel
-from repro.obs import WallRecorder
+from repro.obs import MetricsRegistry, WallRecorder
 from repro.service import (
     AdmissionQueue,
     BatchKey,
@@ -23,6 +23,7 @@ from repro.service import (
     PendingRequest,
     ResultCache,
     ServiceConfig,
+    ServiceInstruments,
     canonical_params,
     image_digest,
     result_key,
@@ -157,10 +158,15 @@ class TestCanonicalParams:
             canonical_params("components", img, {"connectivity": 6})
 
 
+def _queue(**kw) -> AdmissionQueue:
+    """A standalone queue counting on its own registry."""
+    return AdmissionQueue(instruments=ServiceInstruments(MetricsRegistry()), **kw)
+
+
 class TestAdmission:
     def test_sheds_beyond_depth(self):
         async def scenario():
-            queue = AdmissionQueue(depth=2, timeout_s=30)
+            queue = _queue(depth=2, timeout_s=30)
             loop = asyncio.get_running_loop()
             reqs = [
                 PendingRequest("histogram", None, (), loop.create_future())
@@ -171,15 +177,15 @@ class TestAdmission:
             with pytest.raises(ServiceOverloadError) as err:
                 queue.admit(reqs[2])
             assert err.value.depth == 2
-            assert queue.stats.shed == 1
-            assert queue.stats.admitted == 2
+            assert queue.snapshot()["shed"] == 1
+            assert queue.snapshot()["admitted"] == 2
             assert len(queue.drain_nowait()) == 2
 
         asyncio.run(scenario())
 
     def test_deadline_is_stamped(self):
         async def scenario():
-            queue = AdmissionQueue(depth=2, timeout_s=5.0)
+            queue = _queue(depth=2, timeout_s=5.0)
             req = PendingRequest(
                 "histogram", None, (), asyncio.get_running_loop().create_future()
             )
@@ -191,14 +197,14 @@ class TestAdmission:
 
     def test_get_records_wait(self):
         async def scenario():
-            queue = AdmissionQueue(depth=2, timeout_s=5.0)
+            queue = _queue(depth=2, timeout_s=5.0)
             req = PendingRequest(
                 "histogram", None, (), asyncio.get_running_loop().create_future()
             )
             queue.admit(req)
             got = await queue.get()
             assert got is req
-            assert queue.stats.max_wait_s >= 0.0
+            assert queue.snapshot()["max_wait_ms"] >= 0.0
 
         asyncio.run(scenario())
 
@@ -206,7 +212,7 @@ class TestAdmission:
 class TestBatcher:
     def test_expired_request_fails_without_dispatch(self):
         async def scenario():
-            queue = AdmissionQueue(depth=4, timeout_s=30)
+            queue = _queue(depth=4, timeout_s=30)
             dispatched = []
 
             async def execute(key, reqs):
@@ -217,7 +223,7 @@ class TestBatcher:
             req = PendingRequest("histogram", None, (), loop.create_future())
             req.deadline_s = req.enqueued_s - 1.0  # already expired
             batcher._absorb(req)
-            assert batcher.stats.expired == 1
+            assert batcher.snapshot()["expired"] == 1
             assert not dispatched
             with pytest.raises(TaskTimeoutError):
                 req.future.result()
@@ -226,7 +232,7 @@ class TestBatcher:
 
     def test_batches_by_key_and_flushes_at_max(self):
         async def scenario():
-            queue = AdmissionQueue(depth=64, timeout_s=30)
+            queue = _queue(depth=64, timeout_s=30)
             batches = []
 
             async def execute(key, reqs):
@@ -471,7 +477,7 @@ class TestFaultyService:
                 assert np.array_equal(hist, _serial_reference("histogram", img, k=256))
             finally:
                 await service.stop()
-            assert service.executor.stats.degraded == 0
+            assert service.snapshot()["executor"]["degraded"] == 0
             assert any(i.name.startswith("fault:") for i in rec.fault_events())
 
         asyncio.run(scenario())
@@ -507,7 +513,7 @@ class TestFaultyService:
                 hist = await service.submit("histogram", img, k=256)
                 # Degraded serving still returns the bit-identical answer.
                 assert np.array_equal(hist, _serial_reference("histogram", img, k=256))
-                assert service.executor.stats.degraded == 1
+                assert service.snapshot()["executor"]["degraded"] == 1
             finally:
                 await service.stop()
 

@@ -11,6 +11,7 @@ control op, the v2 stats schema, and the ``repro top`` / ``repro trace
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ from repro.service import (
     ServiceServer,
     encode_array,
     request_over_socket,
+)
+from repro.utils.errors import (
+    ServiceOverloadError,
+    TaskTimeoutError,
+    ValidationError,
 )
 
 def spans_of_trace(log, trace_id):
@@ -134,8 +140,8 @@ class TestServiceSpanTree:
 
 
 class TestSnapshotV2:
-    def run_requests(self, config=None):
-        service = BatchService(config or ServiceConfig(workers=2))
+    def run_requests(self):
+        service = BatchService(ServiceConfig(workers=2))
 
         async def scenario():
             await service.start()
@@ -161,12 +167,97 @@ class TestSnapshotV2:
         assert lat["count"] == 2
         assert 0 < lat["p50_ms"] <= lat["p95_ms"] <= lat["p99_ms"]
 
-    def test_metrics_disabled_omits_latency(self):
-        snap = self.run_requests(
-            ServiceConfig(workers=2, metrics=False)
-        ).snapshot()
-        assert "latency" not in snap
-        assert snap["schema"] == "repro-service-stats/v2"
+
+def sample_totals(text: str) -> dict[str, float]:
+    """Each sample name of an exposition summed over its label sets."""
+    totals: dict[str, float] = {}
+    for family in parse_prometheus_text(text).values():
+        for sample in family["samples"]:
+            totals[sample["name"]] = totals.get(sample["name"], 0) + sample["value"]
+    return totals
+
+
+#: ``stats`` (section, key) -> the exposition sample it must equal.
+STATS_FAMILIES = {
+    ("service", "requests"): "repro_requests_total",
+    ("service", "completed"): "repro_requests_completed_total",
+    ("service", "errors"): "repro_request_errors_total",
+    ("service", "coalesced"): "repro_requests_coalesced_total",
+    ("admission", "admitted"): "repro_requests_admitted_total",
+    ("admission", "shed"): "repro_requests_shed_total",
+    ("admission", "expired"): "repro_requests_expired_total",
+    ("batcher", "batches"): "repro_batch_size_count",
+    ("batcher", "requests"): "repro_batch_size_sum",
+    ("batcher", "expired"): "repro_requests_expired_total",
+    ("executor", "batches"): "repro_batch_size_count",
+    ("executor", "tasks"): "repro_batch_size_sum",
+    ("executor", "degraded"): "repro_batches_degraded_total",
+}
+
+
+class TestStatsReadTheRegistry:
+    """``stats`` and ``metrics`` are one store read two ways, so they
+    cannot disagree about any count."""
+
+    def test_queue_expiry_reaches_admission_stats_and_top(self, capsys):
+        from repro.cli import _render_top
+
+        service = BatchService(ServiceConfig(workers=1, timeout_s=0.01))
+
+        async def scenario():
+            await service.start()
+            try:
+                task = asyncio.ensure_future(
+                    service.submit("histogram", darpa_like(16, 256, seed=3), k=256)
+                )
+                await asyncio.sleep(0)  # admitted; the batcher wakes after us
+                time.sleep(0.05)  # the deadline passes while it is queued
+                with pytest.raises(TaskTimeoutError):
+                    await task
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+        snap = service.snapshot()
+        assert snap["admission"]["expired"] == 1
+        assert snap["batcher"]["expired"] == 1
+        assert snap["batcher"]["batches"] == 0  # never dispatched
+        families = parse_prometheus_text(service.metrics.prometheus_text())
+        _render_top(snap, families, clear=False)
+        assert "expired 1" in capsys.readouterr().out
+
+    def test_counts_balance_and_equal_their_families(self):
+        service = BatchService(ServiceConfig(workers=1, queue_depth=1))
+        image = darpa_like(16, 256, seed=21)
+
+        async def scenario():
+            await service.start()
+            try:
+                # All four reach the queue before the batcher runs: the
+                # first fills it (depth 1), its twin coalesces, a distinct
+                # image is shed, and a float64 image is rejected.
+                return await asyncio.gather(
+                    service.submit("histogram", image, k=256),
+                    service.submit("histogram", image, k=256),
+                    service.submit("histogram", darpa_like(24, 256, seed=22), k=256),
+                    service.submit("histogram", image.astype(np.float64), k=256),
+                    return_exceptions=True,
+                )
+            finally:
+                await service.stop()
+
+        ok, twin, shed, rejected = asyncio.run(scenario())
+        assert np.array_equal(ok, twin)
+        assert isinstance(shed, ServiceOverloadError)
+        assert isinstance(rejected, ValidationError)
+        snap = service.snapshot()
+        svc = snap["service"]
+        assert (svc["requests"], svc["completed"], svc["errors"]) == (4, 2, 2)
+        assert svc["requests"] == svc["completed"] + svc["errors"] + svc["open_requests"]
+        assert svc["coalesced"] == 1 and snap["admission"]["shed"] == 1
+        totals = sample_totals(service.metrics.prometheus_text())
+        for (section, key), sample in STATS_FAMILIES.items():
+            assert snap[section][key] == totals.get(sample, 0), (section, key)
 
 
 class TestInstruments:
@@ -261,13 +352,6 @@ class TestSocketObservability:
                 and s["labels"].get("op") == "histogram"
             ]
             assert counts and counts[0]["value"] >= 1
-
-    def test_metrics_disabled_is_a_typed_error(self, tmp_path):
-        config = ServiceConfig(workers=2, metrics=False)
-        with _LiveServer(tmp_path, config=config) as live:
-            reply = live.ask({"op": "metrics"})
-            assert not reply["ok"]
-            assert reply["error"]["type"] == "ValidationError"
 
     def test_trace_id_echoed_and_client_context_honored(self, tmp_path):
         recorder = WallRecorder(source="test-serve")

@@ -283,6 +283,30 @@ class TestShardRouter:
 
         _router_scenario(handler)(tmp_path)
 
+    def test_counts_balance_and_forwards_sum_to_completed(self, tmp_path):
+        from repro.obs import parse_prometheus_text
+
+        async def handler(router, servers):
+            for pattern in (1, 2, 3):
+                assert (await _raw_request(router.socket_path, _compute_line(pattern)))["ok"]
+            for server in servers:
+                await server.stop()
+            down = await _raw_request(router.socket_path, _compute_line(4))
+            assert down["error"]["type"] == "ShardDownError"
+            snap = router.snapshot()
+            r = snap["router"]
+            assert (r["requests"], r["completed"], r["errors"]) == (4, 3, 1)
+            assert r["requests"] == r["completed"] + r["errors"] + r["open_requests"]
+            assert sum(s["forwards"] for s in snap["shards"].values()) == r["completed"]
+            # Each count is its registry family read back.
+            families = parse_prometheus_text(router.metrics.prometheus_text())
+            for key, name in (("requests", "repro_router_requests_total"),
+                              ("completed", "repro_router_forwards_total"),
+                              ("errors", "repro_router_request_errors_total")):
+                assert r[key] == sum(x["value"] for x in families[name]["samples"])
+
+        _router_scenario(handler, shards=2)(tmp_path)
+
     def test_dead_shard_reroutes_to_ring_successor(self, tmp_path):
         async def handler(router, servers):
             line = _compute_line(2, size=24)
@@ -292,7 +316,7 @@ class TestShardRouter:
             reply = await _raw_request(router.socket_path, line)
             assert reply["ok"]
             assert reply["result"] == expected["result"]  # bit-identical
-            assert router.stats.reroutes >= 1
+            assert router.snapshot()["router"]["reroutes"] >= 1
 
         _router_scenario(handler)(tmp_path)
 
@@ -343,8 +367,8 @@ class TestShardRouter:
                 install_plan(None)
             assert reply["ok"]
             assert reply["result"] == expected["result"]
-            assert router.stats.hedges == 1
-            assert router.stats.hedge_wins == 1
+            assert router.snapshot()["router"]["hedges"] == 1
+            assert router.snapshot()["router"]["hedge_wins"] == 1
 
         _router_scenario(handler, hedge_s=0.05)(tmp_path)
 
@@ -450,6 +474,13 @@ class TestRouterConfig:
             )
 
 
+def _instruments():
+    from repro.obs import MetricsRegistry
+    from repro.service import ServiceInstruments
+
+    return ServiceInstruments(MetricsRegistry())
+
+
 class TestAdmissionExpiryVsShed:
     """The documented race between deadline expiry and load shedding:
     expiry is settled at *dequeue* time, so an expired-but-undequeued
@@ -461,7 +492,7 @@ class TestAdmissionExpiryVsShed:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            queue = AdmissionQueue(depth=2, timeout_s=0.01)
+            queue = AdmissionQueue(depth=2, timeout_s=0.01, instruments=_instruments())
             r1 = PendingRequest("histogram", None, (), loop.create_future())
             r2 = PendingRequest("histogram", None, (), loop.create_future())
             queue.admit(r1)
@@ -473,7 +504,7 @@ class TestAdmissionExpiryVsShed:
             shed = PendingRequest("histogram", None, (), loop.create_future())
             with pytest.raises(ServiceOverloadError):
                 queue.admit(shed)
-            assert queue.stats.shed == 1
+            assert queue.snapshot()["shed"] == 1
             assert len(queue) == 2
 
             # The consumer settles the race: both residents fail with
@@ -486,7 +517,7 @@ class TestAdmissionExpiryVsShed:
             batcher = MicroBatcher(queue, execute)
             batcher._absorb(await queue.get())
             batcher._absorb(await queue.get())
-            assert batcher.stats.expired == 2
+            assert batcher.snapshot()["expired"] == 2
             assert not dispatched
             with pytest.raises(TaskTimeoutError):
                 r1.future.result()
@@ -495,7 +526,7 @@ class TestAdmissionExpiryVsShed:
             # Admission resumes immediately on the freed slots.
             fresh = PendingRequest("histogram", None, (), loop.create_future())
             queue.admit(fresh)
-            assert queue.stats.admitted == 3
+            assert queue.snapshot()["admitted"] == 3
 
         asyncio.run(scenario())
 
@@ -504,7 +535,7 @@ class TestAdmissionExpiryVsShed:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            queue = AdmissionQueue(depth=4, timeout_s=0.01)
+            queue = AdmissionQueue(depth=4, timeout_s=0.01, instruments=_instruments())
             req = PendingRequest("histogram", None, (), loop.create_future())
             queue.admit(req)
             await asyncio.sleep(0.05)
@@ -515,9 +546,8 @@ class TestAdmissionExpiryVsShed:
             batcher = MicroBatcher(queue, execute)
             batcher._absorb(await queue.get())
             # The two overload paths stay distinct in the stats.
-            assert queue.stats.shed == 0
-            assert queue.stats.expired == 0  # queue never saw the expiry
-            assert batcher.stats.expired == 1
+            assert queue.snapshot()["shed"] == 0
+            assert batcher.snapshot()["expired"] == 1
 
         asyncio.run(scenario())
 

@@ -341,7 +341,7 @@ class TestLiveSocketErrors:
                     assert not reply["ok"]
                     assert reply["error"]["type"] == "ValidationError"
                 # Rejected at descriptor parse: no task was ever dispatched.
-                assert server.service.executor.stats.tasks == 0
+                assert server.service.snapshot()["executor"]["tasks"] == 0
 
         with assert_no_shm_leak(grace_s=2.0):
             asyncio.run(scenario())
