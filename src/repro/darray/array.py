@@ -4,7 +4,9 @@ The user-facing handle of the subsystem.  A :class:`DistributedArray`
 pairs a :class:`~repro.core.tiles.ProcessorGrid` with a
 :class:`~repro.darray.transport.Transport` instance and exposes the
 three verbs plus shard introspection; the engine
-(:mod:`repro.darray.engine`) drives it through the paper's schedule.
+(:mod:`repro.darray.engine`) drives it through the paper's schedule,
+one :meth:`~DistributedArray.border` and one
+:meth:`~DistributedArray.publish` call per merge round.
 
 It is also the placement facade the BDM simulator uses: ``place()``
 opens a ``local`` transport over an in-memory image so the simulator's
@@ -14,10 +16,14 @@ the real transports implement.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.core.border_graph import BorderSide
+from repro.core.change_array import ChangeArray
 from repro.core.hooks import TileHooks
+from repro.core.merge import MergeStep
 from repro.core.tiles import ProcessorGrid
 from repro.darray.transport import Transport, TransportStats, open_transport
 
@@ -66,11 +72,15 @@ class DistributedArray:
     def histogram(self, k: int) -> np.ndarray:
         return self.transport.histogram(k)
 
-    def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        return self.transport.border(step_index, group_index, tuple(pids), edge)
+    def border(
+        self, step_index: int, step: MergeStep
+    ) -> list[tuple[BorderSide, BorderSide]]:
+        return self.transport.border(step_index, step)
 
-    def publish(self, step_index, group_index, pids, alphas, betas) -> None:
-        self.transport.publish(step_index, group_index, tuple(pids), alphas, betas)
+    def publish(
+        self, step_index: int, step: MergeStep, changes: Sequence[ChangeArray]
+    ) -> None:
+        self.transport.publish(step_index, step, changes)
 
     # -- collection / lifecycle --------------------------------------------
 

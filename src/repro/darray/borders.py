@@ -1,13 +1,14 @@
-"""Border-exchange primitives shared across the transports.
+"""Merge-round primitives shared across the transports.
 
 These helpers are the concrete data movements behind the transport
-contract's verb 2: assemble one side of a merge border from the
-resident perimeter vectors of the ``local`` and ``mmap`` transports;
-the perimeter and edge-position tables the ``shmem`` transport's pool
-workers and those vectors are indexed with; and the border-traffic
-byte count every transport reports.
+contract's verbs 2 and 3: assemble every border side of a merge round
+from the resident perimeter vectors of the ``local`` and ``mmap``
+transports; the perimeter and edge-position tables the ``shmem``
+transport's pool workers and those vectors are indexed with; pick a
+round's publishing groups; and the border and change traffic byte
+counts every transport reports.
 
-:func:`perimeter_side` takes the ``border_extract`` kernel as an
+:func:`perimeter_round` takes the ``border_extract`` kernel as an
 argument rather than resolving a backend itself -- backend policy
 belongs to the callers.
 """
@@ -19,33 +20,64 @@ import functools
 import numpy as np
 
 from repro.core.border_graph import BorderSide
+from repro.core.change_array import ChangeArray
+from repro.core.merge import MergeStep
 from repro.core.tiles import ProcessorGrid, edge_indices, perimeter_indices
+from repro.utils.errors import ValidationError
 
 
-def perimeter_side(
+def perimeter_round(
     perimeters,
     image: np.ndarray,
     grid: ProcessorGrid,
-    pids,
-    edge: str,
+    step: MergeStep,
     extract,
-) -> BorderSide:
-    """One border side from resident perimeter label vectors.
+) -> list[tuple[BorderSide, BorderSide]]:
+    """Both sides of every border of ``step``, in group order, from
+    resident perimeter label vectors.
 
-    ``perimeters`` holds each tile's labels in
-    :func:`~repro.core.tiles.perimeter_indices` order, aligned with
-    ``pids``, which list the side's tiles in scan order; the colors are
-    the image pixels of the same edge, read by the ``border_extract``
-    kernel ``extract``.  Tile shapes come from the grid, so uniform and
-    balanced tilings both work.
+    ``perimeters`` maps each tile id to its labels in
+    :func:`~repro.core.tiles.perimeter_indices` order; a side's colors
+    are the image pixels of the same edges, read by the
+    ``border_extract`` kernel ``extract``.  Tile shapes come from the
+    grid, so uniform and balanced tilings both work.
     """
-    lab_parts = []
-    col_parts = []
-    for perimeter, pid in zip(perimeters, pids):
-        h, w = grid.tile_shape(pid)
-        lab_parts.append(perimeter[edge_positions(h, w, edge)])
-        col_parts.append(np.asarray(extract(image[grid.tile_slices(pid)], edge)))
-    return BorderSide(np.concatenate(lab_parts), np.concatenate(col_parts))
+
+    def side(pids, edge: str) -> BorderSide:
+        labels = []
+        colors = []
+        for pid in pids:
+            h, w = grid.tile_shape(pid)
+            labels.append(perimeters[pid][edge_positions(h, w, edge)])
+            colors.append(np.asarray(extract(image[grid.tile_slices(pid)], edge)))
+        return BorderSide(np.concatenate(labels), np.concatenate(colors))
+
+    edge_a, edge_b = step.edge_names
+    return [
+        (side(group.side_a_pids, edge_a), side(group.side_b_pids, edge_b))
+        for group in step.groups
+    ]
+
+
+def publishing_groups(
+    step: MergeStep, changes
+) -> list[tuple[int, tuple[int, ...], ChangeArray]]:
+    """``(group index, region, change array)`` of each publishing group.
+
+    ``changes`` holds one change array per group of ``step``, in group
+    order; a group whose array is empty publishes nothing, so it is
+    left out.
+    """
+    if len(changes) != len(step.groups):
+        raise ValidationError(
+            f"merge round has {len(step.groups)} groups but "
+            f"{len(changes)} change arrays"
+        )
+    return [
+        (gi, group.region, change)
+        for gi, (group, change) in enumerate(zip(step.groups, changes))
+        if len(change)
+    ]
 
 
 @functools.lru_cache(maxsize=64)
@@ -71,6 +103,19 @@ def edge_positions(h: int, w: int, edge: str) -> np.ndarray:
     return pos
 
 
-def side_nbytes(side: BorderSide) -> int:
-    """Byte size of one fetched border side (labels + colors)."""
-    return int(side.labels.nbytes + side.colors.nbytes)
+def border_nbytes(sides) -> int:
+    """Byte size of a round's fetched border sides (labels + colors)."""
+    return sum(
+        int(side.labels.nbytes + side.colors.nbytes) for pair in sides for side in pair
+    )
+
+
+def change_nbytes(published) -> int:
+    """Bytes of a round's change arrays fanned out, times receiving tiles.
+
+    ``published`` is :func:`publishing_groups`'s list.
+    """
+    return sum(
+        int(change.alphas.nbytes + change.betas.nbytes) * len(region)
+        for _gi, region, change in published
+    )

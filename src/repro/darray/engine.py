@@ -2,10 +2,12 @@
 
 :func:`darray_components` and :func:`darray_histogram` run the Bader--
 JaJa algorithms against any registered transport: initial tile-local
-labeling, ``log p`` border merges (fetch two sides, solve the border
-graph, publish the change array to the merged region), hook-based
-final interior update.  The component count falls out of the same
-schedule: the tiles' counts minus one per published alpha.  The *only*
+labeling, ``log p`` merge rounds, hook-based final interior update.
+Each merge round fetches both sides of every border of the round in
+one verb call, solves each group's border graph in the driver, and
+publishes every group's change array to its merged region in one more.
+The component count falls out of the same schedule: the tiles' counts
+minus one per published alpha.  The *only*
 transport-facing operations are the three verbs, so the same driver
 labels an in-process array, a grid of shared-memory shards served by a
 supervised pool, or an out-of-core spill set over a memory-mapped
@@ -203,25 +205,16 @@ def darray_components(
                 with _trace.traced_span(DARRAY_LABEL, cat=CAT_ROUND):
                     hooks, n_components = da.label()
                 for si, step in enumerate(merge_schedule(grid)):
-                    edge_a, edge_b = step.edge_names
                     with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
-                        for gi, group in enumerate(step.groups):
-                            side_a = da.border(si, gi, group.side_a_pids, edge_a)
-                            side_b = da.border(si, gi, group.side_b_pids, edge_b)
-                            solve = solve_border_merge(
+                        changes = [
+                            solve_border_merge(
                                 side_a, side_b, connectivity=connectivity, grey=grey
-                            )
-                            if len(solve.changes):
-                                # Each alpha is one component merged
-                                # away, exactly once.
-                                n_components -= len(solve.changes)
-                                da.publish(
-                                    si,
-                                    gi,
-                                    group.region,
-                                    solve.changes.alphas,
-                                    solve.changes.betas,
-                                )
+                            ).changes
+                            for side_a, side_b in da.border(si, step)
+                        ]
+                        # Each alpha is one component merged away, exactly once.
+                        n_components -= sum(len(c) for c in changes)
+                        da.publish(si, step, changes)
                 with _trace.traced_span(DARRAY_FINAL, cat=CAT_ROUND):
                     da.finalize(hooks)
                 labels = da.gather()

@@ -18,7 +18,12 @@ from repro.baselines.run_label import TileRuns
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks, create_tile_hooks
 from repro.core.tiles import ProcessorGrid
-from repro.darray.borders import perimeter_side, side_nbytes
+from repro.darray.borders import (
+    border_nbytes,
+    change_nbytes,
+    perimeter_round,
+    publishing_groups,
+)
 from repro.darray.transport import Transport
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.utils.validation import check_image
@@ -91,23 +96,25 @@ class LocalTransport(Transport):
 
     # -- verb 2: border exchange -------------------------------------------
 
-    def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        side = perimeter_side(
-            [self._runs[pid].perimeter for pid in pids],
-            self.image, self.grid, pids, edge, self._extract,
+    def border(self, step_index, step) -> list[tuple[BorderSide, BorderSide]]:
+        sides = perimeter_round(
+            {pid: runs.perimeter for pid, runs in self._runs.items()},
+            self.image, self.grid, step, self._extract,
         )
-        self.stats.border_bytes += side_nbytes(side)
-        return side
+        self.stats.border_bytes += border_nbytes(sides)
+        return sides
 
     # -- verb 3: change publish/fetch --------------------------------------
 
-    def publish(self, step_index, group_index, pids, alphas, betas) -> None:
-        for pid in pids:
-            runs = self._runs[pid]
-            runs.perimeter = self._relabel(runs.perimeter, alphas, betas)
-        self.stats.change_bytes += int(
-            (alphas.nbytes + betas.nbytes) * len(pids)
-        )
+    def publish(self, step_index, step, changes) -> None:
+        published = publishing_groups(step, changes)
+        for _gi, region, change in published:
+            for pid in region:
+                runs = self._runs[pid]
+                runs.perimeter = self._relabel(
+                    runs.perimeter, change.alphas, change.betas
+                )
+        self.stats.change_bytes += change_nbytes(published)
 
     # -- collection / tile store -------------------------------------------
 

@@ -42,7 +42,12 @@ from repro.baselines.run_label import TileRuns
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks_isolated, create_tile_hooks
 from repro.core.tiles import ProcessorGrid
-from repro.darray.borders import perimeter_side, side_nbytes
+from repro.darray.borders import (
+    border_nbytes,
+    change_nbytes,
+    perimeter_round,
+    publishing_groups,
+)
 from repro.darray.transport import Transport
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.utils.errors import ValidationError
@@ -224,22 +229,25 @@ class MmapTransport(Transport):
 
     # -- verb 2: border exchange -------------------------------------------
 
-    def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        side = perimeter_side(
-            [self._borders[pid] for pid in pids],
-            self.image, self.grid, pids, edge,
+    def border(self, step_index, step) -> list[tuple[BorderSide, BorderSide]]:
+        sides = perimeter_round(
+            self._borders, self.image, self.grid, step,
             get_kernel("border_extract", backend=self.kernel),
         )
-        self.stats.border_bytes += side_nbytes(side)
-        return side
+        self.stats.border_bytes += border_nbytes(sides)
+        return sides
 
     # -- verb 3: change publish/fetch --------------------------------------
 
-    def publish(self, step_index, group_index, pids, alphas, betas) -> None:
+    def publish(self, step_index, step, changes) -> None:
         relabel = get_kernel("relabel", backend=self.kernel)
-        for pid in pids:
-            self._borders[pid] = relabel(self._borders[pid], alphas, betas)
-        self.stats.change_bytes += int((alphas.nbytes + betas.nbytes) * len(pids))
+        published = publishing_groups(step, changes)
+        for _gi, region, change in published:
+            for pid in region:
+                self._borders[pid] = relabel(
+                    self._borders[pid], change.alphas, change.betas
+                )
+        self.stats.change_bytes += change_nbytes(published)
 
     # -- collection / lifecycle --------------------------------------------
 

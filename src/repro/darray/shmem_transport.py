@@ -15,12 +15,25 @@ fires its own fault site:
 * ``darray:fetch`` fires in a change-array fetch/apply task (the
   region's shards fetching the published change list).
 
+A merge round costs at most two pool round trips, mirroring the paper,
+where a round's group managers fetch their borders together and its
+clients then fetch their change lists together: one ``run_tasks`` call
+carries a task per border side of every group of the round, and one
+more a task per group with a non-empty change array (none when the
+round changes nothing).  Each task fires its site with its own ``round``/``group``
+selectors, and a corrupt border payload fails and retries only its own
+task.
+
 Faults fire at task entry -- before any shard mutation -- so a retried
 attempt always starts from a consistent view, and the change-array
 relabel is idempotent besides (one solve's alpha and beta sets are
-disjoint).  Teardown is ExitStack-guaranteed: every path out of
-:meth:`ShmemTransport.close` unlinks all ``2p`` segments, which the
-``/dev/shm`` leak scans assert.
+disjoint).  This is why fetch, solve and publish stay separate tasks:
+a border task only reads, and a publish task relabels from change
+arrays the driver holds, so either is safe to re-run after being killed
+mid-way.  A fused per-group task killed while relabeling would, on
+retry, re-solve over half-relabeled borders.  Teardown is
+ExitStack-guaranteed: every path out of :meth:`ShmemTransport.close`
+unlinks all ``2p`` segments, which the ``/dev/shm`` leak scans assert.
 """
 
 from __future__ import annotations
@@ -33,7 +46,12 @@ import numpy as np
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks, create_tile_hooks
 from repro.core.tiles import ProcessorGrid
-from repro.darray.borders import perimeter_coords, side_nbytes
+from repro.darray.borders import (
+    border_nbytes,
+    change_nbytes,
+    perimeter_coords,
+    publishing_groups,
+)
 from repro.darray.transport import Transport
 from repro.faults.inject import corrupt_labels, fire, install_plan, validate_border_labels
 from repro.faults.plan import FaultPlan
@@ -230,26 +248,41 @@ class ShmemTransport(Transport):
 
     # -- verb 2: border exchange -------------------------------------------
 
-    def border(self, step_index, group_index, pids, edge) -> BorderSide:
-        (payload,) = run_tasks(
-            self._pool, _shard_border,
-            [(step_index, group_index, tuple(pids), edge)],
-            site="darray:border", **self._dispatch,
-        )
-        labels, colors = payload
-        side = BorderSide(labels, colors)
-        self.stats.border_bytes += side_nbytes(side)
-        return side
+    def border(self, step_index, step) -> list[tuple[BorderSide, BorderSide]]:
+        """Every border side of the round as one task, all in one dispatch."""
+        edge_a, edge_b = step.edge_names
+        payloads = [
+            (step_index, gi, pids, edge)
+            for gi, group in enumerate(step.groups)
+            for pids, edge in ((group.side_a_pids, edge_a), (group.side_b_pids, edge_b))
+        ]
+        fetched = [
+            BorderSide(labels, colors)
+            for labels, colors in run_tasks(
+                self._pool, _shard_border, payloads,
+                site="darray:border", **self._dispatch,
+            )
+        ]
+        sides = list(zip(fetched[0::2], fetched[1::2]))
+        self.stats.border_bytes += border_nbytes(sides)
+        return sides
 
     # -- verb 3: change publish/fetch --------------------------------------
 
-    def publish(self, step_index, group_index, pids, alphas, betas) -> None:
-        run_tasks(
-            self._pool, _shard_fetch_changes,
-            [(step_index, group_index, tuple(pids), alphas, betas)],
-            site="darray:fetch", **self._dispatch,
-        )
-        self.stats.change_bytes += int((alphas.nbytes + betas.nbytes) * len(pids))
+    def publish(self, step_index, step, changes) -> None:
+        """Every publishing group as one task, all in one dispatch (none
+        for a round without changes)."""
+        published = publishing_groups(step, changes)
+        if published:
+            run_tasks(
+                self._pool, _shard_fetch_changes,
+                [
+                    (step_index, gi, region, change.alphas, change.betas)
+                    for gi, region, change in published
+                ],
+                site="darray:fetch", **self._dispatch,
+            )
+        self.stats.change_bytes += change_nbytes(published)
 
     # -- collection / lifecycle --------------------------------------------
 

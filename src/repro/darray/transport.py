@@ -9,10 +9,17 @@ placement; everything it may ask of a transport is one of:
 1. **tile-local compute** -- run a named local step (initial labeling,
    hook-based final relabel, histogram tally) on shards, where the
    shards live;
-2. **border exchange** -- fetch one side of a merge border (labels +
-   colors, in scan order) out of the owning shards;
-3. **change publish/fetch** -- fan a solved change array out to the
-   merged region's shards, which relabel their perimeters.
+2. **border exchange** -- fetch both sides of every border of one merge
+   round (labels + colors, in scan order) out of the owning shards;
+3. **change publish/fetch** -- fan each group's solved change array of
+   one merge round out to that group's merged region, whose shards
+   relabel their perimeters.
+
+Verbs 2 and 3 take a whole round, as the paper's group managers fetch
+their borders together and its clients then fetch their change lists
+together (Sections 5.2--5.3): a dispatched transport moves a round in
+one pool round trip per verb.  A round's group regions are disjoint, so
+doing its groups in any order gives the same labels.
 
 Everything else (the merge schedule, the border-graph solve, hook
 bookkeeping) is transport-independent and lives in the engine.  The
@@ -28,12 +35,15 @@ from __future__ import annotations
 
 import abc
 import importlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.border_graph import BorderSide
+from repro.core.change_array import ChangeArray
 from repro.core.hooks import TileHooks
+from repro.core.merge import MergeStep
 from repro.core.tiles import ProcessorGrid
 from repro.utils.errors import ValidationError
 
@@ -51,8 +61,8 @@ class TransportStats:
     """Traffic and working-set accounting of one transport lifetime.
 
     ``border_bytes`` counts every byte of border labels+colors fetched
-    (verb 2); ``change_bytes`` every byte of change array fanned out
-    (verb 3, bytes x receiving tiles).  ``spill_reads`` /
+    (verb 2); ``change_bytes`` every byte of non-empty change array
+    fanned out (verb 3, bytes x receiving tiles).  ``spill_reads`` /
     ``spill_writes`` count whole run-table transfers between residency
     and the spill directory (out-of-core transport only);
     ``resident_highwater`` is the maximum number of run tables ever
@@ -111,31 +121,28 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def border(
-        self, step_index: int, group_index: int, pids: tuple[int, ...], edge: str
-    ) -> BorderSide:
-        """Fetch one side of a merge border from the owning shards.
+        self, step_index: int, step: MergeStep
+    ) -> list[tuple[BorderSide, BorderSide]]:
+        """Fetch both sides of every border of merge round ``step``.
 
-        ``pids`` lists the side's tiles in scan order; ``edge`` names
-        the tile edge they contribute.  Returns the concatenated labels
-        and colors.
+        Returns one ``(side_a, side_b)`` pair per group of ``step``, in
+        group order; each side concatenates the labels and colors of
+        its tiles' facing edges in scan order.
         """
 
     # -- verb 3: change-array publish/fetch --------------------------------
 
     @abc.abstractmethod
     def publish(
-        self,
-        step_index: int,
-        group_index: int,
-        pids: tuple[int, ...],
-        alphas: np.ndarray,
-        betas: np.ndarray,
+        self, step_index: int, step: MergeStep, changes: Sequence[ChangeArray]
     ) -> None:
-        """Fan a change array out to the region's shards.
+        """Fan each group's change array out to that group's region.
 
-        Every shard in ``pids`` relabels its tile perimeter through the
-        sorted ``(alpha, beta)`` pairs -- the paper's drastically
-        limited updating.
+        ``changes`` holds one :class:`ChangeArray` per group of
+        ``step``, in group order.  Every shard of a group with a
+        non-empty array relabels its tile perimeter through the sorted
+        ``(alpha, beta)`` pairs -- the paper's drastically limited
+        updating; a group with an empty array publishes nothing.
         """
 
     # -- collection / lifecycle --------------------------------------------

@@ -318,7 +318,8 @@ def single_fault_plans(
     ``n_rounds`` is the number of merge iterations of the processor
     grid actually used, ``n_tasks`` the tile count.  Each returned plan
     injects exactly one fault; the matrix covers every kind at every
-    task site (first and last tile) plus every merge round.
+    task site (first and last tile) and at both merge-protocol sites
+    (border fetch, change fetch) in every merge round.
     """
     if workload not in ("histogram", "components"):
         raise ValidationError(f"unknown workload {workload!r}")
@@ -348,8 +349,7 @@ def single_fault_plans(
         add(site="darray:final", kind=kind, task=n_tasks - 1)
         for rnd in range(n_rounds):
             add(site="darray:border", kind=kind, round=rnd, group=0)
-        if n_rounds:
-            add(site="darray:fetch", kind=kind, round=n_rounds - 1, group=0)
+            add(site="darray:fetch", kind=kind, round=rnd, group=0)
     for rnd in range(n_rounds):
         add(site="darray:border", kind="corrupt", round=rnd, group=0)
     return plans

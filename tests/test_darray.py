@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.sequential import sequential_components
+from repro.core.change_array import ChangeArray
+from repro.core.merge import merge_schedule
 from repro.core.tiles import ProcessorGrid
 from repro.darray import (
     DistributedArray,
@@ -171,7 +173,11 @@ def _count_identity_inputs(n: int):
 class TestCountIdentity:
     """``n_components`` comes from the merges: the per-tile component
     counts minus the published change-array lengths.  It must equal the
-    count read off the labels."""
+    count read off the labels.
+
+    The merge traffic is exact on every transport too: each internal
+    tile edge is fetched once, both sides, at 16 bytes per pixel, and
+    the change bytes are those of the ``local`` reference."""
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     @pytest.mark.parametrize("p", [4, 16, 64])
@@ -179,11 +185,16 @@ class TestCountIdentity:
     def test_merges_give_the_component_count(self, transport, p, connectivity):
         n = 128 if transport == "shmem" else 256
         for name, img, grey in _count_identity_inputs(n):
-            res = darray_components(
-                img, p=p, transport=transport, connectivity=connectivity, grey=grey
-            )
+            opts = dict(p=p, connectivity=connectivity, grey=grey)
+            res = darray_components(img, transport=transport, **opts)
             expected = count_components(np.asarray(res.labels))
             assert res.n_components == expected, (name, res.n_components, expected)
+            g = res.grid
+            border = 16 * 2 * (g.rows * (g.w - 1) + g.cols * (g.v - 1))
+            assert res.stats.border_bytes == border, (name, res.stats.border_bytes)
+            if transport != "local":
+                ref = darray_components(img, transport="local", **opts)
+                assert res.stats.change_bytes == ref.stats.change_bytes, name
 
 
 class TestTransportRegistry:
@@ -200,6 +211,39 @@ class TestTransportRegistry:
         with DistributedArray.place(image, grid) as da:
             for pid in range(P):
                 assert np.array_equal(da.tile(pid), image[grid.tile_slices(pid)])
+
+
+def _first_round(transport, image, changes=None):
+    """Label, then fetch the first merge round's borders; with
+    ``changes``, publish them for that round."""
+    grid = ProcessorGrid(P, N)
+    step = merge_schedule(grid)[0]
+    with DistributedArray.open(transport, grid, image, workers=2) as da:
+        da.label()
+        sides = da.border(0, step)
+        if changes is not None:
+            da.publish(0, step, changes)
+    return step, sides
+
+
+class TestRoundVerbs:
+    """Verbs 2 and 3 take a whole merge round."""
+
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_border_fetches_every_group_of_the_round(self, transport, image):
+        step, sides = _first_round(transport, image)
+        _, expect = _first_round("local", image)
+        assert len(sides) == len(step.groups) == 2
+        for (a, b), (ea, eb) in zip(sides, expect):
+            for got, want in ((a, ea), (b, eb)):
+                assert np.array_equal(got.labels, want.labels)
+                assert np.array_equal(got.colors, want.colors)
+
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_publish_needs_one_change_array_per_group(self, transport, image):
+        with assert_no_shm_leak():
+            with pytest.raises(ValidationError, match="2 groups but 1 change arrays"):
+                _first_round(transport, image, changes=[ChangeArray.empty()])
 
 
 def _matrix():

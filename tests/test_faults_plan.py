@@ -192,10 +192,9 @@ class TestSingleFaultPlans:
         assert all(len(p.faults) == 1 for p in plans)
         kinds = {p.faults[0].kind for p in plans}
         assert kinds == {"crash", "hang", "exception", "corrupt"}
-        merge_rounds = {
-            p.faults[0].round for p in plans if p.faults[0].site == "darray:border"
-        }
-        assert merge_rounds == {0, 1}  # every merge round covered
+        for site in ("darray:border", "darray:fetch"):
+            merge_rounds = {p.faults[0].round for p in plans if p.faults[0].site == site}
+            assert merge_rounds == {0, 1}, site  # every merge round covered
         sites = {p.faults[0].site for p in plans}
         assert sites == {"darray:label", "darray:border", "darray:fetch", "darray:final"}
 

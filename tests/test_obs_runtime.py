@@ -103,6 +103,36 @@ class TestComponentsTrace:
         json.dumps(snap)  # must be serializable
 
 
+class TestDispatchRoundTrips:
+    """One pool round trip per verb call: a merge round fetches all its
+    borders in one dispatch and publishes all its change arrays in at
+    most one more."""
+
+    @pytest.mark.parametrize("p", [4, 16])
+    def test_one_dispatch_per_verb_per_round(self, image, p):
+        rec = WallRecorder()
+        darray_components(image, grey=True, p=p, recorder=rec, **SHMEM)
+        spans = rec.log.spans
+
+        def dispatches(site, within=None):
+            return [
+                s for s in spans
+                if s.name == f"dispatch:darray:{site}"
+                and (within is None
+                     or within.start_s <= s.start_s and s.end_s <= within.end_s)
+            ]
+
+        assert len(dispatches("label")) == 1
+        assert len(dispatches("final")) == 1
+        rounds = [s for s in spans if s.name.startswith("darray:merge:r")]
+        assert len(rounds) == len(merge_schedule(ProcessorGrid(p, image.shape)))
+        for rnd in rounds:
+            assert len(dispatches("border", rnd)) == 1, rnd.name
+            assert len(dispatches("fetch", rnd)) <= 1, rnd.name
+        assert len(dispatches("border")) == len(rounds)
+        assert len(dispatches("fetch")) <= len(rounds)
+
+
 class TestKernelSpans:
     @pytest.mark.parametrize("transport", ["local", "shmem"])
     def test_traced_run_records_kernel_spans(self, image, transport):
