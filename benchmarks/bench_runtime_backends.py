@@ -2,7 +2,8 @@
 
 Measures the actual (not simulated) execution of the histogram and CC
 implementations: the serial kernels against the distributed array's
-``shmem`` transport (per-tile shared-memory shards on a process pool).
+``shmem`` transport (one image and one label array in anonymous shared
+mappings, inherited by a forked process pool).
 On a multi-core host the process backend should approach core-count
 speedups for large images;
 on a single-core host (like some CI containers) it documents the

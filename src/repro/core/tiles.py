@@ -270,14 +270,13 @@ def edge_indices(q: int, r: int, edge: str) -> np.ndarray:
 def perimeter_indices(q: int, r: int) -> np.ndarray:
     """Flat indices of all border pixels of a ``q x r`` tile (sorted, unique).
 
-    Cached and read-only: every caller only indexes with it.
+    Cached and read-only: every caller only indexes with it.  Read off a
+    border mask rather than deduplicated with ``np.unique``, whose lazy
+    ``numpy.ma`` import would cost a fresh pool worker its first task.
     """
-    parts = [
-        edge_indices(q, r, "top"),
-        edge_indices(q, r, "bottom"),
-        edge_indices(q, r, "left"),
-        edge_indices(q, r, "right"),
-    ]
-    perim = np.unique(np.concatenate(parts))
+    mask = np.zeros((q, r), dtype=bool)
+    mask[[0, -1], :] = True
+    mask[:, [0, -1]] = True
+    perim = np.flatnonzero(mask).astype(np.int64, copy=False)
     perim.setflags(write=False)
     return perim

@@ -13,8 +13,9 @@ Three transports implement the contract (see ``docs/DARRAY.md``):
 
 * ``local`` -- shards are in-process run tables, painted once into one
   ndarray at finalize;
-* ``shmem`` -- shards live in per-tile POSIX shared-memory segments and
-  every verb is a dispatched worker task with deadline/retry/respawn
+* ``shmem`` -- tiles are views into one image and one label array in
+  anonymous shared mappings the pool inherits by fork, and every verb
+  is a dispatched worker task with deadline/retry/respawn
   recovery and ``darray:border`` / ``darray:fetch`` fault sites;
 * ``mmap`` -- out-of-core: pixels stream from a memory-mapped binary
   PGM, run tables spill to disk, and only the perimeter labels stay

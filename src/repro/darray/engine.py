@@ -9,8 +9,8 @@ publishes every group's change array to its merged region in one more.
 The component count falls out of the same schedule: the tiles' counts
 minus one per published alpha.  The *only*
 transport-facing operations are the three verbs, so the same driver
-labels an in-process array, a grid of shared-memory shards served by a
-supervised pool, or an out-of-core spill set over a memory-mapped
+labels an in-process array, a shared-memory image and label array served
+by a supervised pool, or an out-of-core spill set over a memory-mapped
 image -- bit-identically.
 
 Observability: a ``recorder`` is installed as the sink
@@ -66,9 +66,10 @@ _COUNT_BLOCK = 1 << 20
 class DarrayResult:
     """Labeling result plus the transport's traffic accounting.
 
-    ``labels`` is an ordinary ndarray for the in-memory transports and
-    a read-only ``numpy.memmap`` for ``mmap`` (the result never
-    materializes in RAM).  ``n_components`` comes from the merges, not
+    ``labels`` is an ordinary ndarray for the in-memory transports (for
+    ``shmem``, the shared array the workers wrote, freed with the
+    result) and a read-only ``numpy.memmap`` for ``mmap`` (the result
+    never materializes in RAM).  ``n_components`` comes from the merges, not
     from the labels: the sum of the per-tile component counts minus the
     total length of the published change arrays, since each alpha is
     one component merged away exactly once.  A degraded run counts its
@@ -181,7 +182,7 @@ def darray_components(
     ``resident_tiles`` to the out-of-core one.  On an unrecoverable
     fault the call degrades to the serial kernel engine unless
     ``degrade=False`` (then the :class:`FaultError` propagates after
-    transport teardown -- no segments or spill files leak).
+    transport teardown -- no pool worker or spill file outlives it).
     """
     image_shape, image = _resolve_source(source, transport)
     grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)

@@ -1,8 +1,19 @@
-"""Multiprocess transport: per-tile shared-memory shards, dispatched verbs.
+"""Multiprocess transport: one shared image and label array, dispatched verbs.
 
-Every tile gets two POSIX shared-memory segments (image shard + label
-shard, :class:`~repro.runtime.shmem.SharedNDArray`); the verbs run as
-tasks on a :class:`~repro.runtime.dispatch.PoolSupervisor` through the
+The image is copied once into an anonymous shared mapping and the int64
+label array lives in a second, zero-filled one.  Both are made before
+the pool first forks and reach the workers as initializer arguments,
+which fork inherits instead of pickling, so every worker -- and every
+pool a respawn rebuilds -- shares the parent's pages with nothing to
+attach or unlink, and a tile is a pair of ``grid.tile_slices`` views.
+Spawn would pickle each worker a private copy, so without fork the
+transport raises :class:`~repro.utils.errors.ConfigurationError`.
+:meth:`ShmemTransport.gather` returns the label array without a copy;
+the image mapping is freed with the transport, the label mapping with
+the result.
+
+The verbs run as tasks on a
+:class:`~repro.runtime.dispatch.PoolSupervisor` through the
 deadline/retry/respawn dispatcher, so a crashed, hung, or corrupted
 verb is recovered exactly like any other pool task.  Every task kind
 fires its own fault site:
@@ -24,21 +35,20 @@ round changes nothing).  Each task fires its site with its own ``round``/``group
 selectors, and a corrupt border payload fails and retries only its own
 task.
 
-Faults fire at task entry -- before any shard mutation -- so a retried
+Faults fire at task entry -- before any label write -- so a retried
 attempt always starts from a consistent view, and the change-array
 relabel is idempotent besides (one solve's alpha and beta sets are
 disjoint).  This is why fetch, solve and publish stay separate tasks:
 a border task only reads, and a publish task relabels from change
 arrays the driver holds, so either is safe to re-run after being killed
 mid-way.  A fused per-group task killed while relabeling would, on
-retry, re-solve over half-relabeled borders.  Teardown is
-ExitStack-guaranteed: every path out of :meth:`ShmemTransport.close`
-unlinks all ``2p`` segments, which the ``/dev/shm`` leak scans assert.
+retry, re-solve over half-relabeled borders.
 """
 
 from __future__ import annotations
 
-import contextlib
+import math
+import mmap
 import os
 
 import numpy as np
@@ -58,63 +68,74 @@ from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.obs import trace as _trace
 from repro.runtime.dispatch import PoolSupervisor, _pool_context, run_tasks
-from repro.runtime.shmem import SharedNDArray
 from repro.utils.errors import CorruptPayloadError
 from repro.utils.validation import check_image
 
-#: Worker-side shard attachments and options (set by the initializer).
+#: Worker-side grid, shared arrays and options (set by the initializer).
 _SHARD: dict = {}
 
 
-def _shard_init(metas, opts, plan: FaultPlan | None = None) -> None:
-    """Pool initializer: attach every shard segment, install the plan."""
+def _shared_zeros(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zero-filled array in an anonymous ``MAP_SHARED`` mapping.
+
+    Processes forked after it is made share its pages; the mapping is
+    unmapped when the last array over it is freed.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes))
+
+
+def _shard_init(grid, image, labels, opts, plan: FaultPlan | None = None) -> None:
+    """Pool initializer: keep the inherited arrays, install the plan."""
     install_plan(plan)
-    _SHARD["tiles"] = {
-        pid: (SharedNDArray.attach(img_meta), SharedNDArray.attach(lab_meta))
-        for pid, (img_meta, lab_meta) in metas.items()
-    }
-    _SHARD["opts"] = opts
+    _SHARD.update(grid=grid, image=image, labels=labels, opts=opts)
+
+
+def _tile(pid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tile ``pid`` of the shared image and label arrays (views)."""
+    sl = _SHARD["grid"].tile_slices(pid)
+    return _SHARD["image"][sl], _SHARD["labels"][sl]
 
 
 def _shard_label(arg):
-    """Verb 1: label one shard in place; return its hooks and component count.
+    """Verb 1: label one tile in place; return its hooks and component count.
 
-    The kernel's run table is painted straight into the shard.  A fresh
-    segment is zero-filled and a retried attempt paints the same values,
-    so painting the foreground is enough.
+    The kernel's run table is painted straight into the label tile.  The
+    mapping starts zero-filled and a retried attempt paints the same
+    values, so painting the foreground is enough.
     """
     pid, attempt = arg
     fire("darray:label", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:label:t{pid}"):
         opts = _SHARD["opts"]
-        img, lab = _SHARD["tiles"][pid]
-        r0, c0 = opts["origins"][pid]
+        grid = _SHARD["grid"]
+        img, lab = _tile(pid)
+        r0, c0 = grid.tile_origin(pid)
         runs = get_kernel("tile_runs", backend=opts["kernel"])(
-            img.array,
+            img,
             connectivity=opts["connectivity"],
             grey=opts["grey"],
             label_base=1,
-            label_stride=opts["stride"],
+            label_stride=grid.cols,
             row_offset=r0,
             col_offset=c0,
         )
-        runs.paint(lab.array, img.array != 0)
+        runs.paint(lab, img != 0)
         return pid, create_tile_hooks(runs), runs.n_components
 
 
 def _shard_border(arg):
-    """Verb 2: extract one border side from the owning shards."""
+    """Verb 2: extract one border side from the owning tiles."""
     (step_index, group_index, pids, edge), attempt = arg
     spec = fire("darray:border", round=step_index, group=group_index, attempt=attempt)
     with _trace.traced_span(f"darray:border:s{step_index}g{group_index}:{edge}"):
-        opts = _SHARD["opts"]
-        extract = get_kernel("border_extract", backend=opts["kernel"])
+        extract = get_kernel("border_extract", backend=_SHARD["opts"]["kernel"])
         lab_parts = []
         col_parts = []
         for pid in pids:
-            img, lab = _SHARD["tiles"][pid]
-            lab_parts.append(extract(lab.array, edge))
-            col_parts.append(extract(img.array, edge))
+            img, lab = _tile(pid)
+            lab_parts.append(extract(lab, edge))
+            col_parts.append(extract(img, edge))
         labels = np.concatenate(lab_parts)
         colors = np.concatenate(col_parts)
         if spec is not None:
@@ -134,38 +155,35 @@ def _shard_fetch_changes(arg):
     (step_index, group_index, pids, alphas, betas), attempt = arg
     fire("darray:fetch", round=step_index, group=group_index, attempt=attempt)
     with _trace.traced_span(f"darray:fetch:s{step_index}g{group_index}"):
-        opts = _SHARD["opts"]
-        relabel = get_kernel("relabel", backend=opts["kernel"])
+        relabel = get_kernel("relabel", backend=_SHARD["opts"]["kernel"])
         for pid in pids:
-            _img, lab = _SHARD["tiles"][pid]
-            h, w = lab.array.shape
-            rows, cols = perimeter_coords(h, w)
-            lab.array[rows, cols] = relabel(lab.array[rows, cols], alphas, betas)
+            _img, lab = _tile(pid)
+            rows, cols = perimeter_coords(*lab.shape)
+            lab[rows, cols] = relabel(lab[rows, cols], alphas, betas)
         return len(pids)
 
 
 def _shard_final(arg):
-    """Verb 1: hook-based final interior relabel of one shard."""
+    """Verb 1: hook-based final interior relabel of one tile."""
     (pid, hooks), attempt = arg
     fire("darray:final", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:final:t{pid}"):
-        _img, lab = _SHARD["tiles"][pid]
-        apply_hooks(lab.array, hooks)
+        _img, lab = _tile(pid)
+        apply_hooks(lab, hooks)
         return pid
 
 
 def _shard_hist(arg):
-    """Verb 1: grey-level tally of one shard."""
+    """Verb 1: grey-level tally of one tile."""
     (pid, k), attempt = arg
     fire("darray:hist", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:hist:t{pid}"):
-        opts = _SHARD["opts"]
-        img, _lab = _SHARD["tiles"][pid]
-        return get_kernel("histogram", backend=opts["kernel"])(img.array, k)
+        img, _lab = _tile(pid)
+        return get_kernel("histogram", backend=_SHARD["opts"]["kernel"])(img, k)
 
 
 class ShmemTransport(Transport):
-    """Per-tile shared-memory shards served by a supervised worker pool."""
+    """A shared image and label array served by a supervised worker pool."""
 
     name = "shmem"
 
@@ -184,43 +202,23 @@ class ShmemTransport(Transport):
         **_ignored,
     ):
         super().__init__(grid)
+        ctx = _pool_context()
         image = check_image(np.asarray(image), square=False)
         self.kernel = resolve_backend(kernel)
         self._dispatch = dict(timeout=timeout, max_retries=max_retries)
-        self._stack = contextlib.ExitStack()
-        self._shards: dict[int, tuple[SharedNDArray, SharedNDArray]] = {}
-        try:
-            metas = {}
-            for pid in range(grid.p):
-                sl = grid.tile_slices(pid)
-                img_shm = self._stack.enter_context(
-                    SharedNDArray.from_array(np.ascontiguousarray(image[sl]))
-                )
-                lab_shm = self._stack.enter_context(
-                    SharedNDArray.create(grid.tile_shape(pid), np.int64)
-                )
-                self._shards[pid] = (img_shm, lab_shm)
-                metas[pid] = (img_shm.meta, lab_shm.meta)
-            opts = {
-                "origins": {pid: grid.tile_origin(pid) for pid in range(grid.p)},
-                "stride": grid.cols,
-                "connectivity": connectivity,
-                "grey": grey,
-                "kernel": self.kernel,
-            }
-            if workers is None:
-                workers = min(grid.p, max(1, os.cpu_count() or 1), 16)
-            self._pool = self._stack.enter_context(
-                PoolSupervisor(
-                    _pool_context(),
-                    workers,
-                    initializer=_shard_init,
-                    initargs=(metas, opts, fault_plan),
-                )
-            )
-        except BaseException:
-            self._stack.close()
-            raise
+        shared_image = _shared_zeros(image.shape, image.dtype)
+        shared_image[...] = image
+        self._labels = _shared_zeros(image.shape, np.int64)
+        opts = {"connectivity": connectivity, "grey": grey, "kernel": self.kernel}
+        if workers is None:
+            workers = min(grid.p, max(1, os.cpu_count() or 1), 16)
+        # Built before the pool first forks, so every worker inherits both.
+        self._pool = PoolSupervisor(
+            ctx,
+            workers,
+            initializer=_shard_init,
+            initargs=(grid, shared_image, self._labels, opts, fault_plan),
+        )
 
     # -- verb 1: tile-local compute ---------------------------------------
 
@@ -287,11 +285,8 @@ class ShmemTransport(Transport):
     # -- collection / lifecycle --------------------------------------------
 
     def gather(self) -> np.ndarray:
-        out = np.zeros((self.grid.rows, self.grid.cols), dtype=np.int64)
-        for pid, (_img, lab) in self._shards.items():
-            out[self.grid.tile_slices(pid)] = lab.array
-        return out
+        """The shared label array the workers wrote: no copy."""
+        return self._labels
 
     def close(self) -> None:
-        self._stack.close()
-        self._shards.clear()
+        self._pool.close()

@@ -2,7 +2,7 @@
 
 A :class:`Transport` owns the physical placement of a
 :class:`~repro.core.tiles.ProcessorGrid`'s tile shards -- in-process
-arrays, shared-memory segments, or spill files behind a memory-mapped
+arrays, shared-memory mappings, or spill files behind a memory-mapped
 image.  The algorithm layer (:mod:`repro.darray.engine`) never touches
 placement; everything it may ask of a transport is one of:
 

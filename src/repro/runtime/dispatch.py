@@ -48,6 +48,7 @@ from repro.obs.events import (
 from repro.obs import trace as _trace
 from repro.obs.runtime import init_worker
 from repro.utils.errors import (
+    ConfigurationError,
     CorruptPayloadError,
     RecoveryExhaustedError,
     TaskTimeoutError,
@@ -108,15 +109,15 @@ def resolve_retries(retries: int | None = None) -> int:
 
 
 def _pool_context():
-    """The pool start method: fork, else spawn.
+    """The pool start method: fork, else :class:`ConfigurationError`.
 
-    fork shares the parent's pages copy-on-write, which is cheap; spawn
-    is the fallback where fork is unavailable.
+    Forked workers inherit their initializer arguments unpickled, which
+    the ``shmem`` transport's shared arrays rely on.
     """
     try:
         return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return mp.get_context("spawn")
+    except ValueError:
+        raise ConfigurationError("the worker pool needs the 'fork' start method") from None
 
 
 class PoolSupervisor:
@@ -126,8 +127,8 @@ class PoolSupervisor:
     task forever, and a wedged worker occupies a slot indefinitely --
     so recovery always goes through :meth:`respawn`: terminate the old
     pool (SIGTERM reaches even a sleeping worker) and build a fresh one
-    with the same initializer, which re-attaches shared memory and
-    re-installs the fault plan in the new workers.
+    with the same initializer, whose arguments the new workers inherit
+    by fork and which re-installs the fault plan in them.
 
     Workers record into the sink installed when the supervisor is
     built: :func:`~repro.obs.runtime.init_worker` runs before

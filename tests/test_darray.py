@@ -9,6 +9,8 @@ matrix (every site x every kernel, histogram too) lives in
 tests/test_faults_runtime.py.
 """
 
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -30,10 +32,12 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     assert_no_shm_leak,
+    shm_segments,
     single_fault_plans,
 )
 from repro.images import binary_test_image, random_greyscale
 from repro.utils.errors import (
+    ConfigurationError,
     DegradedRunWarning,
     FaultError,
     ValidationError,
@@ -244,6 +248,56 @@ class TestRoundVerbs:
         with assert_no_shm_leak():
             with pytest.raises(ValidationError, match="2 groups but 1 change arrays"):
                 _first_round(transport, image, changes=[ChangeArray.empty()])
+
+
+class TestShmemSharedArrays:
+    """``shmem`` shares one image and one label array with its pool."""
+
+    def test_creates_no_named_segment(self, image):
+        before = shm_segments()
+        with DistributedArray.open("shmem", ProcessorGrid(P, N), image, workers=2) as da:
+            assert shm_segments() == before
+            da.label()
+            assert shm_segments() == before
+
+    def test_gather_outlives_close_and_later_jobs(self, image):
+        want = darray_components(image, p=P, transport="local").labels
+        # darray_components gathers, then closes the transport.
+        labels = darray_components(image, p=P, transport="shmem", workers=2).labels
+        assert labels.flags.writeable
+        assert np.array_equal(labels, want)
+        later = darray_components(image, p=P, transport="shmem", workers=2).labels
+        assert np.array_equal(labels, want)
+        assert np.array_equal(later, want)
+        assert not np.shares_memory(labels, later)
+
+    def test_more_workers_than_cores_share_one_label_array(self, image):
+        # Neighbouring tiles share pages of the one label array; a write
+        # lost between workers would break bit-identity with local.
+        workers = min((os.cpu_count() or 1) + 2, 16)
+        want = darray_components(image, p=16, transport="local").labels
+        got = darray_components(
+            image, p=16, transport="shmem", workers=workers, timeout=60, degrade=False
+        )
+        assert np.array_equal(got.labels, want)
+
+    def test_needs_the_fork_start_method(self, image, monkeypatch):
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        children = set(multiprocessing.active_children())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRunWarning)
+            with pytest.raises(ConfigurationError, match="fork"):
+                DistributedArray.open("shmem", ProcessorGrid(P, N), image)
+            with pytest.raises(ConfigurationError, match="fork"):
+                darray_components(image, p=P, transport="shmem")
+        assert set(multiprocessing.active_children()) == children
 
 
 def _matrix():

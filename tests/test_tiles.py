@@ -1,8 +1,14 @@
 """Tests for the processor grid and tile geometry (Section 3)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.tiles import ProcessorGrid, edge_indices, perimeter_indices
 from repro.utils.errors import ConfigurationError
 
@@ -140,6 +146,26 @@ class TestEdges:
         assert not per.flags.writeable
         with pytest.raises(ValueError):
             per[0] = 1
+
+    def test_darray_run_does_not_import_numpy_ma(self):
+        """``np.unique`` imports ``numpy.ma`` lazily, which costs a fresh
+        pool worker tens of milliseconds on its first task; a labeling
+        run in a fresh interpreter must not pull it in."""
+        code = (
+            "import sys\n"
+            "from repro.darray import darray_components\n"
+            "from repro.images import binary_test_image\n"
+            "darray_components(binary_test_image(4, 32), p=4, transport='local')\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        env = dict(os.environ)
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRectangularGrids:
