@@ -112,7 +112,11 @@ class TileRuns:
 
 def extract_runs(image: np.ndarray, *, grey: bool = False) -> Runs:
     """Extract maximal horizontal runs (foreground or constant-level)."""
-    image = check_image(image, square=False)
+    return _extract_runs(check_image(image, square=False), grey)
+
+
+def _extract_runs(image: np.ndarray, grey: bool) -> Runs:
+    """:func:`extract_runs` of an image already validated."""
     rows, cols = image.shape
     fg = image != 0
     if grey:
@@ -229,7 +233,7 @@ def tile_runs(
     image = check_image(image, square=False)
     if connectivity not in (4, 8):
         raise ValidationError(f"connectivity must be 4 or 8, got {connectivity}")
-    runs = extract_runs(image, grey=grey)
+    runs = _extract_runs(image, grey)
     uf = UnionFind(len(runs))
     if len(runs):
         uf.union_edges(*_adjacent_run_pairs(runs, int(connectivity == 8), grey))
@@ -298,7 +302,8 @@ def runs_adapter(tile_label: Callable[..., np.ndarray]) -> Callable[..., TileRun
             row_offset=row_offset,
             col_offset=col_offset,
         )
-        runs = extract_runs(image, grey=grey)
+        # ``tile_label`` validated the image.
+        runs = _extract_runs(np.asarray(image), grey)
         labels = painted[runs.row, runs.start]
         # A component is counted at its seed run, the one run whose
         # label is its own start pixel's seed label.

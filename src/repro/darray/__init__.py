@@ -15,8 +15,9 @@ Three transports implement the contract (see ``docs/DARRAY.md``):
   ndarray at finalize;
 * ``shmem`` -- tiles are views into one image and one label array in
   anonymous shared mappings the pool inherits by fork, and every verb
-  is a dispatched worker task with deadline/retry/respawn
-  recovery and ``darray:border`` / ``darray:fetch`` fault sites;
+  call that reads is one dispatch of one task per worker with
+  deadline/retry/respawn recovery and ``darray:border`` /
+  ``darray:fetch`` fault sites;
 * ``mmap`` -- out-of-core: pixels stream from a memory-mapped binary
   PGM, run tables spill to disk, and only the perimeter labels stay
   resident through the merge rounds, so peak memory is one run table

@@ -17,9 +17,13 @@ placement; everything it may ask of a transport is one of:
 
 Verbs 2 and 3 take a whole round, as the paper's group managers fetch
 their borders together and its clients then fetch their change lists
-together (Sections 5.2--5.3): a dispatched transport moves a round in
-one pool round trip per verb.  A round's group regions are disjoint, so
-doing its groups in any order gives the same labels.
+together (Sections 5.2--5.3).  A publish takes effect before the next
+verb that reads: a transport may apply it at once (``local``,
+``mmap``) or carry the change arrays into its next border or finalize
+call, so a dispatched transport (``shmem``) moves a whole round --
+the previous round's change arrays and this round's borders -- in one
+pool round trip.  A round's group regions are disjoint, so doing its
+groups in any order gives the same labels.
 
 Everything else (the merge schedule, the border-graph solve, hook
 bookkeeping) is transport-independent and lives in the engine.  The
@@ -142,7 +146,9 @@ class Transport(abc.ABC):
         ``step``, in group order.  Every shard of a group with a
         non-empty array relabels its tile perimeter through the sorted
         ``(alpha, beta)`` pairs -- the paper's drastically limited
-        updating; a group with an empty array publishes nothing.
+        updating; a group with an empty array publishes nothing.  The
+        relabel takes effect before the next :meth:`border` or
+        :meth:`finalize` reads a shard, possibly inside that call.
         """
 
     # -- collection / lifecycle --------------------------------------------

@@ -2,12 +2,14 @@
 
 The driver serializes the active :class:`~repro.faults.plan.FaultPlan`
 into each pool worker through the pool initializer
-(:func:`install_plan`); task functions then call :func:`fire` at entry
-with their site and selectors.  With no plan installed the call is a
-cheap no-op, so the production path pays nothing.
+(:func:`install_plan`); task functions -- or, where a task runs a block
+of items, each item -- then call :func:`fire` at entry with their site
+and selectors.  With no plan installed the call is a cheap no-op, so
+the production path pays nothing.
 
-Faults fire **at task entry**, before any shared-memory mutation, so a
-killed or retried task never leaves a half-updated tile behind.
+An item's fault fires before that item writes shared memory.  Earlier
+items of its block may have written already; the retry re-runs them,
+which is why every item a block carries must be idempotent.
 """
 
 from __future__ import annotations

@@ -12,22 +12,25 @@ matrix assert bit-identity.
 Sites
 -----
 ``darray:label``
-    One tile-labeling task of the distributed-array ``shmem``
-    transport (:mod:`repro.darray`; ``task`` selects the tile id).
+    One tile-labeling item of the distributed-array ``shmem``
+    transport (:mod:`repro.darray`; ``task`` selects the tile id).  A
+    ``shmem`` pool task runs a block of one verb call's items.
 ``darray:border``
-    One border-exchange task of the ``shmem`` transport (``round``
-    selects the merge iteration, 0-based; ``group`` the border group
-    within it).  ``corrupt`` damages the fetched border payload, which
-    the transport's validation detects and reports as the retryable
+    One border-exchange item of the ``shmem`` transport, one per
+    border side (``round`` selects the merge iteration, 0-based;
+    ``group`` the border group within it).  ``corrupt`` damages the
+    fetched border payload, which the transport's validation detects
+    and reports as the retryable
     :class:`~repro.utils.errors.CorruptPayloadError`.
 ``darray:fetch``
-    One change-array fetch/apply task of the ``shmem`` transport:
-    region tiles fetching the published change list and relabeling
-    their perimeters (``round``/``group`` as above).
+    A published change array applied to tile perimeters by the
+    ``shmem`` transport: inside the next round's border item of the
+    group's region, or, for the last round, inside each final item
+    (``round``/``group`` of the publishing round).
 ``darray:final``
-    One hook-based final interior-relabel task (``task`` = tile id).
+    One hook-based final interior-relabel item (``task`` = tile id).
 ``darray:hist``
-    One per-tile grey-level tally task of the ``shmem`` histogram
+    One per-tile grey-level tally item of the ``shmem`` histogram
     (``task`` = tile id).
 ``sim:merge``
     A processor fault at a merge-round boundary of the **BDM

@@ -216,8 +216,9 @@ def run_tasks(
     Raises :class:`~repro.utils.errors.TaskTimeoutError` when a task
     misses its deadline with no budget left, and
     :class:`~repro.utils.errors.RecoveryExhaustedError` when a
-    retryable exception persists; any non-retryable task exception
-    propagates unwrapped at once.
+    retryable exception persists -- naming the exception's own fault
+    site when it has one, else ``site``; any non-retryable task
+    exception propagates unwrapped at once.
     """
     timeout = resolve_timeout(timeout)
     retries = resolve_retries(max_retries)
@@ -257,7 +258,7 @@ def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):
                     raise RecoveryExhaustedError(
                         f"{site} task {idx} still failing after "
                         f"{attempt + 1} attempts: {exc}",
-                        site=site,
+                        site=exc.site or site,
                     ) from exc
                 n_retries += 1
                 _trace.instant(

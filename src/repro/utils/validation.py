@@ -80,6 +80,7 @@ def check_image(image: np.ndarray, *, square: bool = True) -> np.ndarray:
         raise ValidationError(f"image must have an integer dtype, got {image.dtype}")
     if square and image.shape[0] != image.shape[1]:
         raise ValidationError(f"image must be square, got shape {image.shape}")
-    if image.min() < 0:
+    # Unsigned dtypes cannot hold a negative level: skip the full pass.
+    if image.dtype.kind != "u" and image.min() < 0:
         raise ValidationError("image grey levels must be non-negative")
     return image

@@ -186,6 +186,29 @@ class TestExtractRuns:
         assert len(runs) == 3
         assert (runs.stop - runs.start == 5).all()
 
+    def test_rejects_negative_levels(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            extract_runs(np.array([[1, -1]], dtype=np.int32))
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_tile_runs_validates_its_tile_once(self, backend, monkeypatch):
+        import importlib
+
+        from repro.kernels import get as get_kernel
+
+        calls = []
+        for name in ("bfs_label", "run_label"):
+            module = importlib.import_module(f"repro.baselines.{name}")
+            check = module.check_image
+            monkeypatch.setattr(
+                module, "check_image",
+                lambda image, check=check, **kw: calls.append(1) or check(image, **kw),
+            )
+        img = np.array([[1, 0, 2], [1, 1, 0]], dtype=np.uint8)
+        runs = get_kernel("tile_runs", backend)(img, grey=True)
+        assert runs.n_components == 2
+        assert len(calls) == 1
+
 
 class TestLabelConventions:
     def test_background_zero(self):

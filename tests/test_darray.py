@@ -281,6 +281,13 @@ class TestShmemSharedArrays:
         )
         assert np.array_equal(got.labels, want)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_a_pool_without_workers(self, image, workers):
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ValidationError, match="workers must be a positive"):
+            darray_components(image, p=P, transport="shmem", workers=workers)
+        assert set(multiprocessing.active_children()) == children
+
     def test_needs_the_fork_start_method(self, image, monkeypatch):
         get_context = multiprocessing.get_context
 
@@ -320,14 +327,19 @@ class TestShmemChaosMatrix:
 
     @pytest.mark.parametrize("plan", _matrix())
     def test_single_fault_recovers(self, plan, image, serial_labels):
+        from repro.obs import WallRecorder
+
+        rec = WallRecorder()
         with assert_no_shm_leak():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DegradedRunWarning)
                 res = darray_components(
                     image, p=P, transport="shmem", kernel="numpy",
-                    fault_plan=plan, **FAST,
+                    fault_plan=plan, recorder=rec, **FAST,
                 )
         assert np.array_equal(np.asarray(res.labels), serial_labels)
+        # The plan fired: labels alone would pass a site that never does.
+        assert "fault:retry" in [i.name for i in rec.fault_events()]
 
     def test_python_kernel_spot_check(self, image, serial_labels):
         plan = FaultPlan(faults=(

@@ -50,6 +50,14 @@ def _always_transient(arg):
     raise TransientTaskError("never succeeds", site="test")
 
 
+def _always_transient_at_inner_site(arg):
+    raise TransientTaskError("never succeeds", site="inner")
+
+
+def _always_transient_without_site(arg):
+    raise TransientTaskError("never succeeds")
+
+
 def _real_bug(arg):
     raise ValueError("a genuine defect")
 
@@ -200,6 +208,22 @@ class TestRunTasks:
         names = [i.name for i in rec.fault_events()]
         assert names.count(FAULT_RETRY) == 1
         assert "fault:giveup" in names
+
+    @pytest.mark.parametrize(
+        "fn, site",
+        [(_always_transient_at_inner_site, "inner"), (_always_transient_without_site, "outer")],
+    )
+    def test_exhausted_error_names_the_fault_site(self, fn, site):
+        # A task may fire a site other than its dispatch's (a change
+        # array applied inside the final dispatch fires darray:fetch):
+        # the typed error names the fault's own site when it has one.
+        with PoolSupervisor(_ctx(), 1) as sup:
+            with pytest.raises(RecoveryExhaustedError) as err:
+                run_tasks(
+                    sup, fn, [0], site="outer",
+                    timeout=30, max_retries=0, backoff_s=0.01,
+                )
+        assert err.value.site == site
 
     def test_real_bug_propagates_unwrapped(self):
         with PoolSupervisor(_ctx(), 2) as sup:

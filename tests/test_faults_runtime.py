@@ -6,7 +6,9 @@ single-fault plan, components and histogram alike, the run either
 recovers to a **bit-identical** result or raises a typed
 :class:`~repro.utils.errors.FaultError` within its deadline -- never a
 hang, never a wrong answer, never a leaked ``/dev/shm`` segment, and
-every recovery step visible as ``fault:*`` obs events.
+every recovery step visible as ``fault:*`` obs events.  A recovered
+plan must also be seen to fire (a ``fault:retry``): a plan whose site
+never fires would pass on its result alone.
 
 The matrix is every plan x {python, numpy}.  The numpy leg of the
 merge-protocol sites (``darray:border``, ``darray:fetch``) runs in
@@ -91,15 +93,54 @@ def _kernel_matrix(workload):
     ]
 
 
+def _recover(run, plan, **opts):
+    """``run(fault_plan=plan, recorder=..., **opts)``'s result, checked
+    to leak nothing, not to degrade, and to have fired the plan."""
+    rec = WallRecorder()
+    with assert_no_shm_leak():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRunWarning)
+            out = run(fault_plan=plan, recorder=rec, **opts)
+    assert "fault:retry" in [i.name for i in rec.fault_events()], plan.describe()
+    return out
+
+
+def _block_plans():
+    """Plans faulting an item other than the first of its dispatch, with
+    two workers at p=4.  Label and final run two blocks of two tiles,
+    and tasks 1 and 3 are the second item of theirs; round 0's border
+    dispatch runs one group's two sides per block, group 1's in the
+    second; round 0's group-1 change array rides in round 1's side-b
+    border item, the second task of that dispatch."""
+    selectors = [
+        ("darray:label", dict(task=1)),
+        ("darray:final", dict(task=P - 1)),
+        ("darray:border", dict(round=0, group=1)),
+        ("darray:fetch", dict(round=0, group=1)),
+    ]
+    return [
+        pytest.param(
+            FaultPlan(faults=(FaultSpec(site=site, kind=kind, **sel),)),
+            id=f"{kind}@{site.split(':')[1]}",
+        )
+        for site, sel in selectors
+        for kind in ("crash", "hang", "exception")
+    ]
+
+
 class TestComponentsChaosMatrix:
     """Every single-fault plan x {python, numpy} recovers bit-identically."""
 
     @pytest.mark.parametrize("plan, kernel", _kernel_matrix("components"))
     def test_single_fault_recovers(self, plan, kernel, image, serial_labels):
-        with assert_no_shm_leak():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DegradedRunWarning)
-                res = darray_components(image, kernel=kernel, fault_plan=plan, **FAST)
+        res = _recover(darray_components, plan, source=image, kernel=kernel, **FAST)
+        assert np.array_equal(res.labels, serial_labels)
+
+    @pytest.mark.parametrize("plan", _block_plans())
+    def test_fault_inside_a_block_recovers(self, plan, image, serial_labels):
+        # The whole block retries; every item is idempotent.
+        opts = dict(FAST, workers=2)
+        res = _recover(darray_components, plan, source=image, **opts)
         assert np.array_equal(res.labels, serial_labels)
 
     @pytest.mark.parametrize("plan", _matrix("components"))
@@ -115,12 +156,9 @@ class TestComponentsChaosMatrix:
 class TestHistogramChaosMatrix:
     @pytest.mark.parametrize("plan, kernel", _kernel_matrix("histogram"))
     def test_single_fault_recovers(self, plan, kernel, grey_image, serial_hist):
-        with assert_no_shm_leak():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DegradedRunWarning)
-                got = darray_histogram(
-                    grey_image, K, kernel=kernel, fault_plan=plan, **FAST
-                )
+        got = _recover(
+            darray_histogram, plan, source=grey_image, k=K, kernel=kernel, **FAST
+        )
         assert np.array_equal(got, serial_hist)
 
     @pytest.mark.parametrize("plan", _matrix("histogram"))

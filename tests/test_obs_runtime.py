@@ -104,9 +104,9 @@ class TestComponentsTrace:
 
 
 class TestDispatchRoundTrips:
-    """One pool round trip per verb call: a merge round fetches all its
-    borders in one dispatch and publishes all its change arrays in at
-    most one more."""
+    """One pool round trip per verb call that reads: label, one border
+    dispatch per merge round (carrying the previous round's change
+    arrays), final.  Publishing a round sends nothing."""
 
     @pytest.mark.parametrize("p", [4, 16])
     def test_one_dispatch_per_verb_per_round(self, image, p):
@@ -114,10 +114,11 @@ class TestDispatchRoundTrips:
         darray_components(image, grey=True, p=p, recorder=rec, **SHMEM)
         spans = rec.log.spans
 
-        def dispatches(site, within=None):
+        def dispatches(site=None, within=None):
             return [
                 s for s in spans
-                if s.name == f"dispatch:darray:{site}"
+                if s.name.startswith("dispatch:")
+                and (site is None or s.name == f"dispatch:darray:{site}")
                 and (within is None
                      or within.start_s <= s.start_s and s.end_s <= within.end_s)
             ]
@@ -127,10 +128,34 @@ class TestDispatchRoundTrips:
         rounds = [s for s in spans if s.name.startswith("darray:merge:r")]
         assert len(rounds) == len(merge_schedule(ProcessorGrid(p, image.shape)))
         for rnd in rounds:
+            assert len(dispatches(within=rnd)) == 1, rnd.name
             assert len(dispatches("border", rnd)) == 1, rnd.name
-            assert len(dispatches("fetch", rnd)) <= 1, rnd.name
-        assert len(dispatches("border")) == len(rounds)
-        assert len(dispatches("fetch")) <= len(rounds)
+        assert dispatches("fetch") == []
+        assert len(dispatches()) == 2 + len(rounds)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_dispatch_sends_at_most_one_task_per_worker(
+        self, image, workers, monkeypatch
+    ):
+        from repro.darray import shmem_transport
+
+        sizes = []
+        run_tasks = shmem_transport.run_tasks
+
+        def counting(supervisor, fn, payloads, **kw):
+            payloads = list(payloads)
+            sizes.append(len(payloads))
+            return run_tasks(supervisor, fn, payloads, **kw)
+
+        monkeypatch.setattr(shmem_transport, "run_tasks", counting)
+        res = darray_components(image, p=16, workers=workers, **SHMEM)
+        darray_histogram(image, K, p=16, workers=workers, **SHMEM)
+        want = darray_components(image, p=16, transport="local")
+        assert np.array_equal(res.labels, want.labels)
+        rounds = len(merge_schedule(ProcessorGrid(16, image.shape)))
+        assert len(sizes) == 2 + rounds + 1
+        assert max(sizes) == workers
+        assert all(1 <= n <= workers for n in sizes), sizes
 
 
 class TestKernelSpans:
