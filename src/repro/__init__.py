@@ -71,7 +71,13 @@ from repro.machines.params import MACHINES, get_machine
 #: (and the layers' ``.stats`` attributes) are gone -- read counts from
 #: ``snapshot()`` or the registry -- and so are ``ServiceConfig.metrics``,
 #: ``RouterConfig.metrics`` and ``repro serve --no-metrics``.
-__version__ = "4.0.0"
+#:
+#: 5.0.0 is a breaking release: ``repro.runtime.shmem.ShmMeta``,
+#: ``SharedNDArray.attach`` and ``SharedNDArray.meta`` are gone (attach
+#: through ``SharedNDArray.attach_descriptor``; a segment's name is
+#: ``SharedNDArray.name``), and so are ``DistributedArray.place`` and
+#: ``DistributedArray.tile`` (slice ``image[grid.tile_slices(pid)]``).
+__version__ = "5.0.0"
 
 __all__ = [
     "kernels",

@@ -39,6 +39,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import os
 import re
 import textwrap
 from collections import Counter
@@ -47,12 +48,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.checker import rules_async, rules_cost, rules_err, rules_obs, rules_res
+from repro.checker.emitters import dump_json, to_json_payload, to_sarif
 from repro.checker.lint import (
     _find_programs,
     _ProgramLinter,
     iter_python_files,
 )
-from repro.checker.rules import RULES, LintDiagnostic, rule_family
+from repro.checker.rules import RULES, LintDiagnostic, format_catalog, rule_family
 from repro.utils.errors import ReproError
 
 Checker = Callable[[ast.AST, str], list[LintDiagnostic]]
@@ -316,3 +318,106 @@ def apply_baseline(
         if left:
             stale[file] = left
     return BaselineResult(diags=kept, suppressed=suppressed, stale=stale)
+
+
+# -- the ``repro check`` command -------------------------------------------
+
+
+def _dynamic_smoke() -> list[str]:
+    """Smoke-run the packaged SPMD programs under full shadow checking."""
+    import numpy as np
+
+    from repro.bdm.machine import Machine
+    from repro.core.spmd_programs import spmd_broadcast, spmd_histogram, spmd_transpose
+
+    spmd_transpose(Machine(4, check_hazards=True), np.arange(4 * 16).reshape(4, 16))
+    spmd_broadcast(Machine(4, check_hazards=True), np.arange(16))
+    rng = np.random.default_rng(0)
+    spmd_histogram(rng.integers(0, 16, size=(16, 16)), 16, 4)
+    return ["spmd_transpose", "spmd_broadcast", "spmd_histogram"]
+
+
+def run_check(paths: Sequence[str], *, select: str | None = None,
+              ignore: str | None = None, fmt: str = "text", output: str | None = None,
+              baseline: str | None = None, no_baseline: bool = False,
+              update_baseline: bool = False, list_rules: bool = False,
+              dynamic: bool = False, tool_version: str = "") -> int:
+    """``repro check``: analyze, apply the baseline, report; 1 on errors.
+
+    ``select``/``ignore`` are comma-separated families or rule IDs.
+    Without ``baseline`` the :data:`DEFAULT_BASELINE` file applies when
+    it exists (unless ``no_baseline``); ``update_baseline`` rewrites it
+    from the current findings instead of reporting them.
+    """
+    if list_rules:
+        print(format_catalog())
+        return 0
+    paths = list(paths) or [p for p in ("src", "examples") if os.path.isdir(p)] or ["."]
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        raise ReproError(f"no such path(s): {', '.join(missing)}")
+    selection = expand_selection(select.split(",") if select else None, flag="--select")
+    ignored = expand_selection(ignore.split(",") if ignore else None, flag="--ignore")
+    scanned = {p.as_posix() for p in iter_python_files(paths)}
+    diags = analyze_paths(paths, select=selection, ignore=ignored)
+
+    if baseline is None and not no_baseline and os.path.exists(DEFAULT_BASELINE):
+        baseline = DEFAULT_BASELINE
+    if update_baseline:
+        target = baseline or DEFAULT_BASELINE
+        save_baseline(target, baseline_from(diags))
+        print(f"baseline: wrote {len(diags)} finding(s) to {target}")
+        return 0
+    suppressed = 0
+    if baseline is not None:
+        result = apply_baseline(diags, load_baseline(baseline), scanned=scanned)
+        diags, suppressed = result.diags, result.suppressed
+        for file, rules in sorted(result.stale.items()):
+            # Judge staleness only for rules the current selection ran.
+            rules = {
+                r: n
+                for r, n in rules.items()
+                if (selection is None or selection.matches(r))
+                and not (ignored is not None and ignored.matches(r))
+            }
+            if not rules:
+                continue
+            listed = ", ".join(f"{r}x{n}" for r, n in sorted(rules.items()))
+            print(
+                f"baseline: stale allowance for {file} ({listed}); "
+                f"run --update-baseline to expire it"
+            )
+
+    n_errors = sum(1 for d in diags if d.severity == "error")
+    if fmt == "text":
+        for diag in diags:
+            print(diag.format())
+        summary = (
+            f"checked {len(scanned)} file(s): {n_errors} error(s), "
+            f"{len(diags) - n_errors} warning(s)"
+        )
+        if suppressed:
+            summary += f", {suppressed} baselined"
+        print(summary)
+    else:
+        if fmt == "json":
+            payload = to_json_payload(diags, files_checked=len(scanned), suppressed=suppressed)
+        else:
+            payload = to_sarif(diags, tool_version=tool_version)
+        text = dump_json(payload)
+        if output:
+            with open(output, "w") as fh:
+                fh.write(text)
+            print(
+                f"wrote {fmt} report ({len(diags)} finding(s), "
+                f"{suppressed} baselined) to {output}"
+            )
+        else:
+            print(text, end="")
+    if dynamic:
+        ran = _dynamic_smoke()
+        print(
+            f"dynamic: {len(ran)} built-in SPMD program(s) ran clean under "
+            f"the shadow-memory race detector ({', '.join(ran)})"
+        )
+    return 1 if n_errors else 0

@@ -195,17 +195,12 @@ def parallel_components(
         machine = Machine(p, machine_params, check_hazards=check_hazards, overlap=overlap)
     elif machine.p != p:
         raise ValidationError(f"machine has {machine.p} processors, expected {p}")
-    # Tile placement through the DistributedArray facade (the darray
-    # subsystem's in-process transport); imported lazily because
-    # repro.core's package init loads this module.
-    from repro.darray.array import DistributedArray
-
-    darr = DistributedArray.place(image, grid)
+    tiles = [image[grid.tile_slices(pid)] for pid in range(p)]
 
     colors = GlobalArray(machine, q * r, dtype=np.int64, name="colors")
     labels = GlobalArray(machine, q * r, dtype=np.int64, name="labels")
     for pid in range(p):
-        colors.place(pid, darr.tile(pid))  # initial placement, free
+        colors.place(pid, tiles[pid])  # initial placement, free
 
     # ---- 1. initial per-tile labeling -----------------------------------
     tile_pixels = q * r
@@ -213,7 +208,7 @@ def parallel_components(
         for proc in machine.procs:
             I, J = grid.coords(proc.pid)
             lab = label_fn(
-                darr.tile(proc.pid),
+                tiles[proc.pid],
                 connectivity=connectivity,
                 grey=grey,
                 label_base=1,

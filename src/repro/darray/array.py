@@ -7,11 +7,6 @@ three verbs plus shard introspection; the engine
 (:mod:`repro.darray.engine`) drives it through the paper's schedule,
 one :meth:`~DistributedArray.border` and one
 :meth:`~DistributedArray.publish` call per merge round.
-
-It is also the placement facade the BDM simulator uses: ``place()``
-opens a ``local`` transport over an in-memory image so the simulator's
-free initial distribution reads tile shards through the same surface
-the real transports implement.
 """
 
 from __future__ import annotations
@@ -40,13 +35,6 @@ class DistributedArray:
         """Open a registered transport over ``grid`` and ``image``."""
         return cls(grid, open_transport(name, grid, image, **opts))
 
-    @classmethod
-    def place(cls, image: np.ndarray, grid: ProcessorGrid) -> "DistributedArray":
-        """In-process placement of an image's tiles (simulator seam)."""
-        from repro.darray.local import LocalTransport
-
-        return cls(grid, LocalTransport(grid, image))
-
     # -- shard introspection ------------------------------------------------
 
     @property
@@ -56,10 +44,6 @@ class DistributedArray:
     @property
     def stats(self) -> TransportStats:
         return self.transport.stats
-
-    def tile(self, pid: int) -> np.ndarray:
-        """Shard-local image tile (only placements that expose one)."""
-        return self.transport.tile(pid)
 
     # -- the three verbs, delegated -----------------------------------------
 

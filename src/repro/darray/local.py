@@ -6,8 +6,7 @@ contract.  The label verb keeps each tile's run table
 and relabel only the perimeter vector each table carries, and finalize
 renames the run labels from it and paints every tile once into the
 global label array.  This is the reference the other transports must
-match bit-for-bit, and the tile store the BDM simulator uses for its
-free initial placement.
+match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -116,12 +115,8 @@ class LocalTransport(Transport):
                 )
         self.stats.change_bytes += change_nbytes(published)
 
-    # -- collection / tile store -------------------------------------------
+    # -- collection ----------------------------------------------------------
 
     def gather(self) -> np.ndarray:
         """The global label array :meth:`finalize` painted: no copy."""
         return self._labels
-
-    def tile(self, pid: int) -> np.ndarray:
-        """Shard-local *image* tile (the simulator's free placement)."""
-        return self.image[self.grid.tile_slices(pid)]

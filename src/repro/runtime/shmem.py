@@ -6,8 +6,8 @@ process-parallel NumPy.
 
 Two layers live here:
 
-* :class:`SharedNDArray` / :class:`ShmMeta` -- the in-process primitive
-  the batch runtime has always used (owner creates, workers attach).
+* :class:`SharedNDArray` -- one segment viewed as an array (the owner
+  creates it, a consumer attaches through its descriptor).
 * The **zero-copy wire plane**: :class:`ShmDescriptor` (a validated,
   JSON-able content-addressed handle: name / dtype / shape / digest)
   and :class:`ShmArena` (a refcounted owner of segments whose lifetime
@@ -118,15 +118,6 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 @dataclass(frozen=True)
-class ShmMeta:
-    """Picklable handle describing a shared array."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
 class ShmDescriptor:
     """A validated wire handle for a shared-memory image segment.
 
@@ -209,9 +200,10 @@ class ShmDescriptor:
 class SharedNDArray:
     """A NumPy array living in a shared-memory segment.
 
-    Create with :meth:`create` (owner) or :meth:`attach` (worker); the
-    owner should call :meth:`unlink` when done, every process
-    :meth:`close`.  Usable as a context manager on the owning side.
+    Create with :meth:`create` (owner) or :meth:`attach_descriptor`
+    (consumer); the owner should call :meth:`unlink` when done, every
+    process :meth:`close`.  Usable as a context manager on the owning
+    side.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, shape, dtype, *, owner: bool):
@@ -241,15 +233,6 @@ class SharedNDArray:
         out = cls.create(arr.shape, arr.dtype)
         out.array[:] = arr
         return out
-
-    @classmethod
-    def attach(cls, meta: ShmMeta) -> "SharedNDArray":
-        shm = _attach_segment(meta.name)
-        try:
-            return cls(shm, meta.shape, np.dtype(meta.dtype), owner=False)
-        except BaseException:
-            shm.close()
-            raise
 
     @classmethod
     def attach_descriptor(cls, desc: ShmDescriptor) -> "SharedNDArray":
@@ -283,12 +266,9 @@ class SharedNDArray:
             raise
 
     @property
-    def meta(self) -> ShmMeta:
-        return ShmMeta(
-            name=self._shm.name,
-            shape=tuple(self.array.shape),
-            dtype=self.array.dtype.str,
-        )
+    def name(self) -> str:
+        """The segment's name, as a descriptor carries it."""
+        return self._shm.name
 
     def close(self) -> None:
         # Drop the view first; closing a segment with live exports fails.
@@ -373,7 +353,7 @@ class ShmArena:
         seg = None
         try:
             seg = SharedNDArray.from_array(np.ascontiguousarray(arr))
-            desc = ShmDescriptor.for_array(seg.meta.name, seg.array)
+            desc = ShmDescriptor.for_array(seg.name, seg.array)
             self._segments[desc.name] = [seg, 1, True]
             seg = None  # ownership transferred to the arena
         finally:

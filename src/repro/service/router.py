@@ -50,6 +50,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -264,6 +265,9 @@ class RouterConfig:
     shards: int = 3
     vnodes: int = 64
     shard_sockets: list[str] | None = None
+    #: Where spawned shards bind their sockets; unset, the router makes
+    #: a ``repro-shards-*`` temp dir and :meth:`ShardRouter.stop`
+    #: removes it.  A directory given here stays the caller's.
     runtime_dir: str | None = None
     workers_per_shard: int = 1
     shard_args: list[str] = field(default_factory=list)
@@ -419,6 +423,8 @@ class ShardRouter:
         self.socket_path = check_socket_path(socket_path)
         cfg = self.config
         self.shard_ids = list(range(cfg.shards))
+        #: The runtime dir this router made itself (removed by stop()).
+        self._own_dir: str | None = None
         if cfg.shard_sockets is not None:
             self.shard_sockets = {
                 sid: check_socket_path(path)
@@ -426,17 +432,22 @@ class ShardRouter:
             }
             self.procs: dict[int, ShardProcess] = {}
         else:
-            base = cfg.runtime_dir or tempfile.mkdtemp(prefix="repro-shards-")
-            self._runtime_dir = base
+            base = cfg.runtime_dir
+            if base is None:
+                base = self._own_dir = tempfile.mkdtemp(prefix="repro-shards-")
             env = shard_environment()
             self.shard_sockets = {}
             self.procs = {}
-            for sid in self.shard_ids:
-                path = check_socket_path(os.path.join(base, f"shard-{sid}.sock"))
-                self.shard_sockets[sid] = path
-                self.procs[sid] = ShardProcess(
-                    sid, path, self._shard_argv(sid, path), env
-                )
+            try:
+                for sid in self.shard_ids:
+                    path = check_socket_path(os.path.join(base, f"shard-{sid}.sock"))
+                    self.shard_sockets[sid] = path
+                    self.procs[sid] = ShardProcess(
+                        sid, path, self._shard_argv(sid, path), env
+                    )
+            except ValidationError:
+                self._remove_own_dir()
+                raise
         self.ring = HashRing(self.shard_ids, vnodes=cfg.vnodes)
         self.breakers = {
             sid: CircuitBreaker(
@@ -485,6 +496,8 @@ class ShardRouter:
 
     async def start(self) -> None:
         self._draining = False
+        if self._own_dir is not None:
+            os.makedirs(self._own_dir, exist_ok=True)  # a restart after stop()
         for sid, proc in self.procs.items():
             proc.spawn()
         for sid in self.shard_ids:
@@ -586,6 +599,11 @@ class ShardRouter:
                 os.unlink(self.shard_sockets[sid])
         for sid in list(self._minted):
             self._reclaim_minted(sid)
+        self._remove_own_dir()
+
+    def _remove_own_dir(self) -> None:
+        if self._own_dir is not None:
+            shutil.rmtree(self._own_dir, ignore_errors=True)
 
     # -- supervision -------------------------------------------------------
 

@@ -77,7 +77,7 @@ def mint_shared_image(image: np.ndarray) -> tuple[SharedNDArray, ShmDescriptor]:
     seg = None
     try:
         seg = SharedNDArray.from_array(np.ascontiguousarray(image))
-        desc = ShmDescriptor.for_array(seg.meta.name, seg.array)
+        desc = ShmDescriptor.for_array(seg.name, seg.array)
         out, seg = seg, None  # ownership transferred to the caller
     finally:
         if seg is not None:

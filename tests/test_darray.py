@@ -210,12 +210,6 @@ class TestTransportRegistry:
         with pytest.raises(ValidationError, match="unknown transport"):
             open_transport("carrier-pigeon", grid, image)
 
-    def test_place_exposes_tiles(self, image):
-        grid = ProcessorGrid(P, N)
-        with DistributedArray.place(image, grid) as da:
-            for pid in range(P):
-                assert np.array_equal(da.tile(pid), image[grid.tile_slices(pid)])
-
 
 def _first_round(transport, image, changes=None):
     """Label, then fetch the first merge round's borders; with

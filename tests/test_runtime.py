@@ -16,7 +16,7 @@ from repro.darray import darray_components, darray_histogram
 from repro.images import binary_test_image, darpa_like, random_greyscale
 from repro.kernels import get as get_kernel
 from repro.runtime import SharedNDArray
-from repro.runtime.shmem import ShmMeta
+from repro.runtime.shmem import ShmDescriptor
 from repro.utils.errors import ValidationError
 
 SHMEM = dict(transport="shmem")
@@ -39,19 +39,10 @@ class TestSharedNDArray:
         owner = SharedNDArray.create((8,), np.float64)
         try:
             owner.array[:] = np.arange(8)
-            other = SharedNDArray.attach(owner.meta)
+            desc = ShmDescriptor.for_array(owner.name, owner.array)
+            other = SharedNDArray.attach_descriptor(desc)
             assert np.array_equal(other.array, np.arange(8))
             other.close()
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_meta_roundtrip(self):
-        owner = SharedNDArray.create((2, 3), np.int32)
-        try:
-            meta = owner.meta
-            assert isinstance(meta, ShmMeta)
-            assert meta.shape == (2, 3)
         finally:
             owner.close()
             owner.unlink()
@@ -75,6 +66,7 @@ class TestAttachLeavesTrackerAlone:
 
         owner = SharedNDArray.create((8,), np.int64)
         try:
+            desc = ShmDescriptor.for_array(owner.name, owner.array)
             calls = []
             monkeypatch.setattr(
                 resource_tracker, "register",
@@ -84,7 +76,7 @@ class TestAttachLeavesTrackerAlone:
                 resource_tracker, "unregister",
                 lambda name, rtype: calls.append(("unregister", name)),
             )
-            other = SharedNDArray.attach(owner.meta)
+            other = SharedNDArray.attach_descriptor(desc)
             other.close()
             monkeypatch.undo()
             assert calls == []

@@ -200,7 +200,7 @@ class TestStatsReadTheRegistry:
     cannot disagree about any count."""
 
     def test_queue_expiry_reaches_admission_stats_and_top(self, capsys):
-        from repro.cli import _render_top
+        from repro.drills import _render_top
 
         service = BatchService(ServiceConfig(workers=1, timeout_s=0.01))
 
