@@ -77,7 +77,11 @@ from repro.machines.params import MACHINES, get_machine
 #: through ``SharedNDArray.attach_descriptor``; a segment's name is
 #: ``SharedNDArray.name``), and so are ``DistributedArray.place`` and
 #: ``DistributedArray.tile`` (slice ``image[grid.tile_slices(pid)]``).
-__version__ = "5.0.0"
+#:
+#: 6.0.0 is a breaking release: ``MergeStepStats.n_edges`` is gone; the
+#: simulator runs the shared ``repro.darray.label_components`` driver,
+#: whose border-graph solve is the only step that knows the edge count.
+__version__ = "6.0.0"
 
 __all__ = [
     "kernels",

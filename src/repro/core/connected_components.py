@@ -28,6 +28,11 @@ Grey-scale images (Section 6) use the same machinery: the per-tile
 labeling joins only equal levels and the border graph adds cross edges
 only between equal-colored pixels.
 
+The schedule itself is :func:`repro.darray.engine.label_components`,
+the one driver every placement runs; this module supplies the
+simulated one, :class:`BdmTransport`, whose verbs charge a
+:class:`~repro.bdm.machine.Machine` for what the paper's processors do.
+
 Complexities (equations (11)/(12)): ``T_comp = O(n^2/p)``,
 ``T_comm <= (4 log p) tau + O(n^2/p)`` for ``p <= n``.
 """
@@ -43,22 +48,22 @@ from repro.baselines.sequential import ENGINES
 from repro.bdm.cost import MachineReport
 from repro.bdm.machine import Machine
 from repro.bdm.memory import GlobalArray
-from repro.core.border_graph import BorderSide, solve_border_merge
-from repro.core.change_array import ChangeArray, apply_changes
+from repro.core.border_graph import BorderSide
+from repro.core.change_array import ChangeArray
 from repro.core.costs import CostParams, DEFAULT_COSTS
 from repro.core.hooks import TileHooks, apply_hooks, create_tile_hooks, hook_ops
-from repro.core.merge import MergeStep, merge_schedule
+from repro.core.merge import MergeStep
 from repro.core.tiles import ProcessorGrid, edge_indices, perimeter_indices
+from repro.darray.array import DistributedArray
+from repro.darray.borders import border_nbytes, change_nbytes, publishing_groups
+from repro.darray.engine import label_components
+from repro.darray.transport import Transport
 from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel, resolve_backend
 from repro.machines.params import MachineParams, IDEAL
-from repro.obs.events import (
-    FAULT_FAILOVER,
-    FAULT_MANAGER_CRASH,
-    FAULT_SHADOW_CRASH,
-)
+from repro.obs.events import FAULT_FAILOVER, FAULT_MANAGER_CRASH, FAULT_SHADOW_CRASH
 from repro.sorting.hybrid import hybrid_sort_ops
-from repro.utils.errors import FailoverError, ValidationError
+from repro.utils.errors import ConfigurationError, FailoverError, ValidationError
 from repro.utils.validation import check_image
 
 
@@ -71,7 +76,6 @@ class MergeStepStats:
     n_groups: int
     border_pixels_per_side: int
     n_vertices: int
-    n_edges: int
     n_changes: int
     n_failovers: int = 0
 
@@ -182,348 +186,317 @@ def parallel_components(
     if engine not in ENGINES:
         raise ValidationError(f"unknown engine {engine!r}; known: {sorted(ENGINES)}")
     kernel = resolve_backend(kernel)
-    if engine == "kernel":
-        label_fn = partial(ENGINES["kernel"], backend=kernel)
-    else:
-        label_fn = ENGINES[engine]
-    relabel_kernel = get_kernel("relabel", backend=kernel)
 
     grid = ProcessorGrid(p, image.shape)
-    stride = grid.cols
-    q, r = grid.q, grid.r
     if machine is None:
         machine = Machine(p, machine_params, check_hazards=check_hazards, overlap=overlap)
     elif machine.p != p:
         raise ValidationError(f"machine has {machine.p} processors, expected {p}")
-    tiles = [image[grid.tile_slices(pid)] for pid in range(p)]
+    transport = BdmTransport(
+        grid, image, machine, connectivity=connectivity, grey=grey, engine=engine,
+        kernel=kernel, costs=costs, shadow_manager=shadow_manager,
+        distribution=distribution, limited_updating=limited_updating, fault_plan=fault_plan,
+    )
+    labels, n_components = label_components(
+        DistributedArray(grid, transport), connectivity=connectivity, grey=grey
+    )
+    return ComponentsResult(labels, machine.report(), grid, n_components, transport.step_stats)
 
-    colors = GlobalArray(machine, q * r, dtype=np.int64, name="colors")
-    labels = GlobalArray(machine, q * r, dtype=np.int64, name="labels")
-    for pid in range(p):
-        colors.place(pid, tiles[pid])  # initial placement, free
 
-    # ---- 1. initial per-tile labeling -----------------------------------
-    tile_pixels = q * r
-    with machine.phase("cc:label"):
-        for proc in machine.procs:
-            I, J = grid.coords(proc.pid)
-            lab = label_fn(
-                tiles[proc.pid],
-                connectivity=connectivity,
-                grey=grey,
-                label_base=1,
-                label_stride=stride,
-                row_offset=I * q,
-                col_offset=J * r,
-            )
-            labels.write(proc, proc.pid, lab.ravel())
-            proc.charge_comp(costs.label_per_pixel(grey) * tile_pixels)
+class BdmTransport(Transport):
+    """The simulated placement: each verb runs and charges the paper's phases.
 
-    hooks: list[TileHooks] = []
-    if limited_updating:
-        with machine.phase("cc:hooks"):
+    Processor ``pid`` holds tile ``pid``'s colors and labels in two
+    :class:`GlobalArray` blocks.  :meth:`label` runs ``cc:label`` (and
+    ``cc:hooks``); :meth:`border` assigns the fetch and publish roles,
+    applying ``sim:merge`` faults, and runs ``cc:m<t>:fetch``;
+    :meth:`publish` charges the engine's solves in ``cc:m<t>:solve``, then
+    runs the optional transpose distribution and ``cc:m<t>:update``; and
+    :meth:`finalize` runs ``cc:final``.  It is not registered in
+    ``TRANSPORTS``: its options model a machine, not a wall clock, and
+    ``darray_components`` would degrade its ``FailoverError``.
+    """
+
+    name = "bdm"
+
+    def __init__(
+        self, grid: ProcessorGrid, image: np.ndarray, machine: Machine, *,
+        connectivity: int = 8, grey: bool = False, engine: str = "runs",
+        kernel: str | None = None, costs: CostParams = DEFAULT_COSTS,
+        shadow_manager: bool = True, distribution: str = "direct",
+        limited_updating: bool = True, fault_plan: FaultPlan | None = None,
+    ):
+        super().__init__(grid)
+        self.machine = machine
+        self.connectivity = connectivity
+        self.grey = grey
+        self.costs = costs
+        self.shadow_manager = shadow_manager
+        self.distribution = distribution
+        self.limited_updating = limited_updating
+        self.fault_plan = fault_plan
+        kernel = resolve_backend(kernel)
+        if engine == "kernel":
+            self._label_fn = partial(ENGINES["kernel"], backend=kernel)
+        else:
+            self._label_fn = ENGINES[engine]
+        self._relabel = get_kernel("relabel", backend=kernel)
+        self.step_stats: list[MergeStepStats] = []
+        self._round = None  # the last border call's roles, sides, side length, failovers
+
+        q, r = grid.q, grid.r
+        self._tiles = [image[grid.tile_slices(pid)] for pid in range(grid.p)]
+        self.colors = GlobalArray(machine, q * r, dtype=np.int64, name="colors")
+        self.labels = GlobalArray(machine, q * r, dtype=np.int64, name="labels")
+        for pid in range(grid.p):
+            self.colors.place(pid, self._tiles[pid])  # initial placement, free
+
+    # -- verb 1: tile-local compute ---------------------------------------
+
+    def label(self) -> tuple[dict[int, TileHooks], int]:
+        """``cc:label`` and ``cc:hooks``; counts each tile's seed pixels."""
+        machine, grid, costs = self.machine, self.grid, self.costs
+        q, r = grid.q, grid.r
+        n_components = 0
+        with machine.phase("cc:label"):
             for proc in machine.procs:
-                lab2d = labels.local(proc.pid).reshape(q, r)
-                hooks.append(create_tile_hooks(lab2d))
-                bp = hook_ops(q, r)
-                proc.charge_comp(costs.hooks_per_border_pixel * bp + hybrid_sort_ops(bp))
+                I, J = grid.coords(proc.pid)
+                lab = self._label_fn(
+                    self._tiles[proc.pid], connectivity=self.connectivity, grey=self.grey,
+                    label_base=1, label_stride=grid.cols, row_offset=I * q, col_offset=J * r,
+                )
+                self.labels.write(proc, proc.pid, lab.ravel())
+                proc.charge_comp(costs.label_per_pixel(self.grey) * (q * r))
+                # A tile component's label is the seed of its first pixel.
+                rows, cols = np.ogrid[I * q : (I + 1) * q, J * r : (J + 1) * r]
+                n_components += int(np.count_nonzero(lab == rows * grid.cols + cols + 1))
 
-    border_idx = perimeter_indices(q, r)
-    edge_cache = {name: edge_indices(q, r, name) for name in ("top", "bottom", "left", "right")}
+        hooks: dict[int, TileHooks] = {}
+        if self.limited_updating:
+            with machine.phase("cc:hooks"):
+                for proc in machine.procs:
+                    hooks[proc.pid] = create_tile_hooks(self._tile_labels(proc.pid))
+                    bp = hook_ops(q, r)
+                    proc.charge_comp(costs.hooks_per_border_pixel * bp + hybrid_sort_ops(bp))
+        return hooks, n_components
 
-    # ---- 2. merge iterations ---------------------------------------------
-    step_stats: list[MergeStepStats] = []
-    for step in merge_schedule(grid):
-        stats = _run_merge_step(
-            machine,
-            step,
-            labels,
-            colors,
-            edge_cache,
-            border_idx,
-            connectivity=connectivity,
-            grey=grey,
-            costs=costs,
-            shadow_manager=shadow_manager,
-            distribution=distribution,
-            limited_updating=limited_updating,
-            tile_pixels=tile_pixels,
-            relabel_kernel=relabel_kernel,
-            fault_plan=fault_plan,
-        )
-        step_stats.append(stats)
-
-    # ---- 3. final interior update ----------------------------------------
-    if limited_updating:
-        with machine.phase("cc:final"):
-            for proc in machine.procs:
-                final = labels.local(proc.pid).reshape(q, r).copy()
+    def finalize(self, hooks: dict[int, TileHooks]) -> None:
+        if not self.limited_updating:
+            return
+        with self.machine.phase("cc:final"):
+            for proc in self.machine.procs:
+                final = self._tile_labels(proc.pid).copy()
                 apply_hooks(final, hooks[proc.pid])
-                labels.write(proc, proc.pid, final.ravel())
-                proc.charge_comp(costs.relabel_per_pixel * tile_pixels)
+                self.labels.write(proc, proc.pid, final.ravel())
+                proc.charge_comp(self.costs.relabel_per_pixel * (self.grid.q * self.grid.r))
 
-    full = grid.gather([labels.local(pid).reshape(q, r) for pid in range(p)], dtype=np.int64)
-    n_components = int(np.unique(full[full != 0]).size)
-    return ComponentsResult(
-        labels=full,
-        report=machine.report(),
-        grid=grid,
-        n_components=n_components,
-        step_stats=step_stats,
-    )
+    def histogram(self, k: int) -> np.ndarray:
+        raise ConfigurationError(
+            "the bdm transport labels components only; use parallel_histogram to simulate one"
+        )
 
+    # -- verb 2: border exchange -------------------------------------------
 
-def _fetch_side(machine, proc, pids, edge_idx, labels, colors):
-    """Fetch one border side's labels and colors (pipelined prefetch)."""
-    lab_parts = []
-    col_parts = []
-    with proc.prefetch_batch():
-        for pid in pids:
-            lab_parts.append(labels.read_indices(proc, pid, edge_idx))
-            col_parts.append(colors.read_indices(proc, pid, edge_idx))
-    return BorderSide(np.concatenate(lab_parts), np.concatenate(col_parts))
+    def border(self, step_index, step) -> list[tuple[BorderSide, BorderSide]]:
+        """Assign the round's roles, then ``cc:m<t>:fetch``: each fetcher
+        prefetches its side's labels and colors and sorts them."""
+        machine, q, r = self.machine, self.grid.q, self.grid.r
+        roles, n_failovers = self._assign_roles(step)
+        edge_a, edge_b = step.edge_names
+        idx_a, idx_b = edge_indices(q, r, edge_a), edge_indices(q, r, edge_b)
+        side_len = len(idx_a) * len(step.groups[0].side_a_pids)
+        sides = []
+        with machine.phase(f"cc:m{step.t}:fetch"):
+            for group, (fetch_a, fetch_b, _) in zip(step.groups, roles):
+                sides.append((
+                    self._fetch_side(fetch_a, group.side_a_pids, idx_a, side_len),
+                    self._fetch_side(fetch_b, group.side_b_pids, idx_b, side_len),
+                ))
+        self._round = (roles, sides, side_len, n_failovers)
+        self.stats.border_bytes += border_nbytes(sides)
+        return sides
 
+    def _fetch_side(self, fetcher: int, pids, edge_idx, side_len: int) -> BorderSide:
+        """One border side's labels and colors (pipelined prefetch), sorted."""
+        proc = self.machine.procs[fetcher]
+        lab_parts = []
+        col_parts = []
+        with proc.prefetch_batch():
+            for pid in pids:
+                lab_parts.append(self.labels.read_indices(proc, pid, edge_idx))
+                col_parts.append(self.colors.read_indices(proc, pid, edge_idx))
+        proc.charge_comp(hybrid_sort_ops(side_len))
+        return BorderSide(np.concatenate(lab_parts), np.concatenate(col_parts))
 
-def _run_merge_step(
-    machine: Machine,
-    step: MergeStep,
-    labels: GlobalArray,
-    colors: GlobalArray,
-    edge_cache: dict,
-    border_idx: np.ndarray,
-    *,
-    connectivity: int,
-    grey: bool,
-    costs: CostParams,
-    shadow_manager: bool,
-    distribution: str,
-    limited_updating: bool,
-    tile_pixels: int,
-    relabel_kernel=None,
-    fault_plan: FaultPlan | None = None,
-) -> MergeStepStats:
-    """Execute one merge iteration (fetch/sort, solve, distribute+update).
+    def _assign_roles(self, step: MergeStep) -> tuple[list[tuple[int, int, int]], int]:
+        """``(fetch_a, fetch_b, publisher)`` per group, and the failover count.
 
-    Per group the protocol runs three roles: the side-A fetcher, the
-    side-B fetcher, and the *publisher* (solves the border graph and
-    serves the change list).  Normally the manager holds A + publish
-    and the shadow holds B; a ``sim:merge`` fault reassigns roles at
-    the round boundary -- manager lost, the shadow takes all three
-    (failover); shadow lost, the manager does.  The faulted processor's
-    tile memory stays served (single global address space), and it
-    rejoins as an ordinary update-phase client, so labels stay
-    bit-identical to the unfaulted run.
-    """
-    t = step.t
-    edge_a, edge_b = step.edge_names
-    idx_a = edge_cache[edge_a]
-    idx_b = edge_cache[edge_b]
-    side_len = len(idx_a) * len(step.groups[0].side_a_pids)
-
-    # -- role assignment (applies any merge-round-boundary faults) -------
-    n_failovers = 0
-    roles: dict[int, tuple[int, int, int]] = {}  # manager -> (fetch_a, fetch_b, publisher)
-    for gi, group in enumerate(step.groups):
-        fetch_a = publisher = group.manager
-        fetch_b = group.shadow if shadow_manager else group.manager
-        lost: set[str] = set()
-        if fault_plan is not None:
-            for spec in fault_plan.match_all("sim:merge", round=t - 1, group=gi):
-                lost |= {"manager", "shadow"} if spec.target == "both" else {spec.target}
-        if "manager" in lost:
-            machine.note_instant(
-                FAULT_MANAGER_CRASH, lane=group.manager, round=t - 1, group=gi
-            )
-            if "shadow" in lost or not shadow_manager:
-                detail = (
-                    f"shadow P{group.shadow} lost too"
-                    if "shadow" in lost
-                    else "no shadow manager to fail over to"
+        Normally the manager fetches side A and publishes, and the shadow
+        fetches side B.  A ``sim:merge`` fault reassigns roles at the
+        round boundary -- manager lost, the shadow takes all three
+        (failover); shadow lost, the manager does.  The faulted
+        processor's tile memory stays served (single global address
+        space), and it rejoins as an ordinary update-phase client, so
+        labels stay bit-identical to the unfaulted run.
+        """
+        machine, t = self.machine, step.t
+        roles = []
+        n_failovers = 0
+        for gi, group in enumerate(step.groups):
+            fetch_a = publisher = group.manager
+            fetch_b = group.shadow if self.shadow_manager else group.manager
+            lost: set[str] = set()
+            if self.fault_plan is not None:
+                for spec in self.fault_plan.match_all("sim:merge", round=t - 1, group=gi):
+                    lost |= {"manager", "shadow"} if spec.target == "both" else {spec.target}
+            if "manager" in lost:
+                machine.note_instant(FAULT_MANAGER_CRASH, lane=group.manager, round=t - 1, group=gi)
+                if "shadow" in lost or not self.shadow_manager:
+                    lost_too = f"shadow P{group.shadow} lost too"
+                    detail = lost_too if "shadow" in lost else "no shadow manager to fail over to"
+                    raise FailoverError(
+                        f"merge round {t - 1} group {gi}: manager P{group.manager} "
+                        f"lost and {detail}",
+                        site="sim:merge",
+                    )
+                machine.note_instant(
+                    FAULT_FAILOVER, lane=group.shadow, round=t - 1, group=gi,
+                    manager=group.manager, shadow=group.shadow,
                 )
-                raise FailoverError(
-                    f"merge round {t - 1} group {gi}: manager P{group.manager} "
-                    f"lost and {detail}",
-                    site="sim:merge",
+                fetch_a = fetch_b = publisher = group.shadow
+                n_failovers += 1
+            elif "shadow" in lost and self.shadow_manager:
+                machine.note_instant(FAULT_SHADOW_CRASH, lane=group.shadow, round=t - 1, group=gi)
+                fetch_b = group.manager
+                n_failovers += 1
+            roles.append((fetch_a, fetch_b, publisher))
+        return roles, n_failovers
+
+    # -- verb 3: change publish/fetch --------------------------------------
+
+    def publish(self, step_index, step, changes) -> None:
+        """Charge the round's solves, distribute its change arrays and
+        relabel every region -- each group, as its clients fetch
+        ``chSize`` even for an empty change array."""
+        published = publishing_groups(step, changes)
+        machine, costs, t = self.machine, self.costs, step.t
+        roles, sides, side_len, n_failovers = self._round
+        changes = list(changes)
+        n_vertices = 0
+        with machine.phase(f"cc:m{t}:solve"):
+            for (_, fetch_b, publisher), (side_a, side_b), ch in zip(roles, sides, changes):
+                if fetch_b != publisher:
+                    # Publisher prefetches the other fetcher's sorted side
+                    # (labels + colors); that fetcher reverts to a client.
+                    machine.transfer(fetch_b, publisher, 2 * side_len)
+                # The border graph's vertices are the sides' colored pixels.
+                nv = int(np.count_nonzero(side_a.colors) + np.count_nonzero(side_b.colors))
+                machine.procs[publisher].charge_comp(
+                    costs.graph_build_per_vertex * nv
+                    + costs.graph_cc_per_vertex * nv
+                    + costs.change_per_entry * len(ch)
+                    + hybrid_sort_ops(len(ch))
                 )
-            machine.note_instant(
-                FAULT_FAILOVER,
-                lane=group.shadow,
-                round=t - 1,
-                group=gi,
-                manager=group.manager,
-                shadow=group.shadow,
-            )
-            fetch_a = fetch_b = publisher = group.shadow
-            n_failovers += 1
-        elif "shadow" in lost and shadow_manager:
-            machine.note_instant(
-                FAULT_SHADOW_CRASH, lane=group.shadow, round=t - 1, group=gi
-            )
-            fetch_b = group.manager
-            n_failovers += 1
-        roles[group.manager] = (fetch_a, fetch_b, publisher)
+                n_vertices += nv
 
-    sides_a: dict[int, BorderSide] = {}
-    sides_b: dict[int, BorderSide] = {}
-    with machine.phase(f"cc:m{t}:fetch"):
-        for group in step.groups:
-            fetch_a, fetch_b, _ = roles[group.manager]
-            pa = machine.procs[fetch_a]
-            sides_a[group.manager] = _fetch_side(
-                machine, pa, group.side_a_pids, idx_a, labels, colors
-            )
-            pa.charge_comp(hybrid_sort_ops(side_len))
-            pb = machine.procs[fetch_b]
-            sides_b[group.manager] = _fetch_side(
-                machine, pb, group.side_b_pids, idx_b, labels, colors
-            )
-            pb.charge_comp(hybrid_sort_ops(side_len))
+        if self.distribution == "transpose":
+            self._distribute_transpose(step, changes, roles)
 
-    changes: dict[int, ChangeArray] = {}
-    n_vertices = n_edges = n_changes = 0
-    with machine.phase(f"cc:m{t}:solve"):
-        for group in step.groups:
-            _, fetch_b, publisher = roles[group.manager]
-            pub = machine.procs[publisher]
-            if fetch_b != publisher:
-                # Publisher prefetches the other fetcher's sorted side
-                # (labels + colors); that fetcher reverts to a client.
-                machine.transfer(fetch_b, publisher, 2 * side_len)
-            solve = solve_border_merge(
-                sides_a[group.manager],
-                sides_b[group.manager],
-                connectivity=connectivity,
-                grey=grey,
-            )
-            changes[group.manager] = solve.changes
-            pub.charge_comp(
-                costs.graph_build_per_vertex * solve.n_vertices
-                + costs.graph_cc_per_vertex * solve.n_vertices
-                + costs.change_per_entry * len(solve.changes)
-                + hybrid_sort_ops(len(solve.changes))
-            )
-            n_vertices += solve.n_vertices
-            n_edges += solve.n_edges
-            n_changes += len(solve.changes)
+        with machine.phase(f"cc:m{t}:update"):
+            for group, (_, _, publisher), ch in zip(step.groups, roles, changes):
+                ch_words = 1 + 2 * len(ch)
+                for pid in group.region:
+                    if self.distribution == "direct" and pid != publisher:
+                        # Client prefetches chSize, then the change pairs,
+                        # straight from the publisher (equation (8)).
+                        machine.transfer(publisher, pid, ch_words)
+                    if len(ch):
+                        self._update_tile(machine.procs[pid], ch)
 
-    if distribution == "transpose":
-        _distribute_transpose(machine, step, changes, roles)
+        self.stats.change_bytes += change_nbytes(published)
+        self.step_stats.append(MergeStepStats(
+            t, step.orientation, len(step.groups), side_len, n_vertices,
+            sum(len(ch) for ch in changes), n_failovers,
+        ))
 
-    with machine.phase(f"cc:m{t}:update"):
-        for group in step.groups:
-            publisher = roles[group.manager][2]
-            ch = changes[group.manager]
-            ch_words = 1 + 2 * len(ch)
-            for pid in group.region:
-                proc = machine.procs[pid]
-                if distribution == "direct" and pid != publisher:
-                    # Client prefetches chSize, then the change pairs,
-                    # straight from the publisher (equation (8)).
-                    machine.transfer(publisher, pid, ch_words)
-                _update_tile(
-                    proc, pid, labels, border_idx, ch,
-                    costs=costs,
-                    limited_updating=limited_updating,
-                    tile_pixels=tile_pixels,
-                    relabel_kernel=relabel_kernel,
-                )
+    def _update_tile(self, proc, ch: ChangeArray) -> None:
+        """Relabel a processor's border pixels (or, without limited
+        updating, all its pixels) by binary search of ``ch``."""
+        pid, n_pixels = proc.pid, self.grid.q * self.grid.r
+        if self.limited_updating:
+            idx = perimeter_indices(self.grid.q, self.grid.r)
+            cur = self.labels.read_indices(proc, pid, idx)
+            self.labels.write_indices(proc, pid, idx, self._relabel(cur, ch.alphas, ch.betas))
+            n_pixels = len(idx)
+        else:
+            cur = self.labels.read(proc, pid)
+            self.labels.write(proc, pid, self._relabel(cur, ch.alphas, ch.betas))
+        proc.charge_comp(self.costs.binary_search_ops(n_pixels, len(ch)))
 
-    return MergeStepStats(
-        t=t,
-        orientation=step.orientation,
-        n_groups=len(step.groups),
-        border_pixels_per_side=side_len,
-        n_vertices=n_vertices,
-        n_edges=n_edges,
-        n_changes=n_changes,
-        n_failovers=n_failovers,
-    )
+    def _distribute_transpose(
+        self,
+        step: MergeStep,
+        changes: list[ChangeArray],
+        roles: list[tuple[int, int, int]],
+    ) -> None:
+        """Equation (9)/(10): two-round change-list distribution.
 
+        Round 1: the publisher (the manager, or the shadow after a
+        failover) hands each of the ``f`` region processors one
+        ``ceil(c/f)``-word slice of the serialized change list.  Round 2:
+        the processors exchange slices circularly, so everyone assembles
+        the full list at cost ``2 (tau + c - c/f)`` instead of the direct
+        scheme's ``f``-fold serialization at the publisher.
+        The reassembled list replaces the publisher-held one in
+        ``changes``, keeping the data path honest.
+        """
+        machine, t = self.machine, step.t
+        # Per-processor slice lengths for this step's groups.
+        lengths = [0] * machine.p
+        group_meta = []
+        for group, ch in zip(step.groups, changes):
+            region = group.region
+            f = len(region)
+            words = ch.to_words()
+            c = len(words)
+            slice_len = -(-max(c, 1) // f)  # ceil; >=1 so blocks are addressable
+            padded = np.zeros(slice_len * f, dtype=np.int64)
+            padded[:c] = words
+            group_meta.append((region, slice_len, padded, len(ch)))
+            for pid in region:
+                lengths[pid] = slice_len
+        slices = GlobalArray(machine, lengths, dtype=np.int64, name=f"chslices:m{t}")
 
-def _update_tile(
-    proc, pid, labels, border_idx, ch, *,
-    costs, limited_updating, tile_pixels, relabel_kernel=None,
-):
-    """Relabel a processor's pixels against a change array.
+        with machine.phase(f"cc:m{t}:dist1"):
+            for (region, slice_len, padded, _), (_, _, publisher) in zip(group_meta, roles):
+                for rank, pid in enumerate(region):
+                    if pid != publisher:
+                        machine.transfer(publisher, pid, slice_len + 1)
+                    block = padded[rank * slice_len : (rank + 1) * slice_len]
+                    slices.write(machine.procs[pid], pid, block)
 
-    The binary-search relabel itself is a kernel-dispatched local step;
-    the default (``relabel_kernel=None``) is the vectorized
-    :func:`~repro.core.change_array.apply_changes` equivalent.
-    """
-    if len(ch) == 0:
-        return
-    if relabel_kernel is None:
-        relabel = partial(apply_changes, changes=ch)
-    else:
-        relabel = partial(relabel_kernel, alphas=ch.alphas, betas=ch.betas)
-    if limited_updating:
-        cur = labels.read_indices(proc, pid, border_idx)
-        labels.write_indices(proc, pid, border_idx, relabel(cur))
-        proc.charge_comp(costs.binary_search_ops(len(border_idx), len(ch)))
-    else:
-        cur = labels.read(proc, pid)
-        labels.write(proc, pid, relabel(cur))
-        proc.charge_comp(costs.binary_search_ops(tile_pixels, len(ch)))
+        with machine.phase(f"cc:m{t}:dist2"):
+            for gi, (group, (region, _, _, n_ch)) in enumerate(zip(step.groups, group_meta)):
+                f = len(region)
+                for my_rank, pid in enumerate(region):
+                    proc = machine.procs[pid]
+                    parts = [None] * f
+                    with proc.prefetch_batch():
+                        for hop in range(f):
+                            rank = (my_rank + hop) % f
+                            parts[rank] = slices.read(proc, region[rank])
+                    words = np.concatenate(parts)[: 2 * n_ch]
+                    if pid == group.manager:
+                        # Everyone reassembles identically; adopt one copy so
+                        # the update phase consumes shipped (not workspace) data.
+                        changes[gi] = ChangeArray.from_words(words)
 
+    # -- collection ----------------------------------------------------------
 
-def _distribute_transpose(
-    machine: Machine,
-    step: MergeStep,
-    changes: dict[int, ChangeArray],
-    roles: dict[int, tuple[int, int, int]],
-) -> None:
-    """Equation (9)/(10): two-round change-list distribution.
+    def gather(self) -> np.ndarray:
+        return self.grid.gather(
+            [self._tile_labels(pid) for pid in range(self.grid.p)], dtype=np.int64
+        )
 
-    Round 1: the publisher (the manager, or the shadow after a
-    failover) hands each of the ``f`` region processors one
-    ``ceil(c/f)``-word slice of the serialized change list.  Round 2:
-    the processors exchange slices circularly, so everyone assembles
-    the full list at cost ``2 (tau + c - c/f)`` instead of the direct
-    scheme's ``f``-fold serialization at the publisher.
-    The reassembled list replaces the publisher-held one in ``changes``
-    consumption order, keeping the data path honest.
-    """
-    t = step.t
-    # Per-processor slice lengths for this step's groups.
-    lengths = [0] * machine.p
-    group_meta = {}
-    for group in step.groups:
-        region = group.region
-        f = len(region)
-        ch = changes[group.manager]
-        words = ch.to_words()
-        c = len(words)
-        slice_len = -(-max(c, 1) // f)  # ceil; >=1 so blocks are addressable
-        padded = np.zeros(slice_len * f, dtype=np.int64)
-        padded[:c] = words
-        group_meta[group.manager] = (region, f, slice_len, padded, len(ch))
-        for pid in region:
-            lengths[pid] = slice_len
-    slices = GlobalArray(machine, lengths, dtype=np.int64, name=f"chslices:m{t}")
-
-    with machine.phase(f"cc:m{t}:dist1"):
-        for group in step.groups:
-            region, f, slice_len, padded, _ = group_meta[group.manager]
-            publisher = roles[group.manager][2]
-            for rank, pid in enumerate(region):
-                proc = machine.procs[pid]
-                if pid != publisher:
-                    machine.transfer(publisher, pid, slice_len + 1)
-                slices.write(proc, pid, padded[rank * slice_len : (rank + 1) * slice_len])
-
-    with machine.phase(f"cc:m{t}:dist2"):
-        for group in step.groups:
-            region, f, slice_len, _, n_ch = group_meta[group.manager]
-            region_list = list(region)
-            for my_rank, pid in enumerate(region_list):
-                proc = machine.procs[pid]
-                parts = [None] * f
-                with proc.prefetch_batch():
-                    for hop in range(f):
-                        rank = (my_rank + hop) % f
-                        parts[rank] = slices.read(proc, region_list[rank])
-                words = np.concatenate(parts)[: 2 * n_ch]
-                if pid == group.manager:
-                    # Everyone reassembles identically; adopt one copy so
-                    # the update phase consumes shipped (not workspace) data.
-                    changes[group.manager] = ChangeArray.from_words(words)
+    def _tile_labels(self, pid: int) -> np.ndarray:
+        return self.labels.local(pid).reshape(self.grid.q, self.grid.r)

@@ -12,8 +12,8 @@ manager** (a processor adjacent to the border, on the first side) and a
 **shadow manager** (directly across the border) fetch and sort the two
 border sides; the manager solves the border graph and publishes the
 change list to the **clients** -- the other processors of the merged
-region.  This module computes that static schedule; the executor lives
-in :mod:`repro.core.connected_components`.
+region.  This module computes that static schedule; the one executor is
+:func:`repro.darray.engine.label_components`.
 
 Note on manager granularity: the paper's bit-pattern manager selection
 lets one manager serve the stacked borders of two adjacent region rows

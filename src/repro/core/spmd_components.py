@@ -4,10 +4,11 @@ The paper's Sections 5.3-5.4 describe the merge iterations from two
 perspectives -- the group managers' task and the clients' task -- as
 the divergent control flow of ONE per-processor program.  This module
 writes the algorithm exactly that way on the generator executor
-(:func:`repro.bdm.spmd.run_spmd`); the phase-style implementation in
-:mod:`repro.core.connected_components` remains the configurable
-production path (this one fixes the paper's defaults: shadow manager
-on, direct change distribution, limited updating).
+(:func:`repro.bdm.spmd.run_spmd`); the configurable path is
+:func:`~repro.core.connected_components.parallel_components`, the shared
+darray driver over the simulator's transport (this one fixes the
+paper's defaults: shadow manager on, direct change distribution,
+limited updating).
 
 Per merge iteration every processor executes the same seven supersteps
 (clients simply pass through the manager-only ones):

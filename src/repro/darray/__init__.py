@@ -9,7 +9,8 @@ This subsystem makes that structure explicit: a
 a :class:`Transport` whose *only* verbs are tile-local compute, border
 exchange, and change-array publish/fetch.
 
-Three transports implement the contract (see ``docs/DARRAY.md``):
+Three registered transports implement the contract, all driven by
+:func:`label_components` (see ``docs/DARRAY.md``):
 
 * ``local`` -- shards are in-process run tables, painted once into one
   ndarray at finalize;
@@ -25,7 +26,9 @@ Three transports implement the contract (see ``docs/DARRAY.md``):
 
 The engines (:func:`darray_components`, :func:`darray_histogram`)
 produce labels bit-identical to the serial reference across every
-transport x kernel-backend combination (tested).
+transport x kernel-backend combination (tested).  The simulator's
+unregistered :class:`~repro.core.connected_components.BdmTransport`
+runs the same driver and charges a simulated machine.
 """
 
 from repro.darray.array import DistributedArray
@@ -34,6 +37,7 @@ from repro.darray.engine import (
     count_components,
     darray_components,
     darray_histogram,
+    label_components,
 )
 from repro.darray.transport import (
     TRANSPORTS,
@@ -52,4 +56,5 @@ __all__ = [
     "count_components",
     "darray_components",
     "darray_histogram",
+    "label_components",
 ]

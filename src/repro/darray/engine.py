@@ -1,17 +1,17 @@
 """Transport-independent drivers: the paper's schedule over a DistributedArray.
 
-:func:`darray_components` and :func:`darray_histogram` run the Bader--
-JaJa algorithms against any registered transport: initial tile-local
-labeling, ``log p`` merge rounds, hook-based final interior update.
-Each merge round fetches both sides of every border of the round in
-one verb call, solves each group's border graph in the driver, and
-publishes every group's change array to its merged region in one more.
-The component count falls out of the same schedule: the tiles' counts
-minus one per published alpha.  The *only*
+:func:`label_components` is the one connected-components driver:
+initial tile-local labeling, ``log p`` merge rounds, hook-based final
+interior update.  Each merge round fetches both sides of every border
+of the round in one verb call, solves each group's border graph in the
+driver, and publishes every group's change array to its merged region
+in one more.  The component count falls out of the same schedule: the
+tiles' counts minus one per published alpha.  The *only*
 transport-facing operations are the three verbs, so the same driver
 labels an in-process array, a shared-memory image and label array served
-by a supervised pool, or an out-of-core spill set over a memory-mapped
-image -- bit-identically.
+by a supervised pool, an out-of-core spill set over a memory-mapped
+image -- bit-identically -- or the simulated BDM machine of
+:func:`~repro.core.parallel_components`.
 
 Observability: a ``recorder`` is installed as the sink
 (:mod:`repro.obs.trace`) for the length of the call.  The driver wraps
@@ -151,6 +151,30 @@ def _degrade_or_raise(
     _trace.instant(FAULT_DEGRADE, what=what, error=type(exc).__name__, detail=str(exc))
 
 
+def label_components(
+    da: DistributedArray, *, connectivity: int, grey: bool
+) -> tuple[np.ndarray, int]:
+    """Run the paper's schedule over ``da``: ``(labels, n_components)``.
+
+    ``n_components`` is the tiles' component count minus the total
+    length of the published change arrays.
+    """
+    with _trace.traced_span(DARRAY_LABEL, cat=CAT_ROUND):
+        hooks, n_components = da.label()
+    for si, step in enumerate(merge_schedule(da.grid)):
+        with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
+            changes = [
+                solve_border_merge(side_a, side_b, connectivity=connectivity, grey=grey).changes
+                for side_a, side_b in da.border(si, step)
+            ]
+            # Each alpha is one component merged away, exactly once.
+            n_components -= sum(len(c) for c in changes)
+            da.publish(si, step, changes)
+    with _trace.traced_span(DARRAY_FINAL, cat=CAT_ROUND):
+        da.finalize(hooks)
+    return da.gather(), n_components
+
+
 def darray_components(
     source,
     *,
@@ -203,22 +227,7 @@ def darray_components(
                 spill_dir=spill_dir,
                 resident_tiles=resident_tiles,
             ) as da:
-                with _trace.traced_span(DARRAY_LABEL, cat=CAT_ROUND):
-                    hooks, n_components = da.label()
-                for si, step in enumerate(merge_schedule(grid)):
-                    with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
-                        changes = [
-                            solve_border_merge(
-                                side_a, side_b, connectivity=connectivity, grey=grey
-                            ).changes
-                            for side_a, side_b in da.border(si, step)
-                        ]
-                        # Each alpha is one component merged away, exactly once.
-                        n_components -= sum(len(c) for c in changes)
-                        da.publish(si, step, changes)
-                with _trace.traced_span(DARRAY_FINAL, cat=CAT_ROUND):
-                    da.finalize(hooks)
-                labels = da.gather()
+                labels, n_components = label_components(da, connectivity=connectivity, grey=grey)
                 stats = da.stats
         except FaultError as exc:
             _degrade_or_raise(exc, degrade, recorder, "components")

@@ -570,6 +570,8 @@ class ShardRouter:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            with contextlib.suppress(OSError):  # asyncio leaves it before 3.13
+                os.unlink(self.socket_path)
         deadline = time.monotonic() + self.config.drain_deadline_s
         while self._open_requests and time.monotonic() < deadline:
             await asyncio.sleep(0.005)

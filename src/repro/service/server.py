@@ -860,6 +860,8 @@ class ServiceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            with contextlib.suppress(OSError):  # asyncio leaves it before 3.13
+                os.unlink(self.socket_path)
         await self.service.stop()
         self.arena.release_all()
 

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.sequential import sequential_components
+from repro.bdm.machine import Machine
 from repro.core.change_array import ChangeArray
+from repro.core.connected_components import BdmTransport, parallel_components
 from repro.core.merge import merge_schedule
 from repro.core.tiles import ProcessorGrid
 from repro.darray import (
@@ -26,6 +28,7 @@ from repro.darray import (
     count_components,
     darray_components,
     darray_histogram,
+    label_components,
     open_transport,
 )
 from repro.faults import (
@@ -39,6 +42,7 @@ from repro.images import binary_test_image, random_greyscale
 from repro.utils.errors import (
     ConfigurationError,
     DegradedRunWarning,
+    FailoverError,
     FaultError,
     ValidationError,
 )
@@ -201,6 +205,43 @@ class TestCountIdentity:
                 assert res.stats.change_bytes == ref.stats.change_bytes, name
 
 
+class TestBdmTransport:
+    """The simulator's unregistered transport runs the shared driver:
+    labels and count equal ``local``'s, border traffic is the exact
+    figure, and change traffic is ``local``'s."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("p", [4, 16, 64])
+    def test_matches_local_labels_count_and_traffic(self, p, connectivity):
+        opts = dict(connectivity=connectivity)
+        for name, img, grey in _count_identity_inputs(128):
+            grid = ProcessorGrid(p, img.shape)
+            bdm = BdmTransport(grid, img, Machine(p), grey=grey, **opts)
+            labels, n_components = label_components(
+                DistributedArray(grid, bdm), grey=grey, **opts
+            )
+            ref = darray_components(img, p=p, transport="local", grey=grey, **opts)
+            assert np.array_equal(labels, ref.labels), name
+            assert n_components == ref.n_components, name
+            border = 16 * 2 * (grid.rows * (grid.w - 1) + grid.cols * (grid.v - 1))
+            assert bdm.stats.border_bytes == border, name
+            assert bdm.stats.change_bytes == ref.stats.change_bytes, name
+
+    def test_histogram_names_the_simulated_one(self, image):
+        grid = ProcessorGrid(P, N)
+        with pytest.raises(ConfigurationError, match="parallel_histogram"):
+            DistributedArray(grid, BdmTransport(grid, image, Machine(P))).histogram(2)
+
+    def test_failover_error_propagates_without_degrading(self, image):
+        plan = FaultPlan(faults=(
+            FaultSpec(site="sim:merge", kind="crash", round=0, target="both"),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedRunWarning)
+            with pytest.raises(FailoverError, match="lost too"):
+                parallel_components(image, P, fault_plan=plan)
+
+
 class TestTransportRegistry:
     def test_known_names(self):
         assert set(TRANSPORTS) == {"local", "shmem", "mmap"}
@@ -213,10 +254,15 @@ class TestTransportRegistry:
 
 def _first_round(transport, image, changes=None):
     """Label, then fetch the first merge round's borders; with
-    ``changes``, publish them for that round."""
+    ``changes``, publish them for that round.  ``"bdm"`` is the
+    simulator's unregistered transport."""
     grid = ProcessorGrid(P, N)
     step = merge_schedule(grid)[0]
-    with DistributedArray.open(transport, grid, image, workers=2) as da:
+    if transport == "bdm":
+        da = DistributedArray(grid, BdmTransport(grid, image, Machine(P)))
+    else:
+        da = DistributedArray.open(transport, grid, image, workers=2)
+    with da:
         da.label()
         sides = da.border(0, step)
         if changes is not None:
@@ -227,7 +273,7 @@ def _first_round(transport, image, changes=None):
 class TestRoundVerbs:
     """Verbs 2 and 3 take a whole merge round."""
 
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES + ("bdm",))
     def test_border_fetches_every_group_of_the_round(self, transport, image):
         step, sides = _first_round(transport, image)
         _, expect = _first_round("local", image)
@@ -237,7 +283,7 @@ class TestRoundVerbs:
                 assert np.array_equal(got.labels, want.labels)
                 assert np.array_equal(got.colors, want.colors)
 
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES + ("bdm",))
     def test_publish_needs_one_change_array_per_group(self, transport, image):
         with assert_no_shm_leak():
             with pytest.raises(ValidationError, match="2 groups but 1 change arrays"):

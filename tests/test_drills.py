@@ -61,8 +61,20 @@ class TestTempDirsReleased:
 
         with assert_no_shm_leak(grace_s=2.0):
             asyncio.run(scenario())
-        # The router's own socket path is the caller's to remove.
-        assert [p.name for p in short_tmp.iterdir() if p.name != "r.sock"] == []
+        # stop() unlinks the socket it bound (asyncio leaves it before 3.13).
+        assert list(short_tmp.iterdir()) == []
+
+    def test_server_removes_the_socket_it_bound(self, short_tmp):
+        async def scenario():
+            server = ServiceServer(
+                BatchService(ServiceConfig(workers=1)), str(short_tmp / "svc.sock")
+            )
+            await server.start()
+            await server.stop()
+
+        with assert_no_shm_leak(grace_s=2.0):
+            asyncio.run(scenario())
+        assert list(short_tmp.iterdir()) == []
 
     def test_router_removes_its_dir_when_construction_fails(self, tmp_path, monkeypatch):
         deep = tmp_path / ("d" * 100)
