@@ -45,6 +45,11 @@ class DistributedArray:
     def stats(self) -> TransportStats:
         return self.transport.stats
 
+    @property
+    def merged_rounds(self) -> int:
+        """Merge rounds the transport's :meth:`label` runs itself."""
+        return self.transport.merged_rounds
+
     # -- the three verbs, delegated -----------------------------------------
 
     def label(self) -> tuple[dict[int, TileHooks], int]:

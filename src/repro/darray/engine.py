@@ -5,21 +5,24 @@ initial tile-local labeling, ``log p`` merge rounds, hook-based final
 interior update.  Each merge round fetches both sides of every border
 of the round in one verb call, solves each group's border graph in the
 driver, and publishes every group's change array to its merged region
-in one more.  The component count falls out of the same schedule: the
-tiles' counts minus one per published alpha.  The *only*
-transport-facing operations are the three verbs, so the same driver
-labels an in-process array, a shared-memory image and label array served
-by a supervised pool, an out-of-core spill set over a memory-mapped
-image -- bit-identically -- or the simulated BDM machine of
-:func:`~repro.core.parallel_components`.
+in one more.  A transport whose workers each hold whole regions of the
+first rounds (``shmem``) merges those inside its label verb, and the
+driver starts at its ``merged_rounds``.  The component count falls out
+of the same schedule: the tiles' counts minus one per published alpha.
+The *only* transport-facing operations are the three verbs, so the
+same driver labels an in-process array, an image and a shared label
+array served by a supervised pool, an out-of-core spill set over a
+memory-mapped image -- bit-identically -- or the simulated BDM machine
+of :func:`~repro.core.parallel_components`.
 
 Observability: a ``recorder`` is installed as the sink
 (:mod:`repro.obs.trace`) for the length of the call.  The driver wraps
 the phases in ``darray:label`` / ``darray:merge:r<t>`` /
 ``darray:final`` spans, under which the pool dispatches and kernels
-record their own, and republishes the transport's traffic counters
-(border bytes, change bytes, spill reads/writes, resident-tile
-highwater) as ``darray:*`` counts.
+record their own (a block-local round's ``darray:merge:r<t>`` comes
+from each label block, on its worker's lane), and republishes the
+transport's traffic counters (border bytes, change bytes, spill
+reads/writes, resident-tile highwater) as ``darray:*`` counts.
 
 Fault handling: the ``shmem`` transport's pool tasks retry, respawn
 and time out under :mod:`repro.runtime.dispatch`; an unrecoverable
@@ -157,11 +160,15 @@ def label_components(
     """Run the paper's schedule over ``da``: ``(labels, n_components)``.
 
     ``n_components`` is the tiles' component count minus the total
-    length of the published change arrays.
+    length of the published change arrays.  The rounds the transport
+    merges inside its label verb (``da.merged_rounds``, whose alphas
+    its count already excludes) are skipped here.
     """
     with _trace.traced_span(DARRAY_LABEL, cat=CAT_ROUND):
         hooks, n_components = da.label()
-    for si, step in enumerate(merge_schedule(da.grid)):
+    schedule = merge_schedule(da.grid)
+    for si in range(da.merged_rounds, len(schedule)):
+        step = schedule[si]
         with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
             changes = [
                 solve_border_merge(side_a, side_b, connectivity=connectivity, grey=grey).changes

@@ -25,6 +25,12 @@ the previous round's change arrays and this round's borders -- in one
 pool round trip.  A round's group regions are disjoint, so doing its
 groups in any order gives the same labels.
 
+A transport may also run the first :attr:`Transport.merged_rounds`
+rounds inside verb 1, where each of its workers holds whole regions of
+those rounds (``shmem``'s label blocks): its label count is then net of
+those rounds' alphas and its stats include their traffic, and the
+engine runs verbs 2 and 3 only for the rounds after them.
+
 Everything else (the merge schedule, the border-graph solve, hook
 bookkeeping) is transport-independent and lives in the engine.  The
 verbs are deliberately those of the paper: the merge rounds move only
@@ -92,6 +98,10 @@ class Transport(abc.ABC):
     #: Registry name, overridden by each implementation.
     name = "abstract"
 
+    #: Merge rounds :meth:`label` runs itself; :meth:`border` and
+    #: :meth:`publish` take only the later ones.
+    merged_rounds = 0
+
     def __init__(self, grid: ProcessorGrid):
         self.grid = grid
         self.stats = TransportStats()
@@ -106,7 +116,8 @@ class Transport(abc.ABC):
         ``(Iq + i) * cols + (Jr + j) + 1``; the transport stores them
         shard-locally -- as a run table or a label tile -- and returns
         one :class:`TileHooks` per tile plus the sum of the tiles'
-        component counts.
+        component counts, less the alphas of the first
+        :attr:`merged_rounds` rounds, which it merges itself.
         """
 
     @abc.abstractmethod

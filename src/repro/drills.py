@@ -28,7 +28,6 @@ import contextlib
 import json
 import os
 import shutil
-import tempfile
 import time
 import warnings
 from typing import TYPE_CHECKING, Awaitable, Callable
@@ -206,13 +205,13 @@ class SocketHarness:
     Each reply to a ``histogram`` request must equal
     :func:`repro.service.ops.compute` on the same image; :attr:`served`
     and :attr:`mismatches` count the replies.  :meth:`run` gives the
-    drill a private temp directory (:attr:`socket_path`, and a router's
-    shard sockets, live there) inside the ``/dev/shm`` leak check, and
-    releases both on every path.
+    drill a private temp directory (:attr:`socket_path`, and the sockets
+    of a router's ``shards`` shards, live there) inside the ``/dev/shm``
+    leak check, and releases both on every path.
     """
 
     def __init__(self, images, *, k: int = 256, kernel: str | None = None,
-                 prefix: str = "repro-drill-"):
+                 prefix: str = "repro-drill-", shards: int = 0):
         from repro.service.ops import canonical_params, compute
 
         kernel = resolve_backend(kernel)
@@ -223,6 +222,7 @@ class SocketHarness:
             for im in self.images
         ]
         self.prefix = prefix
+        self.shards = shards
         self.dir: str | None = None
         self.served = 0
         self.mismatches = 0
@@ -232,7 +232,10 @@ class SocketHarness:
         """``asyncio.run(drill(self))`` in a fresh temp dir, leak-checked."""
         import asyncio
 
-        self.dir = tempfile.mkdtemp(prefix=self.prefix)
+        from repro.service import socket_dir
+
+        longest = f"shard-{self.shards - 1}.sock" if self.shards else "svc.sock"
+        self.dir = socket_dir(self.prefix, longest)
         try:
             with assert_no_shm_leak(grace_s=grace_s):
                 return asyncio.run(drill(self))
@@ -324,7 +327,9 @@ def router_selftest(*, shards: int, workers: int, wire: str, shard_args: list[st
     """
     from repro.service import RouterConfig, ShardRouter
 
-    harness = SocketHarness(seeded_images(0, 6), kernel=kernel, prefix="repro-router-")
+    harness = SocketHarness(
+        seeded_images(0, 6), kernel=kernel, prefix="repro-router-", shards=shards
+    )
 
     async def drill(h: SocketHarness) -> tuple[dict, int]:
         config = RouterConfig(
@@ -397,7 +402,7 @@ def chaos_service(*, shards: int, requests: int, kill_after: int | None, seed: i
         )
     harness = SocketHarness(
         seeded_images(seed, min(8, requests)), k=levels, kernel=kernel,
-        prefix="repro-chaos-svc-",
+        prefix="repro-chaos-svc-", shards=shards,
     )
     shard_args = ["--timeout", str(timeout), "--retries", str(retries)]
     if kernel:

@@ -12,21 +12,23 @@ matrix assert bit-identity.
 Sites
 -----
 ``darray:label``
-    One tile-labeling item of the distributed-array ``shmem``
-    transport (:mod:`repro.darray`; ``task`` selects the tile id).  A
-    ``shmem`` pool task runs a block of one verb call's items.
+    One tile labeled by the distributed-array ``shmem`` transport
+    (:mod:`repro.darray`; ``task`` selects the tile id), inside its
+    label block.  A ``shmem`` pool task runs a block of one verb
+    call's items; a label block also merges the rounds inside it.
 ``darray:border``
-    One border-exchange item of the ``shmem`` transport, one per
-    border side (``round`` selects the merge iteration, 0-based;
-    ``group`` the border group within it).  ``corrupt`` damages the
-    fetched border payload, which the transport's validation detects
-    and reports as the retryable
+    One border side fetched by the ``shmem`` transport: in a border
+    item, or inside a label block for a block-local round (``round``
+    selects the merge iteration, 0-based; ``group`` the border group
+    within it).  ``corrupt`` damages the fetched border payload, which
+    the transport's validation detects and reports as the retryable
     :class:`~repro.utils.errors.CorruptPayloadError`.
 ``darray:fetch``
-    A published change array applied to tile perimeters by the
-    ``shmem`` transport: inside the next round's border item of the
-    group's region, or, for the last round, inside each final item
-    (``round``/``group`` of the publishing round).
+    A change array applied to tile perimeters by the ``shmem``
+    transport: inside the label block for a block-local round, inside
+    the next round's border item of the group's region, or, for the
+    last round, inside each final item (``round``/``group`` of the
+    publishing round).
 ``darray:final``
     One hook-based final interior-relabel item (``task`` = tile id).
 ``darray:hist``
@@ -75,8 +77,12 @@ Kinds
     validation detects and reports as
     :class:`~repro.utils.errors.CorruptPayloadError`.
 
-Faults fire at *task entry*, before the task mutates shared state, so
-a retried task always starts from a consistent view.
+Faults fire at *item entry*, before the item mutates shared state,
+with one exception: inside a ``shmem`` label block the merge sites
+(``darray:border``, ``darray:fetch``) of a block-local round fire
+mid-block, after the block painted its tiles.  That is safe because a
+retried block repaints its tiles from the image before it reads a
+border, so every retry still starts from a consistent view.
 
 JSON schema (``repro-faults/v1``)::
 

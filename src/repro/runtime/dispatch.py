@@ -210,8 +210,9 @@ def run_tasks(
 
     The whole dispatch (including retries and respawns) is one
     ``dispatch:<site>`` span -- a child of the caller's trace context
-    when one is active -- and while it waits the driver drains the
-    sink's worker queue, so chatty workers never block on a full pipe.
+    when one is active, its ``tasks`` argument the number of payloads
+    -- and while it waits the driver drains the sink's worker queue,
+    so chatty workers never block on a full pipe.
 
     Raises :class:`~repro.utils.errors.TaskTimeoutError` when a task
     misses its deadline with no budget left, and
@@ -222,8 +223,9 @@ def run_tasks(
     """
     timeout = resolve_timeout(timeout)
     retries = resolve_retries(max_retries)
-    with _trace.traced_span(f"dispatch:{site}", cat=CAT_ROUND):
-        return _run(supervisor, fn, list(payloads), site, timeout, retries, backoff_s)
+    payloads = list(payloads)
+    with _trace.traced_span(f"dispatch:{site}", cat=CAT_ROUND, tasks=len(payloads)):
+        return _run(supervisor, fn, payloads, site, timeout, retries, backoff_s)
 
 
 def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):

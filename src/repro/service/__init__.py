@@ -52,6 +52,7 @@ from repro.service.server import (
     decode_array,
     encode_array,
     request_over_socket,
+    socket_dir,
 )
 from repro.service.wire import (
     WireClient,
@@ -100,4 +101,5 @@ __all__ = [
     "raise_reply_error",
     "request_over_socket",
     "result_key",
+    "socket_dir",
 ]

@@ -54,7 +54,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -75,6 +74,7 @@ from repro.service.server import (
     _error_line,
     _ok_line,
     check_socket_path,
+    socket_dir,
 )
 from repro.utils.errors import (
     ReproError,
@@ -266,8 +266,10 @@ class RouterConfig:
     vnodes: int = 64
     shard_sockets: list[str] | None = None
     #: Where spawned shards bind their sockets; unset, the router makes
-    #: a ``repro-shards-*`` temp dir and :meth:`ShardRouter.stop`
-    #: removes it.  A directory given here stays the caller's.
+    #: a ``repro-shards-*`` temp dir (under ``/tmp`` when the temp dir
+    #: is too deep for a socket, see :func:`socket_dir`) and
+    #: :meth:`ShardRouter.stop` removes it.  A directory given here
+    #: stays the caller's.
     runtime_dir: str | None = None
     workers_per_shard: int = 1
     shard_args: list[str] = field(default_factory=list)
@@ -434,7 +436,9 @@ class ShardRouter:
         else:
             base = cfg.runtime_dir
             if base is None:
-                base = self._own_dir = tempfile.mkdtemp(prefix="repro-shards-")
+                base = self._own_dir = socket_dir(
+                    "repro-shards-", f"shard-{cfg.shards - 1}.sock"
+                )
             env = shard_environment()
             self.shard_sockets = {}
             self.procs = {}

@@ -33,6 +33,7 @@ import contextlib
 import json
 import math
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -728,6 +729,23 @@ def check_socket_path(path) -> str:
             f"shorter directory (e.g. /tmp)"
         )
     return path
+
+
+def socket_dir(prefix: str, longest_name: str) -> str:
+    """A fresh directory for unix sockets, made with ``tempfile.mkdtemp``.
+
+    It lives in the temp directory unless a socket called
+    ``longest_name`` inside it would pass :data:`SUN_PATH_MAX` bytes;
+    then it lives under ``/tmp``, so a deep ``TMPDIR`` does not stop a
+    socket from binding.  The caller removes it.
+    """
+    base = tempfile.gettempdir()
+    # mkdtemp appends 8 random characters to the prefix.
+    longest = os.path.join(base, prefix + "x" * 8, longest_name)
+    if len(os.fsencode(longest)) > SUN_PATH_MAX:
+        base = "/tmp"
+    return tempfile.mkdtemp(prefix=prefix, dir=base)
+
 
 #: ndarray dtypes accepted from the wire.
 WIRE_DTYPES = ("uint8", "int8", "uint16", "int16", "int32", "int64")

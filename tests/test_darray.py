@@ -31,6 +31,7 @@ from repro.darray import (
     label_components,
     open_transport,
 )
+from repro.darray.shmem_transport import block_local_rounds
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -204,6 +205,26 @@ class TestCountIdentity:
                 ref = darray_components(img, transport="local", **opts)
                 assert res.stats.change_bytes == ref.stats.change_bytes, name
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("p", [4, 16, 64])
+    @pytest.mark.parametrize("workers", [1, 2, 3, "p"])
+    def test_shmem_block_local_rounds_match_local(self, workers, p, connectivity):
+        # One worker merges every round inside its label block, two
+        # merge all but the last, three leave blocks of unequal size,
+        # and one worker per tile (at p=64 the default cap of 16, which
+        # merges 2 rounds) dispatches every round, or nearly.
+        workers = min(p, 16) if workers == "p" else workers
+        for name, img, grey in _count_identity_inputs(128):
+            opts = dict(p=p, connectivity=connectivity, grey=grey)
+            res = darray_components(
+                img, transport="shmem", workers=workers, degrade=False, **opts
+            )
+            ref = darray_components(img, transport="local", **opts)
+            assert np.array_equal(res.labels, ref.labels), name
+            assert res.n_components == ref.n_components, name
+            assert res.stats.border_bytes == ref.stats.border_bytes, name
+            assert res.stats.change_bytes == ref.stats.change_bytes, name
+
 
 class TestBdmTransport:
     """The simulator's unregistered transport runs the shared driver:
@@ -255,19 +276,40 @@ class TestTransportRegistry:
 def _first_round(transport, image, changes=None):
     """Label, then fetch the first merge round's borders; with
     ``changes``, publish them for that round.  ``"bdm"`` is the
-    simulator's unregistered transport."""
+    simulator's unregistered transport; ``shmem`` runs one worker per
+    tile, so it dispatches round 0."""
     grid = ProcessorGrid(P, N)
     step = merge_schedule(grid)[0]
     if transport == "bdm":
         da = DistributedArray(grid, BdmTransport(grid, image, Machine(P)))
     else:
-        da = DistributedArray.open(transport, grid, image, workers=2)
+        da = DistributedArray.open(transport, grid, image, workers=P)
     with da:
         da.label()
         sides = da.border(0, step)
         if changes is not None:
             da.publish(0, step, changes)
     return step, sides
+
+
+def _first_dispatched_round(transport, image, p, workers):
+    """Label, run the driver's rounds up to ``shmem``'s first dispatched
+    one at ``workers``, then fetch that round's borders:
+    ``(round index, sides)``."""
+    from repro.core.border_graph import solve_border_merge
+
+    grid = ProcessorGrid(p, image.shape)
+    schedule = merge_schedule(grid)
+    first = block_local_rounds(p, workers)
+    with DistributedArray.open(transport, grid, image, workers=workers) as da:
+        da.label()
+        for si in range(da.merged_rounds, first):
+            changes = [
+                solve_border_merge(a, b, connectivity=8, grey=False).changes
+                for a, b in da.border(si, schedule[si])
+            ]
+            da.publish(si, schedule[si], changes)
+        return first, da.border(first, schedule[first])
 
 
 class TestRoundVerbs:
@@ -289,9 +331,75 @@ class TestRoundVerbs:
             with pytest.raises(ValidationError, match="2 groups but 1 change arrays"):
                 _first_round(transport, image, changes=[ChangeArray.empty()])
 
+    @pytest.mark.parametrize("verb", ["border", "publish"])
+    def test_block_local_rounds_are_not_dispatched(self, verb, image):
+        # Two workers at p=4 hold one round-1 region each: round 0 runs
+        # inside the label blocks, and only round 1 is the driver's.
+        grid = ProcessorGrid(P, N)
+        schedule = merge_schedule(grid)
+        with assert_no_shm_leak():
+            with DistributedArray.open("shmem", grid, image, workers=2) as da:
+                assert da.merged_rounds == 1
+                da.label()
+                with pytest.raises(ValidationError, match="round 0 runs inside"):
+                    if verb == "border":
+                        da.border(0, schedule[0])
+                    else:
+                        da.publish(0, schedule[0], [ChangeArray.empty()] * 2)
+                assert len(da.border(1, schedule[1])) == 1
+
+    @pytest.mark.parametrize("p, workers", [(4, 2), (16, 2), (16, 3), (64, 2)])
+    def test_first_dispatched_round_sides_match_local(self, p, workers):
+        img = binary_test_image(4, 128)
+        first, sides = _first_dispatched_round("shmem", img, p, workers)
+        assert first > 0
+        again, expect = _first_dispatched_round("local", img, p, workers)
+        assert again == first and len(sides) == len(expect)
+        for (a, b), (ea, eb) in zip(sides, expect):
+            for got, want in ((a, ea), (b, eb)):
+                assert np.array_equal(got.labels, want.labels)
+                assert np.array_equal(got.colors, want.colors)
+
+
+class TestBlockLocalRounds:
+    """``shmem``'s label blocks merge the rounds inside them."""
+
+    @pytest.mark.parametrize(
+        "p, workers, rounds",
+        [(64, 1, 6), (64, 2, 5), (64, 4, 4), (64, 16, 2), (64, 3, 3),
+         (64, 5, 4), (64, 7, 1), (16, 2, 3), (4, 4, 0), (4, 16, 0), (1, 1, 0)],
+    )
+    def test_rounds_from_p_and_workers(self, p, workers, rounds):
+        assert block_local_rounds(p, workers) == rounds
+
+    @pytest.mark.parametrize("workers, sizes", [(2, [32, 32]), (3, [16, 24, 24])])
+    def test_blocks_hold_whole_regions(self, workers, sizes):
+        grid = ProcessorGrid(64, 2 * N)
+        with DistributedArray.open("shmem", grid, binary_test_image(4, 2 * N),
+                                   workers=workers) as da:
+            blocks = da.transport._label_blocks
+            rounds = da.merged_rounds
+        assert [len(b) for b in blocks] == sizes
+        assert sorted(pid for b in blocks for pid in b) == list(range(64))
+        regions = merge_schedule(grid)[rounds - 1].groups
+        for group in regions:
+            assert sum(set(group.region) <= set(b) for b in blocks) == 1
+
+    @pytest.mark.parametrize("transport", ["local", "mmap", "bdm"])
+    def test_other_transports_merge_no_round_themselves(self, transport, image):
+        grid = ProcessorGrid(P, N)
+        if transport == "bdm":
+            da = DistributedArray(grid, BdmTransport(grid, image, Machine(P)))
+        else:
+            da = DistributedArray.open(transport, grid, image)
+        with da:
+            assert da.merged_rounds == 0
+
 
 class TestShmemSharedArrays:
-    """``shmem`` shares one image and one label array with its pool."""
+    """``shmem``'s pool reads the image it inherits by fork (the caller
+    must not change it while the transport is open) and shares one label
+    array."""
 
     def test_creates_no_named_segment(self, image):
         before = shm_segments()

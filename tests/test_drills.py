@@ -76,12 +76,47 @@ class TestTempDirsReleased:
             asyncio.run(scenario())
         assert list(short_tmp.iterdir()) == []
 
-    def test_router_removes_its_dir_when_construction_fails(self, tmp_path, monkeypatch):
+    def test_router_removes_its_dir_when_construction_fails(self, monkeypatch):
+        # A limit with room for the router's own socket but for no shard
+        # socket, not even under /tmp: construction fails after the
+        # router made its runtime dir.
+        import repro.service.server as server
+
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def spy(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", spy)
+        monkeypatch.setattr(server, "SUN_PATH_MAX", len("/tmp/r.sock"))
+        with pytest.raises(ValidationError, match="sun_path"):
+            ShardRouter("/tmp/r.sock", RouterConfig(shards=1))
+        assert len(made) == 1 and not os.path.exists(made[0])
+
+    def test_router_binds_under_tmp_when_the_temp_dir_is_too_deep(
+        self, tmp_path, monkeypatch
+    ):
         deep = tmp_path / ("d" * 100)
         deep.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(deep))
-        with pytest.raises(ValidationError, match="sun_path"):
-            ShardRouter(str(tmp_path / "r.sock"), RouterConfig(shards=1))
+        router = ShardRouter("/tmp/repro-test-r.sock", RouterConfig(shards=2))
+        try:
+            runtime = os.path.dirname(router.shard_sockets[1])
+            assert os.path.dirname(runtime) == "/tmp"
+            assert os.path.basename(runtime).startswith("repro-shards-")
+        finally:
+            router._remove_own_dir()
+        assert not os.path.exists(runtime)
+        assert list(deep.iterdir()) == []
+
+    def test_serve_selftest_under_a_deep_temp_dir(self, tmp_path, monkeypatch, capsys):
+        deep = tmp_path / ("d" * 100)
+        deep.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(deep))
+        assert main(["serve", "--selftest", "--workers", "1"]) == 0
+        assert "selftest OK" in capsys.readouterr().out
         assert list(deep.iterdir()) == []
 
     def test_router_keeps_a_dir_it_was_given(self, tmp_path):

@@ -107,11 +107,13 @@ def _recover(run, plan, **opts):
 
 def _block_plans():
     """Plans faulting an item other than the first of its dispatch, with
-    two workers at p=4.  Label and final run two blocks of two tiles,
-    and tasks 1 and 3 are the second item of theirs; round 0's border
-    dispatch runs one group's two sides per block, group 1's in the
-    second; round 0's group-1 change array rides in round 1's side-b
-    border item, the second task of that dispatch."""
+    two workers at p=4.  Label runs two blocks of two tiles, one round-1
+    region each, and merges round 0 inside them; final runs the same
+    two blocks.  Task 1 is the second tile of the first label block and
+    task 3 the second item of the second final block; round 0's group 1
+    is the second block's, so its border sides and its change array
+    fault inside the second label task, after that block painted its
+    tiles."""
     selectors = [
         ("darray:label", dict(task=1)),
         ("darray:final", dict(task=P - 1)),
@@ -142,6 +144,37 @@ class TestComponentsChaosMatrix:
         opts = dict(FAST, workers=2)
         res = _recover(darray_components, plan, source=image, **opts)
         assert np.array_equal(res.labels, serial_labels)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("plan", _matrix("components"))
+    def test_single_fault_recovers_in_block_local_rounds(
+        self, plan, workers, image, serial_labels
+    ):
+        # One worker merges both rounds inside its label block; two merge
+        # round 0 there and dispatch round 1.
+        opts = dict(FAST, workers=workers)
+        res = _recover(darray_components, plan, source=image, **opts)
+        assert np.array_equal(res.labels, serial_labels)
+
+    @pytest.mark.parametrize("kind", ["crash", "hang"])
+    def test_block_killed_after_its_writes_recovers(self, kind, image):
+        # Round 1's change array is applied inside the only label block,
+        # after the block painted its tiles and merged round 0: the
+        # respawned pool's retry repaints and merges again.
+        plan = FaultPlan(faults=(
+            FaultSpec(site="darray:fetch", kind=kind, round=1, group=0),
+        ))
+        opts = dict(FAST, workers=1)
+        rec = WallRecorder()
+        with assert_no_shm_leak():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DegradedRunWarning)
+                res = darray_components(image, fault_plan=plan, recorder=rec, **opts)
+        names = [i.name for i in rec.fault_events()]
+        assert "fault:respawn" in names and "fault:retry" in names
+        want = darray_components(image, p=P, transport="local")
+        assert np.array_equal(res.labels, want.labels)
+        assert res.n_components == want.n_components
 
     @pytest.mark.parametrize("plan", _matrix("components"))
     def test_serial_engine_ignores_plans(self, plan, image, serial_labels):

@@ -2,6 +2,7 @@
 (:mod:`repro.darray` over the ``shmem`` transport)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.obs import (
     wall_metrics,
 )
 from repro.darray import darray_components, darray_histogram
+from repro.darray.shmem_transport import block_local_rounds
 
 N = 64
 K = 256
@@ -103,35 +105,65 @@ class TestComponentsTrace:
         json.dumps(snap)  # must be serializable
 
 
+def _check_round_trips(rec, p, workers, shape):
+    """A traced job's pins: exactly ``2 + rounds - merged_rounds``
+    dispatches of at most ``workers`` tasks each; every dispatched round
+    a driver span holding its one border dispatch, and every block-local
+    round one span per label block, on a worker lane."""
+    spans = rec.log.spans
+
+    def dispatches(site=None, within=None):
+        return [
+            s for s in spans
+            if s.name.startswith("dispatch:")
+            and (site is None or s.name == f"dispatch:darray:{site}")
+            and (within is None
+                 or within.start_s <= s.start_s and s.end_s <= within.end_s)
+        ]
+
+    schedule = merge_schedule(ProcessorGrid(p, shape))
+    merged = block_local_rounds(p, workers)
+    (label,) = dispatches("label")
+    assert len(dispatches("final")) == 1
+    blocks = label.args["tasks"]
+    for step in schedule[merged:]:
+        (rnd,) = [s for s in spans if s.name == f"darray:merge:r{step.t}"]
+        assert rnd.lane == "driver", rnd.name
+        assert len(dispatches(within=rnd)) == 1, rnd.name
+        assert len(dispatches("border", rnd)) == 1, rnd.name
+    for step in schedule[:merged]:
+        local = [s for s in spans if s.name == f"darray:merge:r{step.t}"]
+        assert len(local) == blocks, step.t
+        assert "driver" not in {s.lane for s in local}, step.t
+    assert dispatches("fetch") == []
+    assert len(dispatches()) == 2 + len(schedule) - merged
+    assert all(1 <= s.args["tasks"] <= workers for s in dispatches())
+
+
 class TestDispatchRoundTrips:
-    """One pool round trip per verb call that reads: label, one border
-    dispatch per merge round (carrying the previous round's change
-    arrays), final.  Publishing a round sends nothing."""
+    """One pool round trip per verb call that reads: label, which also
+    merges the block-local rounds, one border dispatch per cross-block
+    merge round (carrying the previous round's change arrays), final.
+    Publishing a round sends nothing."""
 
     @pytest.mark.parametrize("p", [4, 16])
     def test_one_dispatch_per_verb_per_round(self, image, p):
         rec = WallRecorder()
-        darray_components(image, grey=True, p=p, recorder=rec, **SHMEM)
-        spans = rec.log.spans
+        res = darray_components(image, grey=True, p=p, recorder=rec, **SHMEM)
+        workers = min(p, os.cpu_count() or 1, 16)
+        _check_round_trips(rec, p, workers, image.shape)
+        want = darray_components(image, grey=True, p=p, transport="local")
+        assert np.array_equal(res.labels, want.labels)
 
-        def dispatches(site=None, within=None):
-            return [
-                s for s in spans
-                if s.name.startswith("dispatch:")
-                and (site is None or s.name == f"dispatch:darray:{site}")
-                and (within is None
-                     or within.start_s <= s.start_s and s.end_s <= within.end_s)
-            ]
-
-        assert len(dispatches("label")) == 1
-        assert len(dispatches("final")) == 1
-        rounds = [s for s in spans if s.name.startswith("darray:merge:r")]
-        assert len(rounds) == len(merge_schedule(ProcessorGrid(p, image.shape)))
-        for rnd in rounds:
-            assert len(dispatches(within=rnd)) == 1, rnd.name
-            assert len(dispatches("border", rnd)) == 1, rnd.name
-        assert dispatches("fetch") == []
-        assert len(dispatches()) == 2 + len(rounds)
+    @pytest.mark.parametrize("p, workers", [(4, 1), (4, 2), (4, 4), (16, 1), (16, 3)])
+    def test_block_local_rounds_leave_the_driver(self, image, p, workers):
+        rec = WallRecorder()
+        res = darray_components(
+            image, grey=True, p=p, workers=workers, recorder=rec, **SHMEM
+        )
+        _check_round_trips(rec, p, workers, image.shape)
+        want = darray_components(image, grey=True, p=p, transport="local")
+        assert np.array_equal(res.labels, want.labels)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_dispatch_sends_at_most_one_task_per_worker(
@@ -153,7 +185,7 @@ class TestDispatchRoundTrips:
         want = darray_components(image, p=16, transport="local")
         assert np.array_equal(res.labels, want.labels)
         rounds = len(merge_schedule(ProcessorGrid(16, image.shape)))
-        assert len(sizes) == 2 + rounds + 1
+        assert len(sizes) == 2 + rounds - block_local_rounds(16, workers) + 1
         assert max(sizes) == workers
         assert all(1 <= n <= workers for n in sizes), sizes
 

@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.service import (
     encode_array,
     mint_shared_image,
     request_over_socket,
+    socket_dir,
 )
 from repro.utils.errors import ServiceDrainingError, ValidationError
 
@@ -285,6 +288,35 @@ class TestSocketPathValidation:
         service = BatchService(ServiceConfig(workers=1))
         with pytest.raises(ValidationError, match="sun_path"):
             ServiceServer(service, "/tmp/" + "y" * 200)
+
+
+class TestSocketDir:
+    """A socket directory lands under /tmp when the temp dir is too deep."""
+
+    def test_stays_in_a_temp_dir_with_room(self, tmp_path, monkeypatch):
+        base = tmp_path / "t"
+        base.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(base))
+        name = "s" * (SUN_PATH_MAX - len(os.fsencode(base)) - len("/p-xxxxxxxx/"))
+        path = socket_dir("p-", name)
+        try:
+            assert os.path.dirname(path) == str(base)
+            assert check_socket_path(os.path.join(path, name))
+        finally:
+            os.rmdir(path)
+
+    def test_falls_back_to_tmp_under_a_deep_temp_dir(self, tmp_path, monkeypatch):
+        deep = tmp_path / ("d" * 100)
+        deep.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(deep))
+        path = socket_dir("repro-test-", "shard-9.sock")
+        try:
+            assert os.path.dirname(path) == "/tmp"
+            assert os.path.basename(path).startswith("repro-test-")
+            assert check_socket_path(os.path.join(path, "shard-9.sock"))
+        finally:
+            os.rmdir(path)
+        assert list(deep.iterdir()) == []
 
 
 class TestDrainProtocol:
