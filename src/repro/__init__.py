@@ -81,7 +81,16 @@ from repro.machines.params import MACHINES, get_machine
 #: 6.0.0 is a breaking release: ``MergeStepStats.n_edges`` is gone; the
 #: simulator runs the shared ``repro.darray.label_components`` driver,
 #: whose border-graph solve is the only step that knows the edge count.
-__version__ = "6.0.0"
+#:
+#: 7.0.0 is a breaking release: each count has one store.
+#: ``repro.service.CacheStats``, ``BreakerStats`` and ``repro.bdm.Tracer``
+#: / ``PhaseTrace`` (with ``repro.bdm.trace``) are gone; ``ResultCache``
+#: and ``CircuitBreaker`` take a required ``instruments=`` and count into
+#: it (read ``snapshot()``), ``CircuitBreaker`` takes no ``on_transition``,
+#: ``MachineObserver.on_phase`` receives each processor's busy time, and
+#: the Gantt chart and imbalance table are ``repro.obs.gantt(rec)`` /
+#: ``imbalance_table(rec)`` over a ``MachineRecorder``.
+__version__ = "7.0.0"
 
 __all__ = [
     "kernels",

@@ -28,7 +28,6 @@ from repro.bdm.machine import Machine, Processor
 from repro.bdm.transpose import transpose, transpose_cost_model, gather_to
 from repro.bdm.broadcast import broadcast, broadcast_cost_model
 from repro.bdm.spmd import run_spmd, SpmdContext, Handle
-from repro.bdm.trace import Tracer, PhaseTrace
 from repro.bdm.collectives import (
     allgather,
     allreduce,
@@ -58,8 +57,6 @@ __all__ = [
     "reduce_to",
     "scatter_from",
     "run_spmd",
-    "Tracer",
-    "PhaseTrace",
     "SpmdContext",
     "Handle",
 ]

@@ -33,16 +33,17 @@ class MachineObserver:
 
     Attach with :meth:`Machine.attach_observer`.  The machine invokes
     the hooks below as it runs; all default to no-ops so subclasses
-    (e.g. :class:`~repro.bdm.trace.Tracer`,
-    :class:`~repro.obs.sim.MachineRecorder`) override only what they
-    need.
+    (e.g. :class:`~repro.obs.sim.MachineRecorder`) override only what
+    they need.
     """
 
-    def on_phase(self, record, deltas, start_s: float) -> None:
+    def on_phase(self, record, deltas, start_s: float, busy_s) -> None:
         """A phase closed: aggregated ``record``
         (:class:`~repro.bdm.cost.PhaseRecord`), per-processor cost
-        ``deltas`` (:class:`~repro.bdm.cost.CostCounter` list), and the
-        simulated time ``start_s`` at which the phase began."""
+        ``deltas`` (:class:`~repro.bdm.cost.CostCounter` list), the
+        simulated time ``start_s`` at which the phase began, and each
+        processor's time in the phase ``busy_s`` (the list whose
+        maximum is ``record.elapsed_s``, so it honours ``overlap``)."""
 
     def on_traffic(self, server: int, mover: int, words: int) -> None:
         """``words`` words crossed the network between ``server`` (the
@@ -207,7 +208,6 @@ class Machine:
         self._arrays: list = []
         self.in_phase = False
         self.phase_name: str | None = None  # label of the running phase
-        self._tracer = None  # set by repro.bdm.trace.Tracer
         self._observers: list[MachineObserver] = []
         self._sim_time_s = 0.0  # simulated clock at the last barrier
 
@@ -293,12 +293,12 @@ class Machine:
                 proc.cost.minus(prev) for proc, prev in zip(self.procs, before)
             ]
             if self.overlap:
-                elapsed = max(max(d.comp_s, d.port_s) for d in deltas)
+                busy = [max(d.comp_s, d.port_s) for d in deltas]
             else:
-                elapsed = max(d.total_s for d in deltas)
+                busy = [d.total_s for d in deltas]
             record = PhaseRecord(
                 name=name,
-                elapsed_s=elapsed,
+                elapsed_s=max(busy),
                 comm_s=max(d.port_s for d in deltas),
                 comp_s=max(d.comp_s for d in deltas),
                 words_moved=sum(d.words_moved for d in deltas),
@@ -311,7 +311,7 @@ class Machine:
             for arr in self._arrays:
                 arr._clear_phase_writes()
             for obs in self._observers:
-                obs.on_phase(record, deltas, start_s)
+                obs.on_phase(record, deltas, start_s, busy)
 
     def each_proc(self) -> Iterator[Processor]:
         """Iterate over processors (the SPMD 'my pid' loop)."""
@@ -332,8 +332,8 @@ class Machine:
 
         Attached observers are told via
         :meth:`MachineObserver.on_reset`, so an attached
-        :class:`~repro.bdm.trace.Tracer` drops its recorded phases
-        instead of carrying stale pre-reset data.
+        :class:`~repro.obs.sim.MachineRecorder` drops its recorded
+        phases instead of carrying stale pre-reset data.
         """
         for proc in self.procs:
             proc.cost = CostCounter()

@@ -157,7 +157,7 @@ def parallel_components(
         computation (see :class:`~repro.bdm.machine.Machine`).
     machine:
         Optional pre-built :class:`Machine` (e.g. with a
-        :class:`~repro.bdm.trace.Tracer` attached); must have ``p``
+        :class:`~repro.obs.sim.MachineRecorder` attached); must have ``p``
         processors.  When given, the other machine options are ignored.
     kernel:
         Kernel backend (``"python"`` / ``"numpy"``) for the local

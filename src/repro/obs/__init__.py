@@ -24,7 +24,10 @@ and exporters that consume either:
   :func:`~repro.obs.metrics.wall_metrics` /
   :func:`~repro.obs.metrics.write_metrics` -- counter/gauge snapshots;
 * :func:`~repro.obs.sim.comm_heatmap` -- the communication matrix as a
-  text heatmap.
+  text heatmap;
+* :func:`~repro.obs.sim.gantt` / :func:`~repro.obs.sim.imbalance_table`
+  -- a recorder's per-processor busy time per phase as an ASCII Gantt
+  chart and a per-phase utilization table.
 
 See ``docs/OBSERVABILITY.md`` for the full tour and the ``repro
 trace`` CLI subcommand for the one-shot entry point.
@@ -71,7 +74,7 @@ from repro.obs.registry import (
     write_timeseries,
 )
 from repro.obs.runtime import WallRecorder
-from repro.obs.sim import MachineRecorder, comm_heatmap
+from repro.obs.sim import MachineRecorder, comm_heatmap, gantt, imbalance_table
 from repro.obs.trace import TraceContext, install, trace_args, traced_span
 
 __all__ = [
@@ -104,6 +107,8 @@ __all__ = [
     "SVC_DEGRADED",
     "MachineRecorder",
     "comm_heatmap",
+    "gantt",
+    "imbalance_table",
     "WallRecorder",
     "TraceContext",
     "install",

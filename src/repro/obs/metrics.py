@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from repro.obs.sim import MachineRecorder
+from repro.obs.sim import MachineRecorder, phase_balance
 
 SCHEMA = "repro-obs-metrics/v1"
 
@@ -28,8 +28,7 @@ def sim_metrics(rec: MachineRecorder) -> dict:
     machine = rec.machine
     phases = []
     for record, busy in rec.phase_records:
-        peak = float(busy.max())
-        mean = float(busy.mean())
+        utilization, imbalance = phase_balance(busy)
         phases.append(
             {
                 "name": record.name,
@@ -39,8 +38,8 @@ def sim_metrics(rec: MachineRecorder) -> dict:
                 "comp_s": record.comp_s,
                 "words_moved": int(record.words_moved),
                 "messages": int(record.messages),
-                "utilization": (mean / peak) if peak > 0 else 1.0,
-                "imbalance": (peak / mean) if mean > 0 else 1.0,
+                "utilization": utilization,
+                "imbalance": imbalance,
             }
         )
     total_busy = sum(float(busy.sum()) for _, busy in rec.phase_records)

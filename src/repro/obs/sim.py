@@ -17,6 +17,11 @@ per-(server, mover) communication matrix:
   carrying the full provenance of the
   :class:`repro.checker.shadow.Hazard`.
 
+Its ``phase_records`` keep each phase's per-processor busy seconds, so
+load imbalance is visible -- e.g. the components merge phases, where a
+handful of group managers work while the clients idle at the barrier
+(:func:`gantt`, :func:`imbalance_table`).
+
 Usage::
 
     machine = Machine(p, CM5)
@@ -24,6 +29,8 @@ Usage::
     ... run the algorithm ...
     write_chrome_trace("t.json", rec.log)
     print(comm_heatmap(rec.comm_matrix))
+    print(gantt(rec))                   # one row per processor
+    print(imbalance_table(rec))         # per-phase utilization
 """
 
 from __future__ import annotations
@@ -37,9 +44,8 @@ from repro.obs.events import CAT_BARRIER, CAT_PHASE, EventLog
 class MachineRecorder(MachineObserver):
     """Collects a machine's event stream into an :class:`EventLog`.
 
-    Unlike the legacy one-:class:`~repro.bdm.trace.Tracer`-per-machine
-    restriction, any number of recorders may observe one machine (they
-    are independent consumers of the same stream).  Attach before the
+    Any number of recorders may observe one machine (they are
+    independent consumers of the same stream).  Attach before the
     phases of interest; :meth:`detach` stops recording.
     """
 
@@ -56,18 +62,16 @@ class MachineRecorder(MachineObserver):
 
     # -- observer hooks ----------------------------------------------------
 
-    def on_phase(self, record, deltas, start_s: float) -> None:
-        busy = np.array([d.total_s for d in deltas])
-        self.phase_records.append((record, busy))
+    def on_phase(self, record, deltas, start_s: float, busy_s) -> None:
+        self.phase_records.append((record, np.array(busy_s)))
         end_s = start_s + record.elapsed_s + record.barrier_s
-        for pid, delta in enumerate(deltas):
-            busy_s = delta.total_s
-            if busy_s > 0:
+        for pid, (delta, busy) in enumerate(zip(deltas, busy_s)):
+            if busy > 0:
                 self.log.add_span(
                     record.name,
                     pid,
                     start_s,
-                    busy_s,
+                    busy,
                     cat=CAT_PHASE,
                     words_moved=delta.words_moved,
                     words_served=delta.words_served,
@@ -75,12 +79,12 @@ class MachineRecorder(MachineObserver):
                     comp_s=delta.comp_s,
                     comm_s=delta.comm_s,
                 )
-            wait_s = end_s - (start_s + busy_s)
+            wait_s = end_s - (start_s + busy)
             if wait_s > 0:
                 self.log.add_span(
                     f"{record.name}:barrier",
                     pid,
-                    start_s + busy_s,
+                    start_s + busy,
                     wait_s,
                     cat=CAT_BARRIER,
                 )
@@ -169,3 +173,81 @@ def comm_heatmap(matrix: np.ndarray, *, chars: str = " .:-=+*#%@") -> str:
         lines.append(f"P{i:<4} " + "".join(cells) + f"  {int(matrix[i].sum())}")
     lines.append("moved " + " ".join(str(int(v)) for v in matrix.sum(axis=0)))
     return "\n".join(lines)
+
+
+def phase_balance(busy: np.ndarray) -> tuple[float, float]:
+    """``(utilization, imbalance)`` of one phase's per-processor busy
+    seconds: mean over critical path (1 = every processor busy the
+    whole phase) and its inverse (1 = perfectly even).  A phase in
+    which nothing ran reads ``(1.0, 1.0)``."""
+    peak = float(busy.max())
+    mean = float(busy.mean())
+    return (mean / peak if peak > 0 else 1.0), (peak / mean if mean > 0 else 1.0)
+
+
+def gantt(rec: MachineRecorder, *, width: int = 60) -> str:
+    """ASCII Gantt chart of ``rec``'s phases: one row per processor.
+
+    Each phase occupies a horizontal span proportional to its
+    critical-path time; within the span, a processor's row is filled
+    ('#') for its busy fraction and dotted for idle time.  The spans
+    are apportioned by largest remainder so every row is exactly
+    ``width`` characters of bar (phases too short for one column are
+    dropped from the rendering; per-phase rounding can therefore never
+    push a row past ``width``).
+    """
+    phases = rec.phase_records
+    if not phases:
+        return "(no phases recorded)"
+    elapsed = [record.elapsed_s for record, _ in phases]
+    if sum(elapsed) <= 0:
+        return "(no time elapsed)"
+    p = rec.machine.p
+    rows = [[] for _ in range(p)]
+    header = []
+    for (record, busy), span in zip(phases, _apportion(elapsed, width)):
+        if span == 0:
+            continue
+        header.append(record.name[:span].ljust(span))
+        for pid in range(p):
+            frac = busy[pid] / record.elapsed_s if record.elapsed_s else 0.0
+            fill = min(span, int(round(span * frac)))
+            rows[pid].append("#" * fill + "." * (span - fill))
+    lines = ["phase: " + "|".join(header)]
+    for pid in range(p):
+        lines.append(f"P{pid:<4} |" + "|".join(rows[pid]))
+    return "\n".join(lines)
+
+
+def imbalance_table(rec: MachineRecorder) -> str:
+    """Per-phase critical path and utilization (mean busy / critical path)."""
+    width = max([len(record.name) for record, _ in rec.phase_records] + [10])
+    lines = [f"{'phase':<{width}} {'elapsed':>12} {'utilization':>12}"]
+    for record, busy in rec.phase_records:
+        utilization, _ = phase_balance(busy)
+        lines.append(
+            f"{record.name:<{width}} {record.elapsed_s * 1e6:>10.1f}us "
+            f"{utilization * 100:>10.1f}%"
+        )
+    return "\n".join(lines)
+
+
+def _apportion(weights: list[float], width: int) -> list[int]:
+    """Integer spans proportional to ``weights`` summing to ``width``.
+
+    Largest-remainder method: floor the exact quotas, then hand the
+    remaining columns to the largest fractional parts.  The result sums
+    to exactly ``width`` (unlike per-item rounding, which can overshoot).
+    """
+    total = sum(weights)
+    if total <= 0 or width <= 0:
+        return [0] * len(weights)
+    quotas = [w / total * width for w in weights]
+    spans = [int(q) for q in quotas]
+    leftovers = width - sum(spans)
+    order = sorted(
+        range(len(weights)), key=lambda i: quotas[i] - spans[i], reverse=True
+    )
+    for i in order[:leftovers]:
+        spans[i] += 1
+    return spans

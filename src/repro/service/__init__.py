@@ -21,7 +21,6 @@ from repro.service.batcher import (
 from repro.service.cache import (
     DEFAULT_MAX_BYTES,
     DEFAULT_MAX_ENTRIES,
-    CacheStats,
     ResultCache,
     image_digest,
     result_key,
@@ -37,6 +36,7 @@ from repro.service.ops import (
 from repro.service.router import (
     HashRing,
     RouterConfig,
+    RouterInstruments,
     ShardProcess,
     ShardRouter,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "BatchExecutor",
     "BatchKey",
     "BatchService",
-    "CacheStats",
     "CircuitBreaker",
     "Client",
     "DEFAULT_MAX_BATCH",
@@ -81,6 +80,7 @@ __all__ = [
     "PendingRequest",
     "ResultCache",
     "RouterConfig",
+    "RouterInstruments",
     "SUN_PATH_MAX",
     "ServiceConfig",
     "ServiceInstruments",

@@ -16,8 +16,10 @@ simply not cached.
 
 The cache is loop-confined by design: :class:`~repro.service.server.
 BatchService` only touches it from its event-loop thread, so no lock
-is taken on the hot path.  Stats counters are plain ints and safe to
-*read* from any thread.
+is taken on the hot path.  It keeps only its state (the entry map and
+the byte total); each hit, miss, eviction and uncacheable put is
+counted once, into the owning service's metrics registry, which is
+safe to read from any thread.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.runtime.shmem import array_digest as _array_digest
+from repro.service.instruments import (
+    M_CACHE_EVICTIONS,
+    M_CACHE_HITS,
+    M_CACHE_MISSES,
+    M_CACHE_UNCACHEABLE,
+    ServiceInstruments,
+)
 from repro.utils.errors import ValidationError
 
 #: Default bound on cached entries.
@@ -59,34 +68,6 @@ def result_key(digest: str, op: str, params) -> str:
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss/eviction counters plus current occupancy."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    uncacheable: int = 0
-    entries: int = 0
-    bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "uncacheable": self.uncacheable,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "hit_rate": self.hit_rate,
-        }
-
-
-@dataclass
 class _Entry:
     value: np.ndarray
     nbytes: int = field(default=0)
@@ -97,6 +78,8 @@ class ResultCache:
 
     ``get`` returns the stored array itself (callers copy if they hand
     it out mutably); ``put`` stores without copying.  Both are O(1).
+    Event counts go to ``instruments`` (the owning service's registry);
+    :meth:`snapshot` reads them back beside the occupancy.
     """
 
     def __init__(
@@ -104,6 +87,7 @@ class ResultCache:
         *,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_bytes: int = DEFAULT_MAX_BYTES,
+        instruments: ServiceInstruments,
     ):
         if max_entries <= 0:
             raise ValidationError("cache max_entries must be positive")
@@ -111,7 +95,9 @@ class ResultCache:
             raise ValidationError("cache max_bytes must be positive")
         self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
-        self.stats = CacheStats()
+        self.instruments = instruments
+        #: Total bytes of the cached results.
+        self.nbytes = 0
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
 
     def __len__(self) -> int:
@@ -124,10 +110,10 @@ class ResultCache:
         """The cached result for ``key`` (refreshing recency), or None."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
+            self.instruments.cache_miss()
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
+        self.instruments.cache_hit()
         return entry.value
 
     def put(self, key: str, value: np.ndarray) -> bool:
@@ -135,24 +121,38 @@ class ResultCache:
         value = np.asarray(value)
         nbytes = int(value.nbytes)
         if nbytes > self.max_bytes:
-            self.stats.uncacheable += 1
+            self.instruments.cache_uncacheable()
             return False
         old = self._entries.pop(key, None)
         if old is not None:
-            self.stats.bytes -= old.nbytes
+            self.nbytes -= old.nbytes
         self._entries[key] = _Entry(value, nbytes)
-        self.stats.bytes += nbytes
+        self.nbytes += nbytes
         self._evict()
-        self.stats.entries = len(self._entries)
+        self.instruments.cache_size(len(self._entries), self.nbytes)
         return key in self._entries
 
     def _evict(self) -> None:
-        while len(self._entries) > self.max_entries or self.stats.bytes > self.max_bytes:
+        while len(self._entries) > self.max_entries or self.nbytes > self.max_bytes:
             _key, entry = self._entries.popitem(last=False)
-            self.stats.bytes -= entry.nbytes
-            self.stats.evictions += 1
+            self.nbytes -= entry.nbytes
+            self.instruments.cache_evicted()
 
     def clear(self) -> None:
         self._entries.clear()
-        self.stats.bytes = 0
-        self.stats.entries = 0
+        self.nbytes = 0
+        self.instruments.cache_size(0, 0)
+
+    def snapshot(self) -> dict:
+        """The ``cache`` section of the service's ``stats``."""
+        count = self.instruments.registry.count
+        hits, misses = count(M_CACHE_HITS), count(M_CACHE_MISSES)
+        return {
+            "hits": hits,
+            "misses": misses,
+            "evictions": count(M_CACHE_EVICTIONS),
+            "uncacheable": count(M_CACHE_UNCACHEABLE),
+            "entries": len(self._entries),
+            "bytes": self.nbytes,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }

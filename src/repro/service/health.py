@@ -31,11 +31,15 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.faults.inject import fire_async
 from repro.runtime.dispatch import resolve_timeout
 from repro.utils.errors import ValidationError
+
+if TYPE_CHECKING:  # the router imports this module
+    from repro.service.router import RouterInstruments
 
 #: Breaker states.
 CLOSED = "closed"
@@ -78,24 +82,6 @@ def probe_timeout(timeout_s: float | None = None) -> float:
 
 
 @dataclass
-class BreakerStats:
-    failures: int = 0          # total recorded failures
-    successes: int = 0         # total recorded successes
-    opened: int = 0            # transitions into OPEN
-    half_opened: int = 0       # transitions into HALF_OPEN
-    closed: int = 0            # transitions into CLOSED (recoveries)
-
-    def snapshot(self) -> dict:
-        return {
-            "failures": self.failures,
-            "successes": self.successes,
-            "opened": self.opened,
-            "half_opened": self.half_opened,
-            "closed": self.closed,
-        }
-
-
-@dataclass
 class Transition:
     """One recorded state change, timed on the monotonic clock."""
 
@@ -109,16 +95,17 @@ class CircuitBreaker:
 
     Success and failure reports may come from health probes *or* from
     live request forwards -- both are evidence about the same shard.
-    ``on_transition(shard_id, frm, to)`` (when given) fires on every
-    state change, which is how the router keeps its metrics gauge and
-    event log current without the breaker knowing either exists.
+    The breaker keeps only its state machine and transition log: each
+    report and each transition is counted once, into ``instruments``
+    (the router's registry, whose per-shard state gauge follows every
+    transition), and :meth:`snapshot` reads the counts back.
     """
 
     def __init__(self, shard_id: int, *,
+                 instruments: RouterInstruments,
                  fail_threshold: int = DEFAULT_FAIL_THRESHOLD,
                  open_s: float = DEFAULT_OPEN_S,
                  max_open_s: float = MAX_OPEN_S,
-                 on_transition=None,
                  clock=time.monotonic):
         if fail_threshold < 1:
             raise ValidationError("fail_threshold must be at least 1")
@@ -128,13 +115,12 @@ class CircuitBreaker:
         self.fail_threshold = int(fail_threshold)
         self.open_s = float(open_s)
         self.max_open_s = float(max_open_s)
+        self.instruments = instruments
         self.state = CLOSED
-        self.stats = BreakerStats()
         self.transitions: list[Transition] = []
         self._consecutive = 0
         self._opened_at = 0.0
         self._reopen_count = 0  # consecutive OPEN entries without a recovery
-        self._on_transition = on_transition
         self._clock = clock
 
     # -- state machine -----------------------------------------------------
@@ -142,17 +128,12 @@ class CircuitBreaker:
     def _transition(self, to: str) -> None:
         frm, self.state = self.state, to
         if to == OPEN:
-            self.stats.opened += 1
             self._opened_at = self._clock()
-        elif to == HALF_OPEN:
-            self.stats.half_opened += 1
-        else:
-            self.stats.closed += 1
+        elif to == CLOSED:
             self._reopen_count = 0
         self.transitions.append(Transition(self._clock(), frm, to))
         del self.transitions[:-TRANSITION_LOG_LIMIT]
-        if self._on_transition is not None:
-            self._on_transition(self.shard_id, frm, to)
+        self.instruments.transition(self.shard_id, to)
 
     @property
     def cooldown_s(self) -> float:
@@ -178,13 +159,13 @@ class CircuitBreaker:
         return False
 
     def record_success(self) -> None:
-        self.stats.successes += 1
+        self.instruments.breaker_report(self.shard_id, ok=True)
         self._consecutive = 0
         if self.state != CLOSED:
             self._transition(CLOSED)
 
     def record_failure(self) -> None:
-        self.stats.failures += 1
+        self.instruments.breaker_report(self.shard_id, ok=False)
         self._consecutive += 1
         if self.state == HALF_OPEN:
             self._reopen_count += 1
@@ -211,7 +192,7 @@ class CircuitBreaker:
         return {
             "state": self.state,
             "cooldown_s": self.cooldown_s,
-            **self.stats.snapshot(),
+            **self.instruments.breaker_counts(self.shard_id),
             "recovered": self.recovered(),
         }
 

@@ -5,7 +5,8 @@ names, help strings, units, and label sets -- so the Prometheus
 exposition, the JSON time-series, ``docs/OBSERVABILITY.md``, and the
 tests cannot drift apart.  The layers (:class:`~repro.service.server.
 BatchService`, :class:`~repro.service.admission.AdmissionQueue`,
-:class:`~repro.service.batcher.MicroBatcher`, the socket front-end)
+:class:`~repro.service.batcher.MicroBatcher`,
+:class:`~repro.service.cache.ResultCache`, the socket front-end)
 hold a :class:`ServiceInstruments` and call its typed methods; none of
 them spells a metric name inline.  The registry is also the only store
 of the service's event counts: the ``stats`` snapshot reads its counts
@@ -43,6 +44,7 @@ M_ADMITTED = "repro_requests_admitted_total"
 M_CACHE_HITS = "repro_cache_hits_total"
 M_CACHE_MISSES = "repro_cache_misses_total"
 M_CACHE_EVICTIONS = "repro_cache_evictions_total"
+M_CACHE_UNCACHEABLE = "repro_cache_uncacheable_total"
 M_COALESCED = "repro_requests_coalesced_total"
 M_SHED = "repro_requests_shed_total"
 M_EXPIRED = "repro_requests_expired_total"
@@ -124,6 +126,10 @@ class ServiceInstruments:
         self._cache_hits = registry.counter(M_CACHE_HITS, "Result-cache hits")
         self._cache_misses = registry.counter(
             M_CACHE_MISSES, "Result-cache misses")
+        self._cache_evictions = registry.counter(
+            M_CACHE_EVICTIONS, "LRU evictions")
+        self._cache_uncacheable = registry.counter(
+            M_CACHE_UNCACHEABLE, "Results refused as larger than the cache")
         self._cache_entries = registry.gauge(M_CACHE_ENTRIES, "Cached results")
         self._cache_bytes = registry.gauge(
             M_CACHE_BYTES, "Cached result bytes", unit="bytes")
@@ -164,16 +170,20 @@ class ServiceInstruments:
 
     # -- cache / coalescing ------------------------------------------------
 
-    def cache_lookup(self, seconds: float, *, hit: bool) -> None:
+    def cache_lookup(self, seconds: float) -> None:
         self._cache_lookup.observe(seconds)
-        if hit:
-            self._cache_hits.inc()
-        else:
-            self._cache_misses.inc()
 
-    def cache_evicted(self, n: int) -> None:
-        if n:
-            self.registry.counter(M_CACHE_EVICTIONS, "LRU evictions").inc(n)
+    def cache_hit(self) -> None:
+        self._cache_hits.inc()
+
+    def cache_miss(self) -> None:
+        self._cache_misses.inc()
+
+    def cache_evicted(self) -> None:
+        self._cache_evictions.inc()
+
+    def cache_uncacheable(self) -> None:
+        self._cache_uncacheable.inc()
 
     def cache_size(self, entries: int, total_bytes: int) -> None:
         self._cache_entries.set(entries)

@@ -63,6 +63,8 @@ from repro.runtime.shmem import _attach_segment
 from repro.service.health import (
     CLOSED,
     DEFAULT_FAIL_THRESHOLD,
+    HALF_OPEN,
+    OPEN,
     CircuitBreaker,
     HealthMonitor,
 )
@@ -311,6 +313,7 @@ M_ROUTER_HEDGE_WINS = "repro_router_hedge_wins_total"
 M_ROUTER_ERRORS = "repro_router_request_errors_total"
 M_ROUTER_RESPAWNS = "repro_router_shard_respawns_total"
 M_ROUTER_TRANSITIONS = "repro_router_breaker_transitions_total"
+M_ROUTER_BREAKER_REPORTS = "repro_router_breaker_reports_total"
 M_ROUTER_SHARD_STATE = "repro_router_shard_state"
 M_ROUTER_HEALTHY = "repro_router_healthy_shards"
 M_ROUTER_LATENCY = "repro_router_request_seconds"
@@ -326,7 +329,9 @@ class RouterInstruments:
     :class:`~repro.service.instruments.ServiceInstruments`).  Like the
     service's, it is the router's only store of event counts: every
     answered request is one forward, so ``completed`` reads the
-    forwards family."""
+    forwards family, and each shard's
+    :class:`~repro.service.health.CircuitBreaker` counts its reports
+    and transitions here."""
 
     def __init__(self, registry: MetricsRegistry, shard_ids):
         self.registry = registry
@@ -348,6 +353,19 @@ class RouterInstruments:
                 "Breaker state (0 closed, 1 half-open, 2 open)",
                 labels={"shard": str(sid)})
             for sid in shard_ids
+        }
+        self._transitions = {
+            (sid, to): registry.counter(
+                M_ROUTER_TRANSITIONS, "Breaker transitions",
+                labels={"shard": str(sid), "to": to})
+            for sid in shard_ids for to in BREAKER_STATE_VALUES
+        }
+        self._reports = {
+            (sid, ok): registry.counter(
+                M_ROUTER_BREAKER_REPORTS,
+                "Probe and forward outcomes reported to a breaker",
+                labels={"shard": str(sid), "outcome": "success" if ok else "failure"})
+            for sid in shard_ids for ok in (True, False)
         }
         self._reroutes = registry.counter(
             M_ROUTER_REROUTES, "Requests moved to a ring successor")
@@ -396,14 +414,24 @@ class RouterInstruments:
             labels={"shard": str(sid)},
         ).inc()
 
-    def transition(self, sid: int, frm: str, to: str, healthy: int) -> None:
-        self.registry.counter(
-            M_ROUTER_TRANSITIONS, "Breaker transitions",
-            labels={"shard": str(sid), "to": to},
-        ).inc()
-        if sid in self._state:
-            self._state[sid].set(BREAKER_STATE_VALUES.get(to, 2.0))
-        self._healthy.set(healthy)
+    def transition(self, sid: int, to: str) -> None:
+        self._transitions[sid, to].inc()
+        self._state[sid].set(BREAKER_STATE_VALUES[to])
+        closed = BREAKER_STATE_VALUES[CLOSED]
+        self._healthy.set(sum(g.value == closed for g in self._state.values()))
+
+    def breaker_report(self, sid: int, *, ok: bool) -> None:
+        self._reports[sid, ok].inc()
+
+    def breaker_counts(self, sid: int) -> dict:
+        """One shard's breaker counts, read back (its ``stats`` keys)."""
+        return {
+            "failures": int(self._reports[sid, False].value),
+            "successes": int(self._reports[sid, True].value),
+            "opened": int(self._transitions[sid, OPEN].value),
+            "half_opened": int(self._transitions[sid, HALF_OPEN].value),
+            "closed": int(self._transitions[sid, CLOSED].value),
+        }
 
 
 # -- the router --------------------------------------------------------------
@@ -453,12 +481,15 @@ class ShardRouter:
                 self._remove_own_dir()
                 raise
         self.ring = HashRing(self.shard_ids, vnodes=cfg.vnodes)
+        #: The one store of the router's event counts (see :meth:`snapshot`).
+        self.metrics = MetricsRegistry()
+        self.instruments = RouterInstruments(self.metrics, self.shard_ids)
         self.breakers = {
             sid: CircuitBreaker(
                 sid,
+                instruments=self.instruments,
                 fail_threshold=cfg.fail_threshold,
                 open_s=cfg.open_s,
-                on_transition=self._on_transition,
             )
             for sid in self.shard_ids
         }
@@ -470,9 +501,6 @@ class ShardRouter:
             )
             for sid in self.shard_ids
         }
-        #: The one store of the router's event counts (see :meth:`snapshot`).
-        self.metrics = MetricsRegistry()
-        self.instruments = RouterInstruments(self.metrics, self.shard_ids)
         #: Reply segments each shard minted and no client released yet;
         #: what :meth:`_reclaim_minted` sweeps when the shard dies hard.
         self._minted: dict[int, set[str]] = {sid: set() for sid in self.shard_ids}
@@ -674,9 +702,6 @@ class ShardRouter:
             )
         proc.kill()
 
-    def _on_transition(self, sid: int, frm: str, to: str) -> None:
-        self.instruments.transition(sid, frm, to, self.healthy_shards)
-
     # -- client handling ---------------------------------------------------
 
     async def _handle_client(
@@ -869,9 +894,7 @@ class ShardRouter:
 
         Both attempts compute the same bits (digest-identified input,
         deterministic ops), so first-wins cannot change the answer.
-        The losing attempt is cancelled and its upstream connection
-        dropped -- the shard reclaims any reply segment the abandoned
-        request minted, and the next request reopens cleanly.
+        The losing attempt is abandoned (see :meth:`_abandon`).
         """
         primary = asyncio.ensure_future(
             self._forward_once(sid, line, conns, rank=rank)
@@ -879,8 +902,7 @@ class ShardRouter:
         try:
             done, _ = await asyncio.wait({primary}, timeout=self.config.hedge_s)
         except asyncio.CancelledError:
-            primary.cancel()
-            self._drop_conn(conns, sid)
+            self._abandon(primary, sid, conns)
             raise
         if primary in done:
             return self._settle(primary, sid, conns), sid
@@ -924,22 +946,35 @@ class ShardRouter:
         )
 
     async def _guard(self, task: asyncio.Task, sid: int, conns: dict):
-        """Await a lone forward, dropping its connection on cancellation."""
+        """Await a lone forward, abandoning it on cancellation."""
         try:
             await asyncio.wait({task})
         except asyncio.CancelledError:
-            task.cancel()
-            self._drop_conn(conns, sid)
+            self._abandon(task, sid, conns)
             raise
         return task
 
+    def _abandon(self, task: asyncio.Task, sid: int, conns: dict) -> None:
+        """Cancel a forward nobody waits for any more.
+
+        The abandoned request may still be computing on the shard;
+        closing the upstream pins its (possible) reply segment's
+        teardown to the shard's disconnect sweep, and the next request
+        reopens cleanly.  A forward that was a half-open breaker's one
+        trial missed its latency budget, so it reports a failure: the
+        breaker re-opens with a doubled cooldown and the next probe can
+        close it.  Unreported, the breaker would stay half-open, where
+        ``allow()`` admits no probe.
+        """
+        task.cancel()
+        self._drop_conn(conns, sid)
+        breaker = self.breakers[sid]
+        if breaker.state == HALF_OPEN:
+            breaker.record_failure()
+
     async def _cancel_losers(self, pending: dict, conns: dict) -> None:
         for loser, loser_sid in pending.items():
-            loser.cancel()
-            # The abandoned request may still be computing on the loser
-            # shard; closing the upstream pins its (possible) reply
-            # segment's teardown to the shard's disconnect sweep.
-            self._drop_conn(conns, loser_sid)
+            self._abandon(loser, loser_sid, conns)
             # CancelledError is a BaseException: suppress(Exception)
             # would let the loser's own cancellation escape and take
             # the whole client handler down with it.

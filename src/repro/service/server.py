@@ -294,6 +294,7 @@ class BatchService:
         self.cache = ResultCache(
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
+            instruments=self.instruments,
         ) if self.config.cache else None
         self.executor = BatchExecutor(self.config, self.instruments)
         self._admission: AdmissionQueue | None = None
@@ -489,11 +490,9 @@ class BatchService:
             digest = image.digest if descriptor else image_digest(image)
             key = result_key(digest, op, canonical)
             hit = self.cache.get(key)
-            self.instruments.cache_lookup(
-                time.perf_counter() - t_lookup, hit=hit is not None
-            )
-            # The cache outcome rides the request span (``via=...``) and
-            # the registry counters.
+            self.instruments.cache_lookup(time.perf_counter() - t_lookup)
+            # The cache outcome rides the request span (``via=...``); the
+            # cache itself counts it into the registry.
             if hit is not None:
                 return np.array(hit, copy=True), "cache"
             inflight = self._inflight.get(key)
@@ -540,11 +539,7 @@ class BatchService:
             self._inflight.pop(key, None)
             if self.cache is None or fut.cancelled() or fut.exception() is not None:
                 return
-            before = self.cache.stats.evictions
             self.cache.put(key, fut.result())
-            evicted = self.cache.stats.evictions - before
-            self.instruments.cache_evicted(evicted)
-            self.instruments.cache_size(len(self.cache), self.cache.stats.bytes)
         return _done
 
     async def _execute(self, batch_key: BatchKey, requests: list[PendingRequest]) -> None:
@@ -627,7 +622,7 @@ class BatchService:
         if self._batcher is not None:
             out["batcher"] = self._batcher.snapshot()
         if self.cache is not None:
-            out["cache"] = self.cache.stats.snapshot()
+            out["cache"] = self.cache.snapshot()
         out["latency"] = self.instruments.latency_summary()
         return out
 

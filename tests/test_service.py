@@ -37,31 +37,35 @@ from repro.utils.errors import (
 )
 
 
+def _cache(**kw):
+    return ResultCache(instruments=ServiceInstruments(MetricsRegistry()), **kw)
+
+
 class TestCache:
     def test_hit_returns_stored_value(self):
-        cache = ResultCache()
+        cache = _cache()
         value = np.arange(8)
         assert cache.put("a", value)
         assert cache.get("a") is value
-        assert cache.stats.hits == 1
+        assert cache.snapshot()["hits"] == 1
 
     def test_miss_is_counted(self):
-        cache = ResultCache()
+        cache = _cache()
         assert cache.get("nope") is None
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.0
+        assert cache.snapshot()["misses"] == 1
+        assert cache.snapshot()["hit_rate"] == 0.0
 
     def test_lru_evicts_oldest(self):
-        cache = ResultCache(max_entries=2)
+        cache = _cache(max_entries=2)
         cache.put("a", np.arange(4))
         cache.put("b", np.arange(4))
         cache.put("c", np.arange(4))
         assert "a" not in cache
         assert "b" in cache and "c" in cache
-        assert cache.stats.evictions == 1
+        assert cache.snapshot()["evictions"] == 1
 
     def test_hit_refreshes_recency(self):
-        cache = ResultCache(max_entries=2)
+        cache = _cache(max_entries=2)
         cache.put("a", np.arange(4))
         cache.put("b", np.arange(4))
         cache.get("a")
@@ -71,39 +75,39 @@ class TestCache:
 
     def test_byte_bound_evicts(self):
         one_kb = np.zeros(128, dtype=np.int64)  # 1024 bytes
-        cache = ResultCache(max_entries=100, max_bytes=3000)
+        cache = _cache(max_entries=100, max_bytes=3000)
         cache.put("a", one_kb)
         cache.put("b", one_kb)
         cache.put("c", one_kb)  # 3072 bytes > 3000 -> evict "a"
         assert "a" not in cache
-        assert cache.stats.bytes <= 3000
+        assert cache.snapshot()["bytes"] <= 3000
 
     def test_oversized_result_is_uncacheable(self):
-        cache = ResultCache(max_bytes=100)
+        cache = _cache(max_bytes=100)
         assert not cache.put("big", np.zeros(1000, dtype=np.int64))
         assert "big" not in cache
-        assert cache.stats.uncacheable == 1
-        assert cache.stats.evictions == 0
+        assert cache.snapshot()["uncacheable"] == 1
+        assert cache.snapshot()["evictions"] == 0
 
     def test_replacement_updates_bytes(self):
-        cache = ResultCache()
+        cache = _cache()
         cache.put("a", np.zeros(100, dtype=np.int64))
         cache.put("a", np.zeros(10, dtype=np.int64))
-        assert cache.stats.bytes == 80
+        assert cache.snapshot()["bytes"] == 80
         assert len(cache) == 1
 
     def test_clear(self):
-        cache = ResultCache()
+        cache = _cache()
         cache.put("a", np.arange(4))
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.bytes == 0
+        assert cache.snapshot()["bytes"] == 0
 
     def test_bounds_validated(self):
         with pytest.raises(ValidationError):
-            ResultCache(max_entries=0)
+            _cache(max_entries=0)
         with pytest.raises(ValidationError):
-            ResultCache(max_bytes=-1)
+            _cache(max_bytes=-1)
 
     def test_digest_separates_shape_and_dtype(self):
         flat = np.arange(16, dtype=np.int64)
@@ -332,7 +336,7 @@ class TestBatchService:
                 first = await service.submit("histogram", img, k=256)
                 again = await service.submit("histogram", img, k=256)
                 assert np.array_equal(first, again)
-                assert service.cache.stats.hits == 1
+                assert service.snapshot()["cache"]["hits"] == 1
                 # A concurrent burst of distinct images coalesces into
                 # fewer dispatches than requests.
                 imgs = [darpa_like(32, 256, seed=s) for s in range(10, 16)]

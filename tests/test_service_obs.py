@@ -192,6 +192,10 @@ STATS_FAMILIES = {
     ("executor", "batches"): "repro_batch_size_count",
     ("executor", "tasks"): "repro_batch_size_sum",
     ("executor", "degraded"): "repro_batches_degraded_total",
+    ("cache", "hits"): "repro_cache_hits_total",
+    ("cache", "misses"): "repro_cache_misses_total",
+    ("cache", "evictions"): "repro_cache_evictions_total",
+    ("cache", "uncacheable"): "repro_cache_uncacheable_total",
 }
 
 
@@ -258,6 +262,36 @@ class TestStatsReadTheRegistry:
         totals = sample_totals(service.metrics.prometheus_text())
         for (section, key), sample in STATS_FAMILIES.items():
             assert snap[section][key] == totals.get(sample, 0), (section, key)
+
+    def test_cache_counts_equal_their_families(self):
+        # One entry of at most 4 KiB: a 256-bin histogram (2 KiB) fits,
+        # a 32x32 label map (8 KiB) does not.
+        service = BatchService(
+            ServiceConfig(workers=1, cache_entries=1, cache_bytes=4096)
+        )
+        a, b = darpa_like(24, 256, seed=31), darpa_like(24, 256, seed=32)
+
+        async def scenario():
+            await service.start()
+            try:
+                await service.submit("histogram", a, k=256)  # miss, stored
+                await service.submit("histogram", a, k=256)  # hit
+                await service.submit("histogram", b, k=256)  # miss, evicts a
+                await service.submit("components", darpa_like(32, 256, seed=33))
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+        snap = service.snapshot()
+        cache = snap["cache"]
+        assert (cache["hits"], cache["misses"]) == (1, 3)
+        assert (cache["evictions"], cache["uncacheable"]) == (1, 1)
+        assert (cache["entries"], cache["bytes"]) == (1, 2048)
+        totals = sample_totals(service.metrics.prometheus_text())
+        for (section, key), sample in STATS_FAMILIES.items():
+            assert snap[section][key] == totals.get(sample, 0), (section, key)
+        assert totals["repro_cache_entries"] == 1
+        assert totals["repro_cache_bytes"] == 2048
 
 
 class TestInstruments:

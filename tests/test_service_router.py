@@ -15,11 +15,13 @@ import pytest
 from repro.faults import FaultPlan, FaultSpec, assert_no_shm_leak
 from repro.faults.inject import install_plan
 from repro.images import darpa_like
+from repro.obs import MetricsRegistry, parse_prometheus_text
 from repro.service import (
     BatchService,
     CircuitBreaker,
     HashRing,
     RouterConfig,
+    RouterInstruments,
     ServiceConfig,
     ServiceServer,
     encode_array,
@@ -103,16 +105,22 @@ class _Clock:
         return self.now
 
 
+def _breaker(**kw):
+    return CircuitBreaker(
+        0, instruments=RouterInstruments(MetricsRegistry(), [0]), **kw
+    )
+
+
 class TestCircuitBreaker:
     def _tripped(self, clock, **kw):
-        b = CircuitBreaker(0, fail_threshold=3, open_s=0.5, clock=clock, **kw)
+        b = _breaker(fail_threshold=3, open_s=0.5, clock=clock, **kw)
         for _ in range(3):
             b.record_failure()
         return b
 
     def test_trips_after_threshold_consecutive_failures(self):
         clock = _Clock()
-        b = CircuitBreaker(0, fail_threshold=3, open_s=0.5, clock=clock)
+        b = _breaker(fail_threshold=3, open_s=0.5, clock=clock)
         b.record_failure()
         b.record_failure()
         b.record_success()  # success resets the consecutive count
@@ -158,7 +166,7 @@ class TestCircuitBreaker:
 
     def test_recovered_needs_the_full_arc(self):
         clock = _Clock()
-        b = CircuitBreaker(0, fail_threshold=1, open_s=0.5, clock=clock)
+        b = _breaker(fail_threshold=1, open_s=0.5, clock=clock)
         assert not b.recovered()  # never opened
         b.record_failure()
         assert not b.recovered()  # open, not yet back
@@ -169,7 +177,7 @@ class TestCircuitBreaker:
         assert b.recovered()
 
     def test_snapshot_shape(self):
-        b = CircuitBreaker(0)
+        b = _breaker()
         b.record_failure()
         snap = b.snapshot()
         assert snap["state"] == CLOSED
@@ -237,6 +245,17 @@ def _compute_line(pattern: int, size: int = 16) -> bytes:
     return (json.dumps(obj) + "\n").encode()
 
 
+#: ``stats`` ``shards.<sid>.breaker`` key -> (family, label, value); the
+#: ``shard`` label is the shard id.
+BREAKER_FAMILIES = {
+    "failures": ("repro_router_breaker_reports_total", "outcome", "failure"),
+    "successes": ("repro_router_breaker_reports_total", "outcome", "success"),
+    "opened": ("repro_router_breaker_transitions_total", "to", "open"),
+    "half_opened": ("repro_router_breaker_transitions_total", "to", "half_open"),
+    "closed": ("repro_router_breaker_transitions_total", "to", "closed"),
+}
+
+
 class TestShardRouter:
     def test_digest_affinity_lands_on_the_home_shard(self, tmp_path):
         async def handler(router, servers):
@@ -263,10 +282,7 @@ class TestShardRouter:
             second = await request_over_socket(router.socket_path, req)
             assert first["ok"] and second["ok"]
             assert first["result"] == second["result"]
-            hits = sum(
-                s.service.cache.stats.hits for s in servers
-                if s.service.cache is not None
-            )
+            hits = sum(s.service.snapshot()["cache"]["hits"] for s in servers)
             assert hits == 1  # repeat routed to the shard holding it
 
         _router_scenario(handler)(tmp_path)
@@ -284,8 +300,6 @@ class TestShardRouter:
         _router_scenario(handler)(tmp_path)
 
     def test_counts_balance_and_forwards_sum_to_completed(self, tmp_path):
-        from repro.obs import parse_prometheus_text
-
         async def handler(router, servers):
             for pattern in (1, 2, 3):
                 assert (await _raw_request(router.socket_path, _compute_line(pattern)))["ok"]
@@ -371,6 +385,104 @@ class TestShardRouter:
             assert router.snapshot()["router"]["hedge_wins"] == 1
 
         _router_scenario(handler, hedge_s=0.05)(tmp_path)
+
+    def test_abandoned_half_open_trial_reopens_the_breaker(self, tmp_path):
+        """A half-open breaker's trial forward that loses to the hedge is
+        a failure: the breaker re-opens (it does not stay half-open,
+        where no probe is admitted) and the resumed probes close it."""
+
+        async def handler(router, servers):
+            loop = asyncio.get_running_loop()
+            line = _compute_line(5, size=24)
+            home = router.ring.route(routing_key(line))
+            breaker = router.breakers[home]
+
+            def gauges():  # (healthy shards, the home shard's state)
+                families = parse_prometheus_text(router.metrics.prometheus_text())
+                (healthy,) = families["repro_router_healthy_shards"]["samples"]
+                (state,) = [s for s in families["repro_router_shard_state"]["samples"]
+                            if s["labels"] == {"shard": str(home)}]
+                return healthy["value"], state["value"]
+
+            await cancel_and_reap(router._tasks[home])  # the home shard's monitor
+            for _ in range(breaker.fail_threshold):
+                breaker.record_failure()
+            assert breaker.state == OPEN
+            await asyncio.sleep(breaker.cooldown_s * 1.5)  # cooldown long past
+            # The request's allow() takes the half-open trial; the forward
+            # hangs, so the hedge to the ring successor wins.
+            install_plan(FaultPlan(seed=1, faults=(
+                FaultSpec("svc:route", "hang", task=home),
+            )))
+            try:
+                reply = await asyncio.wait_for(
+                    _raw_request(router.socket_path, line), timeout=10
+                )
+            finally:
+                install_plan(None)
+            assert reply["ok"]
+            r = router.snapshot()["router"]
+            assert (r["hedges"], r["hedge_wins"]) == (1, 1)
+            assert breaker.state == OPEN
+            assert breaker.cooldown_s == pytest.approx(2 * router.config.open_s)
+            assert not breaker.recovered()
+            assert gauges() == (2, 2.0)
+            monitor = asyncio.ensure_future(router.monitors[home].run())
+            try:
+                deadline = loop.time() + 5.0
+                while not breaker.recovered() and loop.time() < deadline:
+                    await asyncio.sleep(0.02)
+            finally:
+                await cancel_and_reap(monitor)
+            assert breaker.recovered()
+            assert breaker.state == CLOSED
+            assert router.healthy_shards == 3
+            assert gauges() == (3, 0.0)
+
+        _router_scenario(handler, hedge_s=0.05)(tmp_path)
+
+    def test_breaker_counts_equal_their_families(self, tmp_path):
+        """Every ``shards.*.breaker`` count in ``stats`` is its registry
+        family read back, after a breaker opens and recovers."""
+
+        async def handler(router, servers):
+            loop = asyncio.get_running_loop()
+            for pattern in (1, 2, 3):
+                assert (await _raw_request(router.socket_path, _compute_line(pattern)))["ok"]
+            breaker = router.breakers[1]
+            install_plan(FaultPlan(seed=1, faults=(
+                FaultSpec("svc:health", "exception", task=1, times=-1),
+            )))
+            try:
+                deadline = loop.time() + 5.0
+                while breaker.state != OPEN and loop.time() < deadline:
+                    await asyncio.sleep(0.02)
+            finally:
+                install_plan(None)
+            deadline = loop.time() + 5.0
+            while not breaker.recovered() and loop.time() < deadline:
+                await asyncio.sleep(0.02)
+            assert breaker.recovered()
+            # No await between the two reads: no probe can land in between.
+            snap = router.snapshot()
+            families = parse_prometheus_text(router.metrics.prometheus_text())
+
+            def sample(name, labels):
+                (value,) = [s["value"] for s in families[name]["samples"]
+                            if s["labels"] == labels]
+                return value
+
+            for sid, shard in snap["shards"].items():
+                counts = shard["breaker"]
+                for key, (name, label, value) in BREAKER_FAMILIES.items():
+                    want = sample(name, {"shard": sid, label: value})
+                    assert counts[key] == want, (sid, key)
+            one = snap["shards"]["1"]["breaker"]
+            assert one["failures"] >= router.config.fail_threshold
+            assert one["opened"] >= 1 and one["half_opened"] >= 1
+            assert one["closed"] >= 1 and one["successes"] >= 1
+
+        _router_scenario(handler)(tmp_path)
 
     def test_shutdown_op_drains_new_requests(self, tmp_path):
         async def handler(router, servers):
@@ -475,10 +587,15 @@ class TestRouterConfig:
 
 
 def _instruments():
-    from repro.obs import MetricsRegistry
     from repro.service import ServiceInstruments
 
     return ServiceInstruments(MetricsRegistry())
+
+
+def _cache(**kw):
+    from repro.service import ResultCache
+
+    return ResultCache(instruments=_instruments(), **kw)
 
 
 class TestAdmissionExpiryVsShed:
@@ -557,26 +674,22 @@ class TestCacheByteBounds:
     outright -- not admitted at the cost of evicting every resident."""
 
     def test_oversized_entry_is_uncacheable_not_an_eviction_storm(self):
-        from repro.service import ResultCache
-
-        cache = ResultCache(max_entries=8, max_bytes=64)
+        cache = _cache(max_entries=8, max_bytes=64)
         small = np.zeros(8, dtype=np.uint8)  # 8 bytes each
         assert cache.put("a", small)
         assert cache.put("b", small)
         big = np.zeros(128, dtype=np.uint8)  # 128 > 64
         assert not cache.put("big", big)
         assert "big" not in cache
-        assert cache.stats.uncacheable == 1
-        assert cache.stats.evictions == 0  # residents untouched
+        assert cache.snapshot()["uncacheable"] == 1
+        assert cache.snapshot()["evictions"] == 0  # residents untouched
         assert len(cache) == 2
         assert cache.get("a") is not None
         assert cache.get("b") is not None
-        assert cache.stats.bytes == 16
+        assert cache.snapshot()["bytes"] == 16
 
     def test_exactly_at_limit_is_admitted_and_evicts_lru(self):
-        from repro.service import ResultCache
-
-        cache = ResultCache(max_entries=8, max_bytes=64)
+        cache = _cache(max_entries=8, max_bytes=64)
         small = np.zeros(8, dtype=np.uint8)
         cache.put("a", small)
         cache.put("b", small)
@@ -584,6 +697,6 @@ class TestCacheByteBounds:
         assert cache.put("exact", exact)
         assert "exact" in cache
         # Fitting it required evicting both LRU residents.
-        assert cache.stats.evictions == 2
+        assert cache.snapshot()["evictions"] == 2
         assert len(cache) == 1
-        assert cache.stats.bytes == 64
+        assert cache.snapshot()["bytes"] == 64
