@@ -90,7 +90,17 @@ from repro.machines.params import MACHINES, get_machine
 #: ``MachineObserver.on_phase`` receives each processor's busy time, and
 #: the Gantt chart and imbalance table are ``repro.obs.gantt(rec)`` /
 #: ``imbalance_table(rec)`` over a ``MachineRecorder``.
-__version__ = "7.0.0"
+#:
+#: 8.0.0 is a breaking release: each paper algorithm has one form, the
+#: phase form.  The generator-based SPMD executor (``repro.bdm``'s
+#: executor, context and handle), its transpose, broadcast, histogram
+#: and connected-components programs in ``repro.core``, the SPMD lint
+#: rule family (``repro check --select SPMD`` now exits 2), the
+#: checker's pytest plugin, ``LintError`` and
+#: ``repro.checker.engine.analyze_callable`` are gone; the parse-failure
+#: diagnostic is now PARSE000, and the ``repro.checker`` package
+#: re-exports nothing (import from its submodules).
+__version__ = "8.0.0"
 
 __all__ = [
     "kernels",

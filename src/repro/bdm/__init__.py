@@ -27,7 +27,6 @@ from repro.bdm.memory import GlobalArray, distribute_sequence
 from repro.bdm.machine import Machine, Processor
 from repro.bdm.transpose import transpose, transpose_cost_model, gather_to
 from repro.bdm.broadcast import broadcast, broadcast_cost_model
-from repro.bdm.spmd import run_spmd, SpmdContext, Handle
 from repro.bdm.collectives import (
     allgather,
     allreduce,
@@ -56,7 +55,4 @@ __all__ = [
     "reduce_cost_model",
     "reduce_to",
     "scatter_from",
-    "run_spmd",
-    "SpmdContext",
-    "Handle",
 ]

@@ -1,6 +1,6 @@
 """Correctness tooling: dynamic race detection + whole-repo static analysis.
 
-Three complementary layers:
+Two complementary layers:
 
 * :mod:`repro.checker.shadow` -- a dynamic race detector.  Per-word
   shadow memory attached to every :class:`~repro.bdm.memory.GlobalArray`
@@ -8,64 +8,17 @@ Three complementary layers:
   write-after-write, write-after-read) and reports them with full
   provenance: array name, owning processor, conflicting pids, phase
   label, and the exact element ranges involved.
-* :mod:`repro.checker.lint` -- a static AST pass over SPMD generator
-  programs (the :mod:`repro.bdm.spmd` DSL) that flags split-phase
-  discipline violations *without executing the program*: unyielded
-  sync tokens, handle reads with no intervening ``sync()``, barriers
-  inside pid-dependent branches, non-collective allocations, and
-  dropped prefetch handles (rules SPMD000...).
-* :mod:`repro.checker.engine` -- the general analysis engine that runs
-  the SPMD pass plus four whole-repo rule families over every file:
-  ASYNC1xx (asyncio hygiene), RES2xx (resource lifetime: shm segments,
-  pools, sockets), ERR3xx (error-boundary hygiene), and COST4xx (BDM
-  cost-model consistency).  Selection by family or rule ID, JSON and
-  SARIF 2.1.0 emitters, and a baseline file for grandfathered
-  findings.  See docs/CHECKER.md for the full catalog.
+* :mod:`repro.checker.engine` -- the static analysis engine that runs
+  five whole-repo rule families over every file: ASYNC1xx (asyncio
+  hygiene), RES2xx (resource lifetime: shm segments, pools, sockets),
+  ERR3xx (error-boundary hygiene), COST4xx (BDM cost-model
+  consistency) and OBS5xx (observability hygiene).  Selection by family
+  or rule ID, JSON and SARIF 2.1.0 emitters, and a baseline file for
+  grandfathered findings.  See docs/CHECKER.md for the full catalog.
 
-Entry points: ``repro check`` on the command line, the fixtures in
-:mod:`repro.checker.pytest_plugin` under pytest, and the functions
-re-exported here for programmatic use.
+This package re-exports nothing: the simulator imports only
+:mod:`~repro.checker.shadow`, so ``import repro`` does not load the
+static analyzer.  Its entry point is ``repro check`` on the command
+line, or :func:`repro.checker.engine.run_check` and the engine's
+``analyze_*`` functions for programmatic use.
 """
-
-from __future__ import annotations
-
-from repro.checker.emitters import to_json_payload, to_sarif
-from repro.checker.engine import (
-    CHECKERS,
-    FAMILIES,
-    analyze_callable,
-    analyze_paths,
-    analyze_source,
-    apply_baseline,
-    baseline_from,
-    expand_selection,
-    load_baseline,
-    save_baseline,
-)
-from repro.checker.lint import lint_callable, lint_paths, lint_source
-from repro.checker.rules import RULES, LintDiagnostic, LintRule, rule_family
-from repro.checker.shadow import Hazard, ShadowMemory
-
-__all__ = [
-    "CHECKERS",
-    "FAMILIES",
-    "Hazard",
-    "LintDiagnostic",
-    "LintRule",
-    "RULES",
-    "ShadowMemory",
-    "analyze_callable",
-    "analyze_paths",
-    "analyze_source",
-    "apply_baseline",
-    "baseline_from",
-    "expand_selection",
-    "lint_callable",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "rule_family",
-    "save_baseline",
-    "to_json_payload",
-    "to_sarif",
-]

@@ -6,7 +6,6 @@ tree.  Families:
 =======  ==================================================  =========
 family   what it checks                                      module
 =======  ==================================================  =========
-SPMD     split-phase discipline of SPMD generator programs   lint
 ASYNC    asyncio hygiene in the serving layer                rules_async
 RES      resource lifetime (shm segments, pools, sockets)    rules_res
 ERR      error-boundary hygiene (ReproError contract)        rules_err
@@ -15,7 +14,7 @@ OBS      observability hygiene (span lifetime, emit guards)  rules_obs
 =======  ==================================================  =========
 
 Selection (``--select``/``--ignore``) accepts family names and full
-rule IDs; unknown tokens raise :class:`ReproError`.  SPMD000 (a file
+rule IDs; unknown tokens raise :class:`ReproError`.  PARSE000 (a file
 that does not parse) is reported regardless of selection: an
 unparsable file was not checked by *any* family.
 
@@ -37,47 +36,35 @@ naming the rule IDs (or families) it waives on that line.
 from __future__ import annotations
 
 import ast
-import inspect
 import json
 import os
 import re
-import textwrap
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.checker import rules_async, rules_cost, rules_err, rules_obs, rules_res
 from repro.checker.emitters import dump_json, to_json_payload, to_sarif
-from repro.checker.lint import (
-    _find_programs,
-    _ProgramLinter,
-    iter_python_files,
+from repro.checker.rules import (
+    PARSE_FAILURE,
+    RULES,
+    LintDiagnostic,
+    format_catalog,
+    rule_family,
 )
-from repro.checker.rules import RULES, LintDiagnostic, format_catalog, rule_family
 from repro.utils.errors import ReproError
 
 Checker = Callable[[ast.AST, str], list[LintDiagnostic]]
 
-
-def _check_spmd(tree: ast.AST, filename: str) -> list[LintDiagnostic]:
-    diags: list[LintDiagnostic] = []
-    for fn, ctx_name in _find_programs(tree):
-        diags.extend(_ProgramLinter(fn, ctx_name, filename).run())
-    return diags
-
-
 #: Family name -> checker run against each parsed file.
 CHECKERS: dict[str, Checker] = {
-    "SPMD": _check_spmd,
     "ASYNC": rules_async.check,
     "RES": rules_res.check,
     "ERR": rules_err.check,
     "COST": rules_cost.check,
     "OBS": rules_obs.check,
 }
-
-FAMILIES: tuple[str, ...] = tuple(CHECKERS)
 
 
 def expand_selection(tokens: Iterable[str] | None, *, flag: str = "--select") -> "_Selection | None":
@@ -140,7 +127,7 @@ def _filter(
 ) -> list[LintDiagnostic]:
     out = []
     for d in diags:
-        if d.rule == "SPMD000":  # parse failure: no family checked the file
+        if d.rule == PARSE_FAILURE:  # no family checked the file
             out.append(d)
             continue
         if select is not None and not select.matches(d.rule):
@@ -164,7 +151,7 @@ def analyze_source(
     except SyntaxError as exc:
         return [
             LintDiagnostic(
-                rule="SPMD000",
+                rule=PARSE_FAILURE,
                 message=f"could not parse: {exc.msg}",
                 file=filename,
                 line=exc.lineno or 1,
@@ -186,6 +173,16 @@ def analyze_source(
     return sorted(diags, key=lambda d: (d.line, d.col, d.rule))
 
 
+def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
+    """Yield the ``.py`` files under ``paths`` (files or directories)."""
+    for entry in paths:
+        path = Path(entry)
+        if path.is_dir():
+            yield from sorted(p for p in path.rglob("*.py") if p.is_file())
+        elif path.suffix == ".py" and path.is_file():
+            yield path
+
+
 def analyze_paths(
     paths: Iterable[str],
     *,
@@ -201,32 +198,6 @@ def analyze_paths(
             continue
         diags.extend(analyze_source(text, str(path), select=select, ignore=ignore))
     return diags
-
-
-def analyze_callable(fn) -> list[LintDiagnostic]:
-    """Analyze a live function object (used by the pytest plugin).
-
-    Runs every family over the function's (dedented) source with line
-    numbers remapped to the real file.  Returns ``[]`` when source is
-    unavailable.
-    """
-    try:
-        source = inspect.getsource(fn)
-        filename = inspect.getsourcefile(fn) or "<unknown>"
-        _, first_line = inspect.getsourcelines(fn)
-    except (OSError, TypeError):
-        return []
-    dedented = textwrap.dedent(source)
-    try:
-        ast.parse(dedented)
-    except SyntaxError:
-        # Decorated/partial sources that do not stand alone.
-        return []
-    offset = first_line - 1
-    return [
-        replace(d, line=d.line + offset)
-        for d in analyze_source(dedented, filename)
-    ]
 
 
 # -- baseline ---------------------------------------------------------------
@@ -324,17 +295,25 @@ def apply_baseline(
 
 
 def _dynamic_smoke() -> list[str]:
-    """Smoke-run the packaged SPMD programs under full shadow checking."""
+    """Run each paper algorithm's phase form under the race detector."""
     import numpy as np
 
+    from repro.bdm.broadcast import broadcast
     from repro.bdm.machine import Machine
-    from repro.core.spmd_programs import spmd_broadcast, spmd_histogram, spmd_transpose
+    from repro.bdm.memory import GlobalArray
+    from repro.bdm.transpose import transpose
+    from repro.core.connected_components import parallel_components
+    from repro.core.histogram import parallel_histogram
 
-    spmd_transpose(Machine(4, check_hazards=True), np.arange(4 * 16).reshape(4, 16))
-    spmd_broadcast(Machine(4, check_hazards=True), np.arange(16))
+    for primitive in (transpose, broadcast):
+        machine = Machine(4, check_hazards=True)
+        array = GlobalArray(machine, 16, name="A")
+        array.scatter_rows(np.arange(4 * 16).reshape(4, 16))
+        primitive(machine, array)
     rng = np.random.default_rng(0)
-    spmd_histogram(rng.integers(0, 16, size=(16, 16)), 16, 4)
-    return ["spmd_transpose", "spmd_broadcast", "spmd_histogram"]
+    parallel_histogram(rng.integers(0, 16, size=(16, 16)), 16, 4, check_hazards=True)
+    parallel_components(rng.integers(0, 2, size=(16, 16)), 4, check_hazards=True)
+    return ["transpose", "broadcast", "parallel_histogram", "parallel_components"]
 
 
 def run_check(paths: Sequence[str], *, select: str | None = None,
@@ -417,7 +396,7 @@ def run_check(paths: Sequence[str], *, select: str | None = None,
     if dynamic:
         ran = _dynamic_smoke()
         print(
-            f"dynamic: {len(ran)} built-in SPMD program(s) ran clean under "
+            f"dynamic: {len(ran)} phase-form algorithm(s) ran clean under "
             f"the shadow-memory race detector ({', '.join(ran)})"
         )
     return 1 if n_errors else 0

@@ -6,10 +6,10 @@ asserted in tests.  Severity ``error`` findings fail ``repro check``
 (exit 1); ``warning`` findings are reported but do not affect the exit
 status.
 
-This module defines the catalog container and the SPMD family; the
-other families (ASYNC, RES, ERR, COST) register themselves from their
-``rules_*`` modules via :func:`register_rules` when
-:mod:`repro.checker.engine` is imported.
+This module defines the catalog container and the family-neutral
+parse-failure diagnostic; the families (ASYNC, RES, ERR, COST, OBS)
+register themselves from their ``rules_*`` modules via
+:func:`register_rules` when :mod:`repro.checker.engine` is imported.
 """
 
 from __future__ import annotations
@@ -30,58 +30,18 @@ def rule_family(rule_id: str) -> str:
     return rule_id.rstrip("0123456789")
 
 
+#: Parse failures belong to no family: a file that does not parse was
+#: not checked by any of them, so the engine reports PARSE000 whatever
+#: the selection.
+PARSE_FAILURE = "PARSE000"
+
 RULES: dict[str, LintRule] = {
-    r.id: r
-    for r in (
-        LintRule(
-            "SPMD000",
-            "unparsable file",
-            "error",
-            "The file could not be parsed as Python; nothing was checked.",
-        ),
-        LintRule(
-            "SPMD001",
-            "unyielded sync token",
-            "error",
-            "ctx.sync()/ctx.barrier() returns a token that must be yielded "
-            "to the runner; calling it as a plain statement synchronizes "
-            "nothing (the prefetches stay pending and the superstep never "
-            "ends).",
-        ),
-        LintRule(
-            "SPMD002",
-            "handle read before sync",
-            "error",
-            "A prefetch Handle's .value is consumed on a path with no "
-            "intervening `yield ctx.sync()`; split-phase data is undefined "
-            "until the sync completes (Split-C's un-synchronized-read "
-            "failure mode).",
-        ),
-        LintRule(
-            "SPMD003",
-            "barrier divergence",
-            "error",
-            "A `yield ctx.barrier()` sits inside a pid-dependent branch or "
-            "loop, so processors would arrive at different barriers (or "
-            "different counts of them) and deadlock on a real machine.",
-        ),
-        LintRule(
-            "SPMD004",
-            "non-collective array allocation",
-            "error",
-            "ctx.array() is collective -- every processor must request the "
-            "same array; allocating inside a pid-dependent branch breaks "
-            "the collective contract.",
-        ),
-        LintRule(
-            "SPMD005",
-            "prefetch handle never consumed",
-            "warning",
-            "A ctx.prefetch()/ctx.prefetch_indices() result is discarded or "
-            "never read; the remote fetch (and its simulated cost) is dead "
-            "communication.",
-        ),
-    )
+    PARSE_FAILURE: LintRule(
+        PARSE_FAILURE,
+        "unparsable file",
+        "error",
+        "The file could not be parsed as Python; nothing was checked.",
+    ),
 }
 
 

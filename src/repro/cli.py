@@ -9,11 +9,11 @@ Commands
 ``components``  label connected components; print statistics, optionally
                 write the label map / an ASCII rendering.
 ``machines``    list the available machine models.
-``check``       run the static-analysis engine over the repo: SPMD
-                split-phase lint plus the ASYNC/RES/ERR/COST rule
-                families, with ``--select``/``--ignore``, JSON/SARIF
-                output, a findings baseline, and an optional dynamic
-                smoke-run under the shadow-memory race detector.
+``check``       run the static-analysis engine over the repo: the
+                ASYNC/RES/ERR/COST/OBS rule families, with
+                ``--select``/``--ignore``, JSON/SARIF output, a findings
+                baseline, and an optional dynamic smoke-run of the
+                paper's algorithms under the shadow-memory race detector.
 ``trace``       run a workload under the observability layer and export
                 a Chrome trace-event JSON (open in Perfetto /
                 ``chrome://tracing``) plus a metrics snapshot, on either
@@ -775,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = subs.add_parser(
         "check",
-        help="run the static-analysis engine (SPMD/ASYNC/RES/ERR/COST) "
+        help="run the static-analysis engine (ASYNC/RES/ERR/COST/OBS) "
         "and optionally smoke-run the race detector",
     )
     chk.add_argument(
@@ -787,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         metavar="IDS",
         help="comma-separated families or rule IDs to report "
-        "(e.g. ASYNC,RES or SPMD001,SPMD003)",
+        "(e.g. ASYNC,RES or ASYNC102,RES201)",
     )
     chk.add_argument(
         "--ignore",
@@ -827,8 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--dynamic",
         action="store_true",
-        help="also execute the built-in SPMD programs under the "
-        "shadow-memory race detector",
+        help="also run transpose, broadcast, parallel_histogram and "
+        "parallel_components under the shadow-memory race detector",
     )
     chk.set_defaults(func=cmd_check)
 

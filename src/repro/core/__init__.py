@@ -16,7 +16,6 @@ from repro.core.histogram import parallel_histogram, HistogramResult
 from repro.core.connected_components import parallel_components, ComponentsResult
 from repro.core.merge import merge_schedule, MergeStep, MergeGroup
 from repro.core.equalization import parallel_equalize, EqualizationResult, equalization_lut
-from repro.core.spmd_programs import spmd_transpose, spmd_broadcast, spmd_histogram
 
 __all__ = [
     "ProcessorGrid",
@@ -32,7 +31,4 @@ __all__ = [
     "parallel_equalize",
     "EqualizationResult",
     "equalization_lut",
-    "spmd_transpose",
-    "spmd_broadcast",
-    "spmd_histogram",
 ]

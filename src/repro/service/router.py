@@ -718,7 +718,9 @@ class ShardRouter:
             while True:
                 try:
                     line = await reader.readline()
-                except ConnectionResetError:
+                except (ConnectionResetError, asyncio.CancelledError):
+                    # Loop teardown cancelling this wait ends the
+                    # connection too (see ServiceServer._handle_client).
                     break
                 except (ValueError, asyncio.IncompleteReadError):
                     writer.write(_error_line(None, ValidationError(

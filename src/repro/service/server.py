@@ -892,7 +892,12 @@ class ServiceServer:
             while True:
                 try:
                     line = await reader.readline()
-                except ConnectionResetError:
+                except (ConnectionResetError, asyncio.CancelledError):
+                    # A reset ends the connection, and so does loop
+                    # teardown cancelling the wait for the next line:
+                    # only teardown cancels a handler, and one that ended
+                    # cancelled would make 3.11's stream callback log a
+                    # traceback.
                     break
                 except (ValueError, asyncio.IncompleteReadError):
                     # A line past the stream limit surfaces as ValueError

@@ -27,7 +27,7 @@ class ValidationError(ReproError, ValueError):
 class HazardError(ReproError, RuntimeError):
     """A same-phase memory hazard was detected by the BDM simulator.
 
-    The phase-based SPMD execution model requires that within one phase
+    The phase-based superstep model requires that within one phase
     no two processors touch the same word with at least one write
     (real machines would order these through the barrier that separates
     phases).  The per-word shadow memory checker
@@ -38,14 +38,6 @@ class HazardError(ReproError, RuntimeError):
     """
 
     hazard = None  #: :class:`repro.checker.shadow.Hazard` provenance, if any
-
-
-class LintError(ReproError):
-    """Static analysis found a discipline violation in an SPMD program.
-
-    Raised by strict-mode entry points (the ``spmd_strict`` pytest
-    fixture); plain ``repro check`` reports diagnostics without raising.
-    """
 
 
 class FaultError(ReproError, RuntimeError):

@@ -13,11 +13,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy import ndimage
 
-# Every SPMD program executed by the suite is statically linted (autouse
-# fixture; findings surface as SpmdLintWarning) on top of the dynamic
-# shadow-memory hazard checking that Machine enables by default.
-pytest_plugins = ("repro.checker.pytest_plugin",)
-
 # Pinned Hypothesis profiles: ``derandomize=True`` makes every run
 # (locally and in CI) explore the same example sequence, so the
 # differential kernel suite is a deterministic gate rather than a coin

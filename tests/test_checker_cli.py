@@ -59,16 +59,55 @@ class TestExitCodesAndSelection:
         assert "ERR302" in out
 
     def test_unknown_family_errors(self, bad_file, capsys):
-        rc = cli_main(["check", str(bad_file), "--select", "BOGUS"])
+        for family in ("BOGUS", "SPMD"):  # SPMD: retired with the SPMD form
+            rc = cli_main(["check", str(bad_file), "--select", family])
+            assert rc == 2
+            assert "unknown rule or family" in capsys.readouterr().err
+
+    def test_missing_path_errors(self, tmp_path, capsys):
+        """A typo'd path must not silently pass the CI gate."""
+        rc = cli_main(["check", str(tmp_path / "no_such_dir")])
         assert rc == 2
-        assert "unknown rule or family" in capsys.readouterr().err
+        assert "no such path" in capsys.readouterr().err
+
+    def test_clean_file_exits_zero(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text(
+            textwrap.dedent(
+                """
+                import asyncio
+
+                async def fetch(path):
+                    reader, writer = await asyncio.open_unix_connection(
+                        path, limit=1 << 20
+                    )
+                    return await reader.readline()
+                """
+            )
+        )
+        rc = cli_main(["check", str(clean)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "0 error(s)" in out
 
     def test_list_rules_covers_new_families(self, capsys):
         rc = cli_main(["check", "--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for probe in ("SPMD001", "ASYNC102", "RES201", "ERR302", "COST400"):
+        for probe in ("ASYNC102", "RES201", "ERR302", "COST400", "OBS501"):
             assert probe in out
+
+
+class TestDynamic:
+    def test_phase_forms_run_clean(self, tmp_path, capsys):
+        clean = tmp_path / "clean.py"
+        clean.write_text("def ok():\n    return 1\n")
+        rc = cli_main(["check", str(clean), "--dynamic"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("dynamic:")]
+        for name in ("transpose", "broadcast", "parallel_histogram", "parallel_components"):
+            assert name in line
 
 
 class TestOutputFormats:

@@ -7,11 +7,15 @@ a reconstruction of the actual pre-fix PR 4/5 bug shapes and stay
 silent on the fixed shapes now in the tree.
 """
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.checker.engine import (
     analyze_paths,
     analyze_source,
@@ -770,7 +774,7 @@ class TestSelectionAndSuppression:
     def test_parse_failure_reported_despite_selection(self):
         sel = expand_selection(["ASYNC"])
         diags = analyze_source("def broken(:\n", "bad.py", select=sel)
-        assert rules_of(diags) == ["SPMD000"]
+        assert rules_of(diags) == ["PARSE000"]
 
     def test_inline_ignore_by_rule(self):
         diags = analyze(
@@ -804,7 +808,7 @@ class TestSelectionAndSuppression:
         for rule_id in RULES:
             assert rule_id in text
         families = {rule_family(r) for r in RULES}
-        assert families == {"SPMD", "ASYNC", "RES", "ERR", "COST", "OBS"}
+        assert families == {"PARSE", "ASYNC", "RES", "ERR", "COST", "OBS"}
         for rule in RULES.values():
             assert rule.severity in ("error", "warning")
 
@@ -877,3 +881,23 @@ class TestBaseline:
             for f, rules in keyed.items()
         }
         assert rel == entries
+
+
+class TestImportIsolation:
+    def test_runtime_loads_only_the_race_detector(self):
+        """``GlobalArray`` needs ``checker.shadow``; importing the
+        runtime must not drag in the engine and its rule families."""
+        code = (
+            "import sys\n"
+            "import repro, repro.darray, repro.service\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.checker')))\n"
+        )
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['repro.checker', 'repro.checker.shadow']"

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.bdm import GlobalArray, Machine
-from repro.bdm.spmd import run_spmd
 from repro.checker.shadow import Hazard, compress_ranges
 from repro.machines import IDEAL
 from repro.utils.errors import HazardError, ValidationError
@@ -184,30 +183,3 @@ class TestEscapeHatches:
             got = arr.read_indices(machine.procs[1], 0, np.array([1, 2]))
         assert got.tolist() == [5, 6]
 
-
-class TestSpmdIntegration:
-    def test_scattered_race_in_spmd_program(self):
-        """The acceptance scenario end-to-end on the generator DSL."""
-        m = Machine(2, IDEAL)
-
-        def racy(ctx):
-            A = ctx.array("A", 8)
-            # Both pids scatter-write overlapping words of pid 0's block.
-            ctx.write_indices(A, np.array([0, 4]), [ctx.pid, ctx.pid], owner=0)
-            yield ctx.barrier()
-
-        with pytest.raises(HazardError, match="write-after-write"):
-            run_spmd(m, racy)
-
-    def test_disjoint_strided_spmd_writers_accepted(self):
-        m = Machine(2, IDEAL)
-
-        def striped(ctx):
-            A = ctx.array("A", 8)
-            idx = np.arange(ctx.pid, 8, 2)
-            ctx.write_indices(A, idx, np.full(4, ctx.pid + 1), owner=0)
-            yield ctx.barrier()
-            return ctx.read_local(A).tolist() if ctx.pid == 0 else None
-
-        results = run_spmd(m, striped)
-        assert results[0] == [1, 2, 1, 2, 1, 2, 1, 2]

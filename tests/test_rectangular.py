@@ -17,7 +17,6 @@ from repro.baselines import (
 from repro.core.connected_components import parallel_components
 from repro.core.equalization import parallel_equalize
 from repro.core.histogram import parallel_histogram
-from repro.core.spmd_components import spmd_components
 from repro.darray import darray_components, darray_histogram
 from repro.machines import CM5, IDEAL
 from tests.conftest import oracle_binary_labels, oracle_grey_labels
@@ -77,10 +76,6 @@ class TestComponentsRect:
 
 
 class TestOtherPathsRect:
-    def test_spmd_components(self, rect_binary):
-        labels, _ = spmd_components(rect_binary, 8, IDEAL)
-        assert np.array_equal(labels, sequential_components(rect_binary))
-
     def test_stripe_dc(self, rect_binary):
         res = stripe_components(rect_binary, 8, IDEAL)
         assert np.array_equal(res.labels, sequential_components(rect_binary))

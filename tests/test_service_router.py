@@ -8,6 +8,8 @@ loop hosts the router and its shards and the suite stays fast.
 
 import asyncio
 import json
+import logging
+import socket
 
 import numpy as np
 import pytest
@@ -497,6 +499,25 @@ class TestShardRouter:
             assert shed["error"]["type"] == "ServiceDrainingError"
 
         _router_scenario(handler, shards=2)(tmp_path)
+
+    def test_idle_connection_at_shutdown_logs_no_traceback(self, tmp_path, caplog):
+        """The router's handler ends like the server's when loop teardown
+        cancels its wait for the client's next line."""
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.setblocking(False)
+
+        async def handler(router, servers):
+            loop = asyncio.get_running_loop()
+            await loop.sock_connect(client, router.socket_path)
+            await loop.sock_sendall(client, b'{"op": "ping"}\n')
+            assert json.loads(await loop.sock_recv(client, 1 << 16))["ok"]
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                _router_scenario(handler, shards=1)(tmp_path)
+        finally:
+            client.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_metrics_op_exposes_router_series(self, tmp_path):
         async def handler(router, servers):

@@ -2,7 +2,9 @@
 
 import asyncio
 import json
+import logging
 import os
+import socket
 import tempfile
 
 import numpy as np
@@ -261,6 +263,34 @@ class TestSocketServer:
 
         with assert_no_shm_leak(grace_s=2.0):
             asyncio.run(scenario())
+
+    def test_idle_connection_at_shutdown_logs_no_traceback(self, tmp_path, caplog):
+        """A handler still waiting for its client's next line when
+        ``asyncio.run`` cancels the leftover tasks ends like a hang-up:
+        asyncio 3.11's stream callback logs any handler that ends
+        cancelled as "Exception in callback"."""
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.setblocking(False)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            service = BatchService(ServiceConfig(workers=1))
+            server = ServiceServer(service, str(tmp_path / "svc.sock"))
+            await server.start()
+            await loop.sock_connect(client, server.socket_path)
+            await loop.sock_sendall(client, b'{"op": "ping"}\n')
+            assert json.loads(await loop.sock_recv(client, 1 << 16))["ok"]
+            reply = await request_over_socket(server.socket_path, {"op": "shutdown"})
+            assert reply["ok"]
+            await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                with assert_no_shm_leak(grace_s=2.0):
+                    asyncio.run(scenario())
+        finally:
+            client.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestSocketPathValidation:
