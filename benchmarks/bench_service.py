@@ -50,7 +50,6 @@ import asyncio
 import base64
 import concurrent.futures
 import hashlib
-import json
 import os
 import pathlib
 import subprocess
@@ -488,9 +487,9 @@ def _shard_compare(args) -> tuple[list[dict], float]:
                     elapsed = time.perf_counter() - t0
                 hits = 0
                 for sid in router.shard_ids:
-                    reply = json.loads(await router._one_shot(
-                        sid, b'{"op": "stats"}\n', timeout_s=10.0
-                    ))
+                    reply = await asyncio.wait_for(request_over_socket(
+                        router.shard_sockets[sid], {"op": "stats"}
+                    ), timeout=10.0)
                     hits += reply["result"]["cache"]["hits"]
             finally:
                 await router.stop()

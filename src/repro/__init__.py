@@ -100,7 +100,11 @@ from repro.machines.params import MACHINES, get_machine
 #: ``repro.checker.engine.analyze_callable`` are gone; the parse-failure
 #: diagnostic is now PARSE000, and the ``repro.checker`` package
 #: re-exports nothing (import from its submodules).
-__version__ = "8.0.0"
+#:
+#: 9.0.0 is a breaking release: ``repro.service.compute_over_socket``
+#: and ``health.PROBE_LIMIT_BYTES`` are gone, and the socket helpers of
+#: ``repro.service.server`` moved to ``repro.service.lines``.
+__version__ = "9.0.0"
 
 __all__ = [
     "kernels",

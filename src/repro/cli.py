@@ -45,7 +45,6 @@ the plain ``repro serve`` path never loads it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -546,9 +545,6 @@ def _serve_router(args) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("interrupted", flush=True)
-    finally:
-        if args.socket and os.path.exists(args.socket):
-            os.unlink(args.socket)
     return 0
 
 
@@ -679,9 +675,6 @@ def cmd_serve(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         print("interrupted", flush=True)
-    finally:
-        if os.path.exists(args.socket):
-            os.unlink(args.socket)
     return 0
 
 

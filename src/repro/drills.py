@@ -325,7 +325,9 @@ def router_selftest(*, shards: int, workers: int, wire: str, shard_args: list[st
     affinity pins each image to one shard), traffic must spread across
     shards, and nothing may leak in ``/dev/shm``.
     """
-    from repro.service import RouterConfig, ShardRouter
+    import asyncio
+
+    from repro.service import RouterConfig, ShardRouter, request_over_socket
 
     harness = SocketHarness(
         seeded_images(0, 6), kernel=kernel, prefix="repro-router-", shards=shards
@@ -340,9 +342,9 @@ def router_selftest(*, shards: int, workers: int, wire: str, shard_args: list[st
             await h.stream(2 * len(h.images), wire=wire)
             cache_hits = 0
             for sid in router.shard_ids:
-                reply = json.loads(await router._one_shot(
-                    sid, b'{"op": "stats"}\n', timeout_s=5.0
-                ))
+                reply = await asyncio.wait_for(request_over_socket(
+                    router.shard_sockets[sid], {"op": "stats"}
+                ), timeout=5.0)
                 cache_hits += reply["result"].get("cache", {}).get("hits", 0)
             return router.snapshot(), cache_hits
 

@@ -27,6 +27,12 @@ from repro.service.cache import (
 )
 from repro.service.health import CircuitBreaker, HealthMonitor
 from repro.service.instruments import ServiceInstruments
+from repro.service.lines import (
+    SUN_PATH_MAX,
+    check_socket_path,
+    request_over_socket,
+    socket_dir,
+)
 from repro.service.ops import (
     OPS,
     canonical_params,
@@ -41,22 +47,17 @@ from repro.service.router import (
     ShardRouter,
 )
 from repro.service.server import (
-    SUN_PATH_MAX,
     WIRES,
     BatchExecutor,
     BatchService,
     Client,
     ServiceConfig,
     ServiceServer,
-    check_socket_path,
     decode_array,
     encode_array,
-    request_over_socket,
-    socket_dir,
 )
 from repro.service.wire import (
     WireClient,
-    compute_over_socket,
     mint_shared_image,
     raise_reply_error,
 )
@@ -92,7 +93,6 @@ __all__ = [
     "canonical_params",
     "check_socket_path",
     "compute",
-    "compute_over_socket",
     "decode_array",
     "encode_array",
     "image_digest",

@@ -29,13 +29,13 @@ closed) without harming a real process.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.faults.inject import fire_async
 from repro.runtime.dispatch import resolve_timeout
+from repro.service.lines import request_over_socket
 from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # the router imports this module
@@ -61,11 +61,6 @@ MAX_OPEN_S = 8.0
 #: task deadlines (seconds-to-minutes); a liveness probe must stay two
 #: orders of magnitude tighter, hence the clamp in :func:`probe_timeout`.
 DEFAULT_PROBE_TIMEOUT_S = 0.5
-
-#: StreamReader limit for a probe connection.  A ``ping`` reply is a
-#: few hundred bytes of JSON; this is generous headroom, not the wire's
-#: ``MAX_REQUEST_BYTES`` (a probe never carries image payloads).
-PROBE_LIMIT_BYTES = 16 * 1024
 
 #: Most recent transitions a breaker keeps for its snapshot.
 TRANSITION_LOG_LIMIT = 64
@@ -250,20 +245,7 @@ class HealthMonitor:
 
     async def _probe(self, seq: int) -> bool:
         await fire_async("svc:health", task=self.shard_id, attempt=seq)
-        reader = writer = None
-        try:
-            reader, writer = await asyncio.open_unix_connection(
-                self.socket_path, limit=PROBE_LIMIT_BYTES
-            )
-            writer.write(b'{"op": "ping"}\n')
-            await writer.drain()
-            line = await reader.readline()
-        finally:
-            if writer is not None:
-                writer.close()
-        if not line:
-            return False
-        reply = json.loads(line)
+        reply = await request_over_socket(self.socket_path, {"op": "ping"})
         if not reply.get("ok"):
             return False
         result = reply.get("result")

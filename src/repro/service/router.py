@@ -69,15 +69,17 @@ from repro.service.health import (
     HealthMonitor,
 )
 from repro.service.instruments import op_label
-from repro.service.ops import OPS
-from repro.utils.aio import cancel_and_reap
-from repro.service.server import (
-    MAX_REQUEST_BYTES,
-    _error_line,
-    _ok_line,
+from repro.service.lines import (
+    LineConnection,
+    LineServer,
     check_socket_path,
+    error_line,
+    ok_line,
+    request_over_socket,
     socket_dir,
 )
+from repro.service.ops import OPS
+from repro.utils.aio import cancel_and_reap
 from repro.utils.errors import (
     ReproError,
     ServiceDrainingError,
@@ -437,7 +439,7 @@ class RouterInstruments:
 # -- the router --------------------------------------------------------------
 
 
-class ShardRouter:
+class ShardRouter(LineServer):
     """The consistent-hash front-end; see the module docstring.
 
     Lifecycle::
@@ -449,8 +451,8 @@ class ShardRouter:
     """
 
     def __init__(self, socket_path: str, config: RouterConfig | None = None):
+        super().__init__(socket_path)
         self.config = config or RouterConfig()
-        self.socket_path = check_socket_path(socket_path)
         cfg = self.config
         self.shard_ids = list(range(cfg.shards))
         #: The runtime dir this router made itself (removed by stop()).
@@ -504,9 +506,7 @@ class ShardRouter:
         #: Reply segments each shard minted and no client released yet;
         #: what :meth:`_reclaim_minted` sweeps when the shard dies hard.
         self._minted: dict[int, set[str]] = {sid: set() for sid in self.shard_ids}
-        self._server: asyncio.AbstractServer | None = None
         self._tasks: list[asyncio.Task] = []
-        self._shutdown = asyncio.Event()
         self._draining = False
         self._open_requests = 0
 
@@ -526,17 +526,15 @@ class ShardRouter:
     def healthy_shards(self) -> int:
         return sum(1 for b in self.breakers.values() if b.state == CLOSED)
 
-    async def start(self) -> None:
+    async def _setup(self) -> None:
+        """Spawn the shards, wait until each answers ``ping``, start the probes."""
         self._draining = False
         if self._own_dir is not None:
             os.makedirs(self._own_dir, exist_ok=True)  # a restart after stop()
-        for sid, proc in self.procs.items():
+        for proc in self.procs.values():
             proc.spawn()
         for sid in self.shard_ids:
             await self._wait_ready(sid, self.config.ready_timeout_s)
-        self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path, limit=MAX_REQUEST_BYTES
-        )
         self._tasks = [
             asyncio.ensure_future(mon.run()) for mon in self.monitors.values()
         ]
@@ -555,7 +553,10 @@ class ShardRouter:
                     f"(rc={proc.proc.returncode}); command: {' '.join(proc.argv)}"
                 )
             try:
-                reply = json.loads(await self._one_shot(sid, b'{"op": "ping"}\n'))
+                reply = await asyncio.wait_for(
+                    request_over_socket(self.shard_sockets[sid], {"op": "ping"}),
+                    timeout=1.0,
+                )
                 if reply.get("ok"):
                     return
             except Exception as exc:
@@ -569,44 +570,14 @@ class ShardRouter:
             f"shard {sid} did not become ready within {timeout_s:.0f}s{detail}"
         )
 
-    async def _one_shot(self, sid: int, line: bytes, *,
-                        timeout_s: float = 1.0) -> bytes:
-        """One request on a fresh connection to a shard (control plane)."""
-
-        async def _go() -> bytes:
-            reader, writer = await asyncio.open_unix_connection(
-                self.shard_sockets[sid], limit=MAX_REQUEST_BYTES
-            )
-            try:
-                writer.write(line)
-                await writer.drain()
-                return await reader.readline()
-            finally:
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-
-        return await asyncio.wait_for(_go(), timeout=timeout_s)
-
-    async def serve_until_shutdown(self) -> None:
-        await self._shutdown.wait()
-        await self.stop()
-
-    def trigger_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def stop(self) -> None:
-        """Drain, retire every shard, reclaim what the dead left behind."""
+    async def _drain(self) -> None:
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-            with contextlib.suppress(OSError):  # asyncio leaves it before 3.13
-                os.unlink(self.socket_path)
         deadline = time.monotonic() + self.config.drain_deadline_s
         while self._open_requests and time.monotonic() < deadline:
             await asyncio.sleep(0.005)
+
+    async def _teardown(self) -> None:
+        """Stop the probes, retire the shards, reclaim what the dead left behind."""
         tasks, self._tasks = self._tasks, []
         for task in tasks:
             task.cancel()
@@ -615,25 +586,28 @@ class ShardRouter:
             # wait_for can swallow the first cancel (3.11 race) and spin
             # forever; cancel_and_reap re-cancels until the task dies.
             await cancel_and_reap(task)
-        for sid, proc in self.procs.items():
-            if proc.alive:
+        try:
+            for sid, proc in self.procs.items():
                 # Polite retirement: the shard drains its own in-flight
-                # work inside its stop() before exiting.
-                with contextlib.suppress(Exception):
-                    await self._one_shot(
-                        sid, b'{"op": "shutdown"}\n',
-                        timeout_s=self.config.drain_deadline_s + 1.0,
-                    )
-            exit_by = time.monotonic() + self.config.drain_deadline_s + 2.0
-            while proc.alive and time.monotonic() < exit_by:
-                await asyncio.sleep(0.02)
-            proc.reap()
-            self._reclaim_minted(sid)
-            with contextlib.suppress(OSError):
-                os.unlink(self.shard_sockets[sid])
-        for sid in list(self._minted):
-            self._reclaim_minted(sid)
-        self._remove_own_dir()
+                # work inside its stop() before exiting.  One that never
+                # took the request (not listening yet, or wedged) is
+                # reaped at once.
+                with contextlib.suppress(ReproError, OSError, asyncio.TimeoutError):
+                    if proc.alive:
+                        await asyncio.wait_for(request_over_socket(
+                            self.shard_sockets[sid], {"op": "shutdown"}
+                        ), timeout=self.config.drain_deadline_s + 1.0)
+                        exit_by = time.monotonic() + self.config.drain_deadline_s + 2.0
+                        while proc.alive and time.monotonic() < exit_by:
+                            await asyncio.sleep(0.02)
+        finally:
+            for sid, proc in self.procs.items():
+                proc.reap()
+                with contextlib.suppress(OSError):
+                    os.unlink(self.shard_sockets[sid])
+            for sid in list(self._minted):
+                self._reclaim_minted(sid)
+            self._remove_own_dir()
 
     def _remove_own_dir(self) -> None:
         if self._own_dir is not None:
@@ -704,51 +678,28 @@ class ShardRouter:
 
     # -- client handling ---------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        #: Lazily opened upstream connection per shard, for this client.
-        #: Reply-segment lifetime is pinned to the upstream connection,
-        #: so per-client upstreams give each client the same ownership
-        #: story it would have against a single server.
-        conns: dict[int, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
-        #: Reply segment name -> shard that minted it, for this client.
-        owned: dict[str, int] = {}
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.CancelledError):
-                    # Loop teardown cancelling this wait ends the
-                    # connection too (see ServiceServer._handle_client).
-                    break
-                except (ValueError, asyncio.IncompleteReadError):
-                    writer.write(_error_line(None, ValidationError(
-                        f"request too large (limit {MAX_REQUEST_BYTES} bytes)"
-                    )))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._respond(line, conns, owned)
-                writer.write(response)
-                await writer.drain()
-        finally:
-            # Closing the upstreams makes each shard reclaim whatever
-            # this client failed to release (connection-pinned lifetime).
-            for name, sid in owned.items():
-                self._minted.get(sid, set()).discard(name)
-            for sid in list(conns):
-                self._drop_conn(conns, sid)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    def _connection_opened(self) -> tuple[dict[int, LineConnection], dict[str, int]]:
+        # The client's lazily opened connection to each shard, and the
+        # minting shard of each reply segment it holds.  Reply-segment
+        # lifetime is pinned to the shard connection, so per-client shard
+        # connections give each client the same ownership story it would
+        # have against a single server.
+        return {}, {}
+
+    def _connection_closed(self, state: tuple[dict, dict]) -> None:
+        # Closing the shard connections makes each shard reclaim whatever
+        # this client failed to release (connection-pinned lifetime).
+        conns, owned = state
+        for name, sid in owned.items():
+            self._minted.get(sid, set()).discard(name)
+        for sid in list(conns):
+            self._drop_conn(conns, sid)
 
     @staticmethod
     def _drop_conn(conns: dict, sid: int) -> None:
-        entry = conns.pop(sid, None)
-        if entry is not None:
-            entry[1].close()
+        conn = conns.pop(sid, None)
+        if conn is not None:
+            conn.close()
 
     @staticmethod
     def _req_id(line: bytes):
@@ -758,11 +709,11 @@ class ShardRouter:
             return None
         return obj.get("id") if isinstance(obj, dict) else None
 
-    async def _respond(self, line: bytes, conns: dict,
-                       owned: dict[str, int]) -> bytes:
+    async def _respond(self, line: bytes, state: tuple[dict, dict]) -> bytes:
+        conns, owned = state
         op = request_op(line)
         if op == "ping":
-            return _ok_line(self._req_id(line), {
+            return ok_line(self._req_id(line), {
                 "pong": True,
                 "router": True,
                 "shards": len(self.shard_ids),
@@ -770,13 +721,13 @@ class ShardRouter:
                 "draining": self._draining,
             })
         if op == "stats":
-            return _ok_line(self._req_id(line), self.snapshot())
+            return ok_line(self._req_id(line), self.snapshot())
         if op == "metrics":
-            return _ok_line(self._req_id(line), self.metrics.prometheus_text())
+            return ok_line(self._req_id(line), self.metrics.prometheus_text())
         if op == "shutdown":
             self._draining = True
-            self._shutdown.set()
-            return _ok_line(self._req_id(line), "draining")
+            self.trigger_shutdown()
+            return ok_line(self._req_id(line), "draining")
         if op == "shm_release":
             return await self._respond_release(line, conns, owned)
         return await self._respond_routed(line, conns, owned, op)
@@ -791,26 +742,26 @@ class ShardRouter:
         except (ValueError, UnicodeDecodeError):
             name = None
         if not isinstance(name, str):
-            return _error_line(
+            return error_line(
                 req_id, ValidationError("'name' must be a segment name string")
             )
         sid = owned.get(name)
         if sid is None:
-            return _error_line(
+            return error_line(
                 req_id, ValidationError(f"unknown or already-released segment {name!r}")
             )
         if name not in self._minted.get(sid, ()):
             # The minting shard died and the router already reclaimed
             # the segment; the client's release is honored, not failed.
             owned.pop(name, None)
-            return _ok_line(req_id, "released")
+            return ok_line(req_id, "released")
         try:
             reply = await self._forward_once(sid, line, conns)
         except (ReproError, OSError):
             # Shard just died; the supervisor's reclaim owns the segment.
             self._drop_conn(conns, sid)
             owned.pop(name, None)
-            return _ok_line(req_id, "released")
+            return ok_line(req_id, "released")
         owned.pop(name, None)
         self._minted[sid].discard(name)
         return reply
@@ -822,7 +773,7 @@ class ShardRouter:
         failure, a hedge when stuck past the latency budget."""
         req_id_of = self._req_id  # parsed lazily, cold paths only
         if self._draining:
-            return _error_line(req_id_of(line), ServiceDrainingError(
+            return error_line(req_id_of(line), ServiceDrainingError(
                 "router is draining for shutdown; retry later"
             ))
         self.instruments.request(op)
@@ -867,26 +818,19 @@ class ShardRouter:
             return reply
         except ReproError as exc:
             self.instruments.request_error(exc)
-            return _error_line(req_id_of(line), exc)
+            return error_line(req_id_of(line), exc)
         finally:
             self._open_requests -= 1
             self.instruments.request_done(time.perf_counter() - t0)
 
     async def _forward_once(self, sid: int, line: bytes, conns: dict, *,
                             rank: int = 0) -> bytes:
-        """One attempt against one shard, on this client's upstream."""
+        """One attempt against one shard, on this client's connection to it."""
         await fire_async("svc:route", task=sid, attempt=rank)
-        if sid not in conns:
-            conns[sid] = await asyncio.open_unix_connection(
-                self.shard_sockets[sid], limit=MAX_REQUEST_BYTES
-            )
-        reader, writer = conns[sid]
-        writer.write(line)
-        await writer.drain()
-        reply = await reader.readline()
-        if not reply:
-            raise ReproError(f"shard {sid} closed the connection without replying")
-        return reply
+        conn = conns.get(sid)
+        if conn is None:
+            conn = conns[sid] = await LineConnection.open(self.shard_sockets[sid])
+        return await conn.exchange(line)
 
     async def _forward_hedged(self, sid: int, order: list[int],
                               tried: set[int], line: bytes, conns: dict,

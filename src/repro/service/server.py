@@ -32,8 +32,6 @@ import base64
 import contextlib
 import json
 import math
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -90,8 +88,8 @@ from repro.service.instruments import (
     M_REQUESTS,
     ServiceInstruments,
 )
+from repro.service.lines import MAX_REQUEST_BYTES, LineServer, error_line, ok_line
 from repro.service.ops import (
-    OPS,
     canonical_params,
     check_request_image,
     compute,
@@ -692,56 +690,6 @@ class Client:
 
 # -- socket front-end --------------------------------------------------------
 
-#: Hard cap on one wire request line (64 MiB of base64 covers a
-#: 4096x4096 int16 image; anything bigger is a client bug or an attack).
-MAX_REQUEST_BYTES = 64 << 20
-
-#: Longest usable unix socket path: ``sockaddr_un.sun_path`` is 108
-#: bytes on Linux *including* the trailing NUL.  ``bind()`` past it
-#: fails with a bare OSError naming neither the limit nor the path;
-#: tmpdir-nested shard sockets (pytest tmp_path, mkdtemp under a deep
-#: CWD) hit this in practice, so it is validated at config time.
-SUN_PATH_MAX = 107
-
-
-def check_socket_path(path) -> str:
-    """Validate a unix socket path against the ``sun_path`` limit.
-
-    Returns the path as ``str``; raises
-    :class:`~repro.utils.errors.ValidationError` (instead of the raw
-    ``OSError`` a late ``bind()`` would give) when its *encoded* length
-    exceeds :data:`SUN_PATH_MAX` bytes.
-    """
-    path = os.fspath(path)
-    if isinstance(path, bytes):
-        encoded, path = path, os.fsdecode(path)
-    else:
-        encoded = os.fsencode(path)
-    if len(encoded) > SUN_PATH_MAX:
-        raise ValidationError(
-            f"unix socket path is {len(encoded)} bytes, over the "
-            f"{SUN_PATH_MAX}-byte sun_path limit: {path!r} -- bind under a "
-            f"shorter directory (e.g. /tmp)"
-        )
-    return path
-
-
-def socket_dir(prefix: str, longest_name: str) -> str:
-    """A fresh directory for unix sockets, made with ``tempfile.mkdtemp``.
-
-    It lives in the temp directory unless a socket called
-    ``longest_name`` inside it would pass :data:`SUN_PATH_MAX` bytes;
-    then it lives under ``/tmp``, so a deep ``TMPDIR`` does not stop a
-    socket from binding.  The caller removes it.
-    """
-    base = tempfile.gettempdir()
-    # mkdtemp appends 8 random characters to the prefix.
-    longest = os.path.join(base, prefix + "x" * 8, longest_name)
-    if len(os.fsencode(longest)) > SUN_PATH_MAX:
-        base = "/tmp"
-    return tempfile.mkdtemp(prefix=prefix, dir=base)
-
-
 #: ndarray dtypes accepted from the wire.
 WIRE_DTYPES = ("uint8", "int8", "uint16", "int16", "int32", "int64")
 
@@ -817,7 +765,7 @@ def _materialize_image(obj):
     return decode_array(obj)
 
 
-class ServiceServer:
+class ServiceServer(LineServer):
     """Newline-delimited-JSON front-end on a local (unix-domain) socket.
 
     One request object per line in, one response object per line out;
@@ -839,8 +787,8 @@ class ServiceServer:
 
     def __init__(self, service: BatchService, socket_path: str, *,
                  shard_id: int | None = None):
+        super().__init__(socket_path)
         self.service = service
-        self.socket_path = check_socket_path(socket_path)
         #: Position of this server in a sharded tier (``None`` when it
         #: serves alone).  Echoed in ``ping`` and ``stats`` replies so
         #: the router's health probes confirm they reached the shard
@@ -848,82 +796,31 @@ class ServiceServer:
         self.shard_id = shard_id
         #: Owner of every reply segment this server ever mints.
         self.arena = ShmArena()
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown = asyncio.Event()
 
-    async def start(self) -> None:
+    async def _setup(self) -> None:
         await self.service.start()
-        # Without an explicit limit the StreamReader caps lines at 64 KiB
-        # and readline() raises ValueError on anything longer -- even a
-        # modest base64 image would drop the connection unanswered.
-        self._server = await asyncio.start_unix_server(
-            self._handle_client, path=self.socket_path, limit=MAX_REQUEST_BYTES
-        )
 
-    async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`trigger_shutdown`)."""
-        await self._shutdown.wait()
-        await self.stop()
+    async def _drain(self) -> None:
+        await self.service.drain()
 
-    def trigger_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-            with contextlib.suppress(OSError):  # asyncio leaves it before 3.13
-                os.unlink(self.socket_path)
+    async def _teardown(self) -> None:
+        # service.stop() drains again: at once, unless _drain timed out.
         await self.service.stop()
         self.arena.release_all()
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _connection_opened(self) -> set[str]:
         # Reply segments minted for this connection and not yet released
-        # by the client; reclaimed below however the connection ends.
-        owned: set[str] = set()
-        try:
-            # The loop survives a shutdown request on purpose: while the
-            # service drains, compute requests still deserve their typed
-            # ServiceDrainingError reply (so a router can retry them
-            # elsewhere) rather than a silently dropped connection.
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.CancelledError):
-                    # A reset ends the connection, and so does loop
-                    # teardown cancelling the wait for the next line:
-                    # only teardown cancels a handler, and one that ended
-                    # cancelled would make 3.11's stream callback log a
-                    # traceback.
-                    break
-                except (ValueError, asyncio.IncompleteReadError):
-                    # A line past the stream limit surfaces as ValueError
-                    # (readline wraps LimitOverrunError); the stream can't
-                    # be resynced mid-line, so reply once and hang up.
-                    writer.write(_error_line(None, ValidationError(
-                        f"request too large (limit {MAX_REQUEST_BYTES} bytes)"
-                    )))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._respond(line, owned)
-                writer.write(response)
-                await writer.drain()
-        finally:
-            for name in owned:
-                # Raced releases (client released right as it hung up,
-                # or stop() already swept the arena) are fine here.
-                with contextlib.suppress(ValidationError):
-                    self.arena.release(name)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        # by the client; reclaimed however the connection ends.
+        return set()
 
-    async def _respond(self, line: bytes, owned: set[str] | None = None) -> bytes:
+    def _connection_closed(self, owned: set[str]) -> None:
+        for name in owned:
+            # Raced releases (client released right as it hung up,
+            # or stop() already swept the arena) are fine here.
+            with contextlib.suppress(ValidationError):
+                self.arena.release(name)
+
+    async def _respond(self, line: bytes, owned: set[str]) -> bytes:
         req_id = None
         try:
             try:
@@ -936,8 +833,8 @@ class ServiceServer:
             op = obj.get("op")
             if op == "ping":
                 if self.shard_id is None:
-                    return _ok_line(req_id, "pong")
-                return _ok_line(req_id, {
+                    return ok_line(req_id, "pong")
+                return ok_line(req_id, {
                     "pong": True,
                     "shard_id": self.shard_id,
                     "draining": self.service.draining,
@@ -946,44 +843,43 @@ class ServiceServer:
                 snap = self.service.snapshot()
                 if self.shard_id is not None:
                     snap["shard"] = {"id": self.shard_id}
-                return _ok_line(req_id, snap)
+                return ok_line(req_id, snap)
             if op == "metrics":
-                return _ok_line(req_id, self.service.metrics.prometheus_text())
+                return ok_line(req_id, self.service.metrics.prometheus_text())
             if op == "trace":
                 if self.service.recorder is None:
                     raise ValidationError(
                         "tracing is off (the server was started without a recorder)"
                     )
                 self.service.recorder.drain()
-                return _ok_line(req_id, chrome_trace(self.service.recorder.log))
+                return ok_line(req_id, chrome_trace(self.service.recorder.log))
             if op == "shm_release":
                 name = obj.get("name")
                 if not isinstance(name, str):
                     raise ValidationError("'name' must be a segment name string")
                 self.arena.release(name)  # unknown/double -> ValidationError
-                if owned is not None:
-                    owned.discard(name)
-                return _ok_line(req_id, "released")
+                owned.discard(name)
+                return ok_line(req_id, "released")
             if op == "shutdown":
                 # Drain protocol: shed from this moment on (new compute
                 # requests get a typed ServiceDrainingError reply), let
                 # in-flight batches finish inside stop()'s drain
                 # deadline, then exit.
                 self.service.begin_drain()
-                self._shutdown.set()
-                return _ok_line(req_id, "draining")
+                self.trigger_shutdown()
+                return ok_line(req_id, "draining")
             return await self._respond_compute(req_id, op, obj, owned)
         except ReproError as exc:
-            return _error_line(req_id, exc)
+            return error_line(req_id, exc)
         except Exception as exc:
             # Anything non-typed is a server-side bug; the client still
             # deserves a reply rather than a silently dropped connection.
-            return _error_line(
+            return error_line(
                 req_id, ReproError(f"internal error ({type(exc).__name__}): {exc}")
             )
 
     async def _respond_compute(self, req_id, op, obj: dict,
-                               owned: set[str] | None = None) -> bytes:
+                               owned: set[str]) -> bytes:
         """One compute request: decode, trace, submit, encode.
 
         The ``wire`` request field picks the *reply* encoding; left
@@ -1019,57 +915,13 @@ class ServiceServer:
             t_enc = time.perf_counter()
             if wire == "shmem":
                 desc = self.arena.mint(result)
-                if owned is not None:
-                    owned.add(desc.name)
+                owned.add(desc.name)
                 payload = {"shm": desc.to_wire()}
             else:
                 payload = encode_array(result)
             instruments.encode(time.perf_counter() - t_enc, wire=wire)
-            return _ok_line(req_id, payload, trace_id=ctx.trace_id)
+            return ok_line(req_id, payload, trace_id=ctx.trace_id)
         finally:
             _trace.record_span(CLIENT_REQUEST, t0, time.perf_counter(),
                                cat=CAT_REQUEST, ctx=ctx, op=str(op))
 
-
-def _ok_line(req_id, result, *, trace_id: str | None = None) -> bytes:
-    payload = {"id": req_id, "ok": True, "result": result}
-    if trace_id is not None:
-        payload["trace_id"] = trace_id
-    return (json.dumps(payload) + "\n").encode()
-
-
-def _error_line(req_id, exc: Exception) -> bytes:
-    payload = {
-        "id": req_id,
-        "ok": False,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    return (json.dumps(payload) + "\n").encode()
-
-
-async def request_over_socket(socket_path: str, obj: dict,
-                              *, trace: TraceContext | None = None) -> dict:
-    """One-shot client helper: send one request object, await its reply.
-
-    Compute requests are stamped with a trace context (the given one,
-    or a freshly minted one) so the server can tie every hop of the
-    request to a single trace id -- echoed back as ``trace_id`` in the
-    response for ``repro trace --follow``.
-    """
-    obj = dict(obj)
-    if "trace" not in obj and obj.get("op") in OPS:
-        obj["trace"] = (trace if trace is not None else TraceContext.mint()).to_wire()
-    reader, writer = await asyncio.open_unix_connection(
-        socket_path, limit=MAX_REQUEST_BYTES
-    )
-    try:
-        writer.write((json.dumps(obj) + "\n").encode())
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ReproError("service closed the connection without replying")
-        return json.loads(line)
-    finally:
-        writer.close()
-        with contextlib.suppress(Exception):
-            await writer.wait_closed()

@@ -1,8 +1,8 @@
 """Client-side wire codecs for the socket front-end.
 
-:func:`~repro.service.server.request_over_socket` is the raw one-shot
-primitive (one JSON object in, one out).  This module layers the two
-wire modes of ``docs/SERVICE.md`` on top of it:
+:class:`~repro.service.lines.LineConnection` is the shared client
+connection (one JSON line out, one line back).  This module layers the
+two wire modes of ``docs/SERVICE.md`` on top of it:
 
 * ``ndjson`` -- pixels ride the socket as base64 (portable fallback;
   works across hosts sharing nothing but the socket).
@@ -20,7 +20,6 @@ segment it ever minted -- ``async with`` it and the leakcheck holds.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import json
 
@@ -32,14 +31,14 @@ from repro.runtime.shmem import (
     ShmDescriptor,
     verify_descriptor_digest,
 )
+from repro.service.lines import LineConnection, json_line
 from repro.service.ops import OPS
-from repro.service.server import MAX_REQUEST_BYTES, decode_array, encode_array
+from repro.service.server import decode_array, encode_array
 from repro.utils import errors as _errors
 from repro.utils.errors import ReproError
 
 __all__ = [
     "WireClient",
-    "compute_over_socket",
     "mint_shared_image",
     "raise_reply_error",
 ]
@@ -109,24 +108,18 @@ class WireClient:
             )
         self.socket_path = str(socket_path)
         self.wire = wire
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._conn: LineConnection | None = None
         self._next_id = 0
 
     async def connect(self) -> "WireClient":
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_unix_connection(
-                self.socket_path, limit=MAX_REQUEST_BYTES
-            )
+        if self._conn is None:
+            self._conn = await LineConnection.open(self.socket_path)
         return self
 
     async def aclose(self) -> None:
-        if self._writer is None:
-            return
-        writer, self._writer, self._reader = self._writer, None, None
-        writer.close()
-        with contextlib.suppress(Exception):
-            await writer.wait_closed()
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            await conn.aclose()
 
     async def __aenter__(self) -> "WireClient":
         return await self.connect()
@@ -136,14 +129,9 @@ class WireClient:
 
     async def request(self, obj: dict) -> dict:
         """Send one raw request object, await its reply (not rehydrated)."""
-        if self._writer is None:
+        if self._conn is None:
             await self.connect()
-        self._writer.write((json.dumps(obj) + "\n").encode())
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ReproError("service closed the connection without replying")
-        return json.loads(line)
+        return json.loads(await self._conn.exchange(json_line(obj)))
 
     async def compute(self, op: str, image, *, wire: str | None = None,
                       trace: TraceContext | None = None, **params) -> np.ndarray:
@@ -201,12 +189,3 @@ class WireClient:
                     )
             return out
         return decode_array(result)
-
-
-async def compute_over_socket(socket_path: str, op: str, image, *,
-                              wire: str = "ndjson",
-                              trace: TraceContext | None = None,
-                              **params) -> np.ndarray:
-    """One-shot convenience: connect, compute once, tear down."""
-    async with WireClient(socket_path, wire=wire) as client:
-        return await client.compute(op, image, trace=trace, **params)

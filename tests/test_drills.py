@@ -80,7 +80,7 @@ class TestTempDirsReleased:
         # A limit with room for the router's own socket but for no shard
         # socket, not even under /tmp: construction fails after the
         # router made its runtime dir.
-        import repro.service.server as server
+        import repro.service.lines as lines
 
         made = []
         mkdtemp = tempfile.mkdtemp
@@ -90,7 +90,7 @@ class TestTempDirsReleased:
             return made[-1]
 
         monkeypatch.setattr(tempfile, "mkdtemp", spy)
-        monkeypatch.setattr(server, "SUN_PATH_MAX", len("/tmp/r.sock"))
+        monkeypatch.setattr(lines, "SUN_PATH_MAX", len("/tmp/r.sock"))
         with pytest.raises(ValidationError, match="sun_path"):
             ShardRouter("/tmp/r.sock", RouterConfig(shards=1))
         assert len(made) == 1 and not os.path.exists(made[0])

@@ -1,7 +1,8 @@
 """Tests for the shard router: ring, breakers, routing, failover.
 
 The expensive multi-process paths (spawned shards, SIGKILL chaos) live
-in the CLI selftest and chaos drill; everything here runs shards
+in the CLI selftest and chaos drill; everything here but
+:class:`TestShardRetirement` (one spawned shard per test) runs shards
 *in-process* -- ``RouterConfig(shard_sockets=[...])`` -- so one event
 loop hosts the router and its shards and the suite stays fast.
 """
@@ -9,6 +10,8 @@ loop hosts the router and its shards and the suite stays fast.
 import asyncio
 import json
 import logging
+import os
+import shutil
 import socket
 
 import numpy as np
@@ -32,7 +35,7 @@ from repro.service import (
 from repro.service.health import CLOSED, HALF_OPEN, OPEN, probe_timeout
 from repro.service.router import ShardRouter, request_op, routing_key
 from repro.utils.aio import cancel_and_reap
-from repro.utils.errors import ValidationError
+from repro.utils.errors import ReproError, ValidationError
 
 
 class TestRoutingKey:
@@ -529,6 +532,45 @@ class TestShardRouter:
             assert "repro_router_healthy_shards" in text
 
         _router_scenario(handler, shards=2)(tmp_path)
+
+
+class TestShardRetirement:
+    """Nothing a router spawns outlives it: a cancelled wait for shutdown
+    (Ctrl-C under ``asyncio.run``) and a failed start both retire the
+    shard process and remove the router's runtime dir."""
+
+    @staticmethod
+    def _assert_retired(router) -> None:
+        runtime = os.path.dirname(router.shard_sockets[0])
+        try:
+            assert [proc.alive for proc in router.procs.values()] == [False]
+            assert not os.path.exists(runtime)
+        finally:
+            for proc in router.procs.values():
+                proc.reap()
+            shutil.rmtree(runtime, ignore_errors=True)
+
+    def test_cancelled_serve_until_shutdown_retires_the_shards(self, tmp_path):
+        router = ShardRouter(str(tmp_path / "r.sock"), RouterConfig(shards=1))
+
+        async def scenario():
+            await router.start()
+            serving = asyncio.ensure_future(router.serve_until_shutdown())
+            await asyncio.sleep(0.05)
+            serving.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await serving
+
+        asyncio.run(scenario())
+        self._assert_retired(router)
+
+    def test_failed_start_retires_the_shards(self, tmp_path):
+        router = ShardRouter(
+            str(tmp_path / "r.sock"), RouterConfig(shards=1, ready_timeout_s=0.05)
+        )
+        with pytest.raises(ReproError, match="did not become ready"):
+            asyncio.run(router.start())
+        self._assert_retired(router)
 
 
 class TestCancelAndReap:

@@ -1,6 +1,7 @@
 """Tests for the unix-socket JSON front-end of repro.service."""
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
@@ -15,8 +16,10 @@ from repro.images import darpa_like
 from repro.service import (
     SUN_PATH_MAX,
     BatchService,
+    RouterConfig,
     ServiceConfig,
     ServiceServer,
+    ShardRouter,
     WireClient,
     check_socket_path,
     decode_array,
@@ -92,6 +95,34 @@ def _serve_scenario(handler):
             asyncio.run(scenario(tmp_path))
 
     return run
+
+
+@contextlib.asynccontextmanager
+async def _front_end(kind: str, tmp_path):
+    """A started ``ServiceServer`` (``kind="server"``) or a ``ShardRouter``
+    over one in-process shard (``kind="router"``); stopped on exit."""
+    shard = ServiceServer(
+        BatchService(ServiceConfig(workers=1)), str(tmp_path / f"{kind}-shard.sock")
+    )
+    await shard.start()
+    try:
+        if kind == "server":
+            yield shard
+        else:
+            router = ShardRouter(
+                str(tmp_path / "router.sock"), RouterConfig(shard_sockets=[shard.socket_path])
+            )
+            await router.start()
+            try:
+                yield router
+            finally:
+                await router.stop()
+    finally:
+        await shard.stop()
+
+
+#: The two socket front-ends, for the tests that run against both.
+FRONT_ENDS = ("server", "router")
 
 
 class TestSocketServer:
@@ -199,27 +230,51 @@ class TestSocketServer:
         _serve_scenario(handler)(tmp_path)
 
     def test_oversized_line_gets_typed_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.service.server.MAX_REQUEST_BYTES", 4096)
+        monkeypatch.setattr("repro.service.lines.MAX_REQUEST_BYTES", 4096)
 
-        async def handler(server):
-            reader, writer = await asyncio.open_unix_connection(server.socket_path)
-            try:
-                writer.write(b"x" * 8192 + b"\n")
-                await writer.drain()
-                reply = json.loads(await reader.readline())
-                assert not reply["ok"]
-                assert reply["error"]["type"] == "ValidationError"
-                assert "too large" in reply["error"]["message"]
-                # The unparseable stream is then closed, not resynced.
-                assert await reader.readline() == b""
-            finally:
-                writer.close()
-            # Other connections are unaffected.
-            assert (await request_over_socket(
-                server.socket_path, {"op": "ping"}
-            ))["result"] == "pong"
+        async def scenario(kind):
+            async with _front_end(kind, tmp_path) as front:
+                reader, writer = await asyncio.open_unix_connection(front.socket_path)
+                try:
+                    writer.write(b"x" * 8192 + b"\n")
+                    await writer.drain()
+                    reply = json.loads(await reader.readline())
+                    assert not reply["ok"]
+                    assert reply["error"]["type"] == "ValidationError"
+                    assert "too large" in reply["error"]["message"]
+                    # The unparseable stream is then closed, not resynced.
+                    assert await asyncio.wait_for(reader.readline(), timeout=5) == b""
+                finally:
+                    writer.close()
+                # Other connections are unaffected.
+                assert (await request_over_socket(
+                    front.socket_path, {"op": "ping"}
+                ))["ok"]
 
-        _serve_scenario(handler)(tmp_path)
+        for kind in FRONT_ENDS:
+            with assert_no_shm_leak(grace_s=2.0):
+                asyncio.run(scenario(kind))
+
+    def test_stop_closes_open_connections(self, tmp_path):
+        """A connection opened before ``stop()`` reads EOF once ``stop()``
+        returns, instead of being answered by a stopped front-end."""
+
+        async def scenario(kind):
+            async with _front_end(kind, tmp_path) as front:
+                reader, writer = await asyncio.open_unix_connection(front.socket_path)
+                try:
+                    writer.write(b'{"op": "ping"}\n')
+                    await writer.drain()
+                    assert json.loads(await reader.readline())["ok"]
+                    await front.stop()
+                    assert not os.path.exists(front.socket_path)
+                    assert await asyncio.wait_for(reader.readline(), timeout=5) == b""
+                finally:
+                    writer.close()
+
+        for kind in FRONT_ENDS:
+            with assert_no_shm_leak(grace_s=2.0):
+                asyncio.run(scenario(kind))
 
     def test_internal_errors_reply_typed(self, tmp_path):
         async def handler(server):
