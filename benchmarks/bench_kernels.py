@@ -40,7 +40,7 @@ from benchmarks.emit import emit_json, validate_bench_json  # noqa: E402
 from repro.baselines.run_label import _adjacent_run_pairs, extract_runs  # noqa: E402
 from repro.baselines.union_find import UnionFind  # noqa: E402
 from repro.images import binary_test_image, darpa_like  # noqa: E402
-from repro.kernels import available_backends, get as get_kernel  # noqa: E402
+from repro.kernels import BACKENDS, get as get_kernel  # noqa: E402
 
 PATTERN = 4  # the paper's checkerboard-of-crosses: many small components
 K = 256
@@ -91,14 +91,13 @@ def _phases(image: np.ndarray, grey: bool, full_s: float, repeats: int) -> dict:
 
 
 def _sweep(sizes: tuple[int, ...], repeats: int) -> tuple[list[dict], list[dict]]:
-    backends = available_backends()
     cases = (
         ("tile_label", f"pattern{PATTERN}"),
         ("tile_label", "darpa"),
         ("histogram", "darpa"),
     )
     times: dict[str, list[float]] = {
-        f"{kern} {image} {backend}": [] for kern, image in cases for backend in backends
+        f"{kern} {image} {backend}": [] for kern, image in cases for backend in BACKENDS
     }
     rows: list[dict] = []
     for n in sizes:
@@ -109,13 +108,13 @@ def _sweep(sizes: tuple[int, ...], repeats: int) -> tuple[list[dict], list[dict]
                 args, kwargs = (images[image],), {"connectivity": CONNECTIVITY, "grey": grey}
             else:
                 args, kwargs = (images[image], K), {}
-            outputs = {b: get_kernel(kern, backend=b)(*args, **kwargs) for b in backends}
+            outputs = {b: get_kernel(kern, backend=b)(*args, **kwargs) for b in BACKENDS}
             reference = outputs["python"]
             for backend, out in outputs.items():
                 assert np.array_equal(out, reference), (kern, image, backend, n)
             walls = {
                 b: _wall(get_kernel(kern, backend=b), *args, repeats=repeats, **kwargs)
-                for b in backends
+                for b in BACKENDS
             }
             for backend, t in walls.items():
                 times[f"{kern} {image} {backend}"].append(t)
@@ -123,7 +122,7 @@ def _sweep(sizes: tuple[int, ...], repeats: int) -> tuple[list[dict], list[dict]
                 "kernel": kern,
                 "image": image,
                 "n": n,
-                **{f"{b}_s": walls[b] for b in backends},
+                **{f"{b}_s": walls[b] for b in BACKENDS},
                 "speedup": walls["python"] / walls["numpy"],
             }
             if kern == "tile_label":

@@ -20,9 +20,10 @@ The package provides
 * a distributed array (:mod:`repro.darray`) whose ``shmem`` transport
   runs the same schedule on a real process pool for wall-clock parallel
   runs on multi-core hosts, and
-* a kernel registry (:mod:`repro.kernels`) dispatching the hot local
-  steps to a per-pixel ``python`` reference or a bit-identical
-  vectorized ``numpy`` backend (see docs/KERNELS.md).
+* a kernel registry (:mod:`repro.kernels`) holding the vectorized
+  ``numpy`` kernels every engine runs for the hot local steps and the
+  per-pixel ``python`` reference they are bit-identical to (see
+  docs/KERNELS.md).
 
 Quickstart::
 
@@ -104,7 +105,23 @@ from repro.machines.params import MACHINES, get_machine
 #: 9.0.0 is a breaking release: ``repro.service.compute_over_socket``
 #: and ``health.PROBE_LIMIT_BYTES`` are gone, and the socket helpers of
 #: ``repro.service.server`` moved to ``repro.service.lines``.
-__version__ = "9.0.0"
+#:
+#: 10.0.0 is a breaking release: the engines stop choosing kernels and
+#: always run the numpy ones.  The ``kernel=`` parameters of
+#: ``parallel_components``, ``parallel_histogram``, ``darray_components``,
+#: ``darray_histogram``, the darray transports and ``ServiceConfig`` are
+#: gone, and so are ``parallel_components(engine=)``, the ``--kernel``
+#: option, the ``REPRO_KERNEL_BACKEND`` environment variable, the
+#: ``numba`` backend, ``repro.baselines.kernel_label`` (with
+#: ``ENGINES["kernel"]``) and ``repro.kernels.resolve_backend`` /
+#: ``ENV_VAR`` / ``available_backends`` / ``backends_of`` /
+#: ``NUMBA_AVAILABLE``.  ``repro.kernels.get(name, backend="python")``
+#: still returns the per-pixel reference kernels.  The service ``stats``
+#: reply is ``repro-service-stats/v3`` (no ``config.kernel``),
+#: ``ops.compute`` and ``svc_init`` take no kernel, the router's
+#: ``stats`` gain ``shards.<sid>.last_probe_error``, and
+#: ``WorkerCrashError`` (never raised) is gone.
+__version__ = "10.0.0"
 
 __all__ = [
     "kernels",

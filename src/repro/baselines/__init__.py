@@ -3,7 +3,7 @@
 The parallel algorithm needs a "standard sequential algorithm" for the
 per-tile initialization (the paper uses breadth-first search) and for
 the border graphs.  :data:`~repro.baselines.sequential.ENGINES` holds
-five interchangeable engines, among them the Shiloach-Vishkin
+four interchangeable engines, among them the Shiloach-Vishkin
 algorithm (the classic PRAM baseline several entries of the paper's
 Table 2 implement):
 
@@ -12,15 +12,11 @@ Table 2 implement):
   kernel backend);
 * ``"runs"`` -- :func:`~repro.baselines.run_label.run_label`,
   run-length two-pass union-find, vectorized (the ``numpy`` kernel
-  backend);
+  backend, which every parallel engine labels its tiles with);
 * ``"sv"`` -- :func:`~repro.baselines.shiloach_vishkin.shiloach_vishkin_image`,
   hook-and-shortcut CC, vectorized;
 * ``"twopass"`` -- :func:`~repro.baselines.two_pass.two_pass_label`,
-  the classic raster-scan two-pass labeler;
-* ``"kernel"`` -- :func:`~repro.baselines.kernel_label.kernel_label`,
-  dispatches through the :mod:`repro.kernels` registry (``python``,
-  ``numpy`` or ``numba`` backend, selectable per call or via
-  ``REPRO_KERNEL_BACKEND``).
+  the classic raster-scan two-pass labeler.
 
 All engines share one labeling convention: a component's label is
 ``1 + min(row * n_cols + col)`` over its pixels (the row-major BFS seed
@@ -30,7 +26,6 @@ across engines and match the parallel algorithm's final labels.
 
 from repro.baselines.union_find import UnionFind
 from repro.baselines.bfs_label import bfs_label
-from repro.baselines.kernel_label import kernel_label
 from repro.baselines.run_label import run_label, extract_runs
 from repro.baselines.shiloach_vishkin import (
     shiloach_vishkin,
@@ -50,7 +45,6 @@ from repro.baselines.sequential import (
 __all__ = [
     "UnionFind",
     "bfs_label",
-    "kernel_label",
     "run_label",
     "extract_runs",
     "shiloach_vishkin",

@@ -29,9 +29,9 @@ labeling runs through it:
 
 The distributed engines keep the run table from the initial labeling
 to the final update: the hooks rename run labels, not pixels, and each
-final label is painted once (:mod:`repro.core.hooks`).  The python and
-numba backends reach the same table through :func:`runs_adapter`, which
-compresses their painted ``tile_label`` output into runs.
+final label is painted once (:mod:`repro.core.hooks`).  The python
+reference backend reaches the same table through :func:`runs_adapter`,
+which compresses its painted ``tile_label`` output into runs.
 
 Every step is NumPy-vectorized: no Python loop runs per pixel, run or
 run pair.
@@ -278,8 +278,8 @@ def run_label(
 def runs_adapter(tile_label: Callable[..., np.ndarray]) -> Callable[..., TileRuns]:
     """A ``tile_runs`` kernel from a ``tile_label`` kernel.
 
-    The python and numba backends label per pixel; the adapter
-    compresses their painted tile into its run table, reading one label
+    The python reference backend labels per pixel; the adapter
+    compresses its painted tile into its run table, reading one label
     per run.
     """
 

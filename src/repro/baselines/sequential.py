@@ -11,19 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.bfs_label import bfs_label
-from repro.baselines.kernel_label import kernel_label
 from repro.baselines.run_label import run_label
 from repro.baselines.shiloach_vishkin import shiloach_vishkin_image
 from repro.baselines.two_pass import two_pass_label
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_image, check_power_of_two
 
-#: Interchangeable labeling engines (identical outputs).  ``"kernel"``
-#: dispatches through the :mod:`repro.kernels` registry (backend from
-#: ``REPRO_KERNEL_BACKEND`` or the numpy default).
+#: Interchangeable labeling engines (identical outputs).
 ENGINES = {
     "bfs": bfs_label,
-    "kernel": kernel_label,
     "runs": run_label,
     "sv": shiloach_vishkin_image,
     "twopass": two_pass_label,

@@ -47,13 +47,6 @@ def has_keyword(call: ast.Call, name: str) -> bool:
     return any(kw.arg == name for kw in call.keywords)
 
 
-def keyword_value(call: ast.Call, name: str) -> ast.AST | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
 def own_scope_walk(root: ast.AST) -> Iterator[ast.AST]:
     """Walk ``root``'s subtree without entering nested function scopes."""
     stack: list[ast.AST] = [root]
@@ -92,9 +85,3 @@ def enclosing_function_names(tree: ast.AST) -> dict[ast.AST, str]:
     visit(tree, "<module>")
     return names
 
-
-def names_loaded(root: ast.AST) -> set[str]:
-    """All plain names read anywhere under ``root`` (nested scopes too)."""
-    return {
-        n.id for n in ast.walk(root) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    }

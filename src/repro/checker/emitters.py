@@ -20,11 +20,6 @@ SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 _SARIF_LEVELS = {"error": "error", "warning": "warning"}
 
 
-def render_text(diags: Sequence[LintDiagnostic]) -> list[str]:
-    """One ``file:line:col: RULE [severity] message`` line per finding."""
-    return [d.format() for d in diags]
-
-
 def to_json_payload(
     diags: Sequence[LintDiagnostic],
     *,

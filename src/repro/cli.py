@@ -96,14 +96,6 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
         "--report", action="store_true", help="print the per-phase cost breakdown"
     )
     sub.add_argument(
-        "--kernel",
-        choices=("python", "numpy", "numba"),
-        default=None,
-        help="local-step kernel backend (default: $REPRO_KERNEL_BACKEND or numpy); "
-        "python = per-pixel reference, numpy = vectorized (bit-identical), "
-        "numba = JIT-compiled (requires the optional numba package)",
-    )
-    sub.add_argument(
         "--trace-out",
         metavar="OUT.json",
         help="write a Chrome trace-event JSON of the run (Perfetto-loadable)",
@@ -171,8 +163,7 @@ def _darray_run(args) -> dict:
     source = args.image if args.pattern is None and args.image else _load_image(args)
     return dict(
         source=source, p=args.processors, transport=args.transport,
-        kernel=args.kernel, spill_dir=args.spill_dir,
-        resident_tiles=args.resident_tiles,
+        spill_dir=args.spill_dir, resident_tiles=args.resident_tiles,
     )
 
 
@@ -267,7 +258,7 @@ def cmd_histogram(args) -> int:
         image = _load_image(args)
         res, rec = run_sim(
             "histogram", image, p=args.processors, params=params,
-            levels=args.levels, kernel=args.kernel, record=record, fault_plan=plan,
+            levels=args.levels, record=record, fault_plan=plan,
         )
         hist = res.histogram
         print(
@@ -352,7 +343,7 @@ def cmd_components(args) -> int:
     plan = _load_fault_plan(args)
     res, rec = run_sim(
         "components", image, p=args.processors, params=params,
-        connectivity=args.connectivity, grey=args.grey, kernel=args.kernel,
+        connectivity=args.connectivity, grey=args.grey,
         record=record or plan is not None, fault_plan=plan,
     )
     print(
@@ -440,7 +431,7 @@ def cmd_trace(args) -> int:
     image = _load_image(args)
     run = dict(
         p=args.processors, levels=args.levels, connectivity=args.connectivity,
-        grey=args.grey, kernel=args.kernel, record=True,
+        grey=args.grey, record=True,
     )
     if args.engine == "sim":
         from repro.obs import comm_heatmap
@@ -475,13 +466,13 @@ def cmd_chaos(args) -> int:
     if args.tier == "service":
         return drills.chaos_service(
             shards=args.shards, requests=args.requests, kill_after=args.kill_after,
-            seed=args.seed, levels=args.levels, kernel=args.kernel,
+            seed=args.seed, levels=args.levels,
             timeout=args.timeout, retries=args.retries,
         )
     return drills.chaos_matrix(
         _load_image(args), workload=args.workload, engine=args.engine,
         p=args.processors, machine=args.machine, levels=args.levels,
-        connectivity=args.connectivity, grey=args.grey, kernel=args.kernel,
+        connectivity=args.connectivity, grey=args.grey,
         seed=args.seed, timeout=args.timeout, retries=args.retries,
         list_only=args.list,
     )
@@ -499,8 +490,6 @@ def _shard_passthrough(args) -> list[str]:
     ]
     if args.no_cache:
         argv.append("--no-cache")
-    if args.kernel:
-        argv.extend(["--kernel", args.kernel])
     if args.timeout is not None:
         argv.extend(["--timeout", str(args.timeout)])
     if args.retries is not None:
@@ -579,7 +568,6 @@ def cmd_serve(args) -> int:
     )
     config = ServiceConfig(
         workers=args.workers,
-        kernel=args.kernel,
         max_batch=args.batch_size,
         max_delay_s=args.max_delay,
         queue_depth=args.queue_depth,
@@ -598,8 +586,7 @@ def cmd_serve(args) -> int:
             return router_selftest(
                 shards=args.shards, workers=args.workers, wire=args.wire,
                 shard_args=_shard_passthrough(args),
-                drain_deadline=args.drain_deadline, kernel=args.kernel,
-                cache=not args.no_cache,
+                drain_deadline=args.drain_deadline, cache=not args.no_cache,
             )
         if not args.socket:
             raise ReproError("provide --socket PATH (or use --selftest)")
@@ -621,7 +608,7 @@ def cmd_serve(args) -> int:
         await server.start()
         print(
             f"serving on {args.socket} "
-            f"({config.workers} worker(s), kernel={config.kernel}, "
+            f"({config.workers} worker(s), "
             f"batch<={config.max_batch}, window={config.max_delay_s * 1e3:.1f}ms, "
             f"queue depth {config.queue_depth}, "
             f"cache={'on' if config.cache else 'off'})",
@@ -903,10 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     cha.add_argument("--grey", action="store_true")
     cha.add_argument("--connectivity", type=int, choices=(4, 8), default=8)
     cha.add_argument(
-        "--kernel", choices=("python", "numpy", "numba"), default=None,
-        help="local-step kernel backend",
-    )
-    cha.add_argument(
         "--tier",
         choices=("engine", "service"),
         default="engine",
@@ -1002,10 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--retries", type=int, default=None,
         help="per-task retry budget (default $REPRO_TASK_RETRIES or 2)",
-    )
-    srv.add_argument(
-        "--kernel", choices=("python", "numpy", "numba"), default=None,
-        help="local-step kernel backend",
     )
     srv.add_argument(
         "--wire", choices=("ndjson", "shmem"), default="ndjson",

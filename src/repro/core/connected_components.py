@@ -3,8 +3,10 @@
 The algorithm in three acts:
 
 1. **Initial labeling** -- every processor runs a sequential CC pass
-   over its own tile, labeling each tile component with the globally
-   unique label ``(I q + i) n + (J r + j) + 1`` of its first pixel in
+   over its own tile (the ``tile_label`` kernel: the run-length
+   two-pass labeler of :mod:`repro.baselines.run_label`), labeling each
+   tile component with the globally unique label
+   ``(I q + i) n + (J r + j) + 1`` of its first pixel in
    row-major order (no communication needed for uniqueness), and builds
    its *tile hooks* (one ``(label, border-offset)`` pair per component
    touching the tile border).
@@ -40,11 +42,9 @@ Complexities (equations (11)/(12)): ``T_comp = O(n^2/p)``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from repro.baselines.sequential import ENGINES
 from repro.bdm.cost import MachineReport
 from repro.bdm.machine import Machine
 from repro.bdm.memory import GlobalArray
@@ -59,7 +59,7 @@ from repro.darray.borders import border_nbytes, change_nbytes, publishing_groups
 from repro.darray.engine import label_components
 from repro.darray.transport import Transport
 from repro.faults.plan import FaultPlan
-from repro.kernels import get as get_kernel, resolve_backend
+from repro.kernels import get as get_kernel
 from repro.machines.params import MachineParams, IDEAL
 from repro.obs.events import FAULT_FAILOVER, FAULT_MANAGER_CRASH, FAULT_SHADOW_CRASH
 from repro.sorting.hybrid import hybrid_sort_ops
@@ -107,7 +107,6 @@ def parallel_components(
     *,
     connectivity: int = 8,
     grey: bool = False,
-    engine: str = "runs",
     costs: CostParams = DEFAULT_COSTS,
     shadow_manager: bool = True,
     distribution: str = "direct",
@@ -115,7 +114,6 @@ def parallel_components(
     check_hazards: bool = True,
     overlap: bool = False,
     machine: Machine | None = None,
-    kernel: str | None = None,
     fault_plan: FaultPlan | None = None,
 ) -> ComponentsResult:
     """Label the connected components of an ``n x n`` image on ``p`` processors.
@@ -132,11 +130,6 @@ def parallel_components(
         Platform cost model for the simulated run.
     connectivity:
         4 or 8 (the paper's two adjacency notions).
-    engine:
-        Sequential per-tile labeling engine: ``"runs"`` (fast,
-        default), ``"bfs"`` (paper-faithful reference), ``"sv"``,
-        ``"twopass"``, or ``"kernel"`` (the :mod:`repro.kernels`
-        registry; its backend follows the ``kernel`` argument).
     shadow_manager:
         If True (paper's optimization) the processor across the border
         fetches and sorts its side in parallel with the manager;
@@ -159,13 +152,6 @@ def parallel_components(
         Optional pre-built :class:`Machine` (e.g. with a
         :class:`~repro.obs.sim.MachineRecorder` attached); must have ``p``
         processors.  When given, the other machine options are ignored.
-    kernel:
-        Kernel backend (``"python"`` / ``"numpy"``) for the local
-        steps dispatched through :mod:`repro.kernels` -- the change-array
-        relabel of the update phases, and the tile labeling when
-        ``engine="kernel"``.  ``None`` resolves ``REPRO_KERNEL_BACKEND``
-        / the numpy default.  The backend changes only how local
-        computation runs, never the simulated costs.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan`.  The simulator
         honors ``sim:merge`` specs: a processor loss at a merge-round
@@ -183,9 +169,6 @@ def parallel_components(
     image = check_image(image, square=False)
     if distribution not in ("direct", "transpose"):
         raise ValidationError(f"unknown distribution {distribution!r}")
-    if engine not in ENGINES:
-        raise ValidationError(f"unknown engine {engine!r}; known: {sorted(ENGINES)}")
-    kernel = resolve_backend(kernel)
 
     grid = ProcessorGrid(p, image.shape)
     if machine is None:
@@ -193,9 +176,9 @@ def parallel_components(
     elif machine.p != p:
         raise ValidationError(f"machine has {machine.p} processors, expected {p}")
     transport = BdmTransport(
-        grid, image, machine, connectivity=connectivity, grey=grey, engine=engine,
-        kernel=kernel, costs=costs, shadow_manager=shadow_manager,
-        distribution=distribution, limited_updating=limited_updating, fault_plan=fault_plan,
+        grid, image, machine, connectivity=connectivity, grey=grey, costs=costs,
+        shadow_manager=shadow_manager, distribution=distribution,
+        limited_updating=limited_updating, fault_plan=fault_plan,
     )
     labels, n_components = label_components(
         DistributedArray(grid, transport), connectivity=connectivity, grey=grey
@@ -221,8 +204,7 @@ class BdmTransport(Transport):
 
     def __init__(
         self, grid: ProcessorGrid, image: np.ndarray, machine: Machine, *,
-        connectivity: int = 8, grey: bool = False, engine: str = "runs",
-        kernel: str | None = None, costs: CostParams = DEFAULT_COSTS,
+        connectivity: int = 8, grey: bool = False, costs: CostParams = DEFAULT_COSTS,
         shadow_manager: bool = True, distribution: str = "direct",
         limited_updating: bool = True, fault_plan: FaultPlan | None = None,
     ):
@@ -235,12 +217,8 @@ class BdmTransport(Transport):
         self.distribution = distribution
         self.limited_updating = limited_updating
         self.fault_plan = fault_plan
-        kernel = resolve_backend(kernel)
-        if engine == "kernel":
-            self._label_fn = partial(ENGINES["kernel"], backend=kernel)
-        else:
-            self._label_fn = ENGINES[engine]
-        self._relabel = get_kernel("relabel", backend=kernel)
+        self._label = get_kernel("tile_label")
+        self._relabel = get_kernel("relabel")
         self.step_stats: list[MergeStepStats] = []
         self._round = None  # the last border call's roles, sides, side length, failovers
 
@@ -261,7 +239,7 @@ class BdmTransport(Transport):
         with machine.phase("cc:label"):
             for proc in machine.procs:
                 I, J = grid.coords(proc.pid)
-                lab = self._label_fn(
+                lab = self._label(
                     self._tiles[proc.pid], connectivity=self.connectivity, grey=self.grey,
                     label_base=1, label_stride=grid.cols, row_offset=I * q, col_offset=J * r,
                 )

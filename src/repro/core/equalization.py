@@ -25,12 +25,11 @@ from repro.bdm.broadcast import broadcast
 from repro.bdm.cost import MachineReport
 from repro.bdm.machine import Machine
 from repro.bdm.memory import GlobalArray
-from repro.bdm.transpose import gather_to, transpose
 from repro.core.costs import CostParams, DEFAULT_COSTS
+from repro.core.histogram import parallel_histogram
 from repro.core.tiles import ProcessorGrid
 from repro.machines.params import MachineParams, IDEAL
-from repro.utils.errors import ValidationError
-from repro.utils.validation import check_image, check_power_of_two
+from repro.utils.validation import check_image
 
 
 @dataclass
@@ -82,41 +81,13 @@ def parallel_equalize(
     ``eq:broadcast:*``, ``eq:apply``).
     """
     image = check_image(image, square=False)
-    check_power_of_two("k", k)
-    if image.max(initial=0) >= k:
-        raise ValidationError(f"image has grey levels >= k={k}")
-
-    grid = ProcessorGrid(p, image.shape)
     machine = Machine(p, machine_params, check_hazards=check_hazards)
+
+    # --- steps 1-2: the parallel histogramming algorithm leaves H on P0.
+    hist = parallel_histogram(image, k, p, machine=machine, costs=costs)
+    histogram, grid = hist.histogram, hist.grid
     tiles = grid.scatter(image)
     tile_pixels = grid.q * grid.r
-
-    # --- steps 1-2 of the histogramming algorithm (local tally +
-    # transpose + reduce), then collect on P0.
-    H = GlobalArray(machine, k, dtype=np.int64, name="H")
-    with machine.phase("hist:tally"):
-        for proc in machine.procs:
-            tally = np.bincount(tiles[proc.pid].ravel(), minlength=k)
-            H.write(proc, proc.pid, tally)
-            proc.charge_comp(costs.hist_tally_per_pixel * tile_pixels + k)
-    HT = transpose(machine, H, phase_name="hist:transpose")
-    if k >= p:
-        size = k // p
-        R = GlobalArray(machine, size, dtype=np.int64, name="R")
-        with machine.phase("hist:reduce"):
-            for proc in machine.procs:
-                sums = HT.local(proc.pid).reshape(p, size).sum(axis=0)
-                R.write(proc, proc.pid, sums)
-                proc.charge_comp(costs.hist_reduce_per_word * k)
-    else:
-        lengths = [1 if i < k else 0 for i in range(p)]
-        R = GlobalArray(machine, lengths, dtype=np.int64, name="R")
-        with machine.phase("hist:reduce"):
-            for proc in machine.procs:
-                if proc.pid < k:
-                    R.write(proc, proc.pid, [int(HT.local(proc.pid).sum())])
-                    proc.charge_comp(costs.hist_reduce_per_word * p)
-    histogram = gather_to(machine, R, root=0, phase_name="hist:collect")
 
     # --- step 3: P0 builds the LUT locally.
     padded_len = max(k, p)

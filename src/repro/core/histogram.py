@@ -73,7 +73,6 @@ def parallel_histogram(
     check_hazards: bool = True,
     overlap: bool = False,
     machine: Machine | None = None,
-    kernel: str | None = None,
 ) -> HistogramResult:
     """Histogram an image's ``k`` grey levels on ``p`` processors.
 
@@ -84,10 +83,7 @@ def parallel_histogram(
     makes ``k/p`` or ``p/k`` integral).  Returns the histogram together
     with the simulated cost report.  ``overlap=True`` models perfect
     split-phase overlap of communication and computation (see
-    :class:`~repro.bdm.machine.Machine`).  ``kernel`` selects the local
-    tally kernel backend (``"python"`` / ``"numpy"``; ``None`` resolves
-    ``REPRO_KERNEL_BACKEND`` / the numpy default) -- the backend changes
-    only how the local computation runs, never the simulated costs.
+    :class:`~repro.bdm.machine.Machine`).
     """
     image = check_image(image, square=False)
     check_power_of_two("k", k)
@@ -102,7 +98,7 @@ def parallel_histogram(
     tiles = grid.scatter(image)
 
     # Step 1: local tallies H_i[0..k-1] (kernel-dispatched local step).
-    tally_kernel = get_kernel("histogram", backend=kernel)
+    tally_kernel = get_kernel("histogram")
     H = GlobalArray(machine, k, dtype=np.int64, name="H")
     tile_pixels = grid.q * grid.r
     with machine.phase("hist:tally"):

@@ -25,10 +25,10 @@ Three registered transports implement the contract, all driven by
   plus O(n) borders regardless of image size.
 
 The engines (:func:`darray_components`, :func:`darray_histogram`)
-produce labels bit-identical to the serial reference across every
-transport x kernel-backend combination (tested).  The simulator's
-unregistered :class:`~repro.core.connected_components.BdmTransport`
-runs the same driver and charges a simulated machine.
+produce labels bit-identical to the serial reference on every
+transport (tested).  The simulator's unregistered
+:class:`~repro.core.connected_components.BdmTransport` runs the same
+driver and charges a simulated machine.
 """
 
 from repro.darray.array import DistributedArray

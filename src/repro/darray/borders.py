@@ -9,8 +9,8 @@ round's publishing groups; and the border and change traffic byte
 counts every transport reports.
 
 :func:`perimeter_round` takes the ``border_extract`` kernel as an
-argument rather than resolving a backend itself -- backend policy
-belongs to the callers.
+argument rather than looking it up itself -- the transports own their
+kernel lookups.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from repro.core.merge import merge_schedule
 from repro.core.tiles import ProcessorGrid
 from repro.darray.array import DistributedArray
 from repro.darray.transport import TransportStats
-from repro.kernels import get as get_kernel, resolve_backend
+from repro.kernels import get as get_kernel
 from repro.obs import trace as _trace
 from repro.obs.events import (
     CAT_ROUND,
@@ -189,7 +189,6 @@ def darray_components(
     transport: str = "local",
     connectivity: int = 8,
     grey: bool = False,
-    kernel: str | None = None,
     shape: tuple[int, int] | None = None,
     recorder: WallRecorder | None = None,
     fault_plan=None,
@@ -217,7 +216,6 @@ def darray_components(
     """
     image_shape, image = _resolve_source(source, transport)
     grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
-    kernel = resolve_backend(kernel)
     with _trace.install(recorder):
         try:
             with DistributedArray.open(
@@ -226,7 +224,6 @@ def darray_components(
                 image,
                 connectivity=connectivity,
                 grey=grey,
-                kernel=kernel,
                 fault_plan=fault_plan,
                 timeout=timeout,
                 max_retries=max_retries,
@@ -242,9 +239,7 @@ def darray_components(
                 from repro.images.io import read_pnm
 
                 image = read_pnm(image)
-            labels = get_kernel("tile_label", backend=kernel)(
-                image, connectivity=connectivity, grey=grey
-            )
+            labels = get_kernel("tile_label")(image, connectivity=connectivity, grey=grey)
             stats = TransportStats()
             return DarrayResult(labels, count_components(labels), stats, grid)
         _emit_stats(recorder, stats)
@@ -257,7 +252,6 @@ def darray_histogram(
     *,
     p: int = 4,
     transport: str = "local",
-    kernel: str | None = None,
     shape: tuple[int, int] | None = None,
     recorder: WallRecorder | None = None,
     fault_plan=None,
@@ -272,14 +266,12 @@ def darray_histogram(
     check_power_of_two("k", k)
     image_shape, image = _resolve_source(source, transport)
     grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
-    kernel = resolve_backend(kernel)
     with _trace.install(recorder):
         try:
             with DistributedArray.open(
                 transport,
                 grid,
                 image,
-                kernel=kernel,
                 fault_plan=fault_plan,
                 timeout=timeout,
                 max_retries=max_retries,
@@ -296,7 +288,7 @@ def darray_histogram(
                 from repro.images.io import read_pnm
 
                 image = read_pnm(image)
-            return get_kernel("histogram", backend=kernel)(np.asarray(image), k)
+            return get_kernel("histogram")(np.asarray(image), k)
         hist = np.asarray(hist, dtype=np.int64)
         if int(hist.sum()) != grid.rows * grid.cols:
             raise ValidationError(

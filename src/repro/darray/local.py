@@ -24,7 +24,7 @@ from repro.darray.borders import (
     publishing_groups,
 )
 from repro.darray.transport import Transport
-from repro.kernels import get as get_kernel, resolve_backend
+from repro.kernels import get as get_kernel
 from repro.utils.validation import check_image
 
 
@@ -40,7 +40,6 @@ class LocalTransport(Transport):
         *,
         connectivity: int = 8,
         grey: bool = False,
-        kernel: str | None = None,
         **_ignored,
     ):
         super().__init__(grid)
@@ -49,10 +48,9 @@ class LocalTransport(Transport):
         self.image = check_image(np.asarray(image), square=False)
         self.connectivity = connectivity
         self.grey = grey
-        self.kernel = resolve_backend(kernel)
-        self._label_kernel = get_kernel("tile_runs", backend=self.kernel)
-        self._extract = get_kernel("border_extract", backend=self.kernel)
-        self._relabel = get_kernel("relabel", backend=self.kernel)
+        self._label_kernel = get_kernel("tile_runs")
+        self._extract = get_kernel("border_extract")
+        self._relabel = get_kernel("relabel")
         self._runs: dict[int, TileRuns] = {}
         self._labels: np.ndarray | None = None
 
@@ -87,7 +85,7 @@ class LocalTransport(Transport):
             runs.paint(self._labels[sl], self.image[sl] != 0)
 
     def histogram(self, k: int) -> np.ndarray:
-        tally = get_kernel("histogram", backend=self.kernel)
+        tally = get_kernel("histogram")
         out = np.zeros(k, dtype=np.int64)
         for pid in range(self.grid.p):
             out += tally(self.image[self.grid.tile_slices(pid)], k)

@@ -49,7 +49,7 @@ from repro.darray.borders import (
     publishing_groups,
 )
 from repro.darray.transport import Transport
-from repro.kernels import get as get_kernel, resolve_backend
+from repro.kernels import get as get_kernel
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_positive
 
@@ -66,7 +66,6 @@ class MmapTransport(Transport):
         *,
         connectivity: int = 8,
         grey: bool = False,
-        kernel: str | None = None,
         spill_dir=None,
         resident_tiles: int = 1,
         **_ignored,
@@ -74,7 +73,6 @@ class MmapTransport(Transport):
         super().__init__(grid)
         self.connectivity = connectivity
         self.grey = grey
-        self.kernel = resolve_backend(kernel)
         self._budget = check_positive("resident_tiles", resident_tiles)
         self._own_spill = spill_dir is None
         self._spill = pathlib.Path(
@@ -179,7 +177,7 @@ class MmapTransport(Transport):
     # -- verb 1: tile-local compute ---------------------------------------
 
     def label(self) -> tuple[dict[int, TileHooks], int]:
-        label_kernel = get_kernel("tile_runs", backend=self.kernel)
+        label_kernel = get_kernel("tile_runs")
         hooks: dict[int, TileHooks] = {}
         n_components = 0
         for pid in range(self.grid.p):
@@ -221,7 +219,7 @@ class MmapTransport(Transport):
             self._dirty.discard(pid)
 
     def histogram(self, k: int) -> np.ndarray:
-        tally = get_kernel("histogram", backend=self.kernel)
+        tally = get_kernel("histogram")
         out = np.zeros(k, dtype=np.int64)
         for pid in range(self.grid.p):
             out += tally(self._image_tile(pid), k)
@@ -231,8 +229,7 @@ class MmapTransport(Transport):
 
     def border(self, step_index, step) -> list[tuple[BorderSide, BorderSide]]:
         sides = perimeter_round(
-            self._borders, self.image, self.grid, step,
-            get_kernel("border_extract", backend=self.kernel),
+            self._borders, self.image, self.grid, step, get_kernel("border_extract")
         )
         self.stats.border_bytes += border_nbytes(sides)
         return sides
@@ -240,7 +237,7 @@ class MmapTransport(Transport):
     # -- verb 3: change publish/fetch --------------------------------------
 
     def publish(self, step_index, step, changes) -> None:
-        relabel = get_kernel("relabel", backend=self.kernel)
+        relabel = get_kernel("relabel")
         published = publishing_groups(step, changes)
         for _gi, region, change in published:
             for pid in region:

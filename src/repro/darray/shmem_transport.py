@@ -94,7 +94,7 @@ from repro.darray.borders import (
 from repro.darray.transport import Transport
 from repro.faults.inject import corrupt_labels, fire, install_plan, validate_border_labels
 from repro.faults.plan import FaultPlan
-from repro.kernels import get as get_kernel, resolve_backend
+from repro.kernels import get as get_kernel
 from repro.obs import trace as _trace
 from repro.obs.events import CAT_ROUND
 from repro.runtime.dispatch import PoolSupervisor, _pool_context, run_tasks
@@ -202,7 +202,7 @@ def _label_block(pids, _shared, attempt):
     """
     opts = _SHARD["opts"]
     grid = _SHARD["grid"]
-    tile_runs = get_kernel("tile_runs", backend=opts["kernel"])
+    tile_runs = get_kernel("tile_runs")
     hooks: dict[int, TileHooks] = {}
     perimeters: dict[int, np.ndarray] = {}
     n_components = 0
@@ -225,8 +225,8 @@ def _label_block(pids, _shared, attempt):
             perimeters[pid] = runs.perimeter
             n_components += runs.n_components
     members = set(pids)
-    extract = get_kernel("border_extract", backend=opts["kernel"])
-    relabel = get_kernel("relabel", backend=opts["kernel"])
+    extract = get_kernel("border_extract")
+    relabel = get_kernel("relabel")
     border_bytes = change_bytes = 0
     merged: set[int] = set()
     for si, step in enumerate(_SHARD["steps"]):
@@ -263,7 +263,7 @@ def _apply_fetch(fetch: _Fetch, pids, attempt: int) -> None:
     one published change array."""
     fire("darray:fetch", round=fetch.step_index, group=fetch.group_index, attempt=attempt)
     with _trace.traced_span(f"darray:fetch:s{fetch.step_index}g{fetch.group_index}"):
-        relabel = get_kernel("relabel", backend=_SHARD["opts"]["kernel"])
+        relabel = get_kernel("relabel")
         for pid in pids:
             _img, lab = _tile(pid)
             rows, cols = perimeter_coords(*lab.shape)
@@ -282,7 +282,7 @@ def _border_item(side, _shared, attempt):
     if fetch is not None:
         _apply_fetch(fetch, fetch.region, attempt)
     with _trace.traced_span(f"darray:border:s{step_index}g{group_index}:{edge}"):
-        extract = get_kernel("border_extract", backend=_SHARD["opts"]["kernel"])
+        extract = get_kernel("border_extract")
         lab_parts = []
         col_parts = []
         for pid in pids:
@@ -313,7 +313,7 @@ def _hist_item(pid, k, attempt):
     fire("darray:hist", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:hist:t{pid}"):
         img, _lab = _tile(pid)
-        return get_kernel("histogram", backend=_SHARD["opts"]["kernel"])(img, k)
+        return get_kernel("histogram")(img, k)
 
 
 class ShmemTransport(Transport):
@@ -329,7 +329,6 @@ class ShmemTransport(Transport):
         *,
         connectivity: int = 8,
         grey: bool = False,
-        kernel: str | None = None,
         fault_plan: FaultPlan | None = None,
         timeout: float | None = None,
         max_retries: int | None = None,
@@ -339,10 +338,9 @@ class ShmemTransport(Transport):
         super().__init__(grid)
         ctx = _pool_context()
         image = check_image(np.asarray(image), square=False)
-        self.kernel = resolve_backend(kernel)
         self._dispatch = dict(timeout=timeout, max_retries=max_retries)
         self._labels = _shared_zeros(image.shape, np.int64)
-        opts = {"connectivity": connectivity, "grey": grey, "kernel": self.kernel}
+        opts = {"connectivity": connectivity, "grey": grey}
         if workers is None:
             workers = min(grid.p, max(1, os.cpu_count() or 1), 16)
         # Checked here: a dispatch cut into no blocks would send nothing.

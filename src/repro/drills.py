@@ -41,7 +41,7 @@ from repro.core.merge import merge_schedule
 from repro.core.tiles import ProcessorGrid
 from repro.faults import FaultPlan, assert_no_shm_leak, single_fault_plans
 from repro.images import darpa_like
-from repro.kernels import get as get_kernel, resolve_backend
+from repro.kernels import get as get_kernel
 from repro.machines import MachineParams, load_machine
 from repro.obs import MachineRecorder, WallRecorder, parse_prometheus_text
 from repro.utils.errors import DegradedRunWarning, FaultError, ReproError
@@ -54,8 +54,7 @@ if TYPE_CHECKING:  # repro.service is imported only by the socket drills
 
 def run_sim(workload: str, image: np.ndarray, *, p: int, params: MachineParams,
             levels: int = 256, connectivity: int = 8, grey: bool = False,
-            kernel: str | None = None, record: bool = False,
-            fault_plan: FaultPlan | None = None):
+            record: bool = False, fault_plan: FaultPlan | None = None):
     """Run ``workload`` on the BDM simulator: ``(result, recorder)``.
 
     ``record=True`` attaches a :class:`~repro.obs.MachineRecorder` to a
@@ -72,20 +71,18 @@ def run_sim(workload: str, image: np.ndarray, *, p: int, params: MachineParams,
                 "use --engine darray --transport shmem for histogram "
                 "fault injection"
             )
-        res = parallel_histogram(
-            image, levels, p, params, machine=machine, kernel=kernel
-        )
+        res = parallel_histogram(image, levels, p, params, machine=machine)
     else:
         res = parallel_components(
             image, p, params, connectivity=connectivity, grey=grey,
-            machine=machine, kernel=kernel, fault_plan=fault_plan,
+            machine=machine, fault_plan=fault_plan,
         )
     return res, rec
 
 
 def run_darray(workload: str, source, *, p: int, transport: str, levels: int = 256,
-               connectivity: int = 8, grey: bool = False, kernel: str | None = None,
-               record: bool = False, fault_plan: FaultPlan | None = None,
+               connectivity: int = 8, grey: bool = False, record: bool = False,
+               fault_plan: FaultPlan | None = None,
                timeout: float | None = None, max_retries: int | None = None,
                spill_dir: str | None = None, resident_tiles: int = 1):
     """Run ``workload`` on the darray engine: ``(result, recorder)``.
@@ -97,7 +94,7 @@ def run_darray(workload: str, source, *, p: int, transport: str, levels: int = 2
 
     rec = WallRecorder() if record else None
     opts = dict(
-        p=p, transport=transport, kernel=kernel, recorder=rec,
+        p=p, transport=transport, recorder=rec,
         fault_plan=fault_plan, timeout=timeout, max_retries=max_retries,
         spill_dir=spill_dir, resident_tiles=resident_tiles,
     )
@@ -129,7 +126,7 @@ def _chaos_case(run_one, plan, baseline) -> tuple[str, list[str], bool]:
 
 def chaos_matrix(image: np.ndarray, *, workload: str, engine: str, p: int,
                  machine: str = "cm5", levels: int = 256, connectivity: int = 8,
-                 grey: bool = False, kernel: str | None = None, seed: int = 0,
+                 grey: bool = False, seed: int = 0,
                  timeout: float = 2.0, retries: int = 2,
                  list_only: bool = False) -> int:
     """Run every seeded single-fault plan; 1 if any plan failed."""
@@ -151,14 +148,12 @@ def chaos_matrix(image: np.ndarray, *, workload: str, engine: str, p: int,
             print(f"  {plan.describe()}")
         return 0
 
-    run = dict(p=p, levels=levels, connectivity=connectivity, grey=grey, kernel=kernel)
+    run = dict(p=p, levels=levels, connectivity=connectivity, grey=grey)
     if engine == "darray":
         if workload == "histogram":
-            baseline = get_kernel("histogram", kernel)(image, levels)
+            baseline = get_kernel("histogram")(image, levels)
         else:
-            baseline = get_kernel("tile_label", kernel)(
-                image, connectivity=connectivity, grey=grey
-            )
+            baseline = get_kernel("tile_label")(image, connectivity=connectivity, grey=grey)
 
         def run_one(plan):
             res, rec = run_darray(
@@ -210,15 +205,14 @@ class SocketHarness:
     leak check, and releases both on every path.
     """
 
-    def __init__(self, images, *, k: int = 256, kernel: str | None = None,
-                 prefix: str = "repro-drill-", shards: int = 0):
+    def __init__(self, images, *, k: int = 256, prefix: str = "repro-drill-",
+                 shards: int = 0):
         from repro.service.ops import canonical_params, compute
 
-        kernel = resolve_backend(kernel)
         self.images = list(images)
         self.k = k
         self.refs = [
-            compute("histogram", im, canonical_params("histogram", im, {"k": k}), kernel)
+            compute("histogram", im, canonical_params("histogram", im, {"k": k}))
             for im in self.images
         ]
         self.prefix = prefix
@@ -295,7 +289,7 @@ def serve_selftest(config: ServiceConfig, *, recorder: WallRecorder | None = Non
     if config.cache and not cache.get("hits"):
         raise ReproError("selftest: repeated request did not hit the cache")
 
-    harness = SocketHarness([image], kernel=config.kernel, prefix="repro-selftest-")
+    harness = SocketHarness([image], prefix="repro-selftest-")
     if not np.array_equal(first, harness.refs[0]):
         raise ReproError("selftest: in-process histogram diverged from the serial reference")
 
@@ -316,8 +310,7 @@ def serve_selftest(config: ServiceConfig, *, recorder: WallRecorder | None = Non
 
 
 def router_selftest(*, shards: int, workers: int, wire: str, shard_args: list[str],
-                    drain_deadline: float, kernel: str | None = None,
-                    cache: bool = True) -> int:
+                    drain_deadline: float, cache: bool = True) -> int:
     """Routed-tier round trip: ``shards`` spawned shards behind one router.
 
     Two passes of six distinct images must match the serial reference;
@@ -329,9 +322,7 @@ def router_selftest(*, shards: int, workers: int, wire: str, shard_args: list[st
 
     from repro.service import RouterConfig, ShardRouter, request_over_socket
 
-    harness = SocketHarness(
-        seeded_images(0, 6), kernel=kernel, prefix="repro-router-", shards=shards
-    )
+    harness = SocketHarness(seeded_images(0, 6), prefix="repro-router-", shards=shards)
 
     async def drill(h: SocketHarness) -> tuple[dict, int]:
         config = RouterConfig(
@@ -378,7 +369,7 @@ def router_selftest(*, shards: int, workers: int, wire: str, shard_args: list[st
 
 
 def chaos_service(*, shards: int, requests: int, kill_after: int | None, seed: int,
-                  levels: int, kernel: str | None, timeout: float, retries: int) -> int:
+                  levels: int, timeout: float, retries: int) -> int:
     """The service-tier chaos drill: SIGKILL one of N shards mid-load.
 
     A seeded repeated-image workload streams through the router over
@@ -403,12 +394,10 @@ def chaos_service(*, shards: int, requests: int, kill_after: int | None, seed: i
             f"(the kill must land mid-load)"
         )
     harness = SocketHarness(
-        seeded_images(seed, min(8, requests)), k=levels, kernel=kernel,
+        seeded_images(seed, min(8, requests)), k=levels,
         prefix="repro-chaos-svc-", shards=shards,
     )
     shard_args = ["--timeout", str(timeout), "--retries", str(retries)]
-    if kernel:
-        shard_args.extend(["--kernel", kernel])
 
     async def drill(h: SocketHarness) -> tuple[int, dict, dict]:
         config = RouterConfig(

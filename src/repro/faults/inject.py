@@ -35,8 +35,26 @@ def install_plan(plan: FaultPlan | None) -> None:
     _PLAN = plan
 
 
-def active_plan() -> FaultPlan | None:
-    return _PLAN
+def _fired(site: str, round, group, task, attempt: int) -> FaultSpec | None:
+    """The plan's spec for this invocation, once a ``crash`` or an
+    ``exception`` has acted; a ``hang`` or ``corrupt`` spec is returned."""
+    if _PLAN is None:
+        return None
+    spec = _PLAN.match(site, round=round, group=group, task=task, attempt=attempt)
+    if spec is None:
+        return None
+    if spec.kind == "crash":
+        # Hard death, as a segfault would be: no cleanup, no exception
+        # crossing back to the driver.  The task's deadline expiring is
+        # the only signal the driver gets.
+        os._exit(CRASH_EXIT_CODE)
+    if spec.kind == "exception":
+        raise TransientTaskError(
+            f"injected transient fault at {site} "
+            f"(round={round}, group={group}, task={task}, attempt={attempt})",
+            site=site,
+        )
+    return spec
 
 
 def fire(site: str, *, round=None, group=None, task=None, attempt: int = 0) -> FaultSpec | None:
@@ -48,26 +66,11 @@ def fire(site: str, *, round=None, group=None, task=None, attempt: int = 0) -> F
     ``corrupt`` spec is *returned* instead of acted on -- the caller
     owns the payload and applies :func:`corrupt_labels` itself.
     """
-    if _PLAN is None:
-        return None
-    spec = _PLAN.match(site, round=round, group=group, task=task, attempt=attempt)
-    if spec is None:
-        return None
-    if spec.kind == "crash":
-        # Hard death, as a segfault would be: no cleanup, no exception
-        # crossing back to the driver.  The task's deadline expiring is
-        # the only signal the driver gets.
-        os._exit(CRASH_EXIT_CODE)
-    if spec.kind == "hang":
+    spec = _fired(site, round, group, task, attempt)
+    if spec is not None and spec.kind == "hang":
         time.sleep(spec.hang_s)
         return None
-    if spec.kind == "exception":
-        raise TransientTaskError(
-            f"injected transient fault at {site} "
-            f"(round={round}, group={group}, task={task}, attempt={attempt})",
-            site=site,
-        )
-    return spec  # corrupt: caller applies it to the payload
+    return spec
 
 
 async def fire_async(site: str, *, round=None, group=None, task=None,
@@ -80,24 +83,12 @@ async def fire_async(site: str, *, round=None, group=None, task=None,
     not just the faulted one); the other kinds behave exactly as
     :func:`fire`.
     """
-    if _PLAN is None:
-        return None
-    spec = _PLAN.match(site, round=round, group=group, task=task, attempt=attempt)
-    if spec is None:
-        return None
-    if spec.kind == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    if spec.kind == "hang":
-        import asyncio
+    spec = _fired(site, round, group, task, attempt)
+    if spec is not None and spec.kind == "hang":
+        import asyncio  # not at module level: the pool workers never need it
 
         await asyncio.sleep(spec.hang_s)
         return None
-    if spec.kind == "exception":
-        raise TransientTaskError(
-            f"injected transient fault at {site} "
-            f"(round={round}, group={group}, task={task}, attempt={attempt})",
-            site=site,
-        )
     return spec
 
 

@@ -4,9 +4,8 @@ Usage::
 
     from repro import kernels
 
-    label = kernels.get("tile_label")              # resolved backend
-    label = kernels.get("tile_label", backend="python")   # explicit
-    hist  = kernels.get("histogram", backend="numpy")
+    label = kernels.get("tile_label")                     # numpy
+    label = kernels.get("tile_label", backend="python")   # the reference
 
 Registered kernels (identical signatures across backends):
 
@@ -26,42 +25,28 @@ row_offset, col_offset)``
     Binary-search relabel against a sorted unique change array
     (Procedure 1 consumption).
 
-Backend selection precedence: explicit ``backend=`` argument >
-``REPRO_KERNEL_BACKEND`` environment variable > ``"numpy"``.  The
-``"python"`` backend is the per-pixel reference; ``"numpy"`` is proven
-bit-identical to it by the differential property suite, and the
-optional ``"numba"`` backend (JIT-compiled loops; registered only when
-the numba package is installed) is held to the same contract.  See
+Every engine runs the ``"numpy"`` kernels; the tile labeler is the
+run-length two-pass labeler of :mod:`repro.baselines.run_label`.  The
+``"python"`` backend is the per-pixel reference they are proven
+bit-identical to by the differential property suite.  See
 docs/KERNELS.md.
 """
 
 from repro.kernels.registry import (
     BACKENDS,
     DEFAULT_BACKEND,
-    ENV_VAR,
-    available_backends,
-    backends_of,
     get,
     kernel_names,
     register,
-    resolve_backend,
 )
 
-# Importing the backend modules populates the registry.  The numba
-# module always imports cleanly; it registers nothing when the numba
-# package is absent (see NUMBA_AVAILABLE).
-from repro.kernels import python_backend, numpy_backend, numba_backend  # noqa: E402,F401
-from repro.kernels.numba_backend import NUMBA_AVAILABLE  # noqa: E402
+# Importing the backend modules populates the registry.
+from repro.kernels import python_backend, numpy_backend  # noqa: E402,F401
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "NUMBA_AVAILABLE",
-    "available_backends",
-    "backends_of",
     "get",
     "kernel_names",
     "register",
-    "resolve_backend",
 ]

@@ -1,49 +1,35 @@
-"""Kernel dispatch registry: one name, several interchangeable backends.
+"""Kernel dispatch registry: one name, a reference and a vectorized backend.
 
 The hot *local* steps of the paper's algorithms -- the per-tile tally of
 Section 4 step 1, the per-tile labeling of Section 5.1, border pixel
 extraction for the merge iterations, and the change-array relabel of
-Procedure 1 -- are isolated behind a tiny registry so each can be
-served by either
+Procedure 1 -- are isolated behind a tiny registry with two backends:
 
+* ``"numpy"``  -- the vectorized kernels every engine runs;
 * ``"python"`` -- the per-pixel reference implementations (the exact
-  procedures the paper describes, at interpreter speed),
-* ``"numpy"``  -- vectorized equivalents proven **bit-identical** by
-  the differential property suite (``tests/test_kernels_differential``)
-  and the golden fixtures (``tests/test_kernels_golden``), or
-* ``"numba"``  -- JIT-compiled scalar loops (optional: registered only
-  when the ``numba`` package is importable; selecting it without numba
-  installed raises a clear :class:`ValidationError`).  Held to the same
-  bit-identity contract by the same suites.
+  procedures the paper describes, at interpreter speed), which the
+  differential property suite (``tests/test_kernels_differential``)
+  and the golden fixtures (``tests/test_kernels_golden``) prove the
+  numpy kernels **bit-identical** to.
 
 Only local computation hides behind a kernel; communication, cost
-accounting (``CostCounter``) and observability (``repro.obs``) are
-untouched by the backend choice.
-
-Selection precedence: an explicit ``backend=`` argument, else the
-``REPRO_KERNEL_BACKEND`` environment variable, else ``"numpy"``.
+accounting (``CostCounter``) and observability (``repro.obs``) never
+see which backend ran.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from typing import Callable
 
 from repro.obs import trace as _trace
 from repro.utils.errors import ValidationError
 
-#: Environment variable consulted when no explicit backend is given.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Fallback backend when neither argument nor environment selects one.
+#: The backend :func:`get` returns when none is named.
 DEFAULT_BACKEND = "numpy"
 
-#: The recognized backends, in reference-first order.  ``numba`` is
-#: recognized even when the package is absent (so CLI/env selection
-#: fails with a clear message, not "unknown backend"); whether it is
-#: *usable* is a registration question -- see :func:`available_backends`.
-BACKENDS = ("python", "numpy", "numba")
+#: The registered backends, reference first.
+BACKENDS = ("python", "numpy")
 
 _REGISTRY: dict[tuple[str, str], Callable] = {}
 
@@ -61,29 +47,6 @@ def register(name: str, backend: str) -> Callable[[Callable], Callable]:
         return fn
 
     return _register
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend name from the argument, environment, or default.
-
-    A *recognized but unavailable* backend (``numba`` without the numba
-    package) is rejected here, at selection time, so a misconfigured
-    service fails its config validation instead of its first request.
-    """
-    if backend is None:
-        backend = os.environ.get(ENV_VAR) or DEFAULT_BACKEND
-    backend = str(backend).strip().lower()
-    if backend not in BACKENDS:
-        raise ValidationError(
-            f"unknown kernel backend {backend!r}; known: {list(BACKENDS)}"
-        )
-    if backend not in available_backends():
-        raise ValidationError(
-            f"kernel backend {backend!r} is not available in this "
-            f"environment (is the {backend!r} package installed?); "
-            f"available: {available_backends()}"
-        )
-    return backend
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,23 +73,20 @@ def _traced(name: str, backend: str) -> Callable:
 
 
 def get(name: str, backend: str | None = None) -> Callable:
-    """Look up kernel ``name`` for ``backend`` (resolved per precedence).
+    """Kernel ``name`` of ``backend``; ``None`` is :data:`DEFAULT_BACKEND`.
 
     The returned callable is the registered function behind a
-    trace-dispatch shim; its behavior (and bit-identity across
-    backends) is unchanged.
+    trace-dispatch shim; its behavior is unchanged.
     """
-    backend = resolve_backend(backend)
+    if backend is None:
+        backend = DEFAULT_BACKEND
     if (name, backend) not in _REGISTRY:
-        if backend not in available_backends():
+        if backend not in BACKENDS:
             raise ValidationError(
-                f"kernel backend {backend!r} is not available in this "
-                f"environment (is the {backend!r} package installed?); "
-                f"available: {available_backends()}"
+                f"unknown kernel backend {backend!r}; known: {list(BACKENDS)}"
             )
-        known = sorted({n for n, _ in _REGISTRY})
         raise ValidationError(
-            f"unknown kernel {name!r} for backend {backend!r}; known kernels: {known}"
+            f"unknown kernel {name!r}; known kernels: {kernel_names()}"
         )
     return _traced(name, backend)
 
@@ -134,21 +94,3 @@ def get(name: str, backend: str | None = None) -> Callable:
 def kernel_names() -> list[str]:
     """Sorted names of all registered kernels."""
     return sorted({name for name, _ in _REGISTRY})
-
-
-def available_backends() -> list[str]:
-    """Backends with at least one registered kernel, reference-first.
-
-    ``python`` and ``numpy`` are always present; ``numba`` appears only
-    when the optional package imported cleanly at startup.
-    """
-    registered = {b for _, b in _REGISTRY}
-    return [b for b in BACKENDS if b in registered]
-
-
-def backends_of(name: str) -> list[str]:
-    """Backends registered for kernel ``name`` (reference-first order)."""
-    found = [b for b in BACKENDS if (name, b) in _REGISTRY]
-    if not found:
-        raise ValidationError(f"unknown kernel {name!r}; known kernels: {kernel_names()}")
-    return found

@@ -133,6 +133,9 @@ class LineServer:
         2. In-flight requests drain.
         3. Connections still open are closed: each client reads EOF.
         4. The owner tears down.
+
+        The shutdown request is then forgotten, so a later :meth:`start`
+        serves until the next one; one made before the first start holds.
         """
         server, self._server = self._server, None
         if server is not None:
@@ -146,7 +149,10 @@ class LineServer:
         finally:
             for writer in list(self._writers):
                 writer.close()
-            await self._teardown()
+            try:
+                await self._teardown()
+            finally:
+                self._shutdown.clear()
 
     async def _serve(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:

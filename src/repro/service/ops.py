@@ -120,17 +120,17 @@ def materialize_request_image(image, *, task=None, attempt: int = 0) -> np.ndarr
     return pixels
 
 
-def compute(op: str, image: np.ndarray, params: tuple, kernel: str) -> np.ndarray:
+def compute(op: str, image: np.ndarray, params: tuple) -> np.ndarray:
     """Execute one op serially through the kernel registry."""
     opts = dict(params)
     if op == "histogram":
-        return get_kernel("histogram", backend=kernel)(image, opts["k"])
+        return get_kernel("histogram")(image, opts["k"])
     if op == "components":
-        return get_kernel("tile_label", backend=kernel)(
+        return get_kernel("tile_label")(
             image, connectivity=opts["connectivity"], grey=opts["grey"]
         )
     if op == "equalize":
-        hist = get_kernel("histogram", backend=kernel)(image, opts["k"])
+        hist = get_kernel("histogram")(image, opts["k"])
         lut = equalization_lut(hist)
         return lut[image]
     raise ValidationError(f"unknown service op {op!r}")
@@ -138,13 +138,10 @@ def compute(op: str, image: np.ndarray, params: tuple, kernel: str) -> np.ndarra
 
 # -- worker side (pickled by name into pool workers) ------------------------
 
-_SVC: dict = {}
 
-
-def svc_init(kernel: str, plan: FaultPlan | None = None) -> None:
-    """Pool initializer: install the fault plan and the kernel."""
+def svc_init(plan: FaultPlan | None = None) -> None:
+    """Pool initializer: install the fault plan."""
     install_plan(plan)
-    _SVC["kernel"] = kernel
 
 
 def svc_task(arg):
@@ -176,6 +173,6 @@ def svc_task(arg):
             except ValidationError as exc:
                 return ("err", type(exc).__name__, str(exc))
             try:
-                return ("ok", compute(op, image, params, _SVC.get("kernel", "numpy")))
+                return ("ok", compute(op, image, params))
             except ReproError as exc:
                 return ("err", type(exc).__name__, str(exc))

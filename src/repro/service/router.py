@@ -968,6 +968,7 @@ class ShardRouter(LineServer):
                 "breaker": self.breakers[sid].snapshot(),
                 "forwards": self.instruments.forwards(sid),
                 "probes": self.monitors[sid].probes,
+                "last_probe_error": self.monitors[sid].last_error,
                 "minted_live": len(self._minted.get(sid, ())),
                 "spawns": proc.spawns if proc is not None else None,
                 "alive": proc.alive if proc is not None else None,

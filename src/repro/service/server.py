@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.kernels import resolve_backend
 from repro.obs import trace as _trace
 from repro.obs.events import (
     CAT_REQUEST,
@@ -120,7 +119,6 @@ class ServiceConfig:
     """
 
     workers: int = 2
-    kernel: str | None = None
     max_batch: int = DEFAULT_MAX_BATCH
     max_delay_s: float = DEFAULT_MAX_DELAY_S
     queue_depth: int = DEFAULT_QUEUE_DEPTH
@@ -142,7 +140,6 @@ class ServiceConfig:
             raise ValidationError("service needs at least one worker")
         if self.drain_deadline_s < 0:
             raise ValidationError("drain_deadline_s must be non-negative")
-        self.kernel = resolve_backend(self.kernel)
         self.timeout_s = resolve_timeout(self.timeout_s)
         self.retries = resolve_retries(self.retries)
 
@@ -177,7 +174,7 @@ class BatchExecutor:
             _pool_context(),
             self._config.workers,
             initializer=svc_init,
-            initargs=(self._config.kernel, self._config.fault_plan),
+            initargs=(self._config.fault_plan,),
         )
         self._supervisor.pool  # noqa: B018 - touch to build the pool now
 
@@ -232,7 +229,7 @@ class BatchExecutor:
             # a corrupt segment surfaces as this request's own typed
             # CorruptPayloadError marker, not a batch-level failure.
             image = materialize_request_image(image, task=index)
-            return ("ok", compute(op, image, params, self._config.kernel))
+            return ("ok", compute(op, image, params))
         except ReproError as exc:
             return ("err", type(exc).__name__, str(exc))
 
@@ -586,14 +583,15 @@ class BatchService:
 
         ``schema`` versions the shape: v2 added the schema field
         itself, the cache ``hit_rate``, the admission
-        ``depth_highwater``, and the per-op ``latency`` quantiles.
+        ``depth_highwater``, and the per-op ``latency`` quantiles; v3
+        dropped ``config.kernel`` (every service runs the numpy kernels).
         Every count is read back from :attr:`metrics`, so ``stats``
         and the ``metrics`` exposition cannot disagree; at rest,
         ``requests == completed + errors + open_requests``.
         """
         count = self.metrics.count
         out = {
-            "schema": "repro-service-stats/v2",
+            "schema": "repro-service-stats/v3",
             "service": {
                 "requests": count(M_REQUESTS),
                 "completed": count(M_COMPLETED),
@@ -606,7 +604,6 @@ class BatchService:
             "executor": self.executor.snapshot(),
             "config": {
                 "workers": self.config.workers,
-                "kernel": self.config.kernel,
                 "max_batch": self.config.max_batch,
                 "max_delay_s": self.config.max_delay_s,
                 "queue_depth": self.config.queue_depth,

@@ -86,10 +86,6 @@ class TaskTimeoutError(FaultError):
     """
 
 
-class WorkerCrashError(FaultError):
-    """A pool worker died (non-zero exit) while tasks were in flight."""
-
-
 class RecoveryExhaustedError(FaultError):
     """A retryable task fault persisted past the retry budget."""
 

@@ -73,6 +73,14 @@ class TestComponents:
         )
         assert "1 components" in out
 
+    @pytest.mark.parametrize("command", ["components", "histogram", "trace", "chaos", "serve"])
+    def test_kernel_option_is_gone(self, capsys, command):
+        # Every engine runs the numpy kernels; nothing chooses another.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kernel", "numpy"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
     def test_grey_with_output(self, capsys, tmp_path):
         # Small enough that the compacted map fits an 8-bit PGM.
         src = tmp_path / "g.pgm"

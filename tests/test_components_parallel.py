@@ -110,16 +110,6 @@ class TestOptionMatrix:
         )
         assert np.array_equal(res.labels, base)
 
-    @pytest.mark.parametrize("engine", ["bfs", "runs", "sv"])
-    def test_engines_interchangeable(self, engine):
-        img = binary_test_image(7, 32)
-        res = parallel_components(img, 4, IDEAL, engine=engine)
-        assert np.array_equal(res.labels, sequential_components(img))
-
-    def test_unknown_engine(self, small_binary):
-        with pytest.raises(ValidationError):
-            parallel_components(small_binary, 4, engine="nope")
-
     def test_unknown_distribution(self, small_binary):
         with pytest.raises(ValidationError):
             parallel_components(small_binary, 4, distribution="fanout")

@@ -1,12 +1,11 @@
 """Tests for repro.darray: transports, engine, bit-identity, chaos.
 
 The subsystem contract: every transport (in-process, shared-memory,
-out-of-core) produces labels **bit-identical** to the serial reference
-across kernel backends, leaks no ``/dev/shm`` segment, and -- for the
-dispatched transport -- recovers from every seeded single fault or
-fails typed.  The merge-protocol sites are checked here; the full chaos
-matrix (every site x every kernel, histogram too) lives in
-tests/test_faults_runtime.py.
+out-of-core) produces labels **bit-identical** to the serial reference,
+leaks no ``/dev/shm`` segment, and -- for the dispatched transport --
+recovers from every seeded single fault or fails typed.  The
+merge-protocol sites are checked here; the rest of the chaos matrix
+(every other site, histogram too) lives in tests/test_faults_runtime.py.
 """
 
 import multiprocessing
@@ -73,15 +72,13 @@ def grey_image():
 
 
 class TestBitIdentityMatrix:
-    """(local, shmem, mmap) x (python, numpy) == the serial reference."""
+    """Every transport (local, shmem, mmap) == the serial reference."""
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
-    def test_binary_8conn(self, transport, kernel, image, serial_labels):
+    # The ids keep the suffix of the kernels every transport runs.
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES, ids=lambda t: f"{t}-numpy")
+    def test_binary_8conn(self, transport, image, serial_labels):
         with assert_no_shm_leak():
-            res = darray_components(
-                image, p=P, transport=transport, kernel=kernel, resident_tiles=1
-            )
+            res = darray_components(image, p=P, transport=transport, resident_tiles=1)
         assert np.array_equal(np.asarray(res.labels), serial_labels)
         assert res.n_components == count_components(serial_labels)
 
@@ -469,8 +466,8 @@ def _matrix():
 class TestShmemChaosMatrix:
     """The merge-protocol sites (border, fetch) recover bit-identically.
 
-    This is the numpy leg of those plans; tests/test_faults_runtime.py
-    runs every other (plan, kernel) pair of the chaos matrix.
+    tests/test_faults_runtime.py runs every other plan of the chaos
+    matrix.
     """
 
     @pytest.mark.parametrize("plan", _matrix())
@@ -482,23 +479,11 @@ class TestShmemChaosMatrix:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DegradedRunWarning)
                 res = darray_components(
-                    image, p=P, transport="shmem", kernel="numpy",
-                    fault_plan=plan, recorder=rec, **FAST,
+                    image, p=P, transport="shmem", fault_plan=plan, recorder=rec, **FAST,
                 )
         assert np.array_equal(np.asarray(res.labels), serial_labels)
         # The plan fired: labels alone would pass a site that never does.
         assert "fault:retry" in [i.name for i in rec.fault_events()]
-
-    def test_python_kernel_spot_check(self, image, serial_labels):
-        plan = FaultPlan(faults=(
-            FaultSpec(site="darray:border", kind="corrupt", round=0, group=0),
-        ))
-        with assert_no_shm_leak():
-            res = darray_components(
-                image, p=P, transport="shmem", kernel="python",
-                fault_plan=plan, **FAST,
-            )
-        assert np.array_equal(np.asarray(res.labels), serial_labels)
 
     def test_local_transport_ignores_plans(self, image, serial_labels):
         # No workers to fault: plans are inert, never installed in the

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import sequential_histogram
 from repro.core.equalization import equalization_lut, parallel_equalize
+from repro.core.histogram import parallel_histogram
 from repro.images import darpa_like, grey_quadrants, random_greyscale
 from repro.machines import CM5, IDEAL
 from repro.utils.errors import ValidationError
@@ -96,3 +97,14 @@ class TestParallelEqualize:
             img = random_greyscale(n, k, seed=n)
             comms.append(parallel_equalize(img, k, p, CM5).report.comm_s)
         assert comms[0] == pytest.approx(comms[1])
+
+    @pytest.mark.parametrize("k, p", [(32, 4), (8, 16)], ids=["k>=p", "k<p"])
+    def test_histogram_phases_are_parallel_histogram(self, k, p):
+        """The first four phases are the histogramming algorithm's own."""
+        img = random_greyscale(32, k, seed=6)
+        eq = parallel_equalize(img, k, p, CM5).report.phases
+        hist = parallel_histogram(img, k, p, CM5).report.phases
+        assert [ph.name for ph in hist] == [
+            "hist:tally", "hist:transpose", "hist:reduce", "hist:collect"
+        ]
+        assert eq[:4] == hist

@@ -1,8 +1,11 @@
-"""Tests for the declarative fault-plan model (repro.faults.plan)."""
+"""Tests for the declarative fault-plan model (repro.faults.plan) and
+the event-loop firing of its specs (``fire_async``)."""
 
+import asyncio
 import json
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -12,9 +15,11 @@ from repro.faults import (
     SITES,
     FaultPlan,
     FaultSpec,
+    fire_async,
+    install_plan,
     single_fault_plans,
 )
-from repro.utils.errors import ValidationError
+from repro.utils.errors import TransientTaskError, ValidationError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -259,3 +264,61 @@ class TestNoOrphanSites:
             ):
                 covered.update(plan.sites())
         assert covered == {s for s in SITES if s.startswith("darray:")}
+
+
+def _fire_async(plan, site, **selectors):
+    """``await fire_async(site, **selectors)`` with ``plan`` installed."""
+
+    async def scenario():
+        install_plan(plan)
+        try:
+            return await fire_async(site, **selectors)
+        finally:
+            install_plan(None)
+
+    return asyncio.run(scenario())
+
+
+class TestFireAsync:
+    """``fire_async`` acts on a spec as ``fire`` does, except that a hang
+    awaits instead of blocking the event loop."""
+
+    def test_no_plan_returns_none(self):
+        assert _fire_async(None, "svc:route", task=0) is None
+
+    def test_exception_raises_a_transient_error(self):
+        plan = FaultPlan(faults=(FaultSpec(site="svc:route", kind="exception"),))
+        with pytest.raises(TransientTaskError, match="svc:route") as info:
+            _fire_async(plan, "svc:route", task=1)
+        assert info.value.site == "svc:route"
+
+    def test_corrupt_returns_the_spec(self):
+        spec = FaultSpec(site="darray:border", kind="corrupt", round=0)
+        got = _fire_async(FaultPlan(faults=(spec,)), "darray:border", round=0, group=1)
+        assert got == spec
+
+    def test_hang_lets_other_tasks_run(self):
+        plan = FaultPlan(faults=(FaultSpec(site="svc:health", kind="hang", delay_s=0.2),))
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            install_plan(plan)
+            task = asyncio.ensure_future(ticker())
+            try:
+                t0 = time.monotonic()
+                got = await fire_async("svc:health", task=0)
+                return got, time.monotonic() - t0
+            finally:
+                task.cancel()
+                install_plan(None)
+
+        got, elapsed = asyncio.run(scenario())
+        assert got is None
+        assert 0.2 <= elapsed < 2.0  # bounded by delay_s, not the default hang
+        assert ticks >= 5  # a blocking sleep would not have let the ticker run

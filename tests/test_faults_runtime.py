@@ -10,9 +10,9 @@ every recovery step visible as ``fault:*`` obs events.  A recovered
 plan must also be seen to fire (a ``fault:retry``): a plan whose site
 never fires would pass on its result alone.
 
-The matrix is every plan x {python, numpy}.  The numpy leg of the
-merge-protocol sites (``darray:border``, ``darray:fetch``) runs in
-tests/test_darray.py::TestShmemChaosMatrix; everything else runs here.
+The plans of the merge-protocol sites (``darray:border``,
+``darray:fetch``) run in tests/test_darray.py::TestShmemChaosMatrix;
+every other plan runs here.
 """
 
 import warnings
@@ -81,15 +81,14 @@ def _matrix(workload):
     return [pytest.param(p, id=_plan_id(p)) for p in _plans(workload)]
 
 
-def _kernel_matrix(workload):
-    """Every (plan, kernel) pair, less the numpy leg of the merge-protocol
-    sites, which tests/test_darray.py::TestShmemChaosMatrix runs."""
+def _numpy_matrix(workload):
+    """The plans, less the merge-protocol sites' (tests/test_darray.py::
+    TestShmemChaosMatrix runs those), with the ``-numpy`` id suffix of
+    the kernels every engine runs."""
     return [
-        pytest.param(p, kernel, id=f"{_plan_id(p)}-{kernel}")
+        pytest.param(p, id=f"{_plan_id(p)}-numpy")
         for p in _plans(workload)
-        for kernel in ("python", "numpy")
-        if kernel == "python"
-        or p.faults[0].site not in ("darray:border", "darray:fetch")
+        if p.faults[0].site not in ("darray:border", "darray:fetch")
     ]
 
 
@@ -131,11 +130,11 @@ def _block_plans():
 
 
 class TestComponentsChaosMatrix:
-    """Every single-fault plan x {python, numpy} recovers bit-identically."""
+    """Every single-fault plan recovers bit-identically."""
 
-    @pytest.mark.parametrize("plan, kernel", _kernel_matrix("components"))
-    def test_single_fault_recovers(self, plan, kernel, image, serial_labels):
-        res = _recover(darray_components, plan, source=image, kernel=kernel, **FAST)
+    @pytest.mark.parametrize("plan", _numpy_matrix("components"))
+    def test_single_fault_recovers(self, plan, image, serial_labels):
+        res = _recover(darray_components, plan, source=image, **FAST)
         assert np.array_equal(res.labels, serial_labels)
 
     @pytest.mark.parametrize("plan", _block_plans())
@@ -187,11 +186,9 @@ class TestComponentsChaosMatrix:
 
 
 class TestHistogramChaosMatrix:
-    @pytest.mark.parametrize("plan, kernel", _kernel_matrix("histogram"))
-    def test_single_fault_recovers(self, plan, kernel, grey_image, serial_hist):
-        got = _recover(
-            darray_histogram, plan, source=grey_image, k=K, kernel=kernel, **FAST
-        )
+    @pytest.mark.parametrize("plan", _numpy_matrix("histogram"))
+    def test_single_fault_recovers(self, plan, grey_image, serial_hist):
+        got = _recover(darray_histogram, plan, source=grey_image, k=K, **FAST)
         assert np.array_equal(got, serial_hist)
 
     @pytest.mark.parametrize("plan", _matrix("histogram"))

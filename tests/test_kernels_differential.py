@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,6 @@ from repro import kernels
 from repro.baselines import (
     ENGINES,
     bfs_label,
-    kernel_label,
     run_label,
     sequential_histogram,
     two_pass_label,
@@ -65,52 +64,32 @@ class TestRegistry:
             "tile_label",
             "tile_runs",
         ]
-        expected = ["python", "numpy"] + (
-            ["numba"] if kernels.NUMBA_AVAILABLE else []
-        )
+        assert kernels.BACKENDS == ("python", "numpy")
         for name in kernels.kernel_names():
-            assert kernels.backends_of(name) == expected
-        assert kernels.available_backends() == expected
-
-    def test_numba_is_recognized_even_when_absent(self):
-        """``numba`` is always a *recognized* backend: selecting it
-        without the package raises the is-it-installed message, never
-        "unknown backend"."""
-        assert "numba" in kernels.BACKENDS
-        if not kernels.NUMBA_AVAILABLE:
-            with pytest.raises(ValidationError, match="not available"):
-                kernels.resolve_backend("numba")
-            with pytest.raises(ValidationError, match="not available"):
-                kernels.get("histogram", backend="numba")
+            for backend in kernels.BACKENDS:
+                kernels.get(name, backend)  # raises if the pair is missing
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValidationError):
             kernels.get("no_such_kernel")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            kernels.get("histogram", backend="fortran")
+        for backend in ("fortran", "numba"):
+            with pytest.raises(ValidationError, match="unknown kernel backend"):
+                kernels.get("histogram", backend=backend)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        assert kernels.resolve_backend() == "python"
-        assert kernels.get("tile_label") is kernels.get("tile_label", backend="python")
-        monkeypatch.delenv(kernels.ENV_VAR)
-        assert kernels.resolve_backend() == kernels.DEFAULT_BACKEND
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        assert kernels.resolve_backend("numpy") == "numpy"
+    def test_no_backend_means_numpy(self, monkeypatch):
+        """Nothing but the argument picks a backend: not the environment
+        variable that once did."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "python")
+        assert kernels.DEFAULT_BACKEND == "numpy"
+        for name in kernels.kernel_names():
+            assert kernels.get(name) is kernels.get(name, backend="numpy")
 
     def test_numpy_tile_label_is_run_label(self):
         """There is one run-length labeler: the numpy kernel is ``run_label``."""
         assert kernels.get("tile_label", backend="numpy").__wrapped__ is run_label
         assert kernels.get("tile_runs", backend="numpy").__wrapped__ is tile_runs
-
-    def test_kernel_label_backend_argument(self, small_binary):
-        a = kernel_label(small_binary, backend="python")
-        b = kernel_label(small_binary, backend="numpy")
-        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +166,7 @@ class TestTileLabelDifferential:
         every sequential engine raises.  A bad connectivity is rejected
         even when the image has no foreground to label.
         """
-        labelers = [kernels.get("tile_label", backend=b) for b in kernels.available_backends()]
+        labelers = [kernels.get("tile_label", backend=b) for b in kernels.BACKENDS]
         labelers += list(ENGINES.values())
         for fn in labelers:
             with pytest.raises(ValidationError):
@@ -287,7 +266,7 @@ class TestTileRunsDifferential:
             row_offset=row_offset,
             col_offset=col_offset,
         )
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             expected = kernels.get("tile_label", backend=backend)(image, **kw)
             runs = kernels.get("tile_runs", backend=backend)(image, **kw)
             painted = np.zeros((rows, cols), dtype=np.int64)
@@ -317,7 +296,7 @@ class TestTileRunsDifferential:
             runs.paint(np.zeros((4, 3), dtype=np.int64), image.T != 0)
 
     def test_rejections_match_tile_label(self):
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             fn = kernels.get("tile_runs", backend=backend)
             with pytest.raises(ValidationError):
                 fn(np.ones((3, 3), dtype=np.int32), label_base=0)
@@ -339,7 +318,7 @@ class TestHistogramDifferential:
     @example(image=np.full((2, 5), 7, dtype=np.int32), k=8)
     def test_backends_match_reference(self, image, k):
         expected = sequential_histogram(image, k)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             got = kernels.get("histogram", backend=backend)(image, k)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
@@ -347,7 +326,7 @@ class TestHistogramDifferential:
 
     def test_level_overflow_rejected(self):
         img = np.full((2, 2), 9, dtype=np.int32)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with pytest.raises(ValidationError):
                 kernels.get("histogram", backend=backend)(img, 8)
 
@@ -368,7 +347,7 @@ class TestRelabelDifferential:
         alphas = np.array(sorted(mapping), dtype=np.int64)
         betas = np.array([mapping[a] for a in sorted(mapping)], dtype=np.int64)
         expected = apply_changes(labels, ChangeArray(alphas, betas))
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             got = kernels.get("relabel", backend=backend)(labels, alphas, betas)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
@@ -376,14 +355,14 @@ class TestRelabelDifferential:
     @given(labels=arrays(np.int64, (4, 5), elements=st.integers(0, 9)))
     def test_empty_change_array_is_identity_copy(self, labels):
         empty = np.empty(0, dtype=np.int64)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             got = kernels.get("relabel", backend=backend)(labels, empty, empty)
             assert np.array_equal(got, labels)
             assert got is not labels  # a copy, like apply_changes
 
     def test_mismatched_pairs_rejected(self):
         labels = np.arange(4, dtype=np.int64)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with pytest.raises(ValidationError):
                 kernels.get("relabel", backend=backend)(
                     labels, np.array([1, 2]), np.array([3])
@@ -403,113 +382,12 @@ class TestBorderExtractDifferential:
     def test_backends_match_edge_indices(self, tile, edge):
         rows, cols = tile.shape
         expected = tile.ravel()[edge_indices(rows, cols, edge)]
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             got = kernels.get("border_extract", backend=backend)(tile, edge)
             assert np.array_equal(got, expected)
 
     def test_unknown_edge_rejected(self):
         tile = np.zeros((3, 3), dtype=np.int32)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with pytest.raises(ValidationError):
                 kernels.get("border_extract", backend=backend)(tile, "diagonal")
-
-
-# ---------------------------------------------------------------------------
-# engine registry integration
-# ---------------------------------------------------------------------------
-
-
-class TestKernelEngine:
-    @given(image=_image_strategy(max_side=8), connectivity=connectivities)
-    @settings(max_examples=25)
-    def test_sequential_components_kernel_engine(self, image, connectivity):
-        from repro.baselines import sequential_components
-
-        assert np.array_equal(
-            sequential_components(image, connectivity=connectivity, engine="kernel"),
-            sequential_components(image, connectivity=connectivity, engine="bfs"),
-        )
-
-    def test_parallel_components_kernel_engine(self, small_grey):
-        import repro
-
-        res = repro.parallel_components(
-            small_grey, 4, grey=True, engine="kernel", kernel="numpy"
-        )
-        ref = repro.parallel_components(small_grey, 4, grey=True, engine="bfs")
-        assert np.array_equal(res.labels, ref.labels)
-
-    def test_parallel_components_python_kernel(self, small_binary):
-        import repro
-
-        res = repro.parallel_components(
-            small_binary, 4, engine="kernel", kernel="python"
-        )
-        ref = repro.parallel_components(small_binary, 4, engine="runs")
-        assert np.array_equal(res.labels, ref.labels)
-
-
-# ---------------------------------------------------------------------------
-# numba backend (skipped cleanly when the package is absent)
-# ---------------------------------------------------------------------------
-
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba is not installed"
-)
-
-
-@needs_numba
-class TestNumbaDifferential:
-    """The compiled backend is held to the same bit-identity bar.
-
-    The generic loops above already include ``numba`` via
-    ``available_backends()`` when it is installed; these legs pin the
-    two kernels with real algorithmic content (union-find labeling and
-    the single-pass tally) against the per-pixel references directly.
-    """
-
-    @given(image=_image_strategy(), connectivity=connectivities, grey=grey_flags)
-    @settings(max_examples=40)
-    def test_tile_label_bit_identical_to_bfs(self, image, connectivity, grey):
-        expected = bfs_label(image, connectivity=connectivity, grey=grey)
-        got = kernels.get("tile_label", backend="numba")(
-            image, connectivity=connectivity, grey=grey
-        )
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-
-    @given(
-        image=_image_strategy(max_side=8),
-        connectivity=connectivities,
-        label_base=st.integers(1, 3),
-        label_stride=st.integers(1, 64) | st.none(),
-        row_offset=st.integers(0, 32),
-        col_offset=st.integers(0, 32),
-    )
-    @settings(max_examples=40)
-    def test_tile_offset_labels_match(
-        self, image, connectivity, label_base, label_stride, row_offset, col_offset
-    ):
-        kw = dict(
-            connectivity=connectivity,
-            label_base=label_base,
-            label_stride=label_stride,
-            row_offset=row_offset,
-            col_offset=col_offset,
-        )
-        assert np.array_equal(
-            kernels.get("tile_label", backend="numba")(image, **kw),
-            bfs_label(image, **kw),
-        )
-
-    @given(
-        image=_image_strategy(max_side=12, max_level=7),
-        k=st.sampled_from([8, 16, 64]),
-    )
-    @settings(max_examples=40)
-    def test_histogram_matches_reference(self, image, k):
-        expected = sequential_histogram(image, k)
-        got = kernels.get("histogram", backend="numba")(image, k)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)

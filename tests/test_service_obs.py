@@ -157,7 +157,8 @@ class TestSnapshotV2:
 
     def test_schema_hit_rate_and_highwater(self):
         snap = self.run_requests().snapshot()
-        assert snap["schema"] == "repro-service-stats/v2"
+        assert snap["schema"] == "repro-service-stats/v3"
+        assert "kernel" not in snap["config"]
         assert snap["cache"]["hit_rate"] == pytest.approx(0.5)
         assert snap["admission"]["depth_highwater"] >= 1
 

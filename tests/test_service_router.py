@@ -533,6 +533,33 @@ class TestShardRouter:
 
         _router_scenario(handler, shards=2)(tmp_path)
 
+    def test_stats_name_the_last_probe_error(self, tmp_path):
+        """A shard whose socket has no server shows why its probe failed;
+        a healthy one shows ``None``."""
+
+        async def scenario():
+            server = ServiceServer(
+                BatchService(ServiceConfig(workers=1)),
+                str(tmp_path / "shard-0.sock"), shard_id=0,
+            )
+            await server.start()
+            try:
+                router = ShardRouter(str(tmp_path / "router.sock"), RouterConfig(
+                    shard_sockets=[server.socket_path, str(tmp_path / "shard-1.sock")],
+                ))
+                for monitor in router.monitors.values():
+                    await monitor.probe_once()
+                return router.snapshot()["shards"]
+            finally:
+                await server.stop()
+
+        with assert_no_shm_leak(grace_s=2.0):
+            shards = asyncio.run(scenario())
+        assert shards["0"]["last_probe_error"] is None
+        assert shards["1"]["last_probe_error"].startswith(
+            ("FileNotFoundError", "ConnectionRefusedError")
+        )
+
 
 class TestShardRetirement:
     """Nothing a router spawns outlives it: a cancelled wait for shutdown

@@ -319,6 +319,44 @@ class TestSocketServer:
         with assert_no_shm_leak(grace_s=2.0):
             asyncio.run(scenario())
 
+    def test_server_stopped_by_shutdown_serves_again(self, tmp_path):
+        async def scenario():
+            service = BatchService(ServiceConfig(workers=1))
+            server = ServiceServer(service, str(tmp_path / "svc.sock"))
+            await server.start()
+            await request_over_socket(server.socket_path, {"op": "shutdown"})
+            await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
+            await server.start()
+            serving = asyncio.ensure_future(server.serve_until_shutdown())
+            try:
+                await asyncio.sleep(0.05)
+                # The first shutdown request is spent: the restarted
+                # server keeps serving until the next one.
+                assert not serving.done()
+                reply = await request_over_socket(server.socket_path, {"op": "ping"})
+                assert reply["result"] == "pong"
+                await request_over_socket(server.socket_path, {"op": "shutdown"})
+                await asyncio.wait_for(serving, timeout=10)
+            finally:
+                await server.stop()
+            assert not service.running
+
+        with assert_no_shm_leak(grace_s=2.0):
+            asyncio.run(scenario())
+
+    def test_shutdown_triggered_before_start_holds(self, tmp_path):
+        async def scenario():
+            server = ServiceServer(
+                BatchService(ServiceConfig(workers=1)), str(tmp_path / "svc.sock")
+            )
+            server.trigger_shutdown()
+            await server.start()
+            await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
+            assert not os.path.exists(server.socket_path)
+
+        with assert_no_shm_leak(grace_s=2.0):
+            asyncio.run(scenario())
+
     def test_idle_connection_at_shutdown_logs_no_traceback(self, tmp_path, caplog):
         """A handler still waiting for its client's next line when
         ``asyncio.run`` cancels the leftover tasks ends like a hang-up:

@@ -18,8 +18,7 @@ The matrix:
   and p = 64 on the SP-2;
 * at p = 16 (CM-5, 8-connectivity), one option changed at a time: the
   IDEAL machine, no shadow manager, transpose distribution, naive
-  (unlimited) updating, split-phase overlap, the ``bfs`` and ``kernel``
-  tile engines, and the python kernel backend;
+  (unlimited) updating and split-phase overlap;
 * every single ``sim:merge`` plan on the DARPA scene at p = 16 --
   manager, shadow or both lost, in rounds 0-3 and groups 0-1, under the
   direct and the transpose distribution -- plus a manager loss without a
@@ -59,9 +58,6 @@ VARIANTS = {
     "transpose": {"distribution": "transpose"},
     "naive-update": {"limited_updating": False},
     "overlap": {"overlap": True},
-    "bfs": {"engine": "bfs"},
-    "kernel": {"engine": "kernel"},
-    "python": {"kernel": "python"},
 }
 
 #: The step-stat fields pinned per merge round.

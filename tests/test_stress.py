@@ -83,7 +83,6 @@ class TestRandomizedOptionMatrix:
             shadow_manager=bool(rng.integers(0, 2)),
             distribution=str(rng.choice(["direct", "transpose"])),
             limited_updating=bool(rng.integers(0, 2)),
-            engine=str(rng.choice(["runs", "sv"])),
         )
         assert np.array_equal(res.labels, expected), (seed, n, p, connectivity)
 

@@ -1,12 +1,12 @@
-"""Cross-process differential harness: wire x backend x engine matrix.
+"""Cross-process differential harness: wire x engine matrix.
 
 The zero-copy plane's acceptance test.  A real ``repro serve`` process
 is spawned (its own interpreter, its own pool -- descriptors must cross
-genuine process boundaries), and every (kernel backend x wire mode)
-combination is driven against it and asserted **bit-identical** to the
-serial python-backend reference computed in this process.  The serial
-legs of the engine axis are covered directly: every available backend's
-serial answer must equal the reference too.
+genuine process boundaries), and both wire modes are driven against it
+and asserted **bit-identical** to the serial python-backend reference
+computed in this process.  The serial legs of the engine axis are
+covered directly: ``ops.compute`` on each backend's kernels must equal
+the reference too.
 
 The chaos legs re-run the matrix under an installed fault plan --
 worker crashes, injected transient exceptions, and ``svc:shmem``
@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from repro.service import (
     WireClient,
     canonical_params,
     compute,
+    ops,
     request_over_socket,
 )
 
@@ -56,22 +59,25 @@ def _image() -> np.ndarray:
     return darpa_like(48, 256)
 
 
+def _serial(op: str, image: np.ndarray, params: dict, backend: str) -> np.ndarray:
+    """``ops.compute`` in this process, on ``backend``'s kernels."""
+    with mock.patch.object(ops, "get_kernel", functools.partial(kernels.get, backend=backend)):
+        return compute(op, image, canonical_params(op, image, dict(params)))
+
+
 def _reference(image: np.ndarray) -> list[np.ndarray]:
     """Serial python-backend answers -- the bit-identity anchor."""
-    return [
-        compute(op, image, canonical_params(op, image, dict(params)), "python")
-        for op, params in CASES
-    ]
+    return [_serial(op, image, params, "python") for op, params in CASES]
 
 
 @contextlib.contextmanager
-def serve_subprocess(tmp_path, *, kernel: str = "numpy", workers: int = 2,
+def serve_subprocess(tmp_path, *, workers: int = 2,
                      plan: dict | None = None, timeout_s: float | None = None):
     """A live ``repro serve`` in its own interpreter; yields the socket."""
     sock = str(tmp_path / "svc.sock")
     cmd = [
         sys.executable, "-m", "repro.cli", "serve",
-        "--socket", sock, "--workers", str(workers), "--kernel", kernel,
+        "--socket", sock, "--workers", str(workers),
     ]
     if timeout_s is not None:
         # An injected crash is only *detected* by the task deadline
@@ -135,24 +141,25 @@ def _assert_matrix(results: dict, reference: list, label: str) -> None:
         )
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
 def test_serial_engine_matches_reference(backend):
     """The serial engine legs: every backend, bit-identical, no service."""
     image = _image()
     reference = _reference(image)
     for i, (op, params) in enumerate(CASES):
-        out = compute(op, image, canonical_params(op, image, dict(params)), backend)
+        out = _serial(op, image, params, backend)
         assert out.dtype == reference[i].dtype
         assert np.array_equal(out, reference[i]), f"{op} {params} on {backend}"
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("backend", [kernels.DEFAULT_BACKEND])
 def test_process_engine_full_wire_matrix(tmp_path, backend):
-    """Both wires against a real out-of-process server, per backend."""
+    """Both wires against a real out-of-process server, which runs the
+    ``backend`` kernels."""
     image = _image()
     reference = _reference(image)
     with assert_no_shm_leak(grace_s=2.0):
-        with serve_subprocess(tmp_path, kernel=backend) as sock:
+        with serve_subprocess(tmp_path) as sock:
             results = asyncio.run(_drive_matrix(sock, image))
     _assert_matrix(results, reference, f"process/{backend}")
 
