@@ -121,7 +121,23 @@ from repro.machines.params import MACHINES, get_machine
 #: ``ops.compute`` and ``svc_init`` take no kernel, the router's
 #: ``stats`` gain ``shards.<sid>.last_probe_error``, and
 #: ``WorkerCrashError`` (never raised) is gone.
-__version__ = "10.0.0"
+#:
+#: 11.0.0 is a breaking release: each computation has one copy, so
+#: second copies went (README.md lists every removed name): the
+#: ``repro.bdm.collectives`` module with the ``repro.bdm`` exports
+#: ``allgather``, ``allreduce``, ``prefix_sum``, ``reduce_to`` and
+#: ``scatter_from`` and its cost model; ``repro.bdm``'s closed forms of
+#: eqs. (1)-(2) (use ``repro.analysis.predict_transpose`` /
+#: ``predict_broadcast``) and its sequence-placing helper (use
+#: ``GlobalArray.place``); ``GlobalArray.to_list``; the change-array
+#: relabel of ``repro.core.change_array`` (use
+#: ``repro.kernels.get("relabel")``); ``stripe_components(engine=)``;
+#: and the CLI's ``--runtime`` and ``--engine runtime`` (use ``--engine
+#: darray --transport shmem``; the old spellings exit 2).
+#: ``open_transport`` and ``DistributedArray.open`` raise
+#: ``ValidationError`` on an option that no transport takes, and the
+#: transport classes take only their own options.
+__version__ = "11.0.0"
 
 __all__ = [
     "kernels",

@@ -28,9 +28,16 @@ from repro.utils.errors import ValidationError
 from repro.utils.validation import check_power_of_two, ilog2
 
 
+def _check_blocked(q: int, p: int) -> None:
+    """The blocked transpose's shape: ``p`` a power of two dividing ``q``."""
+    check_power_of_two("p", p)
+    if q % p != 0:
+        raise ValidationError(f"p={p} must divide q={q}")
+
+
 def predict_transpose(params: MachineParams, q: int, p: int) -> dict[str, float]:
     """Equation (1) for the blocked ``q x p`` transpose."""
-    check_power_of_two("p", p)
+    _check_blocked(q, p)
     comm = params.latency_s + (q - q // p) * params.word_time_s()
     comp = params.copy_time_s(q)
     return {"comm_s": comm, "comp_s": comp, "total_s": comm + comp}
@@ -38,7 +45,7 @@ def predict_transpose(params: MachineParams, q: int, p: int) -> dict[str, float]
 
 def predict_broadcast(params: MachineParams, q: int, p: int) -> dict[str, float]:
     """Equation (2) for broadcasting ``q`` words."""
-    check_power_of_two("p", p)
+    _check_blocked(q, p)
     comm = 2.0 * (params.latency_s + (q - q // p) * params.word_time_s())
     comp = params.copy_time_s(2 * q)
     return {"comm_s": comm, "comp_s": comp, "total_s": comm + comp}

@@ -31,6 +31,7 @@ def sequential_histogram(image: np.ndarray, k: int) -> np.ndarray:
 
     ``H[i]`` counts the pixels with grey level ``i``; the paper's
     correctness criterion ``sum(H) == n^2`` holds by construction.
+    Registered as-is as the numpy ``histogram`` kernel.
     """
     image = check_image(image, square=False)
     check_power_of_two("k", k)
@@ -40,7 +41,8 @@ def sequential_histogram(image: np.ndarray, k: int) -> np.ndarray:
 
 
 def sequential_histogram_loop(image: np.ndarray, k: int) -> np.ndarray:
-    """Pure-Python tally loop (reference for the vectorized version)."""
+    """Pure-Python tally loop: the python ``histogram`` kernel, the
+    reference for the vectorized version."""
     image = check_image(image, square=False)
     check_power_of_two("k", k)
     hist = np.zeros(k, dtype=np.int64)

@@ -21,16 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.sequential import ENGINES
 from repro.bdm.cost import MachineReport
 from repro.bdm.machine import Machine
 from repro.bdm.memory import GlobalArray
 from repro.core.border_graph import BorderSide, solve_border_merge
-from repro.core.change_array import apply_changes
 from repro.core.costs import CostParams, DEFAULT_COSTS
+from repro.kernels import get as get_kernel
 from repro.machines.params import MachineParams, IDEAL
 from repro.sorting.hybrid import hybrid_sort_ops
-from repro.utils.errors import ConfigurationError, ValidationError
+from repro.utils.errors import ConfigurationError
 from repro.utils.validation import check_image, check_power_of_two, ilog2
 
 
@@ -54,23 +53,23 @@ def stripe_components(
     *,
     connectivity: int = 8,
     grey: bool = False,
-    engine: str = "runs",
     costs: CostParams = DEFAULT_COSTS,
     check_hazards: bool = True,
 ) -> StripeResult:
     """Label components with the stripe divide-&-conquer baseline.
 
     Output is identical to :func:`repro.parallel_components` (and the
-    sequential engines); only the simulated cost differs.
+    sequential engines); only the simulated cost differs.  Like the
+    paper's algorithm, each stripe is labeled by the ``tile_label``
+    kernel and charged ``label_per_pixel`` per pixel.
     """
     image = check_image(image, square=False)
     check_power_of_two("p", p)
-    if engine not in ENGINES:
-        raise ValidationError(f"unknown engine {engine!r}; known: {sorted(ENGINES)}")
     n_rows, n = image.shape  # n = columns = the label stride
     if n_rows % p != 0:
         raise ConfigurationError(f"p={p} must divide the image rows {n_rows}")
-    label_fn = ENGINES[engine]
+    label_tile = get_kernel("tile_label")
+    relabel = get_kernel("relabel")
     rows_per = n_rows // p
 
     machine = Machine(p, machine_params, check_hazards=check_hazards)
@@ -84,7 +83,7 @@ def stripe_components(
     stripe_pixels = rows_per * n
     with machine.phase("sdc:label"):
         for proc in machine.procs:
-            lab = label_fn(
+            lab = label_tile(
                 stripes[proc.pid],
                 connectivity=connectivity,
                 grey=grey,
@@ -144,7 +143,7 @@ def stripe_components(
                     if pid != m0:
                         machine.transfer(m0, pid, ch_words)
                     cur = labels.read(proc, pid)
-                    labels.write(proc, pid, apply_changes(cur, ch))
+                    labels.write(proc, pid, relabel(cur, ch.alphas, ch.betas))
                     proc.charge_comp(
                         costs.binary_search_ops(stripe_pixels, len(ch))
                     )

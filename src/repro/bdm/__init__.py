@@ -13,7 +13,13 @@ pipelined prefetches cost ``tau + l``.  This package provides
   accessing processor and an optional same-phase hazard checker,
 * the two data-movement primitives of Section 2:
   :func:`~repro.bdm.transpose.transpose` (Algorithm 1) and
-  :func:`~repro.bdm.broadcast.broadcast` (Algorithm 2).
+  :func:`~repro.bdm.broadcast.broadcast` (Algorithm 2), plus
+  :func:`~repro.bdm.transpose.gather_to`, histogramming's final
+  collection onto one processor.
+
+Their closed-form costs, equations (1) and (2), are
+:func:`~repro.analysis.complexity.predict_transpose` and
+:func:`~repro.analysis.complexity.predict_broadcast`.
 
 Algorithms are written phase-style: within ``with machine.phase(...):``
 every processor's program for that phase runs to completion (processor
@@ -23,36 +29,19 @@ paper's Split-C programs.
 """
 
 from repro.bdm.cost import CostCounter, PhaseRecord, MachineReport
-from repro.bdm.memory import GlobalArray, distribute_sequence
+from repro.bdm.memory import GlobalArray
 from repro.bdm.machine import Machine, Processor
-from repro.bdm.transpose import transpose, transpose_cost_model, gather_to
-from repro.bdm.broadcast import broadcast, broadcast_cost_model
-from repro.bdm.collectives import (
-    allgather,
-    allreduce,
-    prefix_sum,
-    reduce_cost_model,
-    reduce_to,
-    scatter_from,
-)
+from repro.bdm.transpose import transpose, gather_to
+from repro.bdm.broadcast import broadcast
 
 __all__ = [
     "CostCounter",
     "PhaseRecord",
     "MachineReport",
     "GlobalArray",
-    "distribute_sequence",
     "Machine",
     "Processor",
     "transpose",
-    "transpose_cost_model",
     "gather_to",
     "broadcast",
-    "broadcast_cost_model",
-    "allgather",
-    "allreduce",
-    "prefix_sum",
-    "reduce_cost_model",
-    "reduce_to",
-    "scatter_from",
 ]

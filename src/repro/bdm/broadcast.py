@@ -10,7 +10,8 @@ processors using *two* matrix transpositions:
    prefetches just that first slot from every other processor, leaving
    each processor with a full copy of all ``q`` elements.
 
-Total communication cost: ``2(tau + q - q/p)`` -- equation (2).
+Total communication cost: ``2(tau + q - q/p)`` -- equation (2), whose
+closed form is :func:`repro.analysis.complexity.predict_broadcast`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from repro.bdm.machine import Machine
 from repro.bdm.memory import GlobalArray
 from repro.bdm.transpose import transpose
-from repro.machines.params import MachineParams
 from repro.utils.errors import ValidationError
 
 
@@ -60,13 +60,3 @@ def broadcast(
             proc.charge_copy(q)
     return out
 
-
-def broadcast_cost_model(params: MachineParams, q: int, p: int) -> dict[str, float]:
-    """Closed-form BDM cost of the broadcast -- equation (2)."""
-    if q % p != 0:
-        raise ValidationError(f"p={p} must divide q={q}")
-    words = q - q // p
-    return {
-        "comm_s": 2.0 * (params.latency_s + words * params.word_time_s()),
-        "comp_s": params.copy_time_s(2 * q),
-    }

@@ -27,8 +27,6 @@ repeated accesses to the same words never conflict with themselves.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.checker.shadow import ShadowMemory
@@ -257,10 +255,6 @@ class GlobalArray:
             raise ValidationError("gather_rows requires equal block lengths")
         return np.stack([b.copy() for b in self._blocks])
 
-    def to_list(self) -> list[np.ndarray]:
-        """Copies of every block (diagnostic)."""
-        return [b.copy() for b in self._blocks]
-
     # -- internals ---------------------------------------------------------
 
     def _validate_range(self, owner: int, start: int, stop: int) -> None:
@@ -276,11 +270,3 @@ class GlobalArray:
         lengths = [len(b) for b in self._blocks]
         return f"GlobalArray({self.name!r}, p={self.p}, lengths={lengths})"
 
-
-def distribute_sequence(machine, values: Sequence, dtype=np.int64, name: str = "") -> GlobalArray:
-    """Place ``values[i]`` (a 1-D array) in processor ``i``'s memory."""
-    lengths = [len(np.ravel(v)) for v in values]
-    arr = GlobalArray(machine, lengths, dtype=dtype, name=name)
-    for i, v in enumerate(values):
-        arr._blocks[i][:] = np.asarray(v, dtype=dtype).ravel()
-    return arr

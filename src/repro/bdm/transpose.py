@@ -11,7 +11,8 @@ Processor ``i`` executes ``p`` rounds; in round ``loop`` it prefetches
 the block of ``q/p`` elements it needs from processor
 ``r = (i + loop) mod p`` (round 0 is the local block).  Since the
 ``p - 1`` remote prefetches are pipelined, the communication cost is
-``tau + (q - q/p)`` word-times -- equation (1) of the paper.
+``tau + (q - q/p)`` word-times -- equation (1) of the paper, whose
+closed form is :func:`repro.analysis.complexity.predict_transpose`.
 
 A *truncated* variant handles ``q < p`` (used by histogramming when the
 number of grey levels ``k`` is smaller than ``p``): only the first
@@ -25,7 +26,6 @@ import numpy as np
 
 from repro.bdm.machine import Machine
 from repro.bdm.memory import GlobalArray
-from repro.machines.params import MachineParams
 from repro.utils.errors import ValidationError
 
 
@@ -102,17 +102,3 @@ def gather_to(machine: Machine, A: GlobalArray, root: int = 0, *, phase_name: st
         proc.charge_copy(A.total_length())
     return np.concatenate(parts) if parts else np.empty(0, dtype=A.dtype)
 
-
-def transpose_cost_model(params: MachineParams, q: int, p: int) -> dict[str, float]:
-    """Closed-form BDM cost of the blocked transpose -- equation (1).
-
-    Returns a dict with ``comm_s`` (``tau + (q - q/p)`` word-times) and
-    ``comp_s`` (``q`` operations), in simulated seconds.
-    """
-    if q % p != 0:
-        raise ValidationError(f"p={p} must divide q={q}")
-    words = q - q // p
-    return {
-        "comm_s": params.latency_s + words * params.word_time_s(),
-        "comp_s": params.copy_time_s(q),
-    }

@@ -110,12 +110,11 @@ def _add_input_args(sub: argparse.ArgumentParser) -> None:
 def _add_darray_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--engine",
-        choices=("sim", "runtime", "darray"),
+        choices=("sim", "darray"),
         default="sim",
         help="execution engine: sim = BDM cost simulator (default), "
-        "darray = DistributedArray over a pluggable transport, "
-        "runtime = shorthand for --engine darray --transport shmem "
-        "(same as --runtime)",
+        "darray = DistributedArray over a pluggable transport "
+        "(--transport shmem runs it process-parallel)",
     )
     sub.add_argument(
         "--transport",
@@ -139,18 +138,6 @@ def _add_darray_args(sub: argparse.ArgumentParser) -> None:
         help="out-of-core spill directory (mmap transport; default: a "
         "private temp dir removed on exit)",
     )
-
-
-def _resolve_engine(args) -> str:
-    """The selected engine, ``sim`` or ``darray``.
-
-    ``--runtime`` and ``--engine runtime`` select the process-parallel
-    engine, which is the darray engine over the ``shmem`` transport.
-    """
-    if args.runtime or args.engine == "runtime":
-        args.transport = "shmem"
-        return "darray"
-    return args.engine
 
 
 def _darray_run(args) -> dict:
@@ -238,12 +225,11 @@ def _write_exports(rec, trace_out: str | None, metrics_out: str | None) -> None:
 def cmd_histogram(args) -> int:
     from repro.drills import run_darray, run_sim
 
-    engine = _resolve_engine(args)
     params = load_machine(args.machine)
     plan = _load_fault_plan(args)
     record = bool(args.trace_out or args.metrics_out)
     image = None
-    if engine == "darray":
+    if args.engine == "darray":
         hist, rec = run_darray(
             "histogram", levels=args.levels, record=record or plan is not None,
             fault_plan=plan, **_darray_run(args),
@@ -310,10 +296,9 @@ def _emit_label_map(args, labels: np.ndarray) -> None:
 def cmd_components(args) -> int:
     from repro.drills import run_darray, run_sim
 
-    engine = _resolve_engine(args)
     record = bool(args.trace_out or args.metrics_out)
     kind = f"({args.connectivity}-connectivity, {'grey' if args.grey else 'binary'})"
-    if engine == "darray":
+    if args.engine == "darray":
         plan = _load_fault_plan(args)
         res, rec = run_darray(
             "components", connectivity=args.connectivity, grey=args.grey,
@@ -705,16 +690,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(hist)
     hist.add_argument("-k", "--levels", type=int, default=256)
     hist.add_argument("--equalize", metavar="OUT.pgm", help="write equalized image")
-    hist.add_argument(
-        "--runtime", action="store_true",
-        help="run process-parallel (= --engine darray --transport shmem)",
-    )
     _add_darray_args(hist)
     hist.add_argument(
         "--fault-plan",
         metavar="PLAN.json",
         help="inject faults from a repro-faults/v1 plan at the darray:hist "
-        "site (requires --engine darray --transport shmem, or --runtime)",
+        "site (requires --engine darray --transport shmem)",
     )
     hist.set_defaults(func=cmd_histogram)
 
@@ -722,16 +703,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(comp)
     comp.add_argument("--grey", action="store_true", help="grey-scale CC (Section 6)")
     comp.add_argument("--connectivity", type=int, choices=(4, 8), default=8)
-    comp.add_argument(
-        "--runtime", action="store_true",
-        help="run process-parallel (= --engine darray --transport shmem)",
-    )
     _add_darray_args(comp)
     comp.add_argument(
         "--fault-plan",
         metavar="PLAN.json",
         help="inject faults from a repro-faults/v1 plan (darray:* sites with "
-        "--engine darray --transport shmem or --runtime, sim:merge "
+        "--engine darray --transport shmem, sim:merge "
         "shadow-manager failover with the default sim engine)",
     )
     comp.add_argument("--ascii", type=int, metavar="WIDTH", help="print an ASCII label map")

@@ -5,7 +5,7 @@ After a group manager solves a border graph it knows, for some labels
 beta)`` pairs into a *sorted array of unique change pairs*: copy the
 changed pairs into a contiguous array, radix sort by ``alpha``, and
 scan out duplicates.  Clients later binary-search this array to update
-their border pixels.
+their border pixels: the ``relabel`` kernel of :mod:`repro.kernels`.
 
 The array structure "is actually two contiguous arrays, one holding the
 obsolete labels (alphas) and the other the corresponding new labels
@@ -94,21 +94,3 @@ def create_change_array(old_labels: np.ndarray, new_labels: np.ndarray) -> Chang
             raise ValidationError("inconsistent change pairs: one alpha, two betas")
     return ChangeArray(alphas, betas)
 
-
-def apply_changes(labels: np.ndarray, changes: ChangeArray) -> np.ndarray:
-    """Relabel via binary search of the change array (vectorized).
-
-    Each input label is looked up in ``changes.alphas``; hits are
-    replaced with the corresponding beta, misses pass through -- the
-    vectorized equivalent of the per-pixel binary search the paper
-    performs on border pixels.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(changes) == 0:
-        return labels.copy()
-    pos = np.searchsorted(changes.alphas, labels)
-    pos_clipped = np.minimum(pos, len(changes) - 1)
-    hit = changes.alphas[pos_clipped] == labels
-    out = labels.copy()
-    out[hit] = changes.betas[pos_clipped[hit]]
-    return out

@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import pathlib
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -137,23 +139,6 @@ def _emit_stats(recorder: WallRecorder | None, stats: TransportStats) -> None:
     _trace.count(DARRAY_RESIDENT_HIGHWATER, stats.resident_highwater)
 
 
-def _degrade_or_raise(
-    exc: FaultError, degrade: bool, recorder, what: str
-) -> None:
-    if recorder is not None:
-        recorder.drain()
-    if not degrade:
-        raise exc
-    warnings.warn(
-        DegradedRunWarning(
-            f"darray {what} degraded to the serial engine after "
-            f"unrecoverable fault: {exc}"
-        ),
-        stacklevel=3,
-    )
-    _trace.instant(FAULT_DEGRADE, what=what, error=type(exc).__name__, detail=str(exc))
-
-
 def label_components(
     da: DistributedArray, *, connectivity: int, grey: bool
 ) -> tuple[np.ndarray, int]:
@@ -180,6 +165,60 @@ def label_components(
     with _trace.traced_span(DARRAY_FINAL, cat=CAT_ROUND):
         da.finalize(hooks)
     return da.gather(), n_components
+
+
+def _open_and_run(
+    what: str,
+    verb: Callable[[DistributedArray], Any],
+    serial: Callable[[np.ndarray, ProcessorGrid], Any],
+    source,
+    *,
+    p: int,
+    transport: str,
+    shape: tuple[int, int] | None,
+    recorder: WallRecorder | None,
+    degrade: bool,
+    **opts,
+):
+    """Open ``source`` over ``transport`` and run ``verb(da)`` on it.
+
+    The one open-and-degrade path of :func:`darray_components` and
+    :func:`darray_histogram`: the source is resolved, the balanced grid
+    built and ``recorder`` installed for the call.  On an unrecoverable
+    :class:`FaultError` the transport is already closed; the call then
+    warns, records a ``fault:degrade`` instant and returns
+    ``serial(image, grid)`` on the decoded image, unless ``degrade`` is
+    false.
+    """
+    image_shape, image = _resolve_source(source, transport)
+    grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
+    with _trace.install(recorder):
+        try:
+            with DistributedArray.open(transport, grid, image, **opts) as da:
+                result = verb(da)
+                stats = da.stats
+        except FaultError as exc:
+            if recorder is not None:
+                recorder.drain()
+            if not degrade:
+                raise
+            warnings.warn(
+                DegradedRunWarning(
+                    f"darray {what} degraded to the serial engine after "
+                    f"unrecoverable fault: {exc}"
+                ),
+                stacklevel=3,
+            )
+            _trace.instant(
+                FAULT_DEGRADE, what=what, error=type(exc).__name__, detail=str(exc)
+            )
+            if isinstance(image, (str, pathlib.Path)):
+                from repro.images.io import read_pnm
+
+                image = read_pnm(image)
+            return serial(image, grid)
+        _emit_stats(recorder, stats)
+    return result
 
 
 def darray_components(
@@ -214,36 +253,22 @@ def darray_components(
     ``degrade=False`` (then the :class:`FaultError` propagates after
     transport teardown -- no pool worker or spill file outlives it).
     """
-    image_shape, image = _resolve_source(source, transport)
-    grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
-    with _trace.install(recorder):
-        try:
-            with DistributedArray.open(
-                transport,
-                grid,
-                image,
-                connectivity=connectivity,
-                grey=grey,
-                fault_plan=fault_plan,
-                timeout=timeout,
-                max_retries=max_retries,
-                workers=workers,
-                spill_dir=spill_dir,
-                resident_tiles=resident_tiles,
-            ) as da:
-                labels, n_components = label_components(da, connectivity=connectivity, grey=grey)
-                stats = da.stats
-        except FaultError as exc:
-            _degrade_or_raise(exc, degrade, recorder, "components")
-            if isinstance(image, (str, pathlib.Path)):
-                from repro.images.io import read_pnm
 
-                image = read_pnm(image)
-            labels = get_kernel("tile_label")(image, connectivity=connectivity, grey=grey)
-            stats = TransportStats()
-            return DarrayResult(labels, count_components(labels), stats, grid)
-        _emit_stats(recorder, stats)
-    return DarrayResult(labels, n_components, stats, grid)
+    def verb(da: DistributedArray) -> DarrayResult:
+        labels, n_components = label_components(da, connectivity=connectivity, grey=grey)
+        return DarrayResult(labels, n_components, da.stats, da.grid)
+
+    def serial(image: np.ndarray, grid: ProcessorGrid) -> DarrayResult:
+        labels = get_kernel("tile_label")(image, connectivity=connectivity, grey=grey)
+        return DarrayResult(labels, count_components(labels), TransportStats(), grid)
+
+    return _open_and_run(
+        "components", verb, serial, source,
+        p=p, transport=transport, shape=shape, recorder=recorder, degrade=degrade,
+        connectivity=connectivity, grey=grey, fault_plan=fault_plan,
+        timeout=timeout, max_retries=max_retries, workers=workers,
+        spill_dir=spill_dir, resident_tiles=resident_tiles,
+    )
 
 
 def darray_histogram(
@@ -264,36 +289,24 @@ def darray_histogram(
 ) -> np.ndarray:
     """Grey-level histogram of ``source`` via per-shard tallies (verb 1)."""
     check_power_of_two("k", k)
-    image_shape, image = _resolve_source(source, transport)
-    grid = ProcessorGrid(p, image_shape, strict=False, shape=shape)
-    with _trace.install(recorder):
-        try:
-            with DistributedArray.open(
-                transport,
-                grid,
-                image,
-                fault_plan=fault_plan,
-                timeout=timeout,
-                max_retries=max_retries,
-                workers=workers,
-                spill_dir=spill_dir,
-                resident_tiles=resident_tiles,
-            ) as da:
-                with _trace.traced_span("darray:hist", cat=CAT_ROUND):
-                    hist = da.histogram(k)
-                stats = da.stats
-        except FaultError as exc:
-            _degrade_or_raise(exc, degrade, recorder, "histogram")
-            if isinstance(image, (str, pathlib.Path)):
-                from repro.images.io import read_pnm
 
-                image = read_pnm(image)
-            return get_kernel("histogram")(np.asarray(image), k)
+    def verb(da: DistributedArray) -> np.ndarray:
+        with _trace.traced_span("darray:hist", cat=CAT_ROUND):
+            hist = da.histogram(k)
         hist = np.asarray(hist, dtype=np.int64)
-        if int(hist.sum()) != grid.rows * grid.cols:
+        if int(hist.sum()) != da.grid.rows * da.grid.cols:
             raise ValidationError(
                 f"histogram mass {int(hist.sum())} != pixel count "
-                f"{grid.rows * grid.cols}"
+                f"{da.grid.rows * da.grid.cols}"
             )
-        _emit_stats(recorder, stats)
-    return hist
+        return hist
+
+    def serial(image: np.ndarray, grid: ProcessorGrid) -> np.ndarray:
+        return get_kernel("histogram")(np.asarray(image), k)
+
+    return _open_and_run(
+        "histogram", verb, serial, source,
+        p=p, transport=transport, shape=shape, recorder=recorder, degrade=degrade,
+        fault_plan=fault_plan, timeout=timeout, max_retries=max_retries,
+        workers=workers, spill_dir=spill_dir, resident_tiles=resident_tiles,
+    )

@@ -40,7 +40,6 @@ class LocalTransport(Transport):
         *,
         connectivity: int = 8,
         grey: bool = False,
-        **_ignored,
     ):
         super().__init__(grid)
         # A memmap (or any integer 2-D array) is acceptable; the local

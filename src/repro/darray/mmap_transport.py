@@ -68,7 +68,6 @@ class MmapTransport(Transport):
         grey: bool = False,
         spill_dir=None,
         resident_tiles: int = 1,
-        **_ignored,
     ):
         super().__init__(grid)
         self.connectivity = connectivity

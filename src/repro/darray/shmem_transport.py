@@ -333,7 +333,6 @@ class ShmemTransport(Transport):
         timeout: float | None = None,
         max_retries: int | None = None,
         workers: int | None = None,
-        **_ignored,
     ):
         super().__init__(grid)
         ctx = _pool_context()

@@ -57,12 +57,20 @@ from repro.core.merge import MergeStep
 from repro.core.tiles import ProcessorGrid
 from repro.utils.errors import ValidationError
 
-#: Registered transports: name -> "module:Class" (resolved lazily, so
-#: importing repro.darray does not drag in the multiprocessing runtime).
+#: Registered transports: name -> ("module:Class", the keyword options
+#: its constructor takes).  The class resolves lazily, so importing
+#: repro.darray does not drag in the multiprocessing runtime; the option
+#: names are spelled here so that checking one needs no import.
 TRANSPORTS = {
-    "local": "repro.darray.local:LocalTransport",
-    "shmem": "repro.darray.shmem_transport:ShmemTransport",
-    "mmap": "repro.darray.mmap_transport:MmapTransport",
+    "local": ("repro.darray.local:LocalTransport", ("connectivity", "grey")),
+    "shmem": (
+        "repro.darray.shmem_transport:ShmemTransport",
+        ("connectivity", "grey", "fault_plan", "timeout", "max_retries", "workers"),
+    ),
+    "mmap": (
+        "repro.darray.mmap_transport:MmapTransport",
+        ("connectivity", "grey", "spill_dir", "resident_tiles"),
+    ),
 }
 
 
@@ -186,16 +194,24 @@ def open_transport(name: str, grid: ProcessorGrid, image, **opts) -> Transport:
     """Instantiate a registered transport over ``grid`` and ``image``.
 
     ``image`` is a 2-D array (any transport) or a PNM file path (the
-    ``mmap`` transport streams it; the others read it up front).
-    Option keys a transport does not use are ignored, so one call site
-    can configure the whole matrix.
+    ``mmap`` transport streams it; the others read it up front).  The
+    transport receives only the options it takes; an option that only
+    another transport takes is accepted and unused, so one call site
+    can configure the whole matrix.  An option that no transport takes
+    raises :class:`ValidationError`.
     """
     try:
-        target = TRANSPORTS[name]
+        target, takes = TRANSPORTS[name]
     except KeyError:
         raise ValidationError(
             f"unknown transport {name!r}; known: {sorted(TRANSPORTS)}"
         ) from None
+    known = {key for _, keys in TRANSPORTS.values() for key in keys}
+    unknown = sorted(set(opts) - known)
+    if unknown:
+        raise ValidationError(
+            f"unknown transport option(s) {unknown}; known: {sorted(known)}"
+        )
     module_name, _, class_name = target.partition(":")
     cls = getattr(importlib.import_module(module_name), class_name)
-    return cls(grid, image, **opts)
+    return cls(grid, image, **{key: opts[key] for key in takes if key in opts})

@@ -13,7 +13,9 @@ whose start pixel is the seed of
 seed's ``label_base + (row_offset + i) * stride + (col_offset + j)``
 label -- the paper's ``(Iq + i) n + (Jr + j) + 1`` convention, bit for
 bit.  ``tile_label`` is :func:`~repro.baselines.run_label.run_label`,
-the same table painted.
+the same table painted, and ``histogram`` is
+:func:`~repro.baselines.sequential.sequential_histogram`'s
+``np.bincount`` tally.
 """
 
 from __future__ import annotations
@@ -21,21 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.run_label import run_label, tile_runs
+from repro.baselines.sequential import sequential_histogram
 from repro.kernels.registry import register
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_image, check_power_of_two
 
 
-@register("histogram", "numpy")
-def histogram(image: np.ndarray, k: int) -> np.ndarray:
-    """Tally ``H[0..k-1]`` via ``np.bincount`` (Section 4 step 1)."""
-    image = check_image(image, square=False)
-    check_power_of_two("k", k)
-    if image.max(initial=0) >= k:
-        raise ValidationError(f"image has grey levels >= k={k}")
-    return np.bincount(image.ravel(), minlength=k).astype(np.int64)
-
-
+register("histogram", "numpy")(sequential_histogram)
 register("tile_label", "numpy")(run_label)
 register("tile_runs", "numpy")(tile_runs)
 

@@ -3,7 +3,9 @@
 These are the paper's procedures exactly as written, executed per
 pixel by the interpreter: the Section 5.1 row-major BFS for tile
 labeling (``tile_runs`` compresses its output into runs through
-:func:`~repro.baselines.run_label.runs_adapter`), a scalar tally loop for histogramming, per-pixel border
+:func:`~repro.baselines.run_label.runs_adapter`), the scalar tally loop
+:func:`~repro.baselines.sequential.sequential_histogram_loop` for
+histogramming, per-pixel border
 walks, and a per-label binary search for the change-array relabel.
 They define the semantics; the numpy backend must match them bit for
 bit (enforced by the differential property suite).
@@ -22,10 +24,7 @@ from repro.kernels.registry import register
 from repro.utils.errors import ValidationError
 
 
-@register("histogram", "python")
-def histogram(image: np.ndarray, k: int) -> np.ndarray:
-    """Tally ``H[0..k-1]`` with a scalar Python loop (Section 4 step 1)."""
-    return sequential_histogram_loop(image, k)
+register("histogram", "python")(sequential_histogram_loop)
 
 
 @register("tile_label", "python")

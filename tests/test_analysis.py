@@ -47,6 +47,13 @@ class TestPredictionsTrackSimulation:
         pred = predict_broadcast(SP2, q, p)
         assert rep.comm_s == pytest.approx(pred["comm_s"])
 
+    @pytest.mark.parametrize(
+        "predict", [predict_transpose, predict_broadcast], ids=["transpose", "broadcast"]
+    )
+    def test_p_must_divide_q(self, predict):
+        with pytest.raises(ValidationError, match="must divide"):
+            predict(CM5, 6, 4)
+
     def test_histogram_within_bound(self):
         n, k, p = 128, 64, 16
         img = random_greyscale(n, k, seed=9)

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.bdm import (
-    GlobalArray,
-    Machine,
-    broadcast,
-    broadcast_cost_model,
-    transpose_cost_model,
-)
+from repro.analysis import predict_broadcast, predict_transpose
+from repro.bdm import GlobalArray, Machine, broadcast
 from repro.machines import CM5, IDEAL, SP2
 from repro.utils.errors import ValidationError
 
@@ -51,15 +46,15 @@ class TestCost:
         A = GlobalArray(m, q)
         broadcast(m, A)
         rep = m.report()
-        model = broadcast_cost_model(SP2, q, p)
+        model = predict_broadcast(SP2, q, p)
         assert rep.comm_s == pytest.approx(model["comm_s"])
 
     def test_roughly_twice_the_transpose(self):
         """The paper: 'broadcasting takes roughly twice the time of the
         transpose' -- exact in the model, since it IS two transposes."""
         p, q = 8, 512
-        bc = broadcast_cost_model(CM5, q, p)["comm_s"]
-        tr = transpose_cost_model(CM5, q, p)["comm_s"]
+        bc = predict_broadcast(CM5, q, p)["comm_s"]
+        tr = predict_transpose(CM5, q, p)["comm_s"]
         assert bc == pytest.approx(2 * tr)
 
     def test_two_phases_recorded(self):

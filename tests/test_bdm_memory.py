@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bdm import GlobalArray, Machine, distribute_sequence
+from repro.bdm import GlobalArray, Machine
 from repro.machines import CM5, IDEAL
 from repro.utils.errors import HazardError, ValidationError
 
@@ -214,7 +214,12 @@ class TestBulkHelpers:
         with pytest.raises(ValidationError):
             arr.gather_rows()
 
-    def test_distribute_sequence(self, machine):
-        arr = distribute_sequence(machine, [[1], [2, 3], [], [4, 5, 6]])
-        assert [arr.block_length(i) for i in range(4)] == [1, 2, 0, 3]
+    def test_place_unequal_blocks(self, machine):
+        values = [[1], [2, 3], [], [4, 5, 6]]
+        arr = GlobalArray(machine, [len(v) for v in values])
+        for pid, v in enumerate(values):
+            arr.place(pid, v)
         assert np.array_equal(arr.local(3), [4, 5, 6])
+        assert machine.report().phases == []  # placement is free
+        with pytest.raises(ValidationError):
+            arr.place(1, [7])

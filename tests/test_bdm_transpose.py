@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.bdm import GlobalArray, Machine, gather_to, transpose, transpose_cost_model
+from repro.analysis import predict_transpose
+from repro.bdm import GlobalArray, Machine, gather_to, transpose
 from repro.machines import CM5, IDEAL
 from repro.utils.errors import ValidationError
 
@@ -76,7 +77,7 @@ class TestTransposeCost:
         A = GlobalArray(m, q)
         transpose(m, A)
         ph = m.report().phases[0]
-        model = transpose_cost_model(CM5, q, p)
+        model = predict_transpose(CM5, q, p)
         assert ph.comm_s == pytest.approx(model["comm_s"])
         assert ph.comp_s == pytest.approx(model["comp_s"])
 
@@ -88,10 +89,6 @@ class TestTransposeCost:
             A = GlobalArray(m, q)
             transpose(m, A)
         assert m1.report().phases[0].comm_s == pytest.approx(m2.report().phases[0].comm_s)
-
-    def test_cost_model_divisibility(self):
-        with pytest.raises(ValidationError):
-            transpose_cost_model(CM5, 6, 4)
 
 
 class TestGather:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.border_graph import BorderSide, solve_border_merge
-from repro.core.change_array import apply_changes
+from repro.kernels import get as get_kernel
 from repro.utils.errors import ValidationError
 
 
@@ -157,6 +157,8 @@ def test_property_changes_map_downward(left_labels, right_labels, connectivity):
     solve = solve_border_merge(left, right, connectivity=connectivity)
     assert (solve.changes.betas < solve.changes.alphas).all()
     # Applying the changes twice is idempotent on the border labels.
-    merged_once = apply_changes(left.labels, solve.changes)
-    merged_twice = apply_changes(merged_once, solve.changes)
+    relabel = get_kernel("relabel")
+    alphas, betas = solve.changes.alphas, solve.changes.betas
+    merged_once = relabel(left.labels, alphas, betas)
+    merged_twice = relabel(merged_once, alphas, betas)
     assert np.array_equal(merged_once, merged_twice)

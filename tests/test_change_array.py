@@ -1,12 +1,19 @@
-"""Tests for change arrays (Procedure 1) and their application."""
+"""Tests for change arrays (Procedure 1) and their application by the
+``relabel`` kernel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.change_array import ChangeArray, apply_changes, create_change_array
+from repro import kernels
+from repro.core.change_array import ChangeArray, create_change_array
 from repro.utils.errors import ValidationError
+
+
+def _relabel(labels, changes: ChangeArray) -> np.ndarray:
+    """Relabel ``labels`` through ``changes`` with the registry's kernel."""
+    return kernels.get("relabel")(labels, changes.alphas, changes.betas)
 
 
 class TestCreate:
@@ -39,17 +46,17 @@ class TestCreate:
 class TestApply:
     def test_basic_mapping(self):
         ch = ChangeArray(np.array([3, 7]), np.array([1, 2]))
-        out = apply_changes(np.array([3, 5, 7, 3]), ch)
+        out = _relabel(np.array([3, 5, 7, 3]), ch)
         assert np.array_equal(out, [1, 5, 2, 1])
 
     def test_misses_pass_through(self):
         ch = ChangeArray(np.array([10]), np.array([1]))
         data = np.array([0, 9, 11, 1000])
-        assert np.array_equal(apply_changes(data, ch), data)
+        assert np.array_equal(_relabel(data, ch), data)
 
     def test_empty_changes(self):
         data = np.array([1, 2, 3])
-        out = apply_changes(data, ChangeArray.empty())
+        out = _relabel(data, ChangeArray.empty())
         assert np.array_equal(out, data)
         out[0] = 99  # must be a copy
         assert data[0] == 1
@@ -57,16 +64,16 @@ class TestApply:
     def test_values_above_all_alphas(self):
         """searchsorted clipping must not map out-of-range values."""
         ch = ChangeArray(np.array([2, 4]), np.array([1, 1]))
-        assert np.array_equal(apply_changes(np.array([5, 6]), ch), [5, 6])
+        assert np.array_equal(_relabel(np.array([5, 6]), ch), [5, 6])
 
     def test_values_below_all_alphas(self):
         ch = ChangeArray(np.array([10, 20]), np.array([1, 2]))
-        assert np.array_equal(apply_changes(np.array([1, 9]), ch), [1, 9])
+        assert np.array_equal(_relabel(np.array([1, 9]), ch), [1, 9])
 
     def test_2d_input_preserved(self):
         ch = ChangeArray(np.array([1]), np.array([5]))
         data = np.array([[1, 2], [1, 0]])
-        assert np.array_equal(apply_changes(data, ch), [[5, 2], [5, 0]])
+        assert np.array_equal(_relabel(data, ch), [[5, 2], [5, 0]])
 
 
 class TestSerialization:
@@ -100,7 +107,7 @@ class TestSerialization:
     )
 )
 def test_property_apply_matches_dict_semantics(pairs):
-    """apply_changes == looking each value up in {alpha: beta}."""
+    """The relabel kernel == looking each value up in {alpha: beta}."""
     # Deduplicate alphas to keep the mapping consistent.
     mapping = {}
     for a, b in pairs:
@@ -109,8 +116,7 @@ def test_property_apply_matches_dict_semantics(pairs):
     new = np.array([mapping[a] for a in sorted(mapping)], dtype=np.int64)
     ch = create_change_array(old, new)
     data = np.arange(60, dtype=np.int64)
-    expected = np.array(
-        [mapping.get(x, x) if mapping.get(x, x) != x else x for x in range(60)]
-    )
-    # create_change_array drops identity pairs; apply leaves those as-is.
-    assert np.array_equal(apply_changes(data, ch), expected)
+    expected = np.array([mapping.get(x, x) for x in range(60)])
+    # create_change_array drops identity pairs; the lookup maps those to
+    # themselves anyway.
+    assert np.array_equal(_relabel(data, ch), expected)

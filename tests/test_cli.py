@@ -69,9 +69,21 @@ class TestComponents:
 
     def test_runtime_backend(self, capsys):
         out = run_cli(
-            capsys, "components", "--pattern", "6", "--size", "64", "--runtime"
+            capsys, "components", "--pattern", "6", "--size", "64",
+            "--engine", "darray", "--transport", "shmem",
         )
         assert "1 components" in out
+
+    @pytest.mark.parametrize("command", ["components", "histogram"])
+    @pytest.mark.parametrize(
+        "spelling", [["--runtime"], ["--engine", "runtime"]], ids=["flag", "engine"]
+    )
+    def test_runtime_spellings_are_gone(self, capsys, command, spelling):
+        # The process engine has one spelling: --engine darray --transport shmem.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pattern", "4", "--size", "64", *spelling])
+        assert exc.value.code == 2
+        assert "runtime" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["components", "histogram", "trace", "chaos", "serve"])
     def test_kernel_option_is_gone(self, capsys, command):
@@ -263,7 +275,7 @@ class TestFaultPlanFlags:
         )
         out = run_cli(
             capsys, "components", "--pattern", "4", "--size", "64", "-p", "4",
-            "--runtime", "--fault-plan", plan,
+            "--engine", "darray", "--transport", "shmem", "--fault-plan", plan,
         )
         assert "fault:retry" in out
 
@@ -285,7 +297,8 @@ class TestFaultPlanFlags:
         )
         out = run_cli(
             capsys, "histogram", "--pattern", "0", "--size", "64", "-p", "4",
-            "-k", "256", "--runtime", "--fault-plan", plan,
+            "-k", "256", "--engine", "darray", "--transport", "shmem",
+            "--fault-plan", plan,
         )
         assert "fault:retry" in out
 

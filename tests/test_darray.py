@@ -8,13 +8,19 @@ merge-protocol sites are checked here; the rest of the chaos matrix
 (every other site, histogram too) lives in tests/test_faults_runtime.py.
 """
 
+import importlib
+import inspect
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.sequential import sequential_components
 from repro.bdm.machine import Machine
 from repro.core.change_array import ChangeArray
@@ -268,6 +274,54 @@ class TestTransportRegistry:
         grid = ProcessorGrid(P, N)
         with pytest.raises(ValidationError, match="unknown transport"):
             open_transport("carrier-pigeon", grid, image)
+
+    @pytest.mark.parametrize("opts", [{"kernel": "python"}, {"resident_tile": 2}])
+    def test_option_no_transport_takes_raises(self, image, opts):
+        grid = ProcessorGrid(P, N)
+        (option,) = opts
+        with pytest.raises(ValidationError, match=option):
+            DistributedArray.open("local", grid, image, **opts)
+
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_another_transports_options_are_accepted(self, transport, image):
+        with DistributedArray.open(
+            transport, ProcessorGrid(P, N), image, resident_tiles=1, workers=2
+        ) as da:
+            assert da.transport.name == transport
+
+    def test_declared_options_are_the_constructors(self):
+        for target, takes in TRANSPORTS.values():
+            module_name, _, class_name = target.partition(":")
+            cls = getattr(importlib.import_module(module_name), class_name)
+            params = inspect.signature(cls).parameters.values()
+            assert takes == tuple(
+                prm.name for prm in params if prm.kind is prm.KEYWORD_ONLY
+            ), target
+
+    def test_in_process_transports_load_no_pool_runtime(self):
+        """Checking options imports no transport: a fresh interpreter that
+        opens ``local`` and ``mmap`` with ``shmem``-only options loads
+        neither the ``shmem`` transport nor the pool runtime."""
+        code = (
+            "import sys\n"
+            "from repro.core.tiles import ProcessorGrid\n"
+            "from repro.darray import DistributedArray\n"
+            "from repro.images import binary_test_image\n"
+            "image = binary_test_image(4, 32)\n"
+            "for name in ('local', 'mmap'):\n"
+            "    DistributedArray.open(name, ProcessorGrid(4, 32), image,\n"
+            "                          workers=2, fault_plan=None).close()\n"
+            "loaded = {'repro.darray.shmem_transport', 'repro.runtime.dispatch'}\n"
+            "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def _first_round(transport, image, changes=None):

@@ -78,10 +78,6 @@ class TestComponentsDarray:
         assert "label map written" in out
         assert out_path.exists()
 
-    def test_runtime_flag_still_works(self, capsys, pgm_path):
-        out = run_cli(capsys, "components", pgm_path, "-p", "4", "--runtime")
-        assert "darray/shmem: 64x64" in out  # --runtime = darray over shmem
-
     def test_trace_export(self, capsys, tmp_path, pgm_path):
         trace = tmp_path / "trace.json"
         run_cli(

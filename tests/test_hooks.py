@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.baselines import run_label
 from repro.baselines.run_label import tile_runs
-from repro.core.change_array import ChangeArray, apply_changes
+from repro.core.change_array import ChangeArray
 from repro.core.hooks import (
     MAX_MASKED_RENAMES,
     TileHooks,
@@ -19,6 +19,7 @@ from repro.core.hooks import (
     hook_ops,
 )
 from repro.core.tiles import perimeter_indices
+from repro.kernels import get as get_kernel
 from repro.utils.errors import ValidationError
 
 
@@ -84,7 +85,7 @@ def rename_on_border(lab: np.ndarray, pick: np.ndarray) -> np.ndarray:
     merged = lab.copy()
     border = perimeter_indices(*lab.shape)
     flat = merged.ravel()
-    flat[border] = apply_changes(flat[border], changes)
+    flat[border] = get_kernel("relabel")(flat[border], changes.alphas, changes.betas)
     return merged
 
 
@@ -121,7 +122,7 @@ class TestApply:
         border = perimeter_indices(3, 3)
         flat = merged.ravel()
         changes = ChangeArray(np.array([1]), np.array([99999]))
-        flat[border] = apply_changes(flat[border], changes)
+        flat[border] = get_kernel("relabel")(flat[border], changes.alphas, changes.betas)
         out = merged.copy()
         apply_hooks(out, hooks)
         assert (out[img != 0] == 99999).all()
@@ -343,7 +344,7 @@ class TestIsolatedFinalUpdate:
             pytest.skip("tile has no border components")
         alphas = present[::2]
         changes = ChangeArray(alphas, alphas + 10_000)
-        new_border = apply_changes(border, changes)
+        new_border = get_kernel("relabel")(border, changes.alphas, changes.betas)
 
         expected = lab.ravel().copy()
         expected[perim] = new_border

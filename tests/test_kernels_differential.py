@@ -14,6 +14,8 @@ profiles pinned in ``conftest.py``, so failures reproduce.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -29,7 +31,6 @@ from repro.baselines import (
     two_pass_label,
 )
 from repro.baselines.run_label import tile_runs
-from repro.core.change_array import ChangeArray, apply_changes
 from repro.core.tiles import edge_indices, perimeter_indices
 from repro.utils.errors import ValidationError
 
@@ -90,6 +91,11 @@ class TestRegistry:
         """There is one run-length labeler: the numpy kernel is ``run_label``."""
         assert kernels.get("tile_label", backend="numpy").__wrapped__ is run_label
         assert kernels.get("tile_runs", backend="numpy").__wrapped__ is tile_runs
+
+    def test_numpy_histogram_is_sequential_histogram(self):
+        """There is one vectorized tally: the numpy kernel is
+        ``sequential_histogram``."""
+        assert kernels.get("histogram", backend="numpy").__wrapped__ is sequential_histogram
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,8 @@ class TestHistogramDifferential:
     @example(image=np.zeros((3, 3), dtype=np.int32), k=8)
     @example(image=np.full((2, 5), 7, dtype=np.int32), k=8)
     def test_backends_match_reference(self, image, k):
-        expected = sequential_histogram(image, k)
+        counts = Counter(image.ravel().tolist())
+        expected = np.array([counts[level] for level in range(k)], dtype=np.int64)
         for backend in kernels.BACKENDS:
             got = kernels.get("histogram", backend=backend)(image, k)
             assert got.dtype == expected.dtype
@@ -343,10 +350,10 @@ class TestRelabelDifferential:
             st.integers(0, 30), st.integers(0, 500), max_size=12
         ),
     )
-    def test_backends_match_apply_changes(self, labels, mapping):
+    def test_backends_match_dict_lookup(self, labels, mapping):
         alphas = np.array(sorted(mapping), dtype=np.int64)
         betas = np.array([mapping[a] for a in sorted(mapping)], dtype=np.int64)
-        expected = apply_changes(labels, ChangeArray(alphas, betas))
+        expected = np.array([mapping.get(x, x) for x in labels.tolist()], dtype=np.int64)
         for backend in kernels.BACKENDS:
             got = kernels.get("relabel", backend=backend)(labels, alphas, betas)
             assert got.dtype == expected.dtype
@@ -358,7 +365,7 @@ class TestRelabelDifferential:
         for backend in kernels.BACKENDS:
             got = kernels.get("relabel", backend=backend)(labels, empty, empty)
             assert np.array_equal(got, labels)
-            assert got is not labels  # a copy, like apply_changes
+            assert got is not labels  # always a copy
 
     def test_mismatched_pairs_rejected(self):
         labels = np.arange(4, dtype=np.int64)

@@ -8,7 +8,7 @@ from repro.baselines.stripe_dc import stripe_components
 from repro.core.connected_components import parallel_components
 from repro.images import binary_test_image, darpa_like
 from repro.machines import CM5, IDEAL
-from repro.utils.errors import ConfigurationError, ValidationError
+from repro.utils.errors import ConfigurationError
 
 
 class TestCorrectness:
@@ -38,10 +38,6 @@ class TestCorrectness:
         img = np.ones((48, 48), dtype=np.int32)
         with pytest.raises(ConfigurationError):
             stripe_components(img, 32, IDEAL)  # 32 does not divide 48
-
-    def test_unknown_engine(self, small_binary):
-        with pytest.raises(ValidationError):
-            stripe_components(small_binary, 4, engine="nope")
 
 
 class TestComparison:
