@@ -2,8 +2,9 @@
 
 Measures the actual (not simulated) execution of the histogram and CC
 implementations: the serial kernels against the distributed array's
-``shmem`` transport (one image and one label array in anonymous shared
-mappings, inherited by a forked process pool).
+``shmem`` transport (one image and one label array in one memfd per
+job, mapped task by task by the process's warm fork pool, which the
+first process row forks).
 On a multi-core host the process backend should approach core-count
 speedups for large images;
 on a single-core host (like some CI containers) it documents the

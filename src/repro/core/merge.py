@@ -24,6 +24,7 @@ unchanged while keeping the schedule uniform.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.tiles import ProcessorGrid
@@ -72,8 +73,17 @@ def merge_schedule(grid: ProcessorGrid) -> list[MergeStep]:
 
     Returns ``log p`` steps; step ``t`` (1-based) merges regions of
     ``vspan x hspan`` tiles into regions twice as wide (H) or tall (V).
+    The schedule depends only on the grid shape ``(v, w)``, so it is
+    computed once per shape; each call returns a fresh list of the
+    shared, frozen steps.
     """
-    v, w = grid.v, grid.w
+    return list(_schedule(grid.v, grid.w))
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(v: int, w: int) -> tuple[MergeStep, ...]:
+    """The merge schedule of a ``v x w`` grid, whose processor at grid
+    position ``(I, J)`` is ``I * w + J``."""
     log_w = ilog2(w)
     log_v = ilog2(v)
     steps: list[MergeStep] = []
@@ -89,12 +99,12 @@ def merge_schedule(grid: ProcessorGrid) -> list[MergeStep]:
                 for J0 in range(0, w, 2 * hspan):
                     Jb = J0 + hspan - 1
                     rows = range(I0, I0 + vspan)
-                    side_a = tuple(grid.pid_at(i, Jb) for i in rows)
-                    side_b = tuple(grid.pid_at(i, Jb + 1) for i in rows)
-                    manager = grid.pid_at(I0, Jb)
-                    shadow = grid.pid_at(I0, Jb + 1)
+                    side_a = tuple(i * w + Jb for i in rows)
+                    side_b = tuple(i * w + Jb + 1 for i in rows)
+                    manager = I0 * w + Jb
+                    shadow = I0 * w + Jb + 1
                     region = [
-                        grid.pid_at(i, j)
+                        i * w + j
                         for i in rows
                         for j in range(J0, J0 + 2 * hspan)
                     ]
@@ -110,12 +120,12 @@ def merge_schedule(grid: ProcessorGrid) -> list[MergeStep]:
                 for J0 in range(0, w, hspan):
                     Ib = I0 + vspan - 1
                     cols = range(J0, J0 + hspan)
-                    side_a = tuple(grid.pid_at(Ib, j) for j in cols)
-                    side_b = tuple(grid.pid_at(Ib + 1, j) for j in cols)
-                    manager = grid.pid_at(Ib, J0)
-                    shadow = grid.pid_at(Ib + 1, J0)
+                    side_a = tuple(Ib * w + j for j in cols)
+                    side_b = tuple((Ib + 1) * w + j for j in cols)
+                    manager = Ib * w + J0
+                    shadow = (Ib + 1) * w + J0
                     region = [
-                        grid.pid_at(i, j)
+                        i * w + j
                         for i in range(I0, I0 + 2 * vspan)
                         for j in cols
                     ]
@@ -127,4 +137,4 @@ def merge_schedule(grid: ProcessorGrid) -> list[MergeStep]:
             done_v += 1
             orientation = "V"
         steps.append(MergeStep(t=t, orientation=orientation, groups=tuple(groups)))
-    return steps
+    return tuple(steps)

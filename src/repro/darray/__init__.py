@@ -15,9 +15,9 @@ Three registered transports implement the contract, all driven by
 * ``local`` -- shards are in-process run tables, painted once into one
   ndarray at finalize;
 * ``shmem`` -- tiles are views into one image and one label array in
-  anonymous shared mappings the pool inherits by fork, and every verb
-  call that reads is one dispatch of one task per worker with
-  deadline/retry/respawn recovery and ``darray:border`` /
+  one memfd per job, which the process's warm pool maps task by task,
+  and every verb call that reads is one dispatch of one task per
+  worker with deadline/retry/respawn recovery and ``darray:border`` /
   ``darray:fetch`` fault sites;
 * ``mmap`` -- out-of-core: pixels stream from a memory-mapped binary
   PGM, run tables spill to disk, and only the perimeter labels stay

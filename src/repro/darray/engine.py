@@ -129,9 +129,7 @@ def _resolve_source(source, transport: str):
     return image.shape, image
 
 
-def _emit_stats(recorder: WallRecorder | None, stats: TransportStats) -> None:
-    if recorder is not None:
-        recorder.drain()  # fold in the pool workers' task spans and instants
+def _emit_stats(stats: TransportStats) -> None:
     _trace.count(DARRAY_BORDER_BYTES, stats.border_bytes)
     _trace.count(DARRAY_CHANGE_BYTES, stats.change_bytes)
     _trace.count(DARRAY_SPILL_READS, stats.spill_reads)
@@ -198,8 +196,6 @@ def _open_and_run(
                 result = verb(da)
                 stats = da.stats
         except FaultError as exc:
-            if recorder is not None:
-                recorder.drain()
             if not degrade:
                 raise
             warnings.warn(
@@ -217,7 +213,7 @@ def _open_and_run(
 
                 image = read_pnm(image)
             return serial(image, grid)
-        _emit_stats(recorder, stats)
+        _emit_stats(stats)
     return result
 
 

@@ -1,26 +1,42 @@
-"""Multiprocess transport: an inherited image, one shared label array, dispatched verbs.
+"""Multiprocess transport: one memfd per job, served by the warm worker pool.
 
-The int64 label array lives in an anonymous, zero-filled ``MAP_SHARED``
-mapping made before the pool first forks.  It reaches the workers as an
-initializer argument together with the validated image, which fork
-inherits instead of pickling, so every worker -- and every pool a
-respawn rebuilds -- reads the parent's image pages and shares its label
-pages with nothing to attach or unlink, and a tile is a pair of
-``grid.tile_slices`` views.  The workers only read the image; a
-respawned pool forks from it again, so the caller must not change the
-image while the transport is open.  Spawn would pickle each worker a
-private copy, so without fork the transport raises
+Each job keeps its arrays in one ``os.memfd_create`` file
+(:func:`~repro.runtime.dispatch.job_file`), made at the job's first
+dispatch: the zero-filled int64 label array, then the validated image,
+written in with ``os.pwrite``.  The image is therefore read at the first
+dispatch, and the caller must not change it before then.  The driver
+maps only the labels -- :meth:`ShmemTransport.gather` returns them
+without a copy, and the mapping is freed with the result -- and never
+the image: a copy through a fresh mapping faults every page in first
+(on a 2-CPU VM, 4 MiB took 4.28 ms mapped against 1.69 ms with
+``pwrite``).  A task opens the file as ``/proc/<driver pid>/fd/<n>``,
+checks that its inode is the job's, so it never maps a file that reused
+the fd number, and maps it only while it runs: an idle pool holds no
+job pages, and a retried block maps the file again.  A tile is a pair
+of ``grid.tile_slices`` views.  Nothing is attached, unlinked or
+registered with the resource tracker, and no ``/dev/shm`` entry is made.
+
+The workers are the process's warm pool
+(:func:`~repro.runtime.dispatch.borrow_pool`).  A job borrows it at its
+first dispatch and returns it at :meth:`ShmemTransport.close`, so the
+jobs of a process fork their workers once, and a transport opened and
+closed unused forks nothing.  A job whose dispatch raised closes the
+pool instead, so no task of a failed job outlives it.  A warm worker
+holds no job's state, so every task carries its job's: where the file
+is, the grid, the options, the number of block-local rounds and the
+fault plan, which the task installs (``None`` for a clean job), and
+whether the job is traced, which decides whether the task forwards its
+events to the pool's queue.  The pool forks its workers, so without the
+fork start method the transport raises
 :class:`~repro.utils.errors.ConfigurationError`.
-:meth:`ShmemTransport.gather` returns the label array without a copy;
-the label mapping is freed with the result.
 
 Every verb call that reads or writes the arrays is one pool round trip
-on a :class:`~repro.runtime.dispatch.PoolSupervisor`, through the
-deadline/retry/respawn dispatcher: it sends one task per worker, and
-each task carries a contiguous block of the call's items, in order --
-blocks of tiles for label, tiles for final and hist, border sides for
-border.  This mirrors the paper's cost model, which charges a merge
-round's latency once because a processor pipelines its prefetches.
+through the deadline/retry/respawn dispatcher: it sends one task per
+worker, and each task carries a contiguous block of the call's items,
+in order -- blocks of tiles for label, tiles for final and hist, border
+sides for border.  This mirrors the paper's cost model, which charges a
+merge round's latency once because a processor pipelines its
+prefetches.
 
 The label verb also merges.  Each of its tasks gets one block of whole
 round-``L`` merge regions (``L`` from :func:`block_local_rounds`),
@@ -73,7 +89,6 @@ task left half relabeled.
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
 from typing import NamedTuple
@@ -97,17 +112,57 @@ from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel
 from repro.obs import trace as _trace
 from repro.obs.events import CAT_ROUND
-from repro.runtime.dispatch import PoolSupervisor, _pool_context, run_tasks
+from repro.obs.runtime import record_worker_lanes, trace_task
+from repro.runtime.dispatch import (
+    _pool_context,
+    borrow_pool,
+    job_file,
+    return_pool,
+    run_tasks,
+)
 from repro.utils.errors import CorruptPayloadError, ValidationError
 from repro.utils.validation import check_image, check_positive, ilog2
-
-#: Worker-side grid, arrays, options and block-local rounds (set by the
-#: initializer).
-_SHARD: dict = {}
 
 #: How far above ``p / workers`` tiles a label block may grow before
 #: :func:`block_local_rounds` settles for smaller regions.
 _BLOCK_SLACK = 1.25
+
+
+class _Job(NamedTuple):
+    """What every task of a job carries: where its arrays are -- memfd
+    ``fd`` of process ``pid``, with the labels first and the image at
+    ``image_offset`` -- and the job's state."""
+
+    pid: int
+    fd: int
+    inode: int
+    dtype: str
+    image_offset: int
+    grid: ProcessorGrid
+    opts: dict
+    #: How many merge rounds the label blocks run (``L``).
+    rounds: int
+    plan: FaultPlan | None
+
+    @property
+    def steps(self) -> list[MergeStep]:
+        """The block-local merge rounds.  They travel as their count:
+        pickled whole they would cost a task ten times the rest of the
+        job, and the schedule is computed once per grid shape."""
+        return merge_schedule(self.grid)[: self.rounds]
+
+
+class _Shard(NamedTuple):
+    """A task's job and its image and label array, mapped for the task."""
+
+    job: _Job
+    image: np.ndarray
+    labels: np.ndarray
+
+    def tile(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tile ``pid`` of the image and the label array (views)."""
+        sl = self.job.grid.tile_slices(pid)
+        return self.image[sl], self.labels[sl]
 
 
 class _Fetch(NamedTuple):
@@ -138,27 +193,27 @@ def block_local_rounds(p: int, workers: int) -> int:
     return best
 
 
-def _shared_zeros(shape: tuple[int, int], dtype) -> np.ndarray:
-    """A zero-filled array in an anonymous ``MAP_SHARED`` mapping.
+def _map_job(job: _Job) -> _Shard:
+    """Map the job's file through the driver's fd; unmapped when the
+    returned views are freed.
 
-    Processes forked after it is made share its pages; the mapping is
-    unmapped when the last array over it is freed.
+    Raises :class:`ValidationError` if the fd now names another file.
     """
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes))
-
-
-def _shard_init(grid, image, labels, opts, steps, plan: FaultPlan | None = None) -> None:
-    """Pool initializer: keep the inherited arrays and the block-local
-    rounds, install the plan."""
-    install_plan(plan)
-    _SHARD.update(grid=grid, image=image, labels=labels, opts=opts, steps=steps)
-
-
-def _tile(pid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tile ``pid`` of the image and the shared label array (views)."""
-    sl = _SHARD["grid"].tile_slices(pid)
-    return _SHARD["image"][sl], _SHARD["labels"][sl]
+    fd = os.open(f"/proc/{job.pid}/fd/{job.fd}", os.O_RDWR)
+    try:
+        inode = os.fstat(fd).st_ino
+        if inode != job.inode:
+            raise ValidationError(
+                f"fd {job.fd} of process {job.pid} is inode {inode}, "
+                f"not the job's file (inode {job.inode})"
+            )
+        buf = mmap.mmap(fd, 0)
+    finally:
+        os.close(fd)
+    shape = (job.grid.rows, job.grid.cols)
+    labels = np.ndarray(shape, np.int64, buffer=buf)
+    image = np.ndarray(shape, np.dtype(job.dtype), buffer=buf, offset=job.image_offset)
+    return _Shard(job, image, labels)
 
 
 def _blocks(items: list, n: int) -> list[list]:
@@ -170,11 +225,16 @@ def _blocks(items: list, n: int) -> list[list]:
 def _shard_block(arg):
     """One pool task: a block of one verb call's items, run in order.
 
-    ``item`` is the verb's item function; ``shared`` is what every item
-    of the call reads (sent once per block).
+    The task installs its job's fault plan and tracing, then maps the
+    job's file for as long as it runs.  ``item`` is the verb's item
+    function; ``shared`` is what every item of the call reads (sent
+    once per block).
     """
-    (item, items, shared), attempt = arg
-    return [item(payload, shared, attempt) for payload in items]
+    (job, traced, item, items, shared), attempt = arg
+    install_plan(job.plan)
+    trace_task(traced)
+    shard = _map_job(job)
+    return [item(shard, payload, shared, attempt) for payload in items]
 
 
 def _checked(labels, spec, step_index: int, group_index: int) -> None:
@@ -189,7 +249,7 @@ def _checked(labels, spec, step_index: int, group_index: int) -> None:
         raise
 
 
-def _label_block(pids, _shared, attempt):
+def _label_block(shard: _Shard, pids, _shared, attempt):
     """Verb 1 and the block-local merge rounds over one block of tiles.
 
     ``pids`` covers whole round-``L`` regions.  Each tile's run table is
@@ -200,8 +260,8 @@ def _label_block(pids, _shared, attempt):
     written back.  Returns ``(hooks, n_components, border_bytes,
     change_bytes)`` of the block.
     """
-    opts = _SHARD["opts"]
-    grid = _SHARD["grid"]
+    opts = shard.job.opts
+    grid = shard.job.grid
     tile_runs = get_kernel("tile_runs")
     hooks: dict[int, TileHooks] = {}
     perimeters: dict[int, np.ndarray] = {}
@@ -209,7 +269,7 @@ def _label_block(pids, _shared, attempt):
     for pid in pids:
         fire("darray:label", task=pid, attempt=attempt)
         with _trace.traced_span(f"darray:label:t{pid}"):
-            img, lab = _tile(pid)
+            img, lab = shard.tile(pid)
             r0, c0 = grid.tile_origin(pid)
             runs = tile_runs(
                 img,
@@ -229,11 +289,11 @@ def _label_block(pids, _shared, attempt):
     relabel = get_kernel("relabel")
     border_bytes = change_bytes = 0
     merged: set[int] = set()
-    for si, step in enumerate(_SHARD["steps"]):
+    for si, step in enumerate(shard.job.steps):
         with _trace.traced_span(f"darray:merge:r{step.t}", cat=CAT_ROUND):
             inside = [gi for gi, group in enumerate(step.groups) if group.manager in members]
             mine = MergeStep(step.t, step.orientation, tuple(step.groups[gi] for gi in inside))
-            sides = perimeter_round(perimeters, _SHARD["image"], grid, mine, extract)
+            sides = perimeter_round(perimeters, shard.image, grid, mine, extract)
             changes = []
             for gi, (side_a, side_b) in zip(inside, sides):
                 for side in (side_a, side_b):
@@ -253,24 +313,24 @@ def _label_block(pids, _shared, attempt):
             border_bytes += border_nbytes(sides)
             change_bytes += change_nbytes(published)
     for pid in merged:
-        _img, lab = _tile(pid)
+        _img, lab = shard.tile(pid)
         lab[perimeter_coords(*lab.shape)] = perimeters[pid]
     return hooks, n_components, border_bytes, change_bytes
 
 
-def _apply_fetch(fetch: _Fetch, pids, attempt: int) -> None:
+def _apply_fetch(shard: _Shard, fetch: _Fetch, pids, attempt: int) -> None:
     """Verb 3, applied: relabel the perimeters of tiles ``pids`` through
     one published change array."""
     fire("darray:fetch", round=fetch.step_index, group=fetch.group_index, attempt=attempt)
     with _trace.traced_span(f"darray:fetch:s{fetch.step_index}g{fetch.group_index}"):
         relabel = get_kernel("relabel")
         for pid in pids:
-            _img, lab = _tile(pid)
+            _img, lab = shard.tile(pid)
             rows, cols = perimeter_coords(*lab.shape)
             lab[rows, cols] = relabel(lab[rows, cols], fetch.alphas, fetch.betas)
 
 
-def _border_item(side, _shared, attempt):
+def _border_item(shard: _Shard, side, _shared, attempt):
     """Verb 2: extract one border side from the owning tiles.
 
     ``fetch`` is the previous round's change array of the region the
@@ -280,13 +340,13 @@ def _border_item(side, _shared, attempt):
     step_index, group_index, pids, edge, fetch = side
     spec = fire("darray:border", round=step_index, group=group_index, attempt=attempt)
     if fetch is not None:
-        _apply_fetch(fetch, fetch.region, attempt)
+        _apply_fetch(shard, fetch, fetch.region, attempt)
     with _trace.traced_span(f"darray:border:s{step_index}g{group_index}:{edge}"):
         extract = get_kernel("border_extract")
         lab_parts = []
         col_parts = []
         for pid in pids:
-            img, lab = _tile(pid)
+            img, lab = shard.tile(pid)
             lab_parts.append(extract(lab, edge))
             col_parts.append(extract(img, edge))
         labels = np.concatenate(lab_parts)
@@ -294,7 +354,7 @@ def _border_item(side, _shared, attempt):
         return labels, np.concatenate(col_parts)
 
 
-def _final_item(tile, fetches, attempt):
+def _final_item(shard: _Shard, tile, fetches, attempt):
     """Verb 1: the last round's change array on one tile's perimeter,
     then the tile's hook-based interior relabel."""
     pid, hooks = tile
@@ -302,23 +362,23 @@ def _final_item(tile, fetches, attempt):
     with _trace.traced_span(f"darray:final:t{pid}"):
         for fetch in fetches:
             if pid in fetch.region:
-                _apply_fetch(fetch, (pid,), attempt)
-        _img, lab = _tile(pid)
+                _apply_fetch(shard, fetch, (pid,), attempt)
+        _img, lab = shard.tile(pid)
         apply_hooks(lab, hooks)
         return pid
 
 
-def _hist_item(pid, k, attempt):
+def _hist_item(shard: _Shard, pid, k, attempt):
     """Verb 1: grey-level tally of one tile."""
     fire("darray:hist", task=pid, attempt=attempt)
     with _trace.traced_span(f"darray:hist:t{pid}"):
-        img, _lab = _tile(pid)
+        img, _lab = shard.tile(pid)
         return get_kernel("histogram")(img, k)
 
 
 class ShmemTransport(Transport):
-    """An inherited image and a shared label array served by a supervised
-    worker pool whose label blocks merge their own first rounds."""
+    """A job's image and label array in one memfd, served by the warm
+    worker pool, whose label blocks merge their own first rounds."""
 
     name = "shmem"
 
@@ -335,11 +395,10 @@ class ShmemTransport(Transport):
         workers: int | None = None,
     ):
         super().__init__(grid)
-        ctx = _pool_context()
-        image = check_image(np.asarray(image), square=False)
+        _pool_context()  # without fork, fail at open, not at the first dispatch
+        #: Read at the first dispatch, which writes it into the job's file.
+        self._image = check_image(np.asarray(image), square=False)
         self._dispatch = dict(timeout=timeout, max_retries=max_retries)
-        self._labels = _shared_zeros(image.shape, np.int64)
-        opts = {"connectivity": connectivity, "grey": grey}
         if workers is None:
             workers = min(grid.p, max(1, os.cpu_count() or 1), 16)
         # Checked here: a dispatch cut into no blocks would send nothing.
@@ -355,28 +414,62 @@ class ShmemTransport(Transport):
         self._label_blocks = [
             sum(block, ()) for block in _blocks(regions, self._workers)
         ]
+        #: The job's state that every task carries besides its file.
+        self._state = dict(
+            grid=grid,
+            opts={"connectivity": connectivity, "grey": grey},
+            rounds=self.merged_rounds,
+            plan=fault_plan,
+        )
         #: The last published round's change arrays, not yet applied.
         self._fetches: list[_Fetch] = []
-        # Built before the pool first forks, so every worker inherits
-        # the image and the label array.
-        self._pool = PoolSupervisor(
-            ctx,
-            workers,
-            initializer=_shard_init,
-            initargs=(
-                grid, image, self._labels, opts,
-                schedule[: self.merged_rounds], fault_plan,
-            ),
-        )
+        # Made at the first dispatch (the file) and borrowed there (the pool).
+        self._fd: int | None = None
+        self._labels: np.ndarray | None = None
+        self._job: _Job | None = None
+        self._pool = None
+        self._failed = False
+
+    def _file(self) -> _Job:
+        """The job's memfd: made on first use, with the labels mapped and
+        the image written in."""
+        if self._job is None:
+            image = np.ascontiguousarray(self._image)
+            labels_nbytes = image.size * np.dtype(np.int64).itemsize
+            self._fd = fd = job_file(labels_nbytes + image.nbytes)
+            data = image.reshape(-1).view(np.uint8)
+            written = 0
+            while written < data.size:
+                written += os.pwrite(fd, data[written:], labels_nbytes + written)
+            self._labels = np.ndarray(
+                image.shape, np.int64, buffer=mmap.mmap(fd, labels_nbytes)
+            )
+            self._job = _Job(
+                os.getpid(), fd, os.fstat(fd).st_ino, image.dtype.str, labels_nbytes,
+                **self._state,
+            )
+            self._image = None
+        return self._job
 
     def _run(self, item, items: list, site: str, shared=None) -> list:
         """One pool round trip: a block of ``items`` per worker, run by
-        ``item``; the items' results, in order."""
-        blocks = run_tasks(
-            self._pool, _shard_block,
-            [(item, block, shared) for block in _blocks(items, self._workers)],
-            site=site, **self._dispatch,
-        )
+        ``item``; the items' results, in order.  The first one borrows
+        the pool."""
+        job = self._file()
+        traced = _trace.sink() is not None
+        if self._pool is None:
+            self._pool = borrow_pool(self._workers)
+            if traced:
+                record_worker_lanes(self._pool.worker_pids())
+        try:
+            blocks = run_tasks(
+                self._pool, _shard_block,
+                [(job, traced, item, block, shared) for block in _blocks(items, self._workers)],
+                site=site, **self._dispatch,
+            )
+        except BaseException:
+            self._failed = True
+            raise
         return [result for block in blocks for result in block]
 
     def _check_dispatched(self, step_index: int) -> None:
@@ -452,8 +545,17 @@ class ShmemTransport(Transport):
     # -- collection / lifecycle --------------------------------------------
 
     def gather(self) -> np.ndarray:
-        """The shared label array the workers wrote: no copy."""
+        """The label array the workers wrote, mapped from the job's file:
+        no copy."""
+        self._file()
         return self._labels
 
     def close(self) -> None:
-        self._pool.close()
+        """Return the pool -- or close it, if a dispatch raised -- and the
+        job's file; the labels stay mapped for the result."""
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            return_pool(pool, warm=not self._failed)
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            os.close(fd)

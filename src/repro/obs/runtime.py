@@ -10,12 +10,16 @@ The runtime runs genuine OS processes, so events must be collected
 built while a recorder is installed asks it for a queue
 (:meth:`WallRecorder.worker_queue`) and hands that to
 :func:`init_worker`, which installs a forwarding sink in every pool
-worker.  Workers push tagged tuples through it (``time.perf_counter``
-is CLOCK_MONOTONIC, comparable across processes on the same host), and
-:meth:`WallRecorder.drain` folds them into the driver's
-:class:`~repro.obs.events.EventLog` on a common epoch:
-``("span", name, pid, t0, t1, cat, args)``, ``("instant", name, pid,
-t, args)`` and ``("count", name, value, t)``.  A worker's spans and
+worker.  A ``per_job`` pool, which outlives the jobs it serves, owns
+its queue instead: a task forwards to it only if its job is traced
+(:func:`trace_task`), the driver drains it into the job's sink, and a
+traced job records a zero-width ``worker:init`` on the lane of each
+worker it borrows (:func:`record_worker_lanes`).  Workers push tagged
+tuples (``time.perf_counter`` is CLOCK_MONOTONIC, comparable across
+processes on the same host), and :meth:`WallRecorder.drain` folds them
+into the driver's :class:`~repro.obs.events.EventLog` on a common
+epoch: ``("span", name, pid, t0, t1, cat, args)``, ``("instant", name,
+pid, t, args)`` and ``("count", name, value, t)``.  A worker's spans and
 instants land on its pid lane.
 """
 
@@ -64,18 +68,21 @@ class WallRecorder:
             self._queue = ctx.SimpleQueue()
         return self._queue
 
-    def drain(self) -> int:
+    def drain(self, queue=None) -> int:
         """Fold queued worker events into the log; returns how many.
 
-        Safe to call from several threads: a service drains while its
-        dispatcher thread does.
+        ``queue`` is a ``per_job`` pool's own queue; by default the
+        recorder's :meth:`worker_queue`.  Safe to call from several
+        threads: a service drains while its dispatcher thread does.
         """
-        if self._queue is None:
+        if queue is None:
+            queue = self._queue
+        if queue is None:
             return 0
         n = 0
         with self._drain_lock:
-            while not self._queue.empty():
-                msg = self._queue.get()
+            while not queue.empty():
+                msg = queue.get()
                 if msg[0] == "span":
                     _, name, pid, t0, t1, cat, args = msg
                     self.log.add_span(name, pid, t0 - self.epoch, t1 - t0,
@@ -123,18 +130,48 @@ class _QueueSink:
         self._queue.put(("count", name, value, t))
 
 
-def init_worker(queue, initializer, initargs: tuple) -> None:
-    """Pool initializer: install the worker's sink, then ``initializer``.
+#: A ``per_job`` pool worker's sink, which the tasks of traced jobs
+#: install (see :func:`trace_task`).
+_FORWARD: _QueueSink | None = None
 
-    ``queue`` is the installed recorder's :meth:`WallRecorder.
-    worker_queue`, or ``None`` to record nothing.  A ``worker:init``
-    span makes every worker appear in the trace even if task scheduling
-    starves it.
+
+def init_worker(queue, per_job: bool, initializer, initargs: tuple) -> None:
+    """Pool initializer: set up the worker's sink, then ``initializer``.
+
+    ``queue`` is where the worker's events go, or ``None`` to record
+    nothing.  In a pool built under a recorder it is the recorder's
+    :meth:`WallRecorder.worker_queue`: the worker forwards every event,
+    and a ``worker:init`` span makes it appear in the trace even if task
+    scheduling starves it.  A ``per_job`` pool's worker records nothing
+    until a task of a traced job turns forwarding on (:func:`trace_task`).
     """
+    global _FORWARD
     sink = _QueueSink(queue) if queue is not None else None
+    if per_job:
+        _FORWARD, sink = sink, None
     _trace.set_sink(sink)
     if sink is not None:
         now = time.perf_counter()
         sink.record_span("worker:init", None, now, now, CAT_SETUP, {})
     if initializer is not None:
         initializer(*initargs)
+
+
+def trace_task(traced: bool) -> None:
+    """In a ``per_job`` pool's worker: forward this task's events to the
+    pool's queue if its job is traced, else record nothing."""
+    _trace.set_sink(_FORWARD if traced else None)
+
+
+def record_worker_lanes(pids) -> None:
+    """Record a zero-width ``worker:init`` span on each of ``pids``' lanes.
+
+    A traced job calls it for the workers of the ``per_job`` pool it
+    borrows, which record no ``worker:init`` of their own, so every
+    process of the pool appears in its trace.
+    """
+    sink = _trace.sink()
+    if sink is not None:
+        now = time.perf_counter()
+        for pid in pids:
+            sink.record_span("worker:init", pid, now, now, CAT_SETUP, {})

@@ -192,7 +192,8 @@ def set_sink(new):
     t)`` with ``perf_counter`` times; ``lane`` is ``None`` for the
     sink's own lane.  It also hands pool workers their queue
     (``worker_queue(ctx)``) and folds queued worker events into its log
-    (``drain()``).  ``None`` uninstalls.
+    (``drain()``, or ``drain(queue)`` for a queue a pool owns).  ``None``
+    uninstalls.
     """
     global _SINK
     previous, _SINK = _SINK, new

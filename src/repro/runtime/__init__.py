@@ -8,8 +8,9 @@ CPython's GIL rules out thread parallelism for this workload, hence
 processes over shared memory, as is standard for Python HPC:
 
 * :mod:`repro.runtime.dispatch` -- the supervised fork pool and the
-  deadline/retry/respawn task dispatcher, which that transport (whose
-  workers inherit its arrays by fork) and :mod:`repro.service` share;
+  deadline/retry/respawn task dispatcher, which that transport (on the
+  process's warm pool, its arrays in one memfd per job) and
+  :mod:`repro.service` share;
 * :mod:`repro.runtime.shmem` -- the service's zero-copy wire plane:
   :class:`SharedNDArray` segments, :class:`ShmDescriptor`, :class:`ShmArena`.
 """

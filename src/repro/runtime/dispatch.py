@@ -25,6 +25,11 @@ the driver forever.  This module replaces it:
   the installed sink (:mod:`repro.obs.trace`), and each dispatch as a
   ``dispatch:<site>`` span.
 
+A pool outlives one dispatch.  The ``shmem`` transport goes further and
+borrows a *warm* pool (:func:`borrow_pool`), which the process keeps
+for every job it runs: its workers are forked once, and each task
+carries its own job's state, fault plan included.
+
 Task functions receive ``(payload, attempt)`` tuples; the attempt
 number feeds the deterministic fault injector
 (:mod:`repro.faults.inject`), which is how a seeded plan can fault the
@@ -33,8 +38,12 @@ first attempt of a task and let its retry through.
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import mmap
 import multiprocessing as mp
 import os
+import threading
 import time
 
 from repro.obs.events import (
@@ -75,6 +84,19 @@ RETRYABLE = (TransientTaskError, CorruptPayloadError)
 #: checked promptly even when the pool has silently lost a task).
 _POLL_S = 0.005
 
+#: The name of every job file (see :func:`job_file`).
+_JOB_FILE = "repro-job"
+
+#: Linux's ``MAP_FIXED``, which the :mod:`mmap` module does not export.
+_MAP_FIXED = 0x10
+
+#: libc's ``mmap``, resolved before any worker forks: a worker forked
+#: while another thread held the dynamic loader's lock could not.
+_libc_mmap = ctypes.CDLL(None).mmap
+_libc_mmap.restype = ctypes.c_void_p
+_libc_mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                       ctypes.c_int, ctypes.c_int, ctypes.c_long)
+
 
 def resolve_timeout(timeout: float | None = None) -> float:
     """Per-task deadline: argument, else ``REPRO_TASK_TIMEOUT``, else default."""
@@ -111,8 +133,8 @@ def resolve_retries(retries: int | None = None) -> int:
 def _pool_context():
     """The pool start method: fork, else :class:`ConfigurationError`.
 
-    Forked workers inherit their initializer arguments unpickled, which
-    the ``shmem`` transport's shared arrays rely on.
+    A forked worker starts in milliseconds, without re-importing the
+    program, and inherits its initializer arguments unpickled.
     """
     try:
         return mp.get_context("fork")
@@ -127,21 +149,29 @@ class PoolSupervisor:
     task forever, and a wedged worker occupies a slot indefinitely --
     so recovery always goes through :meth:`respawn`: terminate the old
     pool (SIGTERM reaches even a sleeping worker) and build a fresh one
-    with the same initializer, whose arguments the new workers inherit
-    by fork and which re-installs the fault plan in them.
+    with the same initializer, which re-installs the fault plan in the
+    new workers.
 
     Workers record into the sink installed when the supervisor is
     built: :func:`~repro.obs.runtime.init_worker` runs before
-    ``initializer`` and forwards their events to its queue.
+    ``initializer`` and forwards their events to its queue.  A
+    ``per_job`` pool serves jobs of any sink instead: it owns its
+    :attr:`queue`, a task forwards to it only if its job is traced, and
+    :meth:`drain` folds it into whichever sink the driver has installed.
     """
 
-    def __init__(self, ctx, processes: int, initializer=None, initargs: tuple = ()):
+    def __init__(self, ctx, processes: int, initializer=None, initargs: tuple = (),
+                 *, per_job: bool = False):
         self._ctx = ctx
-        self._processes = processes
-        #: The sink the workers forward to (drained while dispatching).
-        self.sink = _trace.sink()
-        queue = self.sink.worker_queue(ctx) if self.sink is not None else None
-        self._initargs = (queue, initializer, initargs)
+        self.processes = processes
+        if per_job:
+            self.sink = None
+            self.queue = ctx.SimpleQueue()
+        else:
+            #: The sink the workers forward to (drained while dispatching).
+            self.sink = _trace.sink()
+            self.queue = self.sink.worker_queue(ctx) if self.sink is not None else None
+        self._initargs = (self.queue, per_job, initializer, initargs)
         self._pool = None
         self.respawns = 0
 
@@ -149,9 +179,13 @@ class PoolSupervisor:
     def pool(self):
         if self._pool is None:
             self._pool = self._ctx.Pool(
-                self._processes, initializer=init_worker, initargs=self._initargs
+                self.processes, initializer=init_worker, initargs=self._initargs
             )
         return self._pool
+
+    def worker_pids(self) -> list[int]:
+        """OS pids of the pool's live workers (builds the pool)."""
+        return [p.pid for p in self.pool._pool if p.exitcode is None]
 
     def dead_workers(self) -> list[int]:
         """Exit codes of workers that died abnormally (best effort)."""
@@ -161,6 +195,17 @@ class PoolSupervisor:
             for p in procs
             if getattr(p, "exitcode", None) not in (None, 0)
         ]
+
+    def drain(self) -> None:
+        """Fold the workers' queued events into the sink: the one the
+        pool was built under, or, for a ``per_job`` pool, the one the
+        driver has installed now."""
+        if self.sink is not None:
+            self.sink.drain()
+        elif self.queue is not None:
+            sink = _trace.sink()
+            if sink is not None:
+                sink.drain(self.queue)
 
     def respawn(self, *, reason: str = "") -> None:
         """Terminate the pool and build a fresh one."""
@@ -190,6 +235,134 @@ class PoolSupervisor:
         self.close()
 
 
+def job_file(nbytes: int) -> int:
+    """A new zero-filled ``memfd`` of ``nbytes`` for one job's arrays.
+
+    Returns its fd, which the caller closes.  A task on a ``per_job``
+    pool opens it as ``/proc/<pid>/fd/<fd>`` and maps it itself.
+    """
+    fd = os.memfd_create(_JOB_FILE, os.MFD_CLOEXEC)
+    try:
+        os.ftruncate(fd, nbytes)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _drop_job_files() -> None:
+    """Initializer of a ``per_job`` pool's worker: let go of the job
+    files it inherited, open or mapped, from the driver.
+
+    Fork copies every fd and mapping, so a worker forked while a job
+    runs, or while its results live, would otherwise keep their pages
+    for as long as it lives.  The fd numbers and address ranges stay
+    taken -- by ``/dev/null`` and by inaccessible anonymous memory --
+    because the inherited objects that own them may still be freed
+    here, and would then close or unmap whatever took their place.
+    """
+    tag = f"/memfd:{_JOB_FILE} "
+    null = os.open(os.devnull, os.O_RDONLY)
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            if os.readlink(f"/proc/self/fd/{name}").startswith(tag):
+                os.dup2(null, int(name))
+        except OSError:  # the listing's own fd, closed by now
+            pass
+    os.close(null)
+    with open("/proc/self/maps") as maps:
+        spans = [line.split()[0] for line in maps if tag in line]
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_FIXED
+    for span in spans:
+        lo, hi = (int(end, 16) for end in span.split("-"))
+        # A failed remap leaves the mapping, which then only holds its
+        # pages longer; raising would kill every new worker.
+        _libc_mmap(lo, hi - lo, 0, flags, -1, 0)
+
+
+def _job_pool(processes: int) -> PoolSupervisor:
+    return PoolSupervisor(_pool_context(), processes, _drop_job_files, per_job=True)
+
+
+#: The process's warm ``per_job`` pool (see :func:`borrow_pool`), whether
+#: a job holds it, and the lock over both.
+_warm: PoolSupervisor | None = None
+_warm_held = False
+_warm_lock = threading.Lock()
+
+
+def borrow_pool(processes: int) -> PoolSupervisor:
+    """A ``per_job`` pool of ``processes`` workers, for one job.
+
+    The process keeps one warm pool, so its jobs fork their workers
+    once: a job gets it unless another job holds it, after it is
+    replaced if it has another worker count.  A job that finds it held
+    gets a private pool of the same construction.  Either pool forks at
+    its first dispatch, and its workers start by dropping the job files
+    they inherit; give it back with :func:`return_pool`.
+    """
+    global _warm, _warm_held
+    stale = None
+    with _warm_lock:
+        if _warm_held:
+            return _job_pool(processes)
+        if _warm is not None and _warm.processes != processes:
+            stale, _warm = _warm, None
+        if _warm is None:
+            _warm = _job_pool(processes)
+        _warm_held = True
+        supervisor = _warm
+    if stale is not None:
+        stale.close()
+    return supervisor
+
+
+def return_pool(supervisor: PoolSupervisor, *, warm: bool) -> None:
+    """Give back a pool from :func:`borrow_pool`.
+
+    The warm pool stays warm for the next job if ``warm``; otherwise --
+    its job's dispatch raised, so a straggling task may still run -- it
+    is closed and the next job builds a new one.  A private pool is
+    closed.
+    """
+    global _warm, _warm_held
+    with _warm_lock:
+        if supervisor is _warm:
+            _warm_held = False
+            if warm:
+                return
+            _warm = None
+    supervisor.close()
+
+
+def _close_warm_pool() -> None:
+    global _warm
+    with _warm_lock:
+        supervisor, _warm = _warm, None
+    if supervisor is not None:
+        supervisor.close()
+
+
+#: Warm pools a forked child inherited (see :func:`_forget_warm_pool`).
+_inherited: list[PoolSupervisor] = []
+
+
+def _forget_warm_pool() -> None:
+    # A forked child inherits the slot but neither the pool's workers nor
+    # its threads, and maybe the lock held by another thread.  The pool
+    # stays referenced, unused: collecting it would signal the parent's
+    # pool through a lock that a sibling killed mid-fork may still hold.
+    global _warm, _warm_held, _warm_lock
+    if _warm is not None:
+        _inherited.append(_warm)
+    _warm, _warm_held, _warm_lock = None, False, threading.Lock()
+
+
+atexit.register(_close_warm_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_warm_pool)
+
+
 def run_tasks(
     supervisor: PoolSupervisor,
     fn,
@@ -211,8 +384,9 @@ def run_tasks(
     The whole dispatch (including retries and respawns) is one
     ``dispatch:<site>`` span -- a child of the caller's trace context
     when one is active, its ``tasks`` argument the number of payloads
-    -- and while it waits the driver drains the sink's worker queue,
-    so chatty workers never block on a full pipe.
+    -- and while it waits the driver drains the workers' events
+    (:meth:`PoolSupervisor.drain`), so chatty workers never block on a
+    full pipe; it drains once more before it returns or raises.
 
     Raises :class:`~repro.utils.errors.TaskTimeoutError` when a task
     misses its deadline with no budget left, and
@@ -225,7 +399,10 @@ def run_tasks(
     retries = resolve_retries(max_retries)
     payloads = list(payloads)
     with _trace.traced_span(f"dispatch:{site}", cat=CAT_ROUND, tasks=len(payloads)):
-        return _run(supervisor, fn, payloads, site, timeout, retries, backoff_s)
+        try:
+            return _run(supervisor, fn, payloads, site, timeout, retries, backoff_s)
+        finally:
+            supervisor.drain()
 
 
 def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):
@@ -233,7 +410,6 @@ def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):
     results = [None] * n
     pending: dict[int, tuple] = {}  # idx -> (AsyncResult, deadline, attempt)
     n_retries = n_timeouts = 0
-    sink = supervisor.sink
 
     def dispatch(idx: int, attempt: int) -> None:
         res = supervisor.pool.apply_async(fn, ((payloads[idx], attempt),))
@@ -319,8 +495,7 @@ def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):
                 else:
                     dispatch(idx, attempt)
         else:
-            if sink is not None:
-                sink.drain()
+            supervisor.drain()
             next_dl = min(dl for _r, dl, _a in pending.values())
             step = min(max(next_dl - time.monotonic(), 0.0), _POLL_S)
             # Wait on an arbitrary pending result; the bounded step

@@ -10,11 +10,13 @@ merge-protocol sites are checked here; the rest of the chaos matrix
 
 import importlib
 import inspect
+import json
 import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -578,3 +580,183 @@ class TestDegradation:
                     image, p=P, transport="shmem", degrade=False,
                     fault_plan=_persistent_border_fault(), **FAST,
                 )
+
+
+def _memfd_links(pid="self") -> set[str]:
+    """The fds of process ``pid`` that name a memfd."""
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # the listing's own fd, closed by now
+            continue
+        if target.startswith("/memfd:"):
+            links.add(f"{fd} -> {target}")
+    return links
+
+
+def _maps_memfd(pid: int) -> bool:
+    with open(f"/proc/{pid}/maps") as maps:
+        return any("/memfd:" in line for line in maps)
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a running process (not gone, not a zombie)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _fork_child_job():
+    """A forked child's job: exit 0 iff ``shmem`` labels like ``local``."""
+    image = binary_test_image(4, N)
+    want = darray_components(image, p=P, transport="local").labels
+    got = darray_components(image, p=P, transport="shmem", workers=2, degrade=False)
+    sys.exit(0 if np.array_equal(got.labels, want) else 1)
+
+
+class TestShmemWarmPool:
+    """The jobs of a process share one warm pool: forked once, holding
+    no job's state, file or plan between jobs, gone at exit."""
+
+    def test_jobs_in_a_row_fork_once(self, image, serial_labels):
+        children = []
+        for _ in range(3):
+            res = darray_components(image, p=P, transport="shmem", workers=2, degrade=False)
+            assert np.array_equal(res.labels, serial_labels)
+            children.append(set(multiprocessing.active_children()))
+        assert len(children[0]) >= 2
+        assert children[0] == children[2]
+
+    def test_concurrent_jobs_leave_only_the_warm_pool(self, image, serial_labels):
+        # A job that finds the warm pool held runs on a private pool,
+        # which closes with it.
+        import threading
+
+        darray_components(image, p=P, transport="shmem", workers=2)
+        children = set(multiprocessing.active_children())
+        same, errors = [], []
+
+        def jobs():
+            try:
+                for _ in range(3):
+                    res = darray_components(
+                        image, p=P, transport="shmem", workers=2, degrade=False
+                    )
+                    same.append(np.array_equal(res.labels, serial_labels))
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=jobs) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and same == [True] * 6
+        assert set(multiprocessing.active_children()) == children
+
+    def test_open_and_close_fork_nothing_and_make_no_file(self, image):
+        children = set(multiprocessing.active_children())
+        files = _memfd_links()
+        DistributedArray.open("shmem", ProcessorGrid(P, N), image, workers=2).close()
+        assert set(multiprocessing.active_children()) == children
+        assert _memfd_links() == files
+
+    def test_failed_job_leaves_nothing_to_the_next(self, image):
+        from repro.obs import WallRecorder
+
+        with pytest.raises(FaultError):
+            darray_components(
+                image, p=P, transport="shmem", degrade=False,
+                fault_plan=_persistent_border_fault(), **FAST,
+            )
+        rec = WallRecorder()
+        res = darray_components(image, p=P, transport="shmem", recorder=rec, **FAST)
+        want = darray_components(image, p=P, transport="local").labels
+        assert np.array_equal(res.labels, want)
+        assert rec.fault_events() == []
+
+    def test_idle_workers_map_no_job_file(self, image):
+        kept = darray_components(image, p=P, transport="shmem", workers=2).labels
+        # Forked while ``kept`` is mapped, and respawned mid-job: the
+        # workers drop the job files they inherit.
+        crash = FaultPlan(faults=(FaultSpec(site="darray:label", kind="crash", task=0),))
+        res = darray_components(
+            image, p=P, transport="shmem", fault_plan=crash, timeout=1.5, workers=3,
+        )
+        assert np.array_equal(res.labels, kept)
+        workers = multiprocessing.active_children()
+        assert len(workers) >= 3
+        for worker in workers:
+            assert not _maps_memfd(worker.pid), worker.pid
+            assert _memfd_links(worker.pid) == set(), worker.pid
+
+    def test_no_worker_outlives_the_interpreter(self):
+        code = (
+            "import json, multiprocessing\n"
+            "from repro.darray import darray_components\n"
+            "from repro.images import binary_test_image\n"
+            "darray_components(binary_test_image(4, 32), p=4, transport='shmem',\n"
+            "                  workers=2, degrade=False)\n"
+            "print(json.dumps([c.pid for c in multiprocessing.active_children()]))\n"
+        )
+        env = dict(os.environ)
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = json.loads(proc.stdout.splitlines()[-1])
+        assert len(pids) == 2
+        deadline = time.monotonic() + 2.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids)), pids
+
+    def test_forked_child_runs_its_own_pool(self, image):
+        darray_components(image, p=P, transport="shmem", workers=2)  # warm here
+        child = multiprocessing.get_context("fork").Process(target=_fork_child_job)
+        child.start()
+        child.join(120)
+        assert child.exitcode == 0
+
+    def test_task_refuses_a_file_that_is_not_its_jobs(self, image):
+        from repro.darray import shmem_transport as st
+        from repro.runtime.dispatch import PoolSupervisor, job_file, run_tasks
+
+        grid = ProcessorGrid(P, N)
+        fd = job_file(image.size * 9)
+        try:
+            job = st._Job(
+                os.getpid(), fd, os.fstat(fd).st_ino + 1, "|u1", image.size * 8,
+                grid, {"connectivity": 8, "grey": False}, 0, None,
+            )
+            with PoolSupervisor(multiprocessing.get_context("fork"), 1, per_job=True) as sup:
+                with pytest.raises(ValidationError, match="inode"):
+                    run_tasks(
+                        sup, st._shard_block, [(job, False, st._hist_item, [0], 2)],
+                        site="test", timeout=30,
+                    )
+        finally:
+            os.close(fd)
+
+    def test_a_held_pool_lends_a_private_one(self):
+        from repro.runtime.dispatch import borrow_pool, return_pool
+
+        warm = borrow_pool(2)
+        private = borrow_pool(2)  # as a job in another thread would
+        assert private is not warm
+        assert private.worker_pids()
+        return_pool(private, warm=True)
+        assert private._pool is None  # closed, though its job went well
+        return_pool(warm, warm=True)
+        assert borrow_pool(2) is warm
+        return_pool(warm, warm=False)  # a failed job's pool is closed
+        fresh = borrow_pool(2)
+        assert fresh is not warm
+        return_pool(fresh, warm=True)

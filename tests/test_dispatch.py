@@ -132,12 +132,12 @@ class TestResolveKnobs:
     # anything non-empty must either parse or fail loudly -- a typo'd
     # deadline silently becoming the default would mask a config error.
 
-    @pytest.mark.parametrize("raw", ["", "   ", "\t"])
+    @pytest.mark.parametrize("raw", ["", "   ", "\t"], ids=["empty", "spaces", "tab"])
     def test_timeout_empty_env_is_default(self, monkeypatch, raw):
         monkeypatch.setenv(ENV_TIMEOUT, raw)
         assert resolve_timeout() == DEFAULT_TIMEOUT_S
 
-    @pytest.mark.parametrize("raw", ["", "   ", "\t"])
+    @pytest.mark.parametrize("raw", ["", "   ", "\t"], ids=["empty", "spaces", "tab"])
     def test_retries_empty_env_is_default(self, monkeypatch, raw):
         monkeypatch.setenv(ENV_RETRIES, raw)
         assert resolve_retries() == DEFAULT_RETRIES
