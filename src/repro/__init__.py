@@ -137,7 +137,21 @@ from repro.machines.params import MACHINES, get_machine
 #: ``open_transport`` and ``DistributedArray.open`` raise
 #: ``ValidationError`` on an option that no transport takes, and the
 #: transport classes take only their own options.
-__version__ = "11.0.0"
+#:
+#: 12.0.0 is a breaking release: stored labels are int32
+#: (``repro.baselines.run_label.LABEL_DTYPE``), as the paper's keys are.
+#: ``DarrayResult.labels`` and every transport's ``gather()`` are int32
+#: on every path, a degraded run's included, and so is the ``mmap``
+#: transport's ``labels.bin``; ``darray_components`` raises
+#: ``ValidationError`` on an image of 2**31 pixels or more
+#: (``MAX_LABEL_PIXELS``) before any transport opens.  ``TileRuns``
+#: gains ``starts``, its ``labels`` and ``lengths`` are int32, and
+#: ``TileRuns.paint(out)`` takes no foreground mask: it writes every
+#: pixel of the tile.  ``tile_runs`` and ``tile_label`` raise
+#: ``ValidationError`` when a label does not fit int32.  The
+#: ``tile_label`` kernel, the service's ``components`` reply and the
+#: simulator still give int64.
+__version__ = "12.0.0"
 
 __all__ = [
     "kernels",

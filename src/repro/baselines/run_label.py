@@ -22,10 +22,11 @@ labeling runs through it:
    seed.  Every run gets its seed's label ``label_base + (row_offset +
    i) * stride + (col_offset + j)``, exactly the label
    :func:`~repro.baselines.bfs_label.bfs_label` produces.  The result
-   is a :class:`TileRuns`: the run table (labels and lengths), the
-   tile's perimeter labels and its component count.
-4. **Paint** -- :meth:`TileRuns.paint` fills the foreground pixels in
-   row-major order with one ``np.repeat`` of the run labels.
+   is a :class:`TileRuns`: the run table (labels, lengths and starts),
+   the tile's perimeter labels and its component count.
+4. **Paint** -- :meth:`TileRuns.paint` writes every pixel of the tile
+   with one ``np.repeat`` over the runs and the background gaps between
+   them.
 
 The distributed engines keep the run table from the initial labeling
 to the final update: the hooks rename run labels, not pixels, and each
@@ -35,10 +36,18 @@ which compresses its painted ``tile_label`` output into runs.
 
 Every step is NumPy-vectorized: no Python loop runs per pixel, run or
 run pair.
+
+Stored labels are 32-bit (:data:`LABEL_DTYPE`), as the paper's keys
+are (Section 5.3 sorts them in four one-byte radix passes): the run
+tables and every darray result.  A label is at most the image's pixel
+count, so an image must have fewer than :data:`MAX_LABEL_PIXELS`
+(2**31) pixels; :func:`check_label_capacity` rejects a larger one.
+:func:`run_label` (the ``tile_label`` kernel) still paints int64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +56,25 @@ import numpy as np
 from repro.baselines.union_find import UnionFind
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_image, check_seed_labels
+
+#: The dtype of every stored label: run tables, the darray results,
+#: ``labels.bin`` and the label area of a ``shmem`` job file.
+LABEL_DTYPE = np.dtype(np.int32)
+
+#: Labels run up to the pixel count, so an image of this many pixels or
+#: more has labels that :data:`LABEL_DTYPE` cannot hold: 2**31.
+MAX_LABEL_PIXELS = int(np.iinfo(LABEL_DTYPE).max) + 1
+
+
+def check_label_capacity(shape: tuple[int, ...]) -> None:
+    """Reject an image shape whose labels :data:`LABEL_DTYPE` cannot hold."""
+    pixels = math.prod(shape)
+    if pixels >= MAX_LABEL_PIXELS:
+        raise ValidationError(
+            f"a {'x'.join(map(str, shape))} image has {pixels:,} pixels; labels "
+            f"are {LABEL_DTYPE}, so an image must have fewer than 2**31 = "
+            f"{MAX_LABEL_PIXELS:,} pixels"
+        )
 
 
 @dataclass
@@ -71,43 +99,50 @@ class Runs:
 class TileRuns:
     """A labeled tile kept as its run table.
 
-    ``labels[k]`` and ``lengths[k]`` are the label and pixel count of the
-    tile's k-th run, in row-major order.  The runs cover the foreground
-    pixels in row-major order, so ``np.repeat(labels, lengths)`` is the
-    foreground of the painted label tile.  ``perimeter`` holds the labels
-    of the tile's border pixels in
-    :func:`~repro.core.tiles.perimeter_indices` order (0 = background),
-    and ``n_components`` the number of tile components.  (The
-    :func:`runs_adapter` count is exact whenever distinct pixels get
-    distinct seed labels -- ``label_stride`` at least the tile width --
-    as in every engine.)
+    ``labels[k]``, ``lengths[k]`` and ``starts[k]`` are the label, pixel
+    count and flat row-major offset in the tile of the tile's k-th run,
+    in row-major order, all :data:`LABEL_DTYPE`.  ``perimeter`` holds
+    the labels of the tile's border pixels in
+    :func:`~repro.core.tiles.perimeter_indices` order (0 = background;
+    int64, as the merge rounds keep them), and ``n_components`` the
+    number of tile components.  (The :func:`runs_adapter` count is exact
+    whenever distinct pixels get distinct seed labels -- ``label_stride``
+    at least the tile width -- as in every engine.)
 
     The final update (:mod:`repro.core.hooks`) renames ``labels`` in
     place from ``perimeter``; :meth:`paint` then writes each final label
-    once.  At 16 bytes per run, a table never takes more than twice the
-    bytes of its int64 label tile.
+    once.  At 12 bytes per run and at most one run per pixel, a table
+    never takes more than three times the bytes of its int32 label tile.
     """
 
     labels: np.ndarray
     lengths: np.ndarray
+    starts: np.ndarray
     perimeter: np.ndarray
     n_components: int
     shape: tuple[int, int]
 
-    def paint(self, out: np.ndarray, foreground: np.ndarray) -> None:
-        """Write the run labels into ``out`` through ``foreground``.
+    def paint(self, out: np.ndarray) -> None:
+        """Write every pixel of the tile into ``out``: run labels, 0 between.
 
-        ``foreground`` is the tile's ``image != 0`` mask; ``out`` may be
-        a strided view, such as one tile of a global label array.
-        Pixels outside the mask are left as they are, so ``out`` should
-        start zeroed.
+        One ``np.repeat`` over the runs and the background gaps around
+        them, so ``out`` needs no zeroing.  ``out`` may be a strided
+        view, such as one tile of a global label array.
         """
-        if out.shape != self.shape or foreground.shape != self.shape:
+        if out.shape != self.shape:
             raise ValidationError(
-                f"cannot paint a {self.shape} run table into {out.shape} "
-                f"through a {foreground.shape} mask"
+                f"cannot paint a {self.shape} run table into {out.shape}"
             )
-        out[foreground] = np.repeat(self.labels, self.lengths)
+        n = len(self.labels)
+        # Run k spans [edges[2k+1], edges[2k+2]); the gaps fill the rest.
+        edges = np.empty(2 * n + 2, dtype=np.intp)
+        edges[0] = 0
+        edges[1:-1:2] = self.starts
+        edges[2:-1:2] = self.starts + self.lengths
+        edges[-1] = self.shape[0] * self.shape[1]
+        values = np.zeros(2 * n + 1, dtype=self.labels.dtype)
+        values[1::2] = self.labels
+        out[...] = np.repeat(values, np.diff(edges)).reshape(self.shape)
 
 
 def extract_runs(image: np.ndarray, *, grey: bool = False) -> Runs:
@@ -116,27 +151,36 @@ def extract_runs(image: np.ndarray, *, grey: bool = False) -> Runs:
 
 
 def _extract_runs(image: np.ndarray, grey: bool) -> Runs:
-    """:func:`extract_runs` of an image already validated."""
+    """:func:`extract_runs` of an image already validated.
+
+    One pass: each row is padded with a zero column on both sides, so
+    every run starts and stops at a change between neighbours, and one
+    ``!=`` and one ``flatnonzero`` find every change.  In the binary
+    mask the changes alternate start, stop; among grey levels a run
+    starts at a change to a non-zero level and stops at the next change,
+    which the padding keeps in the same row.
+    """
     rows, cols = image.shape
-    fg = image != 0
     if grey:
-        start_mask = fg.copy()
-        start_mask[:, 1:] = fg[:, 1:] & (image[:, 1:] != image[:, :-1])
-        end_mask = fg.copy()
-        end_mask[:, :-1] = fg[:, :-1] & (image[:, :-1] != image[:, 1:])
+        padded = np.zeros((rows, cols + 2), dtype=image.dtype)
+        padded[:, 1:-1] = image
     else:
-        start_mask = fg.copy()
-        start_mask[:, 1:] = fg[:, 1:] & ~fg[:, :-1]
-        end_mask = fg.copy()
-        end_mask[:, :-1] = fg[:, :-1] & ~fg[:, 1:]
-    starts = np.flatnonzero(start_mask.ravel())
-    ends = np.flatnonzero(end_mask.ravel())
+        padded = np.zeros((rows, cols + 2), dtype=bool)
+        np.not_equal(image, 0, out=padded[:, 1:-1])
+    changes = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    # A change between padded columns c and c + 1 of a row is at image
+    # column c, the first pixel after it.
+    row, col = np.divmod(changes, cols + 1)
+    if grey:
+        level = padded.ravel()[changes + row + 1]
+        first = np.flatnonzero(level)
+        return Runs(
+            row=row[first], start=col[first], stop=col[first + 1],
+            color=level[first], shape=(rows, cols),
+        )
+    row, start = row[0::2], col[0::2]
     return Runs(
-        row=starts // cols,
-        start=starts % cols,
-        stop=ends % cols + 1,
-        color=image.ravel()[starts],
-        shape=(rows, cols),
+        row=row, start=start, stop=col[1::2], color=image[row, start], shape=(rows, cols)
     )
 
 
@@ -172,10 +216,18 @@ def _run_table(image: np.ndarray, runs: Runs, labels: np.ndarray, n_components: 
 
     The perimeter is read off the runs in O(runs + perimeter): the first
     and last rows through their foreground masks, the side columns from
-    the runs that start at column 0 or stop at the last column.
+    the runs that start at column 0 or stop at the last column.  Raises
+    :class:`ValidationError` if a label does not fit :data:`LABEL_DTYPE`.
     """
     rows, cols = image.shape
     row = runs.row
+    info = np.iinfo(LABEL_DTYPE)
+    if labels.size and (labels.min() < info.min or labels.max() > info.max):
+        raise ValidationError(
+            f"labels {labels.min()}..{labels.max()} do not fit {LABEL_DTYPE}; "
+            "use label_base/offsets that keep them in range"
+        )
+    labels = labels.astype(LABEL_DTYPE)
 
     def edge_row(i: int) -> np.ndarray:
         lo, hi = np.searchsorted(row, [i, i + 1])
@@ -200,7 +252,8 @@ def _run_table(image: np.ndarray, runs: Runs, labels: np.ndarray, n_components: 
         )
     return TileRuns(
         labels=labels,
-        lengths=runs.stop - runs.start,
+        lengths=(runs.stop - runs.start).astype(LABEL_DTYPE),
+        starts=(row * cols + runs.start).astype(LABEL_DTYPE),
         perimeter=perimeter,
         n_components=n_components,
         shape=(rows, cols),
@@ -260,7 +313,8 @@ def run_label(
     row_offset: int = 0,
     col_offset: int = 0,
 ) -> np.ndarray:
-    """Label connected components; same signature/output as ``bfs_label``."""
+    """Label connected components; same signature and int64 output as
+    ``bfs_label``: the run table painted whole into a fresh array."""
     runs = tile_runs(
         image,
         connectivity=connectivity,
@@ -270,8 +324,8 @@ def run_label(
         row_offset=row_offset,
         col_offset=col_offset,
     )
-    labels = np.zeros(runs.shape, dtype=np.int64)
-    runs.paint(labels, image != 0)
+    labels = np.empty(runs.shape, dtype=np.int64)
+    runs.paint(labels)
     return labels
 
 

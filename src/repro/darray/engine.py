@@ -41,6 +41,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.baselines.run_label import LABEL_DTYPE, check_label_capacity
 from repro.core.border_graph import solve_border_merge
 from repro.core.merge import merge_schedule
 from repro.core.tiles import ProcessorGrid
@@ -71,14 +72,16 @@ _COUNT_BLOCK = 1 << 20
 class DarrayResult:
     """Labeling result plus the transport's traffic accounting.
 
-    ``labels`` is an ordinary ndarray for the in-memory transports (for
+    ``labels`` is int32 (:data:`~repro.baselines.run_label.LABEL_DTYPE`)
+    on every path: an ordinary ndarray for the in-memory transports (for
     ``shmem``, the shared array the workers wrote, freed with the
-    result) and a read-only ``numpy.memmap`` for ``mmap`` (the result
-    never materializes in RAM).  ``n_components`` comes from the merges, not
+    result), a read-only ``numpy.memmap`` for ``mmap`` (the result
+    never materializes in RAM), and the serial run table painted whole
+    on a degraded run.  ``n_components`` comes from the merges, not
     from the labels: the sum of the per-tile component counts minus the
     total length of the published change arrays, since each alpha is
-    one component merged away exactly once.  A degraded run counts its
-    serial labels with :func:`count_components` instead.
+    one component merged away exactly once.  A degraded run takes the
+    serial table's count instead.
     """
 
     labels: np.ndarray
@@ -90,8 +93,8 @@ class DarrayResult:
 def count_components(labels: np.ndarray) -> int:
     """Number of components, streamed in O(1) memory over any label array.
 
-    The degraded path's count and the test oracle of the merge identity
-    :func:`darray_components` counts by.
+    The test oracle of the merge identity :func:`darray_components`
+    counts by.
 
     Exploits the seed-label convention: every component's final label
     is the globally-offset seed ``row * cols + col + 1`` of one of its
@@ -109,6 +112,15 @@ def count_components(labels: np.ndarray) -> int:
             )
         )
     return total
+
+
+def _source_shape(source) -> tuple[int, ...]:
+    """The shape of an image source, reading at most a PNM header."""
+    if isinstance(source, (str, pathlib.Path)):
+        from repro.images.io import pnm_info
+
+        return pnm_info(source).shape
+    return np.shape(source)
 
 
 def _resolve_source(source, transport: str):
@@ -248,15 +260,22 @@ def darray_components(
     fault the call degrades to the serial kernel engine unless
     ``degrade=False`` (then the :class:`FaultError` propagates after
     transport teardown -- no pool worker or spill file outlives it).
+
+    Labels are int32 on every path, so an image of 2**31 pixels or more
+    (:data:`~repro.baselines.run_label.MAX_LABEL_PIXELS`) raises
+    :class:`ValidationError` before any transport opens.
     """
+    check_label_capacity(_source_shape(source))
 
     def verb(da: DistributedArray) -> DarrayResult:
         labels, n_components = label_components(da, connectivity=connectivity, grey=grey)
         return DarrayResult(labels, n_components, da.stats, da.grid)
 
     def serial(image: np.ndarray, grid: ProcessorGrid) -> DarrayResult:
-        labels = get_kernel("tile_label")(image, connectivity=connectivity, grey=grey)
-        return DarrayResult(labels, count_components(labels), TransportStats(), grid)
+        runs = get_kernel("tile_runs")(image, connectivity=connectivity, grey=grey)
+        labels = np.empty(runs.shape, dtype=LABEL_DTYPE)
+        runs.paint(labels)
+        return DarrayResult(labels, runs.n_components, TransportStats(), grid)
 
     return _open_and_run(
         "components", verb, serial, source,

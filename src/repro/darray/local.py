@@ -4,16 +4,18 @@ Today's single-address-space behavior, expressed through the transport
 contract.  The label verb keeps each tile's run table
 (:class:`~repro.baselines.run_label.TileRuns`); the merge rounds read
 and relabel only the perimeter vector each table carries, and finalize
-renames the run labels from it and paints every tile once into the
-global label array.  This is the reference the other transports must
-match bit-for-bit.
+renames the run labels from it and paints every pixel of every tile
+once into the global int32 label array
+(:data:`~repro.baselines.run_label.LABEL_DTYPE`), which therefore starts
+unfilled.  This is the reference the other transports must match
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.run_label import TileRuns
+from repro.baselines.run_label import LABEL_DTYPE, TileRuns
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks, create_tile_hooks
 from repro.core.tiles import ProcessorGrid
@@ -76,12 +78,11 @@ class LocalTransport(Transport):
 
     def finalize(self, hooks: dict[int, TileHooks]) -> None:
         """Rename each table's runs, then paint it once into the result."""
-        self._labels = np.zeros((self.grid.rows, self.grid.cols), dtype=np.int64)
+        self._labels = np.empty((self.grid.rows, self.grid.cols), dtype=LABEL_DTYPE)
         for pid in range(self.grid.p):
-            sl = self.grid.tile_slices(pid)
             runs = self._runs.pop(pid)
             apply_hooks(runs, hooks[pid])
-            runs.paint(self._labels[sl], self.image[sl] != 0)
+            runs.paint(self._labels[self.grid.tile_slices(pid)])
 
     def histogram(self, k: int) -> np.ndarray:
         tally = get_kernel("histogram")

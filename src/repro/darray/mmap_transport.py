@@ -2,9 +2,9 @@
 
 Pixels stream from a memory-mapped binary PGM (``read_pnm(path,
 mmap=True)``).  Each tile's labels live as its run table
-(:class:`~repro.baselines.run_label.TileRuns`): the run labels and
-lengths -- 16 bytes per run, never more than twice an int64 label tile
--- pass through a bounded resident set (an LRU of at most
+(:class:`~repro.baselines.run_label.TileRuns`): the run labels, lengths
+and starts -- 12 bytes per run, never more than three times an int32
+label tile -- pass through a bounded resident set (an LRU of at most
 ``resident_tiles`` tables) and spill to raw files in a spill directory.
 The paper's communication structure is what makes this work: after the
 initial labeling pass, the ``log p`` merge rounds need only each tile's
@@ -12,9 +12,10 @@ initial labeling pass, the ``log p`` merge rounds need only each tile's
 exactly those resident and never touches a spilled table again until
 the final hook-based update, which streams tables through the working
 set one at a time (:func:`~repro.core.hooks.apply_hooks_isolated`) and
-paints each tile once, straight into ``labels.bin`` in the spill
-directory, through a writable file-backed ``numpy.memmap``.  A final
-table is never spilled.
+paints every pixel of each tile once, straight into ``labels.bin`` in
+the spill directory (int32,
+:data:`~repro.baselines.run_label.LABEL_DTYPE`), through a writable
+file-backed ``numpy.memmap``.  A final table is never spilled.
 
 Peak residency is therefore ``resident_tiles`` run tables plus the
 borders, independent of image size; ``stats.resident_highwater``
@@ -38,7 +39,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.baselines.run_label import TileRuns
+from repro.baselines.run_label import LABEL_DTYPE, TileRuns
 from repro.core.border_graph import BorderSide
 from repro.core.hooks import TileHooks, apply_hooks_isolated, create_tile_hooks
 from repro.core.tiles import ProcessorGrid
@@ -90,8 +91,8 @@ class MmapTransport(Transport):
             self.image = None
             self._remove_spill()
             raise
-        # Every tile's run table; the body (labels, lengths) of one that
-        # is not resident lives in its spill file.
+        # Every tile's run table; the body (labels, lengths, starts) of
+        # one that is not resident lives in its spill file.
         self._tables: dict[int, TileRuns] = {}
         self._resident: OrderedDict[int, None] = OrderedDict()
         self._dirty: set[int] = set()
@@ -140,9 +141,11 @@ class MmapTransport(Transport):
             with open(self._tile_path(pid), "wb") as f:
                 runs.labels.tofile(f)
                 runs.lengths.tofile(f)
+                runs.starts.tofile(f)
             self._dirty.discard(pid)
             self.stats.spill_writes += 1
-        runs.labels = runs.lengths = None  # the body lives in its spill file
+        # The body lives in its spill file.
+        runs.labels = runs.lengths = runs.starts = None
 
     def _admit(self, pid: int, *, dirty: bool) -> None:
         """Make a table's body resident, evicting to stay within the budget."""
@@ -161,8 +164,8 @@ class MmapTransport(Transport):
         if pid in self._resident:
             self._resident.move_to_end(pid)
             return runs
-        body = np.fromfile(self._tile_path(pid), dtype=np.int64)
-        runs.labels, runs.lengths = body.reshape(2, -1)
+        body = np.fromfile(self._tile_path(pid), dtype=LABEL_DTYPE)
+        runs.labels, runs.lengths, runs.starts = body.reshape(3, -1)
         self.stats.spill_reads += 1
         self._admit(pid, dirty=False)
         return runs
@@ -206,14 +209,13 @@ class MmapTransport(Transport):
         :meth:`gather`'s read-only map through the page cache.
         """
         out = np.memmap(
-            self._labels_path(), dtype=np.int64, mode="w+",
+            self._labels_path(), dtype=LABEL_DTYPE, mode="w+",
             shape=(self.grid.rows, self.grid.cols),
         )
         for pid in range(self.grid.p):
-            sl = self.grid.tile_slices(pid)
             runs = self._checkout(pid)
             apply_hooks_isolated(runs, hooks[pid], self._borders[pid])
-            runs.paint(out[sl], self.image[sl] != 0)
+            runs.paint(out[self.grid.tile_slices(pid)])
             del self._resident[pid], self._tables[pid]
             self._dirty.discard(pid)
 
@@ -250,7 +252,7 @@ class MmapTransport(Transport):
     def gather(self) -> np.ndarray:
         """The labels :meth:`finalize` wrote, as a read-only memmap."""
         return np.memmap(
-            self._labels_path(), dtype=np.int64, mode="r",
+            self._labels_path(), dtype=LABEL_DTYPE, mode="r",
             shape=(self.grid.rows, self.grid.cols),
         )
 

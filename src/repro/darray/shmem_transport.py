@@ -2,18 +2,22 @@
 
 Each job keeps its arrays in one ``os.memfd_create`` file
 (:func:`~repro.runtime.dispatch.job_file`), made at the job's first
-dispatch: the zero-filled int64 label array, then the validated image,
-written in with ``os.pwrite``.  The image is therefore read at the first
-dispatch, and the caller must not change it before then.  The driver
-maps only the labels -- :meth:`ShmemTransport.gather` returns them
-without a copy, and the mapping is freed with the result -- and never
-the image: a copy through a fresh mapping faults every page in first
-(on a 2-CPU VM, 4 MiB took 4.28 ms mapped against 1.69 ms with
-``pwrite``).  A task opens the file as ``/proc/<driver pid>/fd/<n>``,
-checks that its inode is the job's, so it never maps a file that reused
-the fd number, and maps it only while it runs: an idle pool holds no
-job pages, and a retried block maps the file again.  A tile is a pair
-of ``grid.tile_slices`` views.  Nothing is attached, unlinked or
+dispatch: the int32 label array
+(:data:`~repro.baselines.run_label.LABEL_DTYPE`), then the validated
+image, written in with ``os.pwrite``.  The image is therefore read at
+the first dispatch, and the caller must not change it before then.  The
+driver maps only the labels, through
+:class:`~repro.runtime.dispatch.SharedMapping`, which holds no fd --
+:meth:`ShmemTransport.gather` returns them without a copy, the mapping
+is freed with the result, and :meth:`ShmemTransport.close` closes the
+file's only fd -- and never the image: a copy through a fresh mapping
+faults every page in first (on a 2-CPU VM, 4 MiB took 4.28 ms mapped
+against 1.69 ms with ``pwrite``).  A task opens the file as
+``/proc/<driver pid>/fd/<n>``, checks that its inode is the job's, so it
+never maps a file that reused the fd number, and maps it the same way
+only while it runs: an idle pool holds no job pages, and a retried
+block maps the file again.  A tile is a pair of ``grid.tile_slices``
+views.  Nothing is attached, unlinked or
 registered with the resource tracker, and no ``/dev/shm`` entry is made.
 
 The workers are the process's warm pool
@@ -89,12 +93,12 @@ task left half relabeled.
 
 from __future__ import annotations
 
-import mmap
 import os
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.baselines.run_label import LABEL_DTYPE
 from repro.core.border_graph import BorderSide, solve_border_merge
 from repro.core.hooks import TileHooks, apply_hooks, create_tile_hooks
 from repro.core.merge import MergeStep, merge_schedule
@@ -114,6 +118,7 @@ from repro.obs import trace as _trace
 from repro.obs.events import CAT_ROUND
 from repro.obs.runtime import record_worker_lanes, trace_task
 from repro.runtime.dispatch import (
+    SharedMapping,
     _pool_context,
     borrow_pool,
     job_file,
@@ -201,17 +206,17 @@ def _map_job(job: _Job) -> _Shard:
     """
     fd = os.open(f"/proc/{job.pid}/fd/{job.fd}", os.O_RDWR)
     try:
-        inode = os.fstat(fd).st_ino
-        if inode != job.inode:
+        stat = os.fstat(fd)
+        if stat.st_ino != job.inode:
             raise ValidationError(
-                f"fd {job.fd} of process {job.pid} is inode {inode}, "
+                f"fd {job.fd} of process {job.pid} is inode {stat.st_ino}, "
                 f"not the job's file (inode {job.inode})"
             )
-        buf = mmap.mmap(fd, 0)
+        buf = np.asarray(SharedMapping(fd, stat.st_size))
     finally:
         os.close(fd)
     shape = (job.grid.rows, job.grid.cols)
-    labels = np.ndarray(shape, np.int64, buffer=buf)
+    labels = np.ndarray(shape, LABEL_DTYPE, buffer=buf)
     image = np.ndarray(shape, np.dtype(job.dtype), buffer=buf, offset=job.image_offset)
     return _Shard(job, image, labels)
 
@@ -253,11 +258,10 @@ def _label_block(shard: _Shard, pids, _shared, attempt):
     """Verb 1 and the block-local merge rounds over one block of tiles.
 
     ``pids`` covers whole round-``L`` regions.  Each tile's run table is
-    painted straight into its label tile; the mapping starts zero-filled
-    and a retried attempt paints the same values, so painting the
-    foreground is enough.  The rounds then run on the tables' perimeter
-    vectors, and the tiles they relabeled get their merged perimeters
-    written back.  Returns ``(hooks, n_components, border_bytes,
+    painted straight into its label tile, every pixel of it, so a
+    retried attempt paints the same values.  The rounds then run on the
+    tables' perimeter vectors, and the tiles they relabeled get their
+    merged perimeters written back.  Returns ``(hooks, n_components, border_bytes,
     change_bytes)`` of the block.
     """
     opts = shard.job.opts
@@ -280,7 +284,7 @@ def _label_block(shard: _Shard, pids, _shared, attempt):
                 row_offset=r0,
                 col_offset=c0,
             )
-            runs.paint(lab, img != 0)
+            runs.paint(lab)
             hooks[pid] = create_tile_hooks(runs)
             perimeters[pid] = runs.perimeter
             n_components += runs.n_components
@@ -435,14 +439,15 @@ class ShmemTransport(Transport):
         the image written in."""
         if self._job is None:
             image = np.ascontiguousarray(self._image)
-            labels_nbytes = image.size * np.dtype(np.int64).itemsize
+            labels_nbytes = image.size * LABEL_DTYPE.itemsize
             self._fd = fd = job_file(labels_nbytes + image.nbytes)
             data = image.reshape(-1).view(np.uint8)
             written = 0
             while written < data.size:
                 written += os.pwrite(fd, data[written:], labels_nbytes + written)
-            self._labels = np.ndarray(
-                image.shape, np.int64, buffer=mmap.mmap(fd, labels_nbytes)
+            self._labels = (
+                np.asarray(SharedMapping(fd, labels_nbytes))
+                .view(LABEL_DTYPE).reshape(image.shape)
             )
             self._job = _Job(
                 os.getpid(), fd, os.fstat(fd).st_ino, image.dtype.str, labels_nbytes,
@@ -551,8 +556,9 @@ class ShmemTransport(Transport):
         return self._labels
 
     def close(self) -> None:
-        """Return the pool -- or close it, if a dispatch raised -- and the
-        job's file; the labels stay mapped for the result."""
+        """Return the pool -- or close it, if a dispatch raised -- and
+        close the job's file; the labels stay mapped for the result,
+        which holds no fd."""
         if self._pool is not None:
             pool, self._pool = self._pool, None
             return_pool(pool, warm=not self._failed)

@@ -60,6 +60,7 @@ from repro.utils.errors import (
     ConfigurationError,
     CorruptPayloadError,
     RecoveryExhaustedError,
+    ReproError,
     TaskTimeoutError,
     TransientTaskError,
     ValidationError,
@@ -90,12 +91,20 @@ _JOB_FILE = "repro-job"
 #: Linux's ``MAP_FIXED``, which the :mod:`mmap` module does not export.
 _MAP_FIXED = 0x10
 
-#: libc's ``mmap``, resolved before any worker forks: a worker forked
-#: while another thread held the dynamic loader's lock could not.
-_libc_mmap = ctypes.CDLL(None).mmap
+#: libc's ``mmap`` and ``munmap``, resolved before any worker forks: a
+#: worker forked while another thread held the dynamic loader's lock
+#: could not.
+_libc = ctypes.CDLL(None, use_errno=True)
+_libc_mmap = _libc.mmap
 _libc_mmap.restype = ctypes.c_void_p
 _libc_mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
                        ctypes.c_int, ctypes.c_int, ctypes.c_long)
+_libc_munmap = _libc.munmap
+_libc_munmap.restype = ctypes.c_int
+_libc_munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+
+#: ``MAP_FAILED`` as ``_libc_mmap`` returns it.
+_MAP_FAILED = ctypes.c_void_p(-1).value
 
 
 def resolve_timeout(timeout: float | None = None) -> float:
@@ -248,6 +257,34 @@ def job_file(nbytes: int) -> int:
         os.close(fd)
         raise
     return fd
+
+
+class SharedMapping:
+    """The first ``nbytes`` of file ``fd``, mapped shared and writable.
+
+    Mapped by libc's ``mmap``, so -- unlike :class:`mmap.mmap` before
+    Python 3.13, which keeps a dup of the fd while it lives -- it holds
+    no fd, and the caller may close ``fd`` at once.  ``numpy.asarray``
+    reads it as a ``uint8`` array whose base it is; the pages are
+    unmapped when the last array over them is freed.
+    """
+
+    _addr = None
+
+    def __init__(self, fd: int, nbytes: int):
+        addr = _libc_mmap(None, nbytes, mmap.PROT_READ | mmap.PROT_WRITE,
+                          mmap.MAP_SHARED, fd, 0)
+        if addr in (None, _MAP_FAILED):
+            err = ctypes.get_errno()
+            raise ReproError(f"cannot map {nbytes} bytes of fd {fd}: {os.strerror(err)}")
+        self._addr, self._nbytes = addr, nbytes
+        self.__array_interface__ = {
+            "version": 3, "shape": (nbytes,), "typestr": "|u1", "data": (addr, False),
+        }
+
+    def __del__(self) -> None:
+        if self._addr is not None:
+            _libc_munmap(self._addr, self._nbytes)
 
 
 def _drop_job_files() -> None:

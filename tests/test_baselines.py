@@ -23,6 +23,7 @@ from repro.baselines import (
     shiloach_vishkin,
     shiloach_vishkin_image,
 )
+from repro.baselines.run_label import LABEL_DTYPE, tile_runs
 from repro.utils.errors import ValidationError
 from tests.conftest import oracle_binary_labels, oracle_grey_labels
 
@@ -208,6 +209,46 @@ class TestExtractRuns:
         runs = get_kernel("tile_runs", backend)(img, grey=True)
         assert runs.n_components == 2
         assert len(calls) == 1
+
+
+class TestTileRunsPaint:
+    """``TileRuns.paint`` writes every pixel of its tile, background too,
+    so it paints over whatever ``out`` held (here -1)."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("grey", [False, True], ids=["binary", "grey"])
+    def test_paint_over_minus_one_equals_bfs(self, rng, connectivity, grey):
+        for _ in range(25):
+            rows, cols = rng.integers(1, 24, size=2)
+            img = rng.integers(0, 4 if grey else 2, size=(rows, cols)).astype(np.uint8)
+            runs = tile_runs(img, connectivity=connectivity, grey=grey)
+            assert runs.labels.dtype == runs.lengths.dtype == runs.starts.dtype == LABEL_DTYPE
+            out = np.full(img.shape, -1, dtype=LABEL_DTYPE)
+            runs.paint(out)
+            assert np.array_equal(out, bfs_label(img, connectivity=connectivity, grey=grey))
+
+    def test_all_background_tile(self):
+        img = np.zeros((5, 7), dtype=np.uint8)
+        runs = tile_runs(img)
+        assert len(runs.labels) == 0
+        out = np.full(img.shape, -1, dtype=LABEL_DTYPE)
+        runs.paint(out)
+        assert np.array_equal(out, bfs_label(img))
+
+    @pytest.mark.parametrize("grey", [False, True], ids=["binary", "grey"])
+    def test_strided_view(self, small_grey, grey):
+        rows, cols = small_grey.shape
+        frame = np.full((rows + 3, 2 * cols + 5), -1, dtype=LABEL_DTYPE)
+        view = frame[1 : rows + 1, 2 : 2 + 2 * cols : 2]  # every other column
+        tile_runs(small_grey, grey=grey).paint(view)
+        assert np.array_equal(view, bfs_label(small_grey, grey=grey))
+        assert (frame == -1).sum() == frame.size - view.size
+
+    def test_a_label_beyond_the_dtype_is_rejected(self):
+        img = np.ones((2, 2), dtype=np.uint8)
+        assert tile_runs(img, label_base=2**31 - 1).labels.tolist() == [2**31 - 1] * 2
+        with pytest.raises(ValidationError, match="int32"):
+            tile_runs(img, label_base=2**31)
 
 
 class TestLabelConventions:

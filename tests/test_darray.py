@@ -8,6 +8,7 @@ merge-protocol sites are checked here; the rest of the chaos matrix
 (every other site, histogram too) lives in tests/test_faults_runtime.py.
 """
 
+import gc
 import importlib
 import inspect
 import json
@@ -23,6 +24,8 @@ import numpy as np
 import pytest
 
 import repro
+from repro import kernels
+from repro.baselines.run_label import LABEL_DTYPE, check_label_capacity
 from repro.baselines.sequential import sequential_components
 from repro.bdm.machine import Machine
 from repro.core.change_array import ChangeArray
@@ -125,6 +128,56 @@ class TestBitIdentityMatrix:
         with assert_no_shm_leak():
             got = darray_histogram(grey_image, 64, p=P, transport=transport)
         assert np.array_equal(got, expect)
+
+
+class TestLabelDtype:
+    """Stored labels are int32 on every transport; ``tile_label`` and
+    the service's ``components`` reply stay int64."""
+
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_gather_is_int32(self, transport, image, serial_labels):
+        with DistributedArray.open(transport, ProcessorGrid(P, N), image) as da:
+            labels, _n = label_components(da, connectivity=8, grey=False)
+            assert labels.dtype == da.gather().dtype == LABEL_DTYPE == np.int32
+            assert np.array_equal(labels, serial_labels)
+
+    def test_tile_label_and_components_reply_stay_int64(self, image):
+        from repro.service import canonical_params, compute
+
+        for backend in kernels.BACKENDS:
+            assert kernels.get("tile_label", backend=backend)(image).dtype == np.int64
+        reply = compute("components", image, canonical_params("components", image, {}))
+        assert reply.dtype == np.int64
+
+
+class TestLabelCapacity:
+    """Labels are int32, so ``darray_components`` rejects an image of
+    2**31 pixels or more before any transport opens."""
+
+    @pytest.mark.parametrize("transport", TRANSPORT_NAMES)
+    def test_rejects_2_31_pixels_on_every_transport(self, transport, tmp_path, monkeypatch):
+        # A zero-stride view: 2**31 pixels in one byte, so nothing is
+        # allocated, and the spill directory shows nothing was staged.
+        # Opening a transport would start the job, so it fails the test.
+        big = np.broadcast_to(np.uint8(1), (65_536, 32_768))
+        spill = tmp_path / "spill"
+
+        def no_open(cls, *args, **kwargs):
+            raise AssertionError("a transport opened")
+
+        monkeypatch.setattr(DistributedArray, "open", classmethod(no_open))
+        children = set(multiprocessing.active_children())
+        files = _memfd_links()
+        with pytest.raises(ValidationError, match=r"fewer than 2\*\*31 = 2,147,483,648"):
+            darray_components(big, p=P, transport=transport, spill_dir=spill)
+        assert not spill.exists()
+        assert set(multiprocessing.active_children()) == children
+        assert _memfd_links() == files
+
+    def test_the_largest_square_passes(self):
+        check_label_capacity(np.broadcast_to(np.uint8(1), (46_340, 46_340)).shape)
+        with pytest.raises(ValidationError, match="46341x46341"):
+            check_label_capacity((46_341, 46_341))
 
 
 class TestEngine:
@@ -573,6 +626,18 @@ class TestDegradation:
         names = [i.name for i in rec.fault_events()]
         assert names[-1] == "fault:degrade"
 
+    def test_degraded_result_keeps_the_label_dtype(self, image, serial_labels):
+        # The serial fallback paints int32 too, so a fault does not
+        # change the result's dtype.
+        with pytest.warns(DegradedRunWarning):
+            res = darray_components(
+                image, p=P, transport="shmem", degrade=True,
+                fault_plan=_persistent_border_fault(), **FAST,
+            )
+        assert res.labels.dtype == LABEL_DTYPE
+        assert np.array_equal(res.labels, serial_labels)
+        assert res.n_components == count_components(serial_labels)
+
     def test_degrade_false_raises_typed_error_without_leak(self, image):
         with assert_no_shm_leak():
             with pytest.raises(FaultError):
@@ -657,6 +722,25 @@ class TestShmemWarmPool:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and same == [True] * 6
         assert set(multiprocessing.active_children()) == children
+
+    def test_live_results_hold_no_fd_and_unmap_when_freed(self, image, serial_labels):
+        def job_maps() -> set[str]:
+            with open("/proc/self/maps") as maps:
+                return {line for line in maps if "memfd:repro-job" in line}
+
+        gc.collect()
+        mapped = job_maps()  # empty unless an earlier test kept a result
+        files = _memfd_links()
+        kept = [
+            darray_components(image, p=P, transport="shmem", workers=2, degrade=False).labels
+            for _ in range(5)
+        ]
+        assert len(job_maps() - mapped) == 5
+        assert _memfd_links() == files == set()
+        assert all(np.array_equal(labels, serial_labels) for labels in kept)
+        del kept
+        gc.collect()
+        assert job_maps() == mapped
 
     def test_open_and_close_fork_nothing_and_make_no_file(self, image):
         children = set(multiprocessing.active_children())

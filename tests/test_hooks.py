@@ -235,7 +235,7 @@ class TestBfsReferenceEquivalence:
 
 def _painted(runs, img: np.ndarray) -> np.ndarray:
     out = np.zeros(img.shape, dtype=np.int64)
-    runs.paint(out, img != 0)
+    runs.paint(out)
     return out
 
 

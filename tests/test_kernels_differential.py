@@ -275,8 +275,8 @@ class TestTileRunsDifferential:
         for backend in kernels.BACKENDS:
             expected = kernels.get("tile_label", backend=backend)(image, **kw)
             runs = kernels.get("tile_runs", backend=backend)(image, **kw)
-            painted = np.zeros((rows, cols), dtype=np.int64)
-            runs.paint(painted, image != 0)
+            painted = np.full((rows, cols), -1, dtype=np.int64)
+            runs.paint(painted)
             assert np.array_equal(painted, expected), backend
             assert runs.shape == (rows, cols)
             assert int(runs.lengths.sum()) == int(np.count_nonzero(image))
@@ -290,8 +290,7 @@ class TestTileRunsDifferential:
         runs = tile_runs(small_grey, grey=True)
         frame = np.full((small_grey.shape[0] + 3, small_grey.shape[1] + 5), -1)
         view = frame[1:-2, 2:-3]
-        view[...] = 0
-        runs.paint(view, small_grey != 0)
+        runs.paint(view)
         assert np.array_equal(view, run_label(small_grey, grey=True))
         assert (frame == -1).sum() == frame.size - view.size
 
@@ -299,7 +298,7 @@ class TestTileRunsDifferential:
         image = np.ones((3, 4), dtype=np.int32)
         runs = tile_runs(image)
         with pytest.raises(ValidationError):
-            runs.paint(np.zeros((4, 3), dtype=np.int64), image.T != 0)
+            runs.paint(np.zeros((4, 3), dtype=np.int64))
 
     def test_rejections_match_tile_label(self):
         for backend in kernels.BACKENDS:
