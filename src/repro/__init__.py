@@ -151,7 +151,21 @@ from repro.machines.params import MACHINES, get_machine
 #: ``ValidationError`` when a label does not fit int32.  The
 #: ``tile_label`` kernel, the service's ``components`` reply and the
 #: simulator still give int64.
-__version__ = "12.0.0"
+#:
+#: 13.0.0 is a breaking release: the service's ``shmem`` wire shares
+#: memory through memfds, as the darray ``shmem`` transport does.  A
+#: wire descriptor is ``{pid, fd, inode, dtype, shape, digest}`` in place
+#: of ``{name, dtype, shape, digest}``: the reader opens
+#: ``/proc/<pid>/fd/<fd>`` (same host, user and PID namespace; Linux
+#: only), and ``shm_release`` takes the reply's ``inode`` in place of its
+#: ``name``.  ``SharedNDArray``, ``ShmArena.checkout``,
+#: ``ShmArena.checkin``, ``ShmDescriptor.for_array`` and
+#: ``repro.service.mint_shared_image`` are gone (use
+#: ``repro.runtime.share_array``, whose descriptor's ``fd`` the caller
+#: closes).  The router's ``stats`` are ``repro-router-stats/v2``, without
+#: the per-shard ``minted_live``.  ``read_pnm`` returns uint8 for P4 and
+#: P5 files (P1 and P2 stay int32).
+__version__ = "13.0.0"
 
 __all__ = [
     "kernels",

@@ -13,12 +13,13 @@ is freed with the result, and :meth:`ShmemTransport.close` closes the
 file's only fd -- and never the image: a copy through a fresh mapping
 faults every page in first (on a 2-CPU VM, 4 MiB took 4.28 ms mapped
 against 1.69 ms with ``pwrite``).  A task opens the file as
-``/proc/<driver pid>/fd/<n>``, checks that its inode is the job's, so it
-never maps a file that reused the fd number, and maps it the same way
-only while it runs: an idle pool holds no job pages, and a retried
-block maps the file again.  A tile is a pair of ``grid.tile_slices``
-views.  Nothing is attached, unlinked or
-registered with the resource tracker, and no ``/dev/shm`` entry is made.
+``/proc/<driver pid>/fd/<n>`` through
+:func:`~repro.runtime.shmem.open_memfd`, which checks that its inode is
+the job's, so it never maps a file that reused the fd number, and maps
+it the same way only while it runs: an idle pool holds no job pages,
+and a retried block maps the file again.  A tile is a pair of
+``grid.tile_slices`` views.  Nothing is unlinked, and no ``/dev/shm``
+entry is made.
 
 The workers are the process's warm pool
 (:func:`~repro.runtime.dispatch.borrow_pool`).  A job borrows it at its
@@ -93,6 +94,7 @@ task left half relabeled.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import NamedTuple
 
@@ -125,6 +127,7 @@ from repro.runtime.dispatch import (
     return_pool,
     run_tasks,
 )
+from repro.runtime.shmem import open_memfd, pwrite_array
 from repro.utils.errors import CorruptPayloadError, ValidationError
 from repro.utils.validation import check_image, check_positive, ilog2
 
@@ -204,18 +207,13 @@ def _map_job(job: _Job) -> _Shard:
 
     Raises :class:`ValidationError` if the fd now names another file.
     """
-    fd = os.open(f"/proc/{job.pid}/fd/{job.fd}", os.O_RDWR)
+    shape = (job.grid.rows, job.grid.cols)
+    nbytes = job.image_offset + math.prod(shape) * np.dtype(job.dtype).itemsize
+    fd = open_memfd(job.pid, job.fd, job.inode, nbytes, writable=True)
     try:
-        stat = os.fstat(fd)
-        if stat.st_ino != job.inode:
-            raise ValidationError(
-                f"fd {job.fd} of process {job.pid} is inode {stat.st_ino}, "
-                f"not the job's file (inode {job.inode})"
-            )
-        buf = np.asarray(SharedMapping(fd, stat.st_size))
+        buf = np.asarray(SharedMapping(fd, nbytes))
     finally:
         os.close(fd)
-    shape = (job.grid.rows, job.grid.cols)
     labels = np.ndarray(shape, LABEL_DTYPE, buffer=buf)
     image = np.ndarray(shape, np.dtype(job.dtype), buffer=buf, offset=job.image_offset)
     return _Shard(job, image, labels)
@@ -441,10 +439,7 @@ class ShmemTransport(Transport):
             image = np.ascontiguousarray(self._image)
             labels_nbytes = image.size * LABEL_DTYPE.itemsize
             self._fd = fd = job_file(labels_nbytes + image.nbytes)
-            data = image.reshape(-1).view(np.uint8)
-            written = 0
-            while written < data.size:
-                written += os.pwrite(fd, data[written:], labels_nbytes + written)
+            pwrite_array(fd, image, labels_nbytes)
             self._labels = (
                 np.asarray(SharedMapping(fd, labels_nbytes))
                 .view(LABEL_DTYPE).reshape(image.shape)

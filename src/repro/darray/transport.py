@@ -99,7 +99,7 @@ class Transport(abc.ABC):
 
     Concrete transports are constructed by :func:`open_transport` with
     the grid, the image source, and the algorithm options; they are
-    context managers (``close`` must release every segment, spill file,
+    context managers (``close`` must release every memfd, spill file,
     and pool on *every* path out).
     """
 

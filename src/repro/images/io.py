@@ -184,12 +184,14 @@ def _check_payload(info: PnmInfo, found: int, path) -> None:
 
 
 def read_pnm(path, *, mmap: bool = False) -> np.ndarray:
-    """Read a PBM/PGM file into an int32 image array.
+    """Read a PBM/PGM file into an image array.
 
-    With ``mmap=True`` the file must be a binary PGM (``P5``); the
-    payload is returned as a read-only ``numpy.memmap`` of ``uint8``
-    with the image's shape -- pixels stream from the page cache on
-    access instead of being materialized up front.
+    A binary file (``P4``/``P5``) decodes to a writable ``uint8`` array,
+    one byte per pixel as in the file; an ASCII one (``P1``/``P2``) to
+    ``int32``.  With ``mmap=True`` the file must be a binary PGM
+    (``P5``); the payload is returned as a read-only ``numpy.memmap`` of
+    ``uint8`` with the image's shape -- pixels stream from the page
+    cache on access instead of being materialized up front.
     """
     if mmap:
         return _read_pnm_mmap(path)
@@ -231,12 +233,10 @@ def read_pnm(path, *, mmap: bool = False) -> np.ndarray:
         _check_payload(info, len(data) - pos, path)
         row_bytes = (width + 7) // 8
         raw = np.frombuffer(data[pos:], dtype=np.uint8)
-        bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
-        img = bits.astype(np.int32).ravel()
+        img = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width].ravel()
     else:  # P5
         _check_payload(info, len(data) - pos, path)
-        raw = np.frombuffer(data[pos:], dtype=np.uint8)
-        img = raw.astype(np.int32)
+        img = np.frombuffer(data, dtype=np.uint8, offset=pos).copy()
 
     if img.size != width * height:
         raise ValidationError(f"truncated PNM pixel data in {path}")

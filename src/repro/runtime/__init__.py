@@ -11,22 +11,29 @@ processes over shared memory, as is standard for Python HPC:
   deadline/retry/respawn task dispatcher, which that transport (on the
   process's warm pool, its arrays in one memfd per job) and
   :mod:`repro.service` share;
-* :mod:`repro.runtime.shmem` -- the service's zero-copy wire plane:
-  :class:`SharedNDArray` segments, :class:`ShmDescriptor`, :class:`ShmArena`.
+* :mod:`repro.runtime.shmem` -- the one shared-memory mechanism: a
+  producer's ``memfd``, which another process opens as
+  ``/proc/<pid>/fd/<fd>`` through :func:`open_memfd` (same host, user
+  and PID namespace; Linux only), and which nothing can leak, since its
+  pages go with its last fd.  Darray's job files and the service's
+  zero-copy wire (:func:`share_array`, :class:`ShmDescriptor`,
+  :class:`ShmArena`) both use it.
 """
 
 from repro.runtime.shmem import (
-    SharedNDArray,
     ShmArena,
     ShmDescriptor,
     array_digest,
+    open_memfd,
+    share_array,
     verify_descriptor_digest,
 )
 
 __all__ = [
-    "SharedNDArray",
     "ShmArena",
     "ShmDescriptor",
     "array_digest",
+    "open_memfd",
+    "share_array",
     "verify_descriptor_digest",
 ]

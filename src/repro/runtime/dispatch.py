@@ -18,7 +18,7 @@ the driver forever.  This module replaces it:
 * a missed deadline **respawns the pool** (the
   :class:`PoolSupervisor` re-runs the initializer in fresh workers),
   because a pool that lost or wedged a worker cannot be trusted with
-  the retry;
+  the retry -- nor, once the budget is spent, with the next dispatch;
 * exhausted budgets raise typed
   :class:`~repro.utils.errors.FaultError` subclasses -- never a hang;
 * every recovery step is visible as a ``fault:*`` instant/counter in
@@ -56,6 +56,7 @@ from repro.obs.events import (
 )
 from repro.obs import trace as _trace
 from repro.obs.runtime import init_worker
+from repro.runtime.shmem import MEMFD_TAG, new_memfd
 from repro.utils.errors import (
     ConfigurationError,
     CorruptPayloadError,
@@ -84,9 +85,6 @@ RETRYABLE = (TransientTaskError, CorruptPayloadError)
 #: Poll step while waiting for results (bounded, so deadlines are
 #: checked promptly even when the pool has silently lost a task).
 _POLL_S = 0.005
-
-#: The name of every job file (see :func:`job_file`).
-_JOB_FILE = "repro-job"
 
 #: Linux's ``MAP_FIXED``, which the :mod:`mmap` module does not export.
 _MAP_FIXED = 0x10
@@ -248,9 +246,10 @@ def job_file(nbytes: int) -> int:
     """A new zero-filled ``memfd`` of ``nbytes`` for one job's arrays.
 
     Returns its fd, which the caller closes.  A task on a ``per_job``
-    pool opens it as ``/proc/<pid>/fd/<fd>`` and maps it itself.
+    pool opens it with :func:`~repro.runtime.shmem.open_memfd` and maps
+    it itself.
     """
-    fd = os.memfd_create(_JOB_FILE, os.MFD_CLOEXEC)
+    fd = new_memfd("job")
     try:
         os.ftruncate(fd, nbytes)
     except BaseException:
@@ -287,18 +286,19 @@ class SharedMapping:
             _libc_munmap(self._addr, self._nbytes)
 
 
-def _drop_job_files() -> None:
-    """Initializer of a ``per_job`` pool's worker: let go of the job
-    files it inherited, open or mapped, from the driver.
+def drop_inherited_memfds() -> None:
+    """Pool worker initializer: let go of the memfds -- job files and
+    wire files -- it inherited, open or mapped, from its parent.
 
     Fork copies every fd and mapping, so a worker forked while a job
-    runs, or while its results live, would otherwise keep their pages
-    for as long as it lives.  The fd numbers and address ranges stay
-    taken -- by ``/dev/null`` and by inaccessible anonymous memory --
-    because the inherited objects that own them may still be freed
-    here, and would then close or unmap whatever took their place.
+    runs, while its results live or while a reply waits for its
+    release, would otherwise keep their pages for as long as it lives.
+    The fd numbers and address ranges stay taken -- by ``/dev/null``
+    and by inaccessible anonymous memory -- because the inherited
+    objects that own them may still be freed here, and would then close
+    or unmap whatever took their place.
     """
-    tag = f"/memfd:{_JOB_FILE} "
+    tag = MEMFD_TAG
     null = os.open(os.devnull, os.O_RDONLY)
     for name in os.listdir("/proc/self/fd"):
         try:
@@ -318,7 +318,7 @@ def _drop_job_files() -> None:
 
 
 def _job_pool(processes: int) -> PoolSupervisor:
-    return PoolSupervisor(_pool_context(), processes, _drop_job_files, per_job=True)
+    return PoolSupervisor(_pool_context(), processes, drop_inherited_memfds, per_job=True)
 
 
 #: The process's warm ``per_job`` pool (see :func:`borrow_pool`), whether
@@ -426,7 +426,8 @@ def run_tasks(
     full pipe; it drains once more before it returns or raises.
 
     Raises :class:`~repro.utils.errors.TaskTimeoutError` when a task
-    misses its deadline with no budget left, and
+    misses its deadline with no budget left (after respawning the
+    pool, whose worker may still run it), and
     :class:`~repro.utils.errors.RecoveryExhaustedError` when a
     retryable exception persists -- naming the exception's own fault
     site when it has one, else ``site``; any non-retryable task
@@ -505,6 +506,9 @@ def _run(supervisor, fn, payloads, site, timeout, retries, backoff_s):
                     attempt=pending[exhausted[0]][2],
                 )
                 _note_counts(site, n_retries, n_timeouts)
+                # A worker still runs the hung task: respawn, so the
+                # pool's next dispatch does not queue behind it.
+                supervisor.respawn(reason=f"{site} deadline")
                 raise TaskTimeoutError(
                     f"{site} task(s) {exhausted} missed the {timeout:g}s deadline "
                     f"on every allowed attempt "

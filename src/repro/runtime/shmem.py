@@ -1,18 +1,24 @@
-"""NumPy arrays backed by POSIX shared memory.
+"""Arrays shared between processes through ``memfd`` files.
 
-Workers attach to the segment by name, so large images are shared with
-the pool instead of being pickled per task -- the standard idiom for
-process-parallel NumPy.
+A memfd is an anonymous file: its pages go when its last fd or mapping
+goes, so a process that dies -- SIGKILL included -- leaves nothing
+behind, and no name is made in ``/dev/shm``.  Its producer holds the
+fd; any other process reaches the file as ``/proc/<pid>/fd/<fd>``
+through :func:`open_memfd`, which checks that the fd still names the
+file it expects.  That needs the same host, the same user and the same
+PID namespace, and it is Linux only.
 
-Two layers live here:
+Two planes share memory this way:
 
-* :class:`SharedNDArray` -- one segment viewed as an array (the owner
-  creates it, a consumer attaches through its descriptor).
-* The **zero-copy wire plane**: :class:`ShmDescriptor` (a validated,
-  JSON-able content-addressed handle: name / dtype / shape / digest)
-  and :class:`ShmArena` (a refcounted owner of segments whose lifetime
-  outlives a single call -- the service's reply segments).  The unix
-  socket carries only the descriptor; pixels never touch the wire.
+* the distributed array's ``shmem`` transport, whose job file
+  (:func:`repro.runtime.dispatch.job_file`) holds a job's labels and
+  image;
+* the service's **zero-copy wire**: :func:`share_array` writes an array
+  into a memfd, :class:`ShmDescriptor` (a validated, JSON-able,
+  content-addressed handle: pid / fd / inode / dtype / shape / digest)
+  names it, and :class:`ShmArena` holds the service's reply files until
+  they are released.  The unix socket carries only the descriptor;
+  pixels never touch the wire.
 """
 
 from __future__ import annotations
@@ -20,31 +26,77 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import re
-import threading
+import stat
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-
-try:  # POSIX only; Windows shared memory needs no tracker bookkeeping
-    from multiprocessing import resource_tracker as _resource_tracker
-except ImportError:  # pragma: no cover
-    _resource_tracker = None
 
 import numpy as np
 
 from repro.utils.errors import ValidationError
 
-#: dtypes a shared segment may carry over the wire (mirrors the ndjson
+#: dtypes a shared array may carry over the wire (mirrors the ndjson
 #: wire's integer dtypes; the service ops are integer-image ops).
 SHARABLE_DTYPES = ("uint8", "int8", "uint16", "int16", "int32", "int64")
 
-#: Hard cap on one shared segment (matches the ndjson request cap, so
-#: neither wire can make a worker map more than this).
+#: Hard cap on one shared array (matches the ndjson request cap, so
+#: neither wire can make a worker read more than this).
 MAX_SEGMENT_BYTES = 64 << 20
 
-#: Segment names as the kernel and multiprocessing produce them:
-#: no leading slash, no path separators, bounded length.
-_NAME_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]{0,249}$")
+#: The name of every memfd this package makes starts with this.
+MEMFD_PREFIX = "repro-"
+
+#: How ``/proc/<pid>/fd/<n>`` reads for such a memfd.
+MEMFD_TAG = "/memfd:" + MEMFD_PREFIX
+
+
+def new_memfd(use: str) -> int:
+    """A new empty memfd named ``repro-<use>``; the caller closes its fd."""
+    return os.memfd_create(MEMFD_PREFIX + use, os.MFD_CLOEXEC)
+
+
+def pwrite_array(fd: int, arr: np.ndarray, offset: int = 0) -> None:
+    """Write ``arr``'s bytes, in C order, into file ``fd`` at ``offset``."""
+    data = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+    written = 0
+    while written < data.size:
+        written += os.pwrite(fd, data[written:], offset + written)
+
+
+def open_memfd(pid: int, fd: int, inode: int, nbytes: int, *,
+               writable: bool = False) -> int:
+    """Open fd ``fd`` of process ``pid``: the one way to reach another
+    process's memfd.
+
+    Accepts only a regular file that is a memfd of this package, whose
+    inode is ``inode`` and that holds at least ``nbytes``, so a closed or
+    reused fd number, a pipe, a socket, a file on disk or a process that
+    is gone each raise :class:`ValidationError`.  The open never blocks,
+    even on a pipe.  Returns the new fd, which the caller closes.
+    """
+    flags = (os.O_RDWR if writable else os.O_RDONLY) | os.O_NONBLOCK | os.O_CLOEXEC
+    try:
+        own = os.open(f"/proc/{pid}/fd/{fd}", flags)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot open fd {fd} of process {pid}: {exc.strerror}"
+        ) from None
+    try:
+        st = os.fstat(own)
+        target = os.readlink(f"/proc/self/fd/{own}")
+        if (not stat.S_ISREG(st.st_mode) or not target.startswith(MEMFD_TAG)
+                or st.st_ino != inode):
+            raise ValidationError(
+                f"fd {fd} of process {pid} is {target!r} (inode {st.st_ino}), "
+                f"not a {MEMFD_PREFIX}* memfd of inode {inode}"
+            )
+        if st.st_size < nbytes:
+            raise ValidationError(
+                f"shm descriptor claims {nbytes} byte(s) but fd {fd} of "
+                f"process {pid} holds only {st.st_size}"
+            )
+    except BaseException:
+        os.close(own)
+        raise
+    return own
 
 
 def array_digest(arr: np.ndarray) -> str:
@@ -62,73 +114,28 @@ def array_digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-#: Serializes the Python < 3.13 attach path, which swaps the tracker's
-#: ``register`` for the duration of one ``SharedMemory(name=...)`` call.
-_ATTACH_LOCK = threading.Lock()
-
-
-def _reset_attach_lock() -> None:
-    # A pool worker forked while another thread held the lock would
-    # inherit it held and deadlock on its first attach.
-    global _ATTACH_LOCK
-    _ATTACH_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_attach_lock)
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Open an existing segment *without* adopting cleanup duty.
-
-    ``SharedMemory(name=...)`` registers the segment with this
-    process's resource tracker even when merely attaching (CPython
-    bpo-39959, fixed by ``track=`` only in 3.13) -- so an attacher's
-    tracker would "clean up" segments it never owned: spurious unlinks
-    of live segments and leak warnings at exit.  Ownership here is
-    explicit (creator unlinks, attachers only close), so the attach
-    path never registers at all.
-
-    Registering and then unregistering is not enough: forked workers
-    share one tracker daemon, so two workers attaching the same shard
-    interleave as REG, REG, UNREG, UNREG and the second UNREG raises
-    ``KeyError`` inside the daemon.  Before 3.13 the registration is
-    therefore skipped for this thread's attach only; a segment another
-    thread creates meanwhile still registers normally.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        pass
-    if _resource_tracker is None:  # pragma: no cover - non-POSIX
-        return shared_memory.SharedMemory(name=name)
-    attaching = threading.get_ident()
-    with _ATTACH_LOCK:
-        register = _resource_tracker.register
-
-        def register_unless_attaching(seg_name, rtype):
-            if threading.get_ident() != attaching:
-                register(seg_name, rtype)
-
-        _resource_tracker.register = register_unless_attaching
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            _resource_tracker.register = register
+def _wire_int(obj: dict, key: str, low: int) -> int:
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValidationError(f"shm descriptor {key!r} must be an integer >= {low}")
+    return value
 
 
 @dataclass(frozen=True)
 class ShmDescriptor:
-    """A validated wire handle for a shared-memory image segment.
+    """A validated wire handle for an array in a producer's memfd.
 
     The descriptor is everything the socket carries for a zero-copy
-    request: which segment (``name``), how to view it (``dtype``,
-    ``shape``), and what its pixels hash to (``digest`` -- sha256 over
-    dtype/shape/bytes, computed by the *producer* so consumers can key
-    caches without touching a single pixel).
+    request or reply: which file (fd ``fd`` of process ``pid``, whose
+    inode is ``inode``), how to view it (``dtype``, ``shape``), and what
+    its pixels hash to (``digest`` -- sha256 over dtype/shape/bytes,
+    computed by the *producer* so consumers can key caches without
+    touching a single pixel).
     """
 
-    name: str
+    pid: int
+    fd: int
+    inode: int
     dtype: str
     shape: tuple[int, ...]
     digest: str
@@ -137,18 +144,11 @@ class ShmDescriptor:
     def nbytes(self) -> int:
         return math.prod(self.shape) * np.dtype(self.dtype).itemsize
 
-    @classmethod
-    def for_array(cls, name: str, arr: np.ndarray) -> "ShmDescriptor":
-        return cls(
-            name=name,
-            dtype=str(arr.dtype),
-            shape=tuple(int(d) for d in arr.shape),
-            digest=array_digest(arr),
-        )
-
     def to_wire(self) -> dict:
         return {
-            "name": self.name,
+            "pid": self.pid,
+            "fd": self.fd,
+            "inode": self.inode,
             "dtype": self.dtype,
             "shape": list(self.shape),
             "digest": self.digest,
@@ -159,17 +159,14 @@ class ShmDescriptor:
         """Parse and strictly validate a wire descriptor object.
 
         Every rejection is a typed :class:`ValidationError`: an invalid
-        descriptor must produce a JSON error reply, never reach a pool
-        worker, and never name a segment outside the shared namespace.
+        descriptor must produce a JSON error reply and never reach a
+        pool worker.
         """
         if not isinstance(obj, dict):
             raise ValidationError("shm descriptor must be an object")
-        name = obj.get("name")
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise ValidationError(
-                "shm descriptor 'name' must be a plain segment name "
-                "(letters, digits, '_', '.', '-'; no leading '/')"
-            )
+        pid = _wire_int(obj, "pid", 1)
+        fd = _wire_int(obj, "fd", 0)
+        inode = _wire_int(obj, "inode", 1)
         dtype = obj.get("dtype")
         if dtype not in SHARABLE_DTYPES:
             raise ValidationError(
@@ -185,7 +182,7 @@ class ShmDescriptor:
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         if nbytes > MAX_SEGMENT_BYTES:
             raise ValidationError(
-                f"shm segment of shape {shape} ({nbytes} bytes) exceeds the "
+                f"shm array of shape {shape} ({nbytes} bytes) exceeds the "
                 f"{MAX_SEGMENT_BYTES} byte cap"
             )
         digest = obj.get("digest")
@@ -194,132 +191,87 @@ class ShmDescriptor:
             raise ValidationError(
                 "shm descriptor 'digest' must be a lowercase sha256 hex string"
             )
-        return cls(name=name, dtype=dtype, shape=tuple(shape), digest=digest)
+        return cls(pid=pid, fd=fd, inode=inode, dtype=dtype, shape=tuple(shape),
+                   digest=digest)
 
+    def read(self) -> np.ndarray:
+        """Copy the array out of its producer's file, not yet verified.
 
-class SharedNDArray:
-    """A NumPy array living in a shared-memory segment.
-
-    Create with :meth:`create` (owner) or :meth:`attach_descriptor`
-    (consumer); the owner should call :meth:`unlink` when done, every
-    process :meth:`close`.  Usable as a context manager on the owning
-    side.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, shape, dtype, *, owner: bool):
-        self._shm = shm
-        self._owner = owner
-        self.array = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-
-    @classmethod
-    def create(cls, shape, dtype) -> "SharedNDArray":
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        if nbytes <= 0:
-            raise ValidationError(f"cannot share empty array of shape {shape}")
-        # Ownership of the raw segment transfers to the instance (whose
-        # __exit__ tears it down); if constructing the view fails we are
-        # still on the hook for the segment, hence the explicit unwind.
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)  # check: ignore[RES201]
+        The file is open only for the copy, so a producer that closes it
+        right after cannot fault the computation.  A file that is not
+        the one named, or too small, raises :class:`ValidationError`.
+        """
+        fd = open_memfd(self.pid, self.fd, self.inode, self.nbytes)
         try:
-            return cls(shm, shape, dtype, owner=True)
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "SharedNDArray":
-        out = cls.create(arr.shape, arr.dtype)
-        out.array[:] = arr
+            out = np.empty(self.shape, dtype=self.dtype)
+            buf = memoryview(out.reshape(-1).view(np.uint8))
+            done = 0
+            while done < len(buf):
+                n = os.preadv(fd, [buf[done:]], done)
+                if n == 0:
+                    raise ValidationError(
+                        f"fd {self.fd} of process {self.pid} shrank to "
+                        f"{done} byte(s) while it was read"
+                    )
+                done += n
+        finally:
+            os.close(fd)
         return out
 
-    @classmethod
-    def attach_descriptor(cls, desc: ShmDescriptor) -> "SharedNDArray":
-        """Attach to a wire descriptor's segment, with typed failures.
 
-        A missing segment (the client unlinked it early, or never
-        created it) and a descriptor whose claimed view does not fit
-        the actual segment both raise :class:`ValidationError` -- the
-        caller turns these into JSON error replies, never crashes.
-        """
-        try:
-            shm = _attach_segment(desc.name)
-        except FileNotFoundError:
-            raise ValidationError(
-                f"unknown shared-memory segment {desc.name!r} (already "
-                "released, never created, or not visible to the server)"
-            ) from None
-        # The mapping is live from here on: every exit path below that
-        # does not hand ownership to a SharedNDArray must close it.
-        if shm.size < desc.nbytes:
-            shm.close()
-            raise ValidationError(
-                f"shm descriptor claims {desc.nbytes} byte(s) "
-                f"({desc.dtype}{list(desc.shape)}) but segment "
-                f"{desc.name!r} holds only {shm.size}"
-            )
-        try:
-            return cls(shm, desc.shape, np.dtype(desc.dtype), owner=False)
-        except BaseException:
-            shm.close()
-            raise
+def share_array(arr: np.ndarray) -> ShmDescriptor:
+    """Write ``arr`` into a new memfd of this process; its descriptor.
 
-    @property
-    def name(self) -> str:
-        """The segment's name, as a descriptor carries it."""
-        return self._shm.name
-
-    def close(self) -> None:
-        # Drop the view first; closing a segment with live exports fails.
-        self.array = None
-        self._shm.close()
-
-    def unlink(self) -> None:
-        self._shm.unlink()
-
-    def __enter__(self) -> "SharedNDArray":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-        if self._owner:
-            self.unlink()
+    The caller owns the file's fd, ``desc.fd``: it keeps the array
+    readable until the caller closes it with :func:`os.close`.
+    """
+    arr = np.ascontiguousarray(arr)
+    fd = new_memfd("wire")
+    try:
+        pwrite_array(fd, arr)
+        return ShmDescriptor(
+            pid=os.getpid(),
+            fd=fd,
+            inode=os.fstat(fd).st_ino,
+            dtype=str(arr.dtype),
+            shape=tuple(int(d) for d in arr.shape),
+            digest=array_digest(arr),
+        )
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def verify_descriptor_digest(desc: ShmDescriptor, arr: np.ndarray) -> None:
-    """Check a mapped view against its descriptor's claimed digest.
+    """Check a copied-out array against its descriptor's claimed digest.
 
     Raises :class:`~repro.utils.errors.CorruptPayloadError` (a
     *retryable* fault: a torn concurrent write heals on re-read) when
     the pixels do not hash to the claim -- tampered or corrupted
-    segments are detected before any computation runs.
+    files are detected before any computation runs.
     """
     from repro.utils.errors import CorruptPayloadError
 
     actual = array_digest(arr)
     if actual != desc.digest:
         raise CorruptPayloadError(
-            f"shared segment {desc.name!r} failed digest verification "
-            f"(descriptor claims {desc.digest[:12]}..., pixels hash to "
-            f"{actual[:12]}...)",
+            f"shared array (fd {desc.fd} of process {desc.pid}) failed digest "
+            f"verification (descriptor claims {desc.digest[:12]}..., pixels "
+            f"hash to {actual[:12]}...)",
             site="svc:shmem",
         )
 
 
 class ShmArena:
-    """A refcounted owner of named shared segments.
+    """The service's reply files, each held until it is released.
 
-    The service's reply plane needs segments that outlive one function
-    call: the server writes a result, hands the descriptor to the
-    client, and must keep the segment alive until the client releases
-    it (or disconnects).  The arena is that owner -- every segment it
-    mints is tracked by name, released exactly once, and guaranteed
-    torn down by :meth:`release_all` however the server exits.
-
-    ``checkout``/``checkin`` cover the read side: repeated checkouts of
-    one segment share a single mapping under a refcount, so a client
-    pipelining many requests against one image costs one attach.
+    The server writes a result, hands the descriptor to the client, and
+    must keep the file readable until the client releases it (or
+    disconnects).  The arena holds one fd per live reply, keyed by the
+    reply's inode -- the release key, so a reused fd number can never
+    release another reply -- closes each exactly once, and closes every
+    one in :meth:`release_all` however the server stops.  A server that
+    dies holds nothing: its files go with its fds.
 
     All methods are thread-safe only by confinement: the service uses
     the arena from its event-loop thread exactly as it uses the result
@@ -330,92 +282,53 @@ class ShmArena:
         if max_segments <= 0:
             raise ValidationError("arena max_segments must be positive")
         self.max_segments = int(max_segments)
-        #: name -> (segment, refcount, owned)
-        self._segments: dict[str, list] = {}
+        #: inode -> fd of every live reply file.
+        self._files: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._files)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._segments
+    def __contains__(self, inode: int) -> bool:
+        return inode in self._files
 
     def mint(self, arr: np.ndarray) -> ShmDescriptor:
-        """Copy ``arr`` into a fresh owned segment; returns its descriptor.
+        """Copy ``arr`` into a fresh reply file; returns its descriptor.
 
-        The arena owns the segment until :meth:`release` (or
-        :meth:`release_all`) unlinks it.
+        The arena holds the file until :meth:`release` (or
+        :meth:`release_all`) closes it.
         """
-        if len(self._segments) >= self.max_segments:
+        if len(self._files) >= self.max_segments:
             raise ValidationError(
-                f"shm arena is full ({self.max_segments} live segment(s)); "
-                "release reply segments (op 'shm_release') before minting more"
+                f"shm arena is full ({self.max_segments} live reply file(s)); "
+                "release replies (op 'shm_release') before minting more"
             )
-        seg = None
-        try:
-            seg = SharedNDArray.from_array(np.ascontiguousarray(arr))
-            desc = ShmDescriptor.for_array(seg.name, seg.array)
-            self._segments[desc.name] = [seg, 1, True]
-            seg = None  # ownership transferred to the arena
-        finally:
-            if seg is not None:
-                seg.close()
-                seg.unlink()
+        desc = share_array(arr)
+        self._files[desc.inode] = desc.fd
         return desc
 
-    def checkout(self, desc: ShmDescriptor) -> SharedNDArray:
-        """Attach (or re-use the live mapping of) a descriptor's segment."""
-        entry = self._segments.get(desc.name)
-        if entry is not None:
-            entry[1] += 1
-            return entry[0]
-        seg = SharedNDArray.attach_descriptor(desc)
-        self._segments[desc.name] = [seg, 1, False]
-        return seg
+    def release(self, inode: int) -> None:
+        """Close a reply file exactly once.
 
-    def checkin(self, name: str) -> None:
-        """Drop one reference; the last checkin of a borrowed segment
-        closes the mapping (owned segments stay until released)."""
-        entry = self._segments.get(name)
-        if entry is None:
-            raise ValidationError(
-                f"segment {name!r} is not checked out of this arena"
-            )
-        entry[1] -= 1
-        if entry[1] <= 0 and not entry[2]:
-            del self._segments[name]
-            entry[0].close()
-
-    def release(self, name: str) -> None:
-        """Unlink an owned segment exactly once.
-
-        A second release (or a release of a name the arena never
-        owned) raises :class:`ValidationError` -- double-release is a
+        A second release (or a release of an inode the arena never
+        held) raises :class:`ValidationError` -- double-release is a
         protocol error the client should hear about, not a silent
         no-op that masks lifetime bugs.
         """
-        entry = self._segments.get(name)
-        if entry is None or not entry[2]:
-            raise ValidationError(
-                f"unknown or already-released segment {name!r}"
-            )
-        del self._segments[name]
-        seg = entry[0]
-        seg.close()
-        seg.unlink()
+        fd = self._files.pop(inode, None)
+        if fd is None:
+            raise ValidationError(f"unknown or already-released reply {inode!r}")
+        os.close(fd)
 
     def release_all(self) -> int:
-        """Tear down every live segment; returns how many were dropped.
+        """Close every live reply file; returns how many were closed.
 
         Safe to call repeatedly; used at server shutdown so no reply
-        segment can outlive the process (the leakcheck contract).
+        file outlives the server (the leakcheck contract).
         """
-        n = len(self._segments)
-        for name in list(self._segments):
-            seg, _refs, owned = self._segments.pop(name)
-            seg.close()
-            if owned:
-                seg.unlink()
-        return n
+        files, self._files = self._files, {}
+        for fd in files.values():
+            os.close(fd)
+        return len(files)
 
     def __enter__(self) -> "ShmArena":
         return self

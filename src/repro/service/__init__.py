@@ -56,11 +56,7 @@ from repro.service.server import (
     decode_array,
     encode_array,
 )
-from repro.service.wire import (
-    WireClient,
-    mint_shared_image,
-    raise_reply_error,
-)
+from repro.service.wire import WireClient, raise_reply_error
 
 __all__ = [
     "AdmissionQueue",
@@ -97,7 +93,6 @@ __all__ = [
     "encode_array",
     "image_digest",
     "materialize_request_image",
-    "mint_shared_image",
     "raise_reply_error",
     "request_over_socket",
     "result_key",

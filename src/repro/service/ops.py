@@ -33,11 +33,8 @@ from repro.faults.plan import FaultPlan
 from repro.kernels import get as get_kernel
 from repro.obs import trace as _trace
 from repro.obs.trace import TraceContext
-from repro.runtime.shmem import (
-    SharedNDArray,
-    ShmDescriptor,
-    verify_descriptor_digest,
-)
+from repro.runtime.dispatch import drop_inherited_memfds
+from repro.runtime.shmem import ShmDescriptor, verify_descriptor_digest
 from repro.utils.errors import ReproError, ValidationError
 from repro.utils.validation import check_image, check_power_of_two
 
@@ -90,30 +87,28 @@ def materialize_request_image(image, *, task=None, attempt: int = 0) -> np.ndarr
     """Resolve a request image to pixels wherever the task runs.
 
     An ndarray passes through untouched.  A :class:`~repro.runtime.
-    shmem.ShmDescriptor` is the zero-copy path: attach to the named
-    segment, copy the view out **once** (a single memcpy -- the wire
-    never carried the pixels), close the mapping, then verify the copy
-    against the descriptor's content digest.  Copy-before-verify means
-    the computation can never see a torn concurrent write that the
-    digest check missed, and closing before compute means a client
-    unlinking its segment mid-request cannot fault the worker.
+    shmem.ShmDescriptor` is the zero-copy path: open the client's file
+    (:func:`~repro.runtime.shmem.open_memfd` checks it is the one
+    named), copy it out **once** with ``preadv`` (the wire never carried
+    the pixels), close it, then verify the copy against the
+    descriptor's content digest.  Copy-before-verify means the
+    computation can never see a torn concurrent write that the digest
+    check missed, and closing before compute means a client closing its
+    file mid-request cannot fault the worker.
 
-    Failure typing matters here: a missing/undersized segment raises
-    :class:`~repro.utils.errors.ValidationError` (a per-request JSON
-    error), while a digest mismatch raises :class:`~repro.utils.errors.
-    CorruptPayloadError` -- retryable, because a torn write heals on
-    re-read.  The ``svc:shmem`` fault site fires between attach and
-    verify; its ``corrupt`` kind tampers the copied pixels so the
-    digest check must catch it, exactly like ``darray:border`` corruption.
+    Failure typing matters here: a file that is gone, is not the one
+    named or is too small raises :class:`~repro.utils.errors.
+    ValidationError` (a per-request JSON error), while a digest mismatch
+    raises :class:`~repro.utils.errors.CorruptPayloadError` --
+    retryable, because a torn write heals on re-read.  The ``svc:shmem``
+    fault site fires between the copy and the digest check; its
+    ``corrupt`` kind tampers the copied pixels so the digest check must
+    catch it, exactly like ``darray:border`` corruption.
     """
     if not isinstance(image, ShmDescriptor):
         return image
+    pixels = image.read()
     spec = fire("svc:shmem", task=task, attempt=attempt)
-    seg = SharedNDArray.attach_descriptor(image)
-    try:
-        pixels = np.array(seg.array, copy=True)
-    finally:
-        seg.close()
     if spec is not None and spec.kind == "corrupt":
         pixels = corrupt_pixels(pixels)
     verify_descriptor_digest(image, pixels)
@@ -140,7 +135,9 @@ def compute(op: str, image: np.ndarray, params: tuple) -> np.ndarray:
 
 
 def svc_init(plan: FaultPlan | None = None) -> None:
-    """Pool initializer: install the fault plan."""
+    """Pool initializer: drop the memfds the worker inherited (reply
+    files held for clients among them) and install the fault plan."""
+    drop_inherited_memfds()
     install_plan(plan)
 
 
@@ -166,8 +163,9 @@ def svc_task(arg):
             # Descriptor materialization sits *outside* the marker
             # wrapper for its fault-typed errors: CorruptPayloadError
             # must reach the dispatcher (it is retryable -- the re-run
-            # re-reads the segment), while a ValidationError (unknown
-            # or undersized segment) is this request's own typed error.
+            # re-reads the file), while a ValidationError (a file that
+            # is gone, not the one named or too small) is this
+            # request's own typed error.
             try:
                 image = materialize_request_image(image, task=index, attempt=attempt)
             except ValidationError as exc:

@@ -27,18 +27,19 @@ path) walks the ring to the next live successor; a request stuck past
 the ``hedge_s`` latency budget is duplicated to the successor and the
 first reply wins (results are bit-identical by construction, so
 first-wins is safe); a shard *process* that dies is reaped (its whole
-session group, so orphaned pool workers go with it), its un-released
-reply segments are reclaimed, and it is respawned on the same socket.
-Under the seeded chaos drill (``repro chaos --tier service``) all of
-this happens with a SIGKILL mid-load and every request still completes
-bit-identically with zero ``/dev/shm`` leaks.
+session group, so orphaned pool workers go with it) and respawned on
+the same socket.  Its un-released reply files need no reclaim: they
+are memfds, and they went with its fds.  Under the seeded chaos drill
+(``repro chaos --tier service``) all of this happens with a SIGKILL
+mid-load and every request still completes bit-identically with zero
+``/dev/shm`` leaks.
 
 The router speaks the exact wire protocol of a single server --
 :class:`~repro.service.wire.WireClient` works unchanged against it.
 Compute lines are forwarded **verbatim** (the routing key is extracted
 with anchored regexes, no JSON re-serialization on the hot path);
 ``ping`` / ``stats`` / ``metrics`` answer at the router; ``shm_release``
-follows the segment to the shard that minted it.
+follows the reply's inode to the shard that minted it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from dataclasses import dataclass, field
 
 from repro.faults.inject import fire_async
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.shmem import _attach_segment
 from repro.service.health import (
     CLOSED,
     DEFAULT_FAIL_THRESHOLD,
@@ -107,8 +107,8 @@ _DIGEST_RE = re.compile(rb'"digest"\s*:\s*"([0-9a-f]{64})"')
 #: (same bytes -> same span -> same shard) without decoding base64.
 _DATA_RE = re.compile(rb'"data_b64"\s*:\s*"([A-Za-z0-9+/=]*)"')
 
-#: A reply's minted shared-segment name (shmem-wire results only).
-_SEG_RE = re.compile(rb'"name"\s*:\s*"(psm_[^"]+)"')
+#: A shmem-wire reply's inode, its release key.
+_INODE_RE = re.compile(rb'"inode"\s*:\s*(\d+)')
 
 
 def routing_key(line: bytes) -> bytes:
@@ -447,7 +447,7 @@ class ShardRouter(LineServer):
         router = ShardRouter(socket_path, RouterConfig(shards=3))
         await router.start()       # spawns + readies shards, starts probes
         ...                        # clients speak the normal wire protocol
-        await router.stop()        # drain, retire shards, reclaim segments
+        await router.stop()        # drain, retire shards
     """
 
     def __init__(self, socket_path: str, config: RouterConfig | None = None):
@@ -503,9 +503,6 @@ class ShardRouter(LineServer):
             )
             for sid in self.shard_ids
         }
-        #: Reply segments each shard minted and no client released yet;
-        #: what :meth:`_reclaim_minted` sweeps when the shard dies hard.
-        self._minted: dict[int, set[str]] = {sid: set() for sid in self.shard_ids}
         self._tasks: list[asyncio.Task] = []
         self._draining = False
         self._open_requests = 0
@@ -577,7 +574,7 @@ class ShardRouter(LineServer):
             await asyncio.sleep(0.005)
 
     async def _teardown(self) -> None:
-        """Stop the probes, retire the shards, reclaim what the dead left behind."""
+        """Stop the probes, retire the shards, remove the shard directory."""
         tasks, self._tasks = self._tasks, []
         for task in tasks:
             task.cancel()
@@ -605,8 +602,6 @@ class ShardRouter(LineServer):
                 proc.reap()
                 with contextlib.suppress(OSError):
                     os.unlink(self.shard_sockets[sid])
-            for sid in list(self._minted):
-                self._reclaim_minted(sid)
             self._remove_own_dir()
 
     def _remove_own_dir(self) -> None:
@@ -619,7 +614,7 @@ class ShardRouter(LineServer):
         """Respawn loop for router-owned shards.
 
         A dead shard is reaped group-wide (its orphaned pool workers
-        die here), its un-released reply segments are reclaimed, and a
+        die here, and its reply files with their last fds), and a
         fresh process is spawned on the same socket.  In-flight
         requests that were cut off are not lost: their forwards fail
         with a connection error and the routing loop replays the raw
@@ -632,7 +627,6 @@ class ShardRouter(LineServer):
             for sid, proc in self.procs.items():
                 if proc.proc is None or proc.alive:
                     continue
-                self._reclaim_minted(sid)
                 proc.reap()
                 if not self.config.respawn:
                     continue
@@ -645,28 +639,6 @@ class ShardRouter(LineServer):
                     # the fresh process died too.
                     continue
 
-    def _reclaim_minted(self, sid: int) -> int:
-        """Unlink reply segments a hard-killed shard could not sweep.
-
-        A SIGKILLed shard never runs its arena teardown, so whatever it
-        minted and no client released would leak in ``/dev/shm``.  The
-        router learned every minted name from the replies it forwarded;
-        attaching (tracker-neutral) and unlinking here restores the
-        leakcheck contract.
-        """
-        reclaimed = 0
-        for name in sorted(self._minted.get(sid, ())):
-            try:
-                seg = _attach_segment(name)
-            except FileNotFoundError:
-                continue
-            seg.close()
-            with contextlib.suppress(FileNotFoundError):
-                seg.unlink()
-            reclaimed += 1
-        self._minted[sid] = set()
-        return reclaimed
-
     def kill_shard(self, sid: int) -> None:
         """SIGKILL a router-owned shard (the chaos drill's entry point)."""
         proc = self.procs.get(sid)
@@ -678,20 +650,18 @@ class ShardRouter(LineServer):
 
     # -- client handling ---------------------------------------------------
 
-    def _connection_opened(self) -> tuple[dict[int, LineConnection], dict[str, int]]:
+    def _connection_opened(self) -> tuple[dict[int, LineConnection], dict[int, int]]:
         # The client's lazily opened connection to each shard, and the
-        # minting shard of each reply segment it holds.  Reply-segment
+        # minting shard of each reply it holds, by inode.  A reply's
         # lifetime is pinned to the shard connection, so per-client shard
         # connections give each client the same ownership story it would
         # have against a single server.
         return {}, {}
 
     def _connection_closed(self, state: tuple[dict, dict]) -> None:
-        # Closing the shard connections makes each shard reclaim whatever
+        # Closing the shard connections makes each shard close whatever
         # this client failed to release (connection-pinned lifetime).
-        conns, owned = state
-        for name, sid in owned.items():
-            self._minted.get(sid, set()).discard(name)
+        conns, _owned = state
         for sid in list(conns):
             self._drop_conn(conns, sid)
 
@@ -733,41 +703,31 @@ class ShardRouter(LineServer):
         return await self._respond_routed(line, conns, owned, op)
 
     async def _respond_release(self, line: bytes, conns: dict,
-                               owned: dict[str, int]) -> bytes:
-        """Follow a segment release to the shard that minted it."""
+                               owned: dict[int, int]) -> bytes:
+        """Follow a reply release to the shard that minted it."""
         req_id = self._req_id(line)
         try:
-            obj = json.loads(line)
-            name = obj.get("name")
+            inode = json.loads(line).get("inode")
         except (ValueError, UnicodeDecodeError):
-            name = None
-        if not isinstance(name, str):
+            inode = None
+        if isinstance(inode, bool) or not isinstance(inode, int):
             return error_line(
-                req_id, ValidationError("'name' must be a segment name string")
+                req_id, ValidationError("'inode' must be a reply's inode (an integer)")
             )
-        sid = owned.get(name)
+        sid = owned.pop(inode, None)
         if sid is None:
             return error_line(
-                req_id, ValidationError(f"unknown or already-released segment {name!r}")
+                req_id, ValidationError(f"unknown or already-released reply {inode}")
             )
-        if name not in self._minted.get(sid, ()):
-            # The minting shard died and the router already reclaimed
-            # the segment; the client's release is honored, not failed.
-            owned.pop(name, None)
-            return ok_line(req_id, "released")
         try:
-            reply = await self._forward_once(sid, line, conns)
+            return await self._forward_once(sid, line, conns)
         except (ReproError, OSError):
-            # Shard just died; the supervisor's reclaim owns the segment.
+            # The minting shard died, and the reply file with it.
             self._drop_conn(conns, sid)
-            owned.pop(name, None)
             return ok_line(req_id, "released")
-        owned.pop(name, None)
-        self._minted[sid].discard(name)
-        return reply
 
     async def _respond_routed(self, line: bytes, conns: dict,
-                              owned: dict[str, int], op) -> bytes:
+                              owned: dict[int, int], op) -> bytes:
         """Route one compute (or unknown -- the shard owns the error
         semantics) request: home shard first, ring successors on
         failure, a hedge when stuck past the latency budget."""
@@ -809,11 +769,9 @@ class ShardRouter(LineServer):
                     + "; ".join(failures),
                     attempts=failures,
                 )
-            m = _SEG_RE.search(reply)
+            m = _INODE_RE.search(reply)
             if m is not None:
-                name = m.group(1).decode("ascii")
-                owned[name] = winner
-                self._minted[winner].add(name)
+                owned[int(m.group(1))] = winner
             self.instruments.forwarded(winner)
             return reply
         except ReproError as exc:
@@ -904,8 +862,8 @@ class ShardRouter(LineServer):
         """Cancel a forward nobody waits for any more.
 
         The abandoned request may still be computing on the shard;
-        closing the upstream pins its (possible) reply segment's
-        teardown to the shard's disconnect sweep, and the next request
+        closing the upstream pins its (possible) reply file's closing
+        to the shard's disconnect sweep, and the next request
         reopens cleanly.  A forward that was a half-open breaker's one
         trial missed its latency budget, so it reports a failure: the
         breaker re-opens with a doubled cooldown and the next probe can
@@ -945,7 +903,7 @@ class ShardRouter(LineServer):
         """The ``stats`` reply; every count is read back from :attr:`metrics`."""
         count = self.metrics.count
         out = {
-            "schema": "repro-router-stats/v1",
+            "schema": "repro-router-stats/v2",
             "router": {
                 "requests": count(M_ROUTER_REQUESTS),
                 "completed": count(M_ROUTER_FORWARDS),
@@ -969,7 +927,6 @@ class ShardRouter(LineServer):
                 "forwards": self.instruments.forwards(sid),
                 "probes": self.monitors[sid].probes,
                 "last_probe_error": self.monitors[sid].last_error,
-                "minted_live": len(self._minted.get(sid, ())),
                 "spawns": proc.spawns if proc is not None else None,
                 "alive": proc.alive if proc is not None else None,
             }

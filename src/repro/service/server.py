@@ -225,8 +225,8 @@ class BatchExecutor:
         index, op, image, params, _ctx = payload
         try:
             # Descriptor requests materialize here too (the degrade path
-            # runs on the driver, where the segment is just as visible);
-            # a corrupt segment surfaces as this request's own typed
+            # runs on the driver, which opens the file just as a worker
+            # does); a corrupt copy surfaces as this request's own typed
             # CorruptPayloadError marker, not a batch-level failure.
             image = materialize_request_image(image, task=index)
             return ("ok", compute(op, image, params))
@@ -410,10 +410,10 @@ class BatchService:
         """Serve one request; returns the result array (caller-owned).
 
         ``image`` is either an ndarray (validated and digested here) or
-        a :class:`~repro.runtime.shmem.ShmDescriptor` naming a shared
-        segment the caller has already written and digested -- the
-        zero-copy path, where pixels are only touched by the worker
-        serving a cache miss.
+        a :class:`~repro.runtime.shmem.ShmDescriptor` naming a memfd
+        the caller has already written and digested -- the zero-copy
+        path, where pixels are only touched by the worker serving a
+        cache miss.
 
         ``trace`` is the request's trace context (e.g. parsed off the
         wire by the socket front-end).  While a sink is installed (a
@@ -467,11 +467,11 @@ class BatchService:
 
         A :class:`~repro.runtime.shmem.ShmDescriptor` image is the
         zero-copy path: no pixel is read on this thread -- validation
-        of the actual bytes happens in the worker that materializes the
-        segment, and the cache key reuses the digest the *client*
-        already computed.  A cache hit therefore costs zero segment
-        reads (the regression test holds us to that by unlinking the
-        segment before the second request).
+        of the actual bytes happens in the worker that reads the file,
+        and the cache key reuses the digest the *client* already
+        computed.  A cache hit therefore costs zero file reads (the
+        regression test holds us to that by closing the file before the
+        second request).
         """
         descriptor = isinstance(image, ShmDescriptor)
         if descriptor:
@@ -692,7 +692,7 @@ WIRE_DTYPES = ("uint8", "int8", "uint16", "int16", "int32", "int64")
 
 #: Wire encodings a request may ask its reply in.  ``ndjson`` is the
 #: portable fallback (base64 pixels inline in the JSON line); ``shmem``
-#: carries only a segment descriptor -- pixels never touch the socket.
+#: carries only a memfd descriptor -- pixels never touch the socket.
 WIRES = ("ndjson", "shmem")
 
 
@@ -740,9 +740,9 @@ def _materialize_image(obj):
     """An image from the wire: shm descriptor, explicit array, or a
     named test pattern."""
     if isinstance(obj, dict) and "shm" in obj:
-        # The zero-copy request form: {"shm": {name, dtype, shape,
-        # digest}}.  Only the descriptor is validated here; the pixels
-        # stay untouched until a worker serves a cache miss.
+        # The zero-copy request form: {"shm": {pid, fd, inode, dtype,
+        # shape, digest}}.  Only the descriptor is validated here; the
+        # pixels stay untouched until a worker serves a cache miss.
         return ShmDescriptor.from_wire(obj["shm"])
     if isinstance(obj, dict) and "pattern" in obj:
         from repro.images import binary_test_image, darpa_like
@@ -773,13 +773,14 @@ class ServiceServer(LineServer):
 
     **Shared-memory replies.**  A compute request with ``"wire":
     "shmem"`` (the default when its image arrived as a descriptor) gets
-    its result in a server-minted segment: the reply carries ``{"shm":
-    descriptor}`` and the client owes one ``shm_release`` for that
-    segment name, on the *same connection*.  Segment lifetime is pinned
-    to the connection that requested it -- whatever a client fails to
-    release is torn down when it disconnects, and :meth:`stop` releases
-    everything, so no reply segment can outlive the server (the
-    leakcheck contract).
+    its result in a memfd the server holds: the reply carries ``{"shm":
+    descriptor}`` and the client owes one ``{"op": "shm_release",
+    "inode": <the descriptor's inode>}``, on the *same connection*.  A
+    reply's lifetime is pinned to the connection that requested it --
+    whatever a client fails to release is closed when it disconnects,
+    and :meth:`stop` closes everything, so no reply file outlives the
+    server (the leakcheck contract); a server that dies takes its
+    files with it.
     """
 
     def __init__(self, service: BatchService, socket_path: str, *,
@@ -791,7 +792,7 @@ class ServiceServer(LineServer):
         #: the router's health probes confirm they reached the shard
         #: they think they did.
         self.shard_id = shard_id
-        #: Owner of every reply segment this server ever mints.
+        #: Holder of every reply file this server ever mints.
         self.arena = ShmArena()
 
     async def _setup(self) -> None:
@@ -805,19 +806,18 @@ class ServiceServer(LineServer):
         await self.service.stop()
         self.arena.release_all()
 
-    def _connection_opened(self) -> set[str]:
-        # Reply segments minted for this connection and not yet released
-        # by the client; reclaimed however the connection ends.
+    def _connection_opened(self) -> set[int]:
+        # The inodes of the reply files minted for this connection and
+        # not yet released by the client; closed however it ends.
         return set()
 
-    def _connection_closed(self, owned: set[str]) -> None:
-        for name in owned:
-            # Raced releases (client released right as it hung up,
-            # or stop() already swept the arena) are fine here.
+    def _connection_closed(self, owned: set[int]) -> None:
+        for inode in owned:
+            # stop() may have swept the arena already.
             with contextlib.suppress(ValidationError):
-                self.arena.release(name)
+                self.arena.release(inode)
 
-    async def _respond(self, line: bytes, owned: set[str]) -> bytes:
+    async def _respond(self, line: bytes, owned: set[int]) -> bytes:
         req_id = None
         try:
             try:
@@ -851,11 +851,13 @@ class ServiceServer(LineServer):
                 self.service.recorder.drain()
                 return ok_line(req_id, chrome_trace(self.service.recorder.log))
             if op == "shm_release":
-                name = obj.get("name")
-                if not isinstance(name, str):
-                    raise ValidationError("'name' must be a segment name string")
-                self.arena.release(name)  # unknown/double -> ValidationError
-                owned.discard(name)
+                inode = obj.get("inode")
+                if isinstance(inode, bool) or not isinstance(inode, int):
+                    raise ValidationError("'inode' must be a reply's inode (an integer)")
+                if inode not in owned:  # unknown, double or another connection's
+                    raise ValidationError(f"unknown or already-released reply {inode}")
+                owned.discard(inode)
+                self.arena.release(inode)
                 return ok_line(req_id, "released")
             if op == "shutdown":
                 # Drain protocol: shed from this moment on (new compute
@@ -876,7 +878,7 @@ class ServiceServer(LineServer):
             )
 
     async def _respond_compute(self, req_id, op, obj: dict,
-                               owned: set[str]) -> bytes:
+                               owned: set[int]) -> bytes:
         """One compute request: decode, trace, submit, encode.
 
         The ``wire`` request field picks the *reply* encoding; left
@@ -912,7 +914,7 @@ class ServiceServer(LineServer):
             t_enc = time.perf_counter()
             if wire == "shmem":
                 desc = self.arena.mint(result)
-                owned.add(desc.name)
+                owned.add(desc.inode)
                 payload = {"shm": desc.to_wire()}
             else:
                 payload = encode_array(result)

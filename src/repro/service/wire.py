@@ -7,30 +7,27 @@ two wire modes of ``docs/SERVICE.md`` on top of it:
 * ``ndjson`` -- pixels ride the socket as base64 (portable fallback;
   works across hosts sharing nothing but the socket).
 * ``shmem``  -- the zero-copy plane: the client writes its image into
-  a POSIX shared segment once, stamps a content digest, and the socket
-  carries a ~200 byte descriptor; replies come back the same way as
-  server-minted segments the client must ``shm_release``.
+  a memfd once, stamps a content digest, and the socket carries a
+  ~200 byte descriptor; replies come back the same way, as server
+  files the client must ``shm_release``.
 
 :class:`WireClient` is the protocol-complete client: one persistent
-connection (reply-segment lifetime is pinned to the connection that
+connection (a reply file's lifetime is pinned to the connection that
 requested it, so release must happen on the *same* connection), both
-wire modes, typed error rehydration, and guaranteed teardown of every
-segment it ever minted -- ``async with`` it and the leakcheck holds.
+wire modes, typed error rehydration, and guaranteed closing of every
+request file it ever made -- ``async with`` it and the leakcheck holds.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 
 import numpy as np
 
 from repro.obs.trace import TraceContext
-from repro.runtime.shmem import (
-    SharedNDArray,
-    ShmDescriptor,
-    verify_descriptor_digest,
-)
+from repro.runtime.shmem import ShmDescriptor, share_array, verify_descriptor_digest
 from repro.service.lines import LineConnection, json_line
 from repro.service.ops import OPS
 from repro.service.server import decode_array, encode_array
@@ -39,7 +36,6 @@ from repro.utils.errors import ReproError
 
 __all__ = [
     "WireClient",
-    "mint_shared_image",
     "raise_reply_error",
 ]
 
@@ -64,27 +60,6 @@ def raise_reply_error(reply: dict) -> dict:
     raise ReproError(f"service error ({name}): {message}")
 
 
-def mint_shared_image(image: np.ndarray) -> tuple[SharedNDArray, ShmDescriptor]:
-    """Copy ``image`` into a fresh client-owned segment + its descriptor.
-
-    The caller owns the segment: keep it alive until every request that
-    names it has been *answered* (a worker may attach on a cache miss),
-    then ``close()`` and ``unlink()`` it.  The digest is computed here,
-    client-side -- the server keys its cache on it without reading a
-    pixel.
-    """
-    seg = None
-    try:
-        seg = SharedNDArray.from_array(np.ascontiguousarray(image))
-        desc = ShmDescriptor.for_array(seg.name, seg.array)
-        out, seg = seg, None  # ownership transferred to the caller
-    finally:
-        if seg is not None:
-            seg.close()
-            seg.unlink()
-    return out, desc
-
-
 class WireClient:
     """Async client for the ndjson socket protocol, both wire modes.
 
@@ -95,10 +70,11 @@ class WireClient:
 
     ``wire`` picks the default for both directions: how the image
     leaves this process and how the reply is asked for.  Per-call
-    ``wire=`` overrides it; passing a pre-minted
-    :class:`~repro.runtime.shmem.ShmDescriptor` as the image skips the
-    segment copy entirely (the steady-state shape for a client hammering
-    one image).
+    ``wire=`` overrides it; passing a
+    :class:`~repro.runtime.shmem.ShmDescriptor` from
+    :func:`~repro.runtime.shmem.share_array` as the image skips the copy
+    into a fresh file entirely (the steady-state shape for a client
+    hammering one image).
     """
 
     def __init__(self, socket_path: str, *, wire: str = "ndjson"):
@@ -152,22 +128,21 @@ class WireClient:
             "wire": wire,
             "trace": (trace if trace is not None else TraceContext.mint()).to_wire(),
         }
-        seg = None
+        request_file = None
         try:
             if isinstance(image, ShmDescriptor):
                 obj["image"] = {"shm": image.to_wire()}
             elif wire == "shmem":
-                seg, desc = mint_shared_image(np.asarray(image))
-                obj["image"] = {"shm": desc.to_wire()}
+                request_file = share_array(np.asarray(image))
+                obj["image"] = {"shm": request_file.to_wire()}
             else:
                 obj["image"] = encode_array(np.asarray(image))
             reply = raise_reply_error(await self.request(obj))
         finally:
-            # The request segment outlived its answer; a cache hit never
-            # read it, a miss is done with it -- either way it dies now.
-            if seg is not None:
-                seg.close()
-                seg.unlink()
+            # The request file outlived its answer; a cache hit never
+            # read it, a miss is done with it -- either way it goes now.
+            if request_file is not None:
+                os.close(request_file.fd)
         return await self._materialize_result(reply["result"])
 
     async def _materialize_result(self, result) -> np.ndarray:
@@ -176,16 +151,12 @@ class WireClient:
         if isinstance(result, dict) and "shm" in result:
             desc = ShmDescriptor.from_wire(result["shm"])
             try:
-                seg = SharedNDArray.attach_descriptor(desc)
-                try:
-                    out = np.array(seg.array, copy=True)
-                finally:
-                    seg.close()
+                out = desc.read()
                 verify_descriptor_digest(desc, out)
             finally:
                 with contextlib.suppress(ReproError):
                     raise_reply_error(
-                        await self.request({"op": "shm_release", "name": desc.name})
+                        await self.request({"op": "shm_release", "inode": desc.inode})
                     )
             return out
         return decode_array(result)

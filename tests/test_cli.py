@@ -139,6 +139,28 @@ class TestComponents:
         assert n4 >= n8
 
 
+class TestEightBitFiles:
+    """A P5 file decodes to uint8; every command prints what it prints
+    for the same pixels as int32, read from the P2 twin of that file."""
+
+    @pytest.mark.parametrize("argv", [
+        ("components", "--grey", "-p", "4"),
+        ("components", "--grey", "-p", "4", "--engine", "darray", "--transport", "local"),
+        ("components", "--grey", "-p", "4", "--engine", "darray", "--transport", "shmem"),
+        ("histogram", "-k", "256", "-p", "4"),
+    ])
+    def test_p5_prints_as_int32(self, capsys, tmp_path, argv):
+        img = darpa_like(64, 256, seed=2)
+        p5, p2 = tmp_path / "scene.pgm", tmp_path / "scene-ascii.pgm"
+        write_pgm(p5, img, binary=True)
+        write_pgm(p2, img, binary=False)
+        assert read_pnm(p5).dtype == np.uint8 and read_pnm(p2).dtype == np.int32
+        command, *rest = argv
+        assert run_cli(capsys, command, str(p5), *rest) == run_cli(
+            capsys, command, str(p2), *rest
+        )
+
+
 class TestReportFlag:
     def test_components_report(self, capsys):
         out = run_cli(

@@ -313,6 +313,11 @@ class TestRunTasks:
                     sup, _hang_first_attempt, [(0)], site="test",
                     timeout=0.4, max_retries=0, backoff_s=0.01,
                 )
+            # The worker still running the hung task is gone, so the
+            # next dispatch neither waits behind it nor misses its own
+            # deadline.
+            assert sup.respawns == 1
+            assert run_tasks(sup, _double, [1], site="test", timeout=5, max_retries=0) == [2]
         assert err.value.site == "test"
 
     def test_empty_payloads(self):

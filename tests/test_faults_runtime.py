@@ -15,6 +15,7 @@ The plans of the merge-protocol sites (``darray:border``,
 every other plan runs here.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -309,6 +310,12 @@ class TestFaultEventStreams:
 
 
 class TestLeakChecker:
+    @staticmethod
+    def _named_segment():
+        from multiprocessing.shared_memory import SharedMemory
+
+        return SharedMemory(create=True, size=32)
+
     def test_shm_segments_lists_strings(self):
         assert all(isinstance(s, str) for s in shm_segments())
 
@@ -317,28 +324,52 @@ class TestLeakChecker:
             pass
 
     def test_assert_no_shm_leak_flags_leak(self):
-        from repro.runtime import SharedNDArray
-
         leaked = None
         try:
             with pytest.raises(AssertionError, match="leaked"):
                 with assert_no_shm_leak(grace_s=0.0):
-                    leaked = SharedNDArray.create((4,), np.int64)
+                    leaked = self._named_segment()
         finally:
             if leaked is not None:
                 leaked.close()
                 leaked.unlink()
 
     def test_checks_even_when_block_raises(self):
-        from repro.runtime import SharedNDArray
-
         leaked = None
         try:
             with pytest.raises(AssertionError, match="leaked"):
                 with assert_no_shm_leak(grace_s=0.0):
-                    leaked = SharedNDArray.create((4,), np.int64)
+                    leaked = self._named_segment()
                     raise RuntimeError("boom")
         finally:
             if leaked is not None:
                 leaked.close()
                 leaked.unlink()
+
+    def test_flags_a_memfd_left_open(self):
+        from repro.runtime import share_array
+
+        desc = None
+        try:
+            with pytest.raises(AssertionError, match="memfd.*inode"):
+                with assert_no_shm_leak(grace_s=0.0):
+                    desc = share_array(np.zeros(4, dtype=np.uint8))
+        finally:
+            if desc is not None:
+                os.close(desc.fd)
+
+    def test_memfd_closed_in_the_block_passes(self):
+        from repro.runtime import share_array
+
+        with assert_no_shm_leak(grace_s=0.0):
+            os.close(share_array(np.zeros(4, dtype=np.uint8)).fd)
+
+    def test_memfd_held_before_the_block_is_not_its_leak(self):
+        from repro.runtime import share_array
+
+        desc = share_array(np.zeros(4, dtype=np.uint8))
+        try:
+            with assert_no_shm_leak(grace_s=0.0):
+                pass
+        finally:
+            os.close(desc.fd)

@@ -47,6 +47,33 @@ class TestRoundtrips:
         assert np.array_equal(got, img)
 
 
+class TestDecodedDtype:
+    """Binary files decode to one byte per pixel, as stored; ASCII ones
+    to int32."""
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_pgm(self, tmp_path, binary):
+        img = darpa_like(32, 256, seed=3)
+        path = tmp_path / "img.pgm"
+        write_pgm(path, img, binary=binary)
+        got = read_pnm(path)
+        assert got.dtype == (np.uint8 if binary else np.int32)
+        assert np.array_equal(got, img)
+        got[0, 0] = 7  # writable, unlike the mmap=True view
+        assert got[0, 0] == 7
+
+    @pytest.mark.parametrize("width", [32, 33])  # with and without row padding
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_pbm(self, tmp_path, binary, width):
+        img = binary_test_image(9, width)
+        path = tmp_path / "img.pbm"
+        write_pbm(path, img, binary=binary)
+        got = read_pnm(path)
+        assert got.dtype == (np.uint8 if binary else np.int32)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got, img)
+
+
 class TestParsing:
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"

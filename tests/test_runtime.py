@@ -6,7 +6,7 @@ over the ``shmem`` transport; the "serial" engine they are checked
 against is the kernel registry's whole-image kernel.
 """
 
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -15,99 +15,64 @@ from repro.baselines import sequential_components, sequential_histogram
 from repro.darray import darray_components, darray_histogram
 from repro.images import binary_test_image, darpa_like, random_greyscale
 from repro.kernels import get as get_kernel
-from repro.runtime import SharedNDArray
-from repro.runtime.shmem import ShmDescriptor
+from repro.runtime import ShmArena, share_array
 from repro.utils.errors import ValidationError
 
 SHMEM = dict(transport="shmem")
 
 
-class TestSharedNDArray:
-    def test_create_and_write(self):
-        with SharedNDArray.create((4, 4), np.int64) as shm:
-            shm.array[:] = 7
-            assert (shm.array == 7).all()
+class TestShareArray:
+    """:func:`share_array` writes an array into a memfd of this process;
+    a reader opens it by its descriptor and copies it out."""
 
-    def test_from_array_copies(self):
-        src = np.arange(12).reshape(3, 4)
-        with SharedNDArray.from_array(src) as shm:
-            assert np.array_equal(shm.array, src)
-            src[0, 0] = 99
-            assert shm.array[0, 0] == 0
-
-    def test_attach_sees_owner_writes(self):
-        owner = SharedNDArray.create((8,), np.float64)
+    def test_round_trip(self):
+        src = np.arange(12, dtype=np.int64).reshape(3, 4)
+        desc = share_array(src)
         try:
-            owner.array[:] = np.arange(8)
-            desc = ShmDescriptor.for_array(owner.name, owner.array)
-            other = SharedNDArray.attach_descriptor(desc)
-            assert np.array_equal(other.array, np.arange(8))
-            other.close()
+            out = desc.read()
+            assert out.dtype == src.dtype and np.array_equal(out, src)
         finally:
-            owner.close()
-            owner.unlink()
+            os.close(desc.fd)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            SharedNDArray.create((0,), np.int64)
+    def test_share_copies(self):
+        src = np.arange(12).reshape(3, 4)
+        desc = share_array(src)
+        try:
+            src[0, 0] = 99
+            assert desc.read()[0, 0] == 0
+        finally:
+            os.close(desc.fd)
+
+    def test_reader_sees_producer_writes(self):
+        desc = share_array(np.zeros(8, dtype=np.float64))
+        try:
+            os.pwrite(desc.fd, np.arange(8, dtype=np.float64).tobytes(), 0)
+            assert np.array_equal(desc.read(), np.arange(8))
+        finally:
+            os.close(desc.fd)
 
 
 class TestAttachLeavesTrackerAlone:
-    """Attaching never touches the resource tracker.
-
-    Forked workers share one tracker daemon; an attach that registered
-    and then unregistered let two workers attaching one shard interleave
-    as REG, REG, UNREG, UNREG, and the second UNREG raised ``KeyError``
-    inside the daemon.
-    """
+    """Sharing never touches the resource tracker: a memfd needs no
+    cleanup after a crash, so nothing registers or unregisters it."""
 
     def test_attach_neither_registers_nor_unregisters(self, monkeypatch):
         from multiprocessing import resource_tracker
 
-        owner = SharedNDArray.create((8,), np.int64)
-        try:
-            desc = ShmDescriptor.for_array(owner.name, owner.array)
-            calls = []
-            monkeypatch.setattr(
-                resource_tracker, "register",
-                lambda name, rtype: calls.append(("register", name)),
-            )
-            monkeypatch.setattr(
-                resource_tracker, "unregister",
-                lambda name, rtype: calls.append(("unregister", name)),
-            )
-            other = SharedNDArray.attach_descriptor(desc)
-            other.close()
-            monkeypatch.undo()
-            assert calls == []
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_other_threads_still_register(self, monkeypatch):
-        from multiprocessing import resource_tracker
-
-        from repro.runtime import shmem
-
         calls = []
         monkeypatch.setattr(
-            resource_tracker, "register", lambda name, rtype: calls.append(name)
+            resource_tracker, "register",
+            lambda name, rtype: calls.append(("register", name)),
         )
-
-        class SegmentWithoutTrackKeyword:
-            """The Python < 3.13 ``SharedMemory`` signature and behaviour."""
-
-            def __init__(self, name):
-                creator = threading.Thread(
-                    target=resource_tracker.register, args=("created", "shared_memory")
-                )
-                creator.start()
-                creator.join()
-                resource_tracker.register(name, "shared_memory")
-
-        monkeypatch.setattr(shmem.shared_memory, "SharedMemory", SegmentWithoutTrackKeyword)
-        shmem._attach_segment("attached")
-        assert calls == ["created"]
+        monkeypatch.setattr(
+            resource_tracker, "unregister",
+            lambda name, rtype: calls.append(("unregister", name)),
+        )
+        with ShmArena() as arena:
+            desc = arena.mint(np.arange(8, dtype=np.int64))
+            assert np.array_equal(desc.read(), np.arange(8))
+            arena.release(desc.inode)
+        assert calls == []
 
 
 class TestHistogramBackends:

@@ -29,6 +29,7 @@ from repro.service import (
     RouterInstruments,
     ServiceConfig,
     ServiceServer,
+    WireClient,
     encode_array,
     request_over_socket,
 )
@@ -299,8 +300,38 @@ class TestShardRouter:
             assert pong["result"]["shards"] == 3
             assert pong["result"]["healthy"] == 3
             stats = await request_over_socket(router.socket_path, {"op": "stats"})
-            assert stats["result"]["schema"] == "repro-router-stats/v1"
+            assert stats["result"]["schema"] == "repro-router-stats/v2"
             assert set(stats["result"]["shards"]) == {"0", "1", "2"}
+            assert all("minted_live" not in shard
+                       for shard in stats["result"]["shards"].values())
+
+        _router_scenario(handler)(tmp_path)
+
+    def test_shmem_reply_release_reaches_the_minting_shard(self, tmp_path):
+        """A shmem reply's release follows its inode to the shard that
+        minted it, on the client's connection to that shard; a release
+        of an inode this client was never given is a typed error."""
+        image = darpa_like(16, 256, seed=4)
+
+        async def handler(router, servers):
+            async with WireClient(router.socket_path, wire="shmem") as client:
+                reply = await client.request({
+                    "op": "components", "image": encode_array(image), "wire": "shmem",
+                })
+                desc = reply["result"]["shm"]
+                (minter,) = [s for s in servers if desc["inode"] in s.arena]
+                assert desc["pid"] == os.getpid()  # in-process shards
+                stranger = await client.request(
+                    {"op": "shm_release", "inode": desc["inode"] + 1})
+                assert stranger["error"]["type"] == "ValidationError"
+                ok = await client.request({"op": "shm_release", "inode": desc["inode"]})
+                assert ok["ok"] and desc["inode"] not in minter.arena
+                dup = await client.request({"op": "shm_release", "inode": desc["inode"]})
+                assert "already-released" in dup["error"]["message"]
+                # The client's own round trip reads and releases its reply.
+                labels = await client.compute("components", image)
+                assert labels.shape == image.shape
+                assert sum(len(s.arena) for s in servers) == 0
 
         _router_scenario(handler)(tmp_path)
 

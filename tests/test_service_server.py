@@ -13,6 +13,8 @@ import pytest
 
 from repro.faults.leakcheck import assert_no_shm_leak
 from repro.images import darpa_like
+from repro.runtime import share_array
+from repro.runtime.shmem import MEMFD_TAG
 from repro.service import (
     SUN_PATH_MAX,
     BatchService,
@@ -24,7 +26,6 @@ from repro.service import (
     check_socket_path,
     decode_array,
     encode_array,
-    mint_shared_image,
     request_over_socket,
     socket_dir,
 )
@@ -77,8 +78,9 @@ def _serve_scenario(handler):
 
     Every live-socket scenario -- including ones that end in client
     disconnects or server shutdown -- runs inside the shared-memory
-    leak check: a test that leaves a ``/dev/shm`` segment behind fails
-    even if its assertions all passed.
+    leak check: a test that leaves a ``/dev/shm`` segment behind, or a
+    request or reply memfd open, fails even if its assertions all
+    passed.
     """
 
     async def scenario(tmp_path):
@@ -520,24 +522,23 @@ class TestShmemWire:
 
     def test_shmem_cache_hit_reads_zero_segments(self, tmp_path):
         """A repeated shmem request must be served from the cache
-        without touching the segment at all.
+        without touching the request file at all.
 
         Proven destructively: after the first (miss) request the client
-        *unlinks* the segment, so any server-side attach on the second
-        request would fail with an unknown-segment error.  A successful
-        bit-identical reply is therefore a proof of zero segment reads.
+        *closes* the file, so any server-side read on the second request
+        would fail with a cannot-open error.  A successful bit-identical
+        reply is therefore a proof of zero file reads.
         """
 
         async def handler(server):
             img = darpa_like(24, 256, seed=9)
             expected = np.bincount(img.ravel(), minlength=256)
-            seg, desc = mint_shared_image(img)
+            desc = share_array(img)
             async with WireClient(server.socket_path, wire="ndjson") as client:
                 try:
                     first = await client.compute("histogram", desc, k=256)
                 finally:
-                    seg.close()
-                    seg.unlink()  # the segment is now gone from /dev/shm
+                    os.close(desc.fd)  # the file is gone with its only fd
                 second = await client.compute("histogram", desc, k=256)
                 stats = (await client.request({"op": "stats"}))["result"]
             assert np.array_equal(first, expected)
@@ -549,13 +550,13 @@ class TestShmemWire:
     def test_client_disconnect_mid_request_releases_reply_segments(self, tmp_path):
         """A client that vanishes without sending ``shm_release`` --
         before or after reading its shmem reply -- must not leak the
-        server-minted reply segment; the connection teardown reclaims
-        it (verified by the leak check around the scenario)."""
+        server's reply file; the connection teardown closes it
+        (verified by the leak check around the scenario)."""
 
         async def handler(server):
             img = darpa_like(24, 256, seed=10)
             for read_reply in (True, False):
-                seg, desc = mint_shared_image(img)
+                desc = share_array(img)
                 try:
                     reader, writer = await asyncio.open_unix_connection(
                         server.socket_path)
@@ -569,11 +570,10 @@ class TestShmemWire:
                             reply = json.loads(await reader.readline())
                             assert reply["ok"] and "shm" in reply["result"]
                     finally:
-                        # Vanish without releasing the reply segment.
+                        # Vanish without releasing the reply file.
                         writer.close()
                 finally:
-                    seg.close()
-                    seg.unlink()
+                    os.close(desc.fd)
             # Give the server's connection teardown a beat, then prove
             # the arena is empty while the server is still running.
             loop = asyncio.get_running_loop()
@@ -584,16 +584,51 @@ class TestShmemWire:
 
         _serve_scenario(handler)(tmp_path)
 
+    def test_respawned_workers_hold_no_reply_files(self, tmp_path):
+        """A worker forked while the server holds a reply file -- after
+        a respawn, say -- lets go of the fd it inherited, so a released
+        reply is freed at once, not when that worker dies."""
+
+        def held(pid: int) -> list[str]:
+            fds = f"/proc/{pid}/fd"
+            out = []
+            for name in os.listdir(fds):
+                with contextlib.suppress(OSError):
+                    if os.readlink(f"{fds}/{name}").startswith(MEMFD_TAG):
+                        out.append(name)
+            return out
+
+        async def handler(server):
+            img = darpa_like(24, 256, seed=12)
+            async with WireClient(server.socket_path) as client:
+                reply = await client.request({
+                    "op": "histogram", "image": encode_array(img),
+                    "params": {"k": 256}, "wire": "shmem",
+                })
+                inode = reply["result"]["shm"]["inode"]
+                supervisor = server.service.executor._supervisor
+                supervisor.respawn(reason="test")
+                pids = supervisor.worker_pids()  # forks the fresh workers
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while any(held(pid) for pid in pids) and loop.time() < deadline:
+                    await asyncio.sleep(0.02)  # their initializer runs after fork
+                assert {pid: held(pid) for pid in pids} == {pid: [] for pid in pids}
+                ok = await client.request({"op": "shm_release", "inode": inode})
+                assert ok["ok"]
+
+        _serve_scenario(handler)(tmp_path)
+
     def test_server_stop_sweeps_unreleased_reply_segments(self, tmp_path):
-        """``stop()`` must reclaim reply segments a live client still
-        holds -- shutdown beats politeness."""
+        """``stop()`` must close reply files a live client still holds
+        -- shutdown beats politeness."""
 
         async def scenario():
             service = BatchService(ServiceConfig(workers=2))
             server = ServiceServer(service, str(tmp_path / "svc.sock"))
             await server.start()
             img = darpa_like(24, 256, seed=11)
-            seg, desc = mint_shared_image(img)
+            desc = share_array(img)
             try:
                 client = WireClient(server.socket_path, wire="shmem")
                 await client.connect()
@@ -608,8 +643,7 @@ class TestShmemWire:
                 assert len(server.arena) == 0
                 await client.aclose()
             finally:
-                seg.close()
-                seg.unlink()
+                os.close(desc.fd)
 
         with assert_no_shm_leak(grace_s=2.0):
             asyncio.run(scenario())

@@ -10,9 +10,9 @@ the reference too.
 
 The chaos legs re-run the matrix under an installed fault plan --
 worker crashes, injected transient exceptions, and ``svc:shmem``
-segment corruption -- and require byte-identical answers *and* an empty
-``/dev/shm`` afterwards: recovery may cost retries, never correctness
-or segments.
+corruption of the copied-out pixels -- and require byte-identical
+answers *and* an empty ``/dev/shm`` afterwards: recovery may cost
+retries, never correctness or segments.
 """
 
 from __future__ import annotations
